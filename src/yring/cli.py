@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 degenerate ring,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, TextIO
 
@@ -47,6 +48,9 @@ CSV_HEADER = "k,abs2_A,abs2_B,abs2_C,abs2_D,abs2_E,abs2_F,re_A,im_A,re_F,im_F,de
 _CHECK_SEED = 20240613
 _CHECK_KS = 16
 
+#: Marks a task value that has no default.
+_REQUIRED = object()
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -56,15 +60,30 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.12e} {z.imag:+.12e}j"
 
 
-def _require_number(task: dict[str, Any], args: argparse.Namespace, name: str, flag: str) -> float:
+def _require_number(
+    task: dict[str, Any], args: argparse.Namespace, name: str, flag: str, default: Any = _REQUIRED
+) -> Any:
     value = getattr(args, flag, None)
     if value is None:
         value = task.get(name)
     if value is None:
-        raise ConfigError(f"task.{name}: required (or pass --{name.replace('_', '-')})")
+        if default is _REQUIRED:
+            raise ConfigError(f"task.{name}: required (or pass --{name.replace('_', '-')})")
+        return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"task.{name}: expected a number, got {value!r}")
     return float(value)
+
+
+def _require_count(
+    task: dict[str, Any], args: argparse.Namespace, default: Any = _REQUIRED
+) -> int | None:
+    value = _require_number(task, args, "n", "n", default)
+    if value is None:
+        return None
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ConfigError(f"task.n: expected a whole number, got {value!r}")
+    return int(value)
 
 
 def _require_ring(cfg: ParsedConfig) -> RingConfig:
@@ -81,11 +100,11 @@ def _out_stream(args: argparse.Namespace) -> TextIO:
 
 def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> int:
     name = args.junction or cfg.task.get("junction") or cfg.sole_junction_name()
-    if name not in cfg.junctions:
+    if not isinstance(name, str) or name not in cfg.junctions:
         raise ConfigError(f"task.junction: unknown junction {name!r}")
     params = cfg.junctions[name]
     k = _require_number(cfg.task, args, "k", "k")
-    xi = float(cfg.task.get("xi", 0.0))
+    xi = _require_number(cfg.task, args, "xi", "xi", 0.0)
     orientation = task_orientation(cfg.task)
     S = s_matrix(params, k, xi, orientation)
     probs = probabilities(S)
@@ -152,7 +171,7 @@ def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> int:
     ring = _require_ring(cfg)
     k_min = _require_number(cfg.task, args, "k_min", "k_min")
     k_max = _require_number(cfg.task, args, "k_max", "k_max")
-    n = int(_require_number(cfg.task, args, "n", "n"))
+    n = _require_count(cfg.task, args)
     try:
         spectrum = sweep(ring, k_min, k_max, n)
     except ValueError as exc:
@@ -177,12 +196,8 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"task.kind: expected transmission|reflection, got {kind_raw!r}"
         ) from None
-    tol = args.tol if args.tol is not None else float(cfg.task.get("tol", 1e-8))
-    scan_n = None
-    if args.n is not None:
-        scan_n = int(args.n)
-    elif "n" in cfg.task:
-        scan_n = int(cfg.task["n"])
+    tol = _require_number(cfg.task, args, "tol", "tol", 1e-8)
+    scan_n = _require_count(cfg.task, args, None)
     try:
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     except ValueError as exc:

@@ -125,7 +125,7 @@ def _ring(block: Any, junctions: dict[str, JunctionParams]) -> RingConfig:
         if req not in block:
             raise ConfigError(f"ring.{req}: required")
     left_name = block["left"]
-    if left_name not in junctions:
+    if not isinstance(left_name, str) or left_name not in junctions:
         raise ConfigError(f"ring.left: unknown junction {left_name!r}")
     mode_name = block["mode"]
     if mode_name == "symmetric":
@@ -136,7 +136,7 @@ def _ring(block: Any, junctions: dict[str, JunctionParams]) -> RingConfig:
         right_name = block.get("right")
         if right_name is None:
             raise ConfigError("ring.right: required for general mode")
-        if right_name not in junctions:
+        if not isinstance(right_name, str) or right_name not in junctions:
             raise ConfigError(f"ring.right: unknown junction {right_name!r}")
         mode = General(right=junctions[right_name])
     else:

@@ -156,6 +156,13 @@ def s_matrix(
     incoming amplitudes (coefficients of exp(+ik x)) to outgoing ones;
     outward orientation flips the sign of k throughout.
     """
+    m = _s_array(p, k, xi, orientation)
+    return ScatteringMatrix(m=m, k=float(k), xi=float(xi), orientation=orientation)
+
+
+def _s_array(p: JunctionParams, k: float, xi: float, orientation: Orientation) -> Mat3:
+    # The arithmetic of s_matrix on a plain array.  Unitary by construction
+    # for finite input; an overflowing k*L0 or k*xi is rejected here.
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
     if not math.isfinite(xi):
@@ -164,8 +171,7 @@ def s_matrix(
     d = _s0_diagonal(p, k, orientation)
     sign = 2.0 if orientation is Orientation.INWARD else -2.0
     phase = np.exp(1j * sign * k * xi)
-    m = phase * ((v * d) @ v.conj().T)
-    return ScatteringMatrix(m=m, k=float(k), xi=float(xi), orientation=orientation)
+    return as_complex_matrix(phase * ((v * d) @ v.conj().T), (3, 3))
 
 
 def junction_residual(

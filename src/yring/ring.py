@@ -27,11 +27,11 @@ from .junction import (
     JunctionParams,
     Orientation,
     ScatteringMatrix,
+    _s_array,
     build_V,
     is_scale_invariant,
-    s_matrix,
 )
-from .smallmat import Mat2, Mat3, SingularMatrixError, inverse2
+from .smallmat import Mat3, SingularMatrixError, inverse2
 
 #: Interior-wire swap used by the antisymmetric ring variant.
 PERM_23: Mat3 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
@@ -136,155 +136,60 @@ def flux_defect(amps: RingAmplitudes) -> float:
     return abs(amps.p_reflection + amps.p_transmission - 1.0)
 
 
-@dataclass(frozen=True)
-class SubBlocks:
-    """Component view of the two node matrices as used by the ring formulas.
-
-    Index 1 is the exterior wire of each node; 2 and 3 are the interior
-    wires.  `s` and `s_tilde` are the interior 2x2 blocks of the left and
-    effective right matrices.
-    """
-
-    m1: Mat3
-    m2: Mat3
-
-    @classmethod
-    def from_matrices(cls, S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> "SubBlocks":
-        return cls(m1=S1.m, m2=S2eff.m)
-
-    @property
-    def s(self) -> Mat2:
-        return self.m1[1:, 1:].copy()
-
-    @property
-    def s_tilde(self) -> Mat2:
-        return self.m2[1:, 1:].copy()
-
-    # Left-node components.
-    @property
-    def s11(self) -> complex:
-        return complex(self.m1[0, 0])
-
-    @property
-    def s12(self) -> complex:
-        return complex(self.m1[0, 1])
-
-    @property
-    def s13(self) -> complex:
-        return complex(self.m1[0, 2])
-
-    @property
-    def s21(self) -> complex:
-        return complex(self.m1[1, 0])
-
-    @property
-    def s22(self) -> complex:
-        return complex(self.m1[1, 1])
-
-    @property
-    def s23(self) -> complex:
-        return complex(self.m1[1, 2])
-
-    @property
-    def s31(self) -> complex:
-        return complex(self.m1[2, 0])
-
-    @property
-    def s32(self) -> complex:
-        return complex(self.m1[2, 1])
-
-    @property
-    def s33(self) -> complex:
-        return complex(self.m1[2, 2])
-
-    # Effective right-node components ("tilde").
-    @property
-    def t11(self) -> complex:
-        return complex(self.m2[0, 0])
-
-    @property
-    def t12(self) -> complex:
-        return complex(self.m2[0, 1])
-
-    @property
-    def t13(self) -> complex:
-        return complex(self.m2[0, 2])
-
-    @property
-    def t21(self) -> complex:
-        return complex(self.m2[1, 0])
-
-    @property
-    def t22(self) -> complex:
-        return complex(self.m2[1, 1])
-
-    @property
-    def t23(self) -> complex:
-        return complex(self.m2[1, 2])
-
-    @property
-    def t31(self) -> complex:
-        return complex(self.m2[2, 0])
-
-    @property
-    def t32(self) -> complex:
-        return complex(self.m2[2, 1])
-
-    @property
-    def t33(self) -> complex:
-        return complex(self.m2[2, 2])
+def _node_arrays(cfg: RingConfig, k: float) -> tuple[Mat3, Mat3]:
+    # Left inward array at xi1 and effective right outward array at xi2.
+    # Index 0 is the exterior wire of each node; 1 and 2 are the interior wires.
+    m1 = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
+    if isinstance(cfg.mode, General):
+        return m1, _s_array(cfg.mode.right, k, cfg.xi2, Orientation.OUTWARD)
+    m2 = _s_array(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
+    if isinstance(cfg.mode, AntiSymmetric):
+        m2 = PERM_23 @ m2 @ PERM_23
+    return m1, m2
 
 
 def ring_matrices(cfg: RingConfig, k: float) -> tuple[ScatteringMatrix, ScatteringMatrix]:
     """Left inward matrix at xi1 and the effective right outward matrix at xi2."""
-    s1 = s_matrix(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    if isinstance(cfg.mode, Symmetric):
-        s2 = s_matrix(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
-    elif isinstance(cfg.mode, AntiSymmetric):
-        raw = s_matrix(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
-        s2 = ScatteringMatrix(
-            m=PERM_23 @ raw.m @ PERM_23,
-            k=raw.k,
-            xi=raw.xi,
-            orientation=Orientation.OUTWARD,
-        )
-    else:
-        s2 = s_matrix(cfg.mode.right, k, cfg.xi2, Orientation.OUTWARD)
-    return s1, s2
-
-
-def _assemble(blocks: SubBlocks, v: np.ndarray) -> RingAmplitudes:
-    # v is the resolvent (or partial bounce sum) applied to (s21, s31).
-    st = blocks.s_tilde
-    sv = st @ v
-    return RingAmplitudes(
-        A=blocks.s11 + blocks.s12 * sv[0] + blocks.s13 * sv[1],
-        B=blocks.s21 + blocks.s22 * sv[0] + blocks.s23 * sv[1],
-        C=blocks.t22 * v[0] + blocks.t23 * v[1],
-        D=blocks.s31 + blocks.s32 * sv[0] + blocks.s33 * sv[1],
-        E=blocks.t32 * v[0] + blocks.t33 * v[1],
-        F=blocks.t12 * v[0] + blocks.t13 * v[1],
+    m1, m2 = _node_arrays(cfg, k)
+    return (
+        ScatteringMatrix(m=m1, k=float(k), xi=float(cfg.xi1), orientation=Orientation.INWARD),
+        ScatteringMatrix(m=m2, k=float(k), xi=float(cfg.xi2), orientation=Orientation.OUTWARD),
     )
 
 
-def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
-    """Resum the bounce series: apply the 2x2 resolvent (I - s s~)^-1 exactly."""
-    blocks = SubBlocks.from_matrices(S1, S2eff)
-    gap = np.eye(2, dtype=complex) - blocks.s @ blocks.s_tilde
+def _assemble(m1: Mat3, m2: Mat3, v: np.ndarray) -> RingAmplitudes:
+    # v is the resolvent (or partial bounce sum) applied to (s21, s31).
+    sv = m2[1:, 1:] @ v
+    return RingAmplitudes(
+        A=m1[0, 0] + m1[0, 1] * sv[0] + m1[0, 2] * sv[1],
+        B=m1[1, 0] + m1[1, 1] * sv[0] + m1[1, 2] * sv[1],
+        C=m2[1, 1] * v[0] + m2[1, 2] * v[1],
+        D=m1[2, 0] + m1[2, 1] * sv[0] + m1[2, 2] * sv[1],
+        E=m2[2, 1] * v[0] + m2[2, 2] * v[1],
+        F=m2[0, 1] * v[0] + m2[0, 2] * v[1],
+    )
+
+
+def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
+    gap = np.eye(2, dtype=complex) - m1[1:, 1:] @ m2[1:, 1:]
     # gap entries are O(1) by unitarity, so the degeneracy test is absolute;
     # a uniformly tiny gap (fully decoupled ring at resonance) must not pass
     # the scale-relative singularity test inside inverse2.
     det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
     if abs(det) < DEGENERATE_TOL:
         raise DegenerateRingError(
-            f"ring is degenerate at k={S1.k!r}: |det(I - s s~)|={abs(det):.3e}"
+            f"ring is degenerate at k={k!r}: |det(I - s s~)|={abs(det):.3e}"
         )
     try:
         resolvent = inverse2(gap)
     except SingularMatrixError as exc:
-        raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: {exc}") from exc
-    w = np.array([blocks.s21, blocks.s31], dtype=complex)
-    return _assemble(blocks, resolvent @ w)
+        raise DegenerateRingError(f"ring is degenerate at k={k!r}: {exc}") from exc
+    return _assemble(m1, m2, resolvent @ m1[1:, 0])
+
+
+def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
+    """Resum the bounce series: apply the 2x2 resolvent (I - s s~)^-1 exactly."""
+    return _resolve(S1.m, S2eff.m, S1.k)
 
 
 def solve_series(
@@ -319,14 +224,14 @@ def solve_series(
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    blocks = SubBlocks.from_matrices(S1, S2eff)
-    prod = blocks.s @ blocks.s_tilde
+    m1, m2 = S1.m, S2eff.m
+    prod = m1[1:, 1:] @ m2[1:, 1:]
     m11, m12 = complex(prod[0, 0]), complex(prod[0, 1])
     m21, m22 = complex(prod[1, 0]), complex(prod[1, 1])
     rho_matrix = max(abs(m11) + abs(m12), abs(m21) + abs(m22))
     noise_floor = 1e-3 * tol  # rounding noise in increments sits near 1e-16
 
-    d1, d2 = blocks.s21, blocks.s31
+    d1, d2 = complex(m1[1, 0]), complex(m1[2, 0])
     u1 = u2 = 0.0 + 0.0j
     p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j  # running power of s s~
     terms = 0
@@ -362,12 +267,12 @@ def solve_series(
             break
     else:
         return _series_doubling(
-            blocks, (m11, m12, m21, m22), (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms
+            m1, m2, (m11, m12, m21, m22), (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms
         )
-    return _assemble(blocks, np.array([u1, u2], dtype=complex)), terms
+    return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
 
 
-def _series_doubling(blocks, m, p, u, terms, tol, max_terms):
+def _series_doubling(m1, m2, m, p, u, terms, tol, max_terms):
     """Finish a slowly contracting bounce series by doubling partial sums."""
     M = np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
     P = np.array([[p[0], p[1]], [p[2], p[3]]], dtype=complex)  # M**terms
@@ -394,7 +299,7 @@ def _series_doubling(blocks, m, p, u, terms, tol, max_terms):
                 if bound <= tol:
                     break
         if 2 * terms > max_terms:
-            partial = _assemble(blocks, S)
+            partial = _assemble(m1, m2, S)
             raise ConvergenceError(
                 f"bounce series did not reach tol={tol:g} within {max_terms} terms "
                 f"(block increment {inc_norm:g})",
@@ -406,7 +311,7 @@ def _series_doubling(blocks, m, p, u, terms, tol, max_terms):
         P = P @ P
         terms *= 2
         prev_inc = inc_norm
-    return _assemble(blocks, S), terms
+    return _assemble(m1, m2, S), terms
 
 
 def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
@@ -415,35 +320,36 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     Independent of the resolvent route: everything is spelled out through
     the pair sums over the interior wires and a common 2x2 determinant.
     """
-    b = SubBlocks.from_matrices(S1, S2eff)
+    m1, m2 = S1.m, S2eff.m
 
     def pair_a(i: int, j: int) -> complex:
         # sum over interior wires of s[wire, i] * s~[j, wire]
-        return b.m1[1, i] * b.m2[j, 1] + b.m1[2, i] * b.m2[j, 2]
+        return m1[1, i] * m2[j, 1] + m1[2, i] * m2[j, 2]
 
     def pair_b(i: int, j: int) -> complex:
-        return b.m2[1, i] * b.m1[j, 1] + b.m2[2, i] * b.m1[j, 2]
+        return m2[1, i] * m1[j, 1] + m2[2, i] * m1[j, 2]
 
     a12, a13 = pair_a(0, 1), pair_a(0, 2)
     a22, a23, a32, a33 = pair_a(1, 1), pair_a(1, 2), pair_a(2, 1), pair_a(2, 2)
     b22, b23, b32, b33 = pair_b(1, 1), pair_b(1, 2), pair_b(2, 1), pair_b(2, 2)
     delta = (1.0 - a22) * (1.0 - a33) - a23 * a32
     delta_b = (1.0 - b22) * (1.0 - b33) - b23 * b32
-    assert abs(delta - delta_b) <= 1e-12, "determinant identity violated"
+    if not abs(delta - delta_b) <= 1e-12:
+        raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
     if abs(delta) < DEGENERATE_TOL:
         raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
 
     c_num = a12 * (1.0 - a33) + a13 * a32
     e_num = a13 * (1.0 - a22) + a12 * a23
-    b_num = b.s31 * b32 + b.s21 * (1.0 - b33)
-    d_num = b.s21 * b23 + b.s31 * (1.0 - b22)
+    b_num = m1[2, 0] * b32 + m1[1, 0] * (1.0 - b33)
+    d_num = m1[1, 0] * b23 + m1[2, 0] * (1.0 - b22)
     return RingAmplitudes(
-        A=b.s11 + (b.s12 * c_num + b.s13 * e_num) / delta,
+        A=m1[0, 0] + (m1[0, 1] * c_num + m1[0, 2] * e_num) / delta,
         B=b_num / delta,
         C=c_num / delta,
         D=d_num / delta,
         E=e_num / delta,
-        F=(b.t12 * b_num + b.t13 * d_num) / delta,
+        F=(m2[0, 1] * b_num + m2[0, 2] * d_num) / delta,
     )
 
 
@@ -462,10 +368,10 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     Perfect transmission (A = 0) happens exactly at g = 1.
     """
     _require_scale_invariant(cfg, Symmetric)
-    s1 = s_matrix(cfg.left, k, cfg.xi1, Orientation.INWARD)
+    m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
     g = cmath.exp(2j * k * cfg.dxi)
-    s11, s12, s13 = complex(s1.m[0, 0]), complex(s1.m[0, 1]), complex(s1.m[0, 2])
-    s21, s31 = complex(s1.m[1, 0]), complex(s1.m[2, 0])
+    s11, s12, s13 = complex(m[0, 0]), complex(m[0, 1]), complex(m[0, 2])
+    s21, s31 = complex(m[1, 0]), complex(m[2, 0])
     p11 = abs(s11) ** 2
     den = 1.0 - g * p11
     if abs(den) < DEGENERATE_TOL:
@@ -504,9 +410,8 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     interior couplings s21, s31 are both nonzero (and den is not).
     """
     _require_scale_invariant(cfg, AntiSymmetric)
-    s1 = s_matrix(cfg.left, k, cfg.xi1, Orientation.INWARD)
+    m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
     g = cmath.exp(2j * k * cfg.dxi)
-    m = s1.m
     cj = complex.conjugate
     s11, s12, s13 = complex(m[0, 0]), complex(m[0, 1]), complex(m[0, 2])
     s21, s22, s23 = complex(m[1, 0]), complex(m[1, 1]), complex(m[1, 2])
@@ -575,7 +480,8 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
 
     Computed from the position-independent node matrix, so it needs no
     wavenumber.  The underlying ratio is real for every scale-invariant
-    node (the core matrix is Hermitian); an assertion guards this.
+    node (the core matrix is Hermitian); ArithmeticError is raised if
+    rounding breaks this.
     """
     _require_scale_invariant(cfg, AntiSymmetric)
     h = reflection_core(cfg.left)
@@ -584,7 +490,8 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
         return TransmissionTarget(c_star=None, status="degenerate")
     _, lam = _anti_invariants(h)
     ratio = -lam / (2.0 * h11)
-    assert abs(ratio.imag) < 1e-10, "transmission target ratio should be real"
+    if not abs(ratio.imag) < 1e-10:
+        raise ArithmeticError(f"transmission target ratio is not real: {ratio!r}")
     c_star = ratio.real
     if abs(c_star) <= 1.0:
         return TransmissionTarget(c_star=c_star, status="ok")
@@ -592,31 +499,17 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
 
 
 def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
-    """Solve one ring at one wavenumber, taking a fast path when one applies.
+    """Solve one ring at one wavenumber by exactly one route.
 
     Scale-invariant symmetric/antisymmetric rings use their dedicated closed
     forms (well conditioned at their resonances, where the general resolvent
-    becomes singular); everything else goes through the resolvent.  In debug
-    runs the fast paths are cross-checked against the resolvent.
+    becomes singular); everything else goes through the resolvent.  The
+    routes are not compared at run time: `yring check` and the tests hold
+    them against the series and algebraic solvers.
     """
     if isinstance(cfg.mode, Symmetric) and is_scale_invariant(cfg.left):
-        amps = solve_symmetric_scale_invariant(cfg, k)
-    elif isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
-        amps = solve_antisymmetric_scale_invariant(cfg, k)
-    else:
-        return solve_closed_form(*ring_matrices(cfg, k))
-    if __debug__:
-        _crosscheck_fast_path(cfg, k, amps)
-    return amps
-
-
-def _crosscheck_fast_path(cfg: RingConfig, k: float, amps: RingAmplitudes) -> None:
-    s1, s2 = ring_matrices(cfg, k)
-    blocks = SubBlocks.from_matrices(s1, s2)
-    gap = np.eye(2, dtype=complex) - blocks.s @ blocks.s_tilde
-    det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
-    if abs(det) < 1e-6:
-        return  # resolvent too ill-conditioned near resonance to compare against
-    ref = _assemble(blocks, inverse2(gap) @ np.array([blocks.s21, blocks.s31]))
-    diff = float(np.abs(amps.to_array() - ref.to_array()).max())
-    assert diff <= 1e-8, f"fast path disagrees with resolvent by {diff:.3e} at k={k!r}"
+        return solve_symmetric_scale_invariant(cfg, k)
+    if isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
+        return solve_antisymmetric_scale_invariant(cfg, k)
+    m1, m2 = _node_arrays(cfg, k)
+    return _resolve(m1, m2, k)

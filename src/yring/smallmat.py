@@ -101,16 +101,6 @@ def exp_i_generator(index: int, angle: float) -> Mat3:
     raise ValueError(f"no closed-form exponential for generator {index!r}")
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product."""
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T.copy()
-
-
 def max_norm(a: np.ndarray) -> float:
     """Largest entry modulus."""
     return float(np.abs(a).max())

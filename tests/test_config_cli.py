@@ -73,6 +73,13 @@ class TestConfigParsing:
         bad = {"junctions": {"j": {}}, "ring": {"left": "j", "mode": "general", "xi1": 1, "xi2": 0}}
         with pytest.raises(ConfigError, match="ring.right"):
             load_config(write_config(tmp_path, bad))
+        bad = {"junctions": {"j": {}}, "ring": {"left": ["j"], "mode": "symmetric", "xi1": 1, "xi2": 0}}
+        with pytest.raises(ConfigError, match="ring.left"):
+            load_config(write_config(tmp_path, bad))
+        bad = {"junctions": {"j": {}},
+               "ring": {"left": "j", "right": ["j"], "mode": "general", "xi1": 1, "xi2": 0}}
+        with pytest.raises(ConfigError, match="ring.right"):
+            load_config(write_config(tmp_path, bad))
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -235,6 +242,35 @@ class TestArgumentErrors:
     def test_invalid_wavenumber_is_config_error(self, capsys):
         assert main(["ring", "--config", SYMMETRIC_CFG, "--k", "-1"]) == 2
         assert "k must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [SYMMETRIC_CFG, ANTISYMMETRIC_CFG, GENERAL_CFG])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k-min", "1e307", "--k-max", "1.7e308", "--n", "3"],
+        ["ring", "--k", "1.7e308"],
+    ])
+    def test_overflowing_wavenumber_is_config_error(self, cfg, argv, capsys):
+        # k * L0 and k * xi overflow, so the node matrices would not be finite
+        assert main(argv + ["--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, task, field", [
+        ("junction", '{"junction": ["j"], "k": 1}', "task.junction"),
+        ("junction", '{"xi": [1], "k": 1}', "task.xi"),
+        ("find", '{"tol": [1], "k_min": 1, "k_max": 2, "kind": "reflection"}', "task.tol"),
+        ("find", '{"n": [1], "k_min": 1, "k_max": 2, "kind": "reflection"}', "task.n"),
+        ("find", '{"n": 1e400, "k_min": 1, "k_max": 2, "kind": "reflection"}', "task.n"),
+        ("sweep", '{"n": 1e400, "k_min": 1, "k_max": 2}', "task.n"),
+        ("sweep", '{"n": 4.5, "k_min": 1, "k_max": 2}', "task.n"),
+    ])
+    def test_malformed_task_values_name_fields(self, tmp_path, capsys, command, task, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"junctions": {"j": {}}, '
+            '"ring": {"left": "j", "mode": "symmetric", "xi1": 1, "xi2": 0}, '
+            f'"task": {task}}}'
+        )
+        assert main([command, "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -16,7 +16,9 @@ from yring import (
     Orientation,
     RingConfig,
     Symmetric,
+    build_U,
     flux_defect,
+    junction_residual,
     perfect_transmission_target,
     reflection_core,
     ring_matrices,
@@ -58,9 +60,49 @@ NO_TARGET_SI = JunctionParams(
 
 FULL_REFLECTOR = JunctionParams(theta=(PI, PI, PI), beta=0.8, delta=1.9)
 
+#: Nearly decoupled scale-invariant node (|h11| = 0.99996) on a long arm: its
+#: antisymmetric ring at NEAR_DECOUPLED_K sits in a narrow line where
+#: |det(I - s s~)| = 5.8e-6 and the interior amplitudes reach about 120.
+NEAR_DECOUPLED_SI = JunctionParams(
+    theta=(0.0, 0.0, PI),
+    alpha=2.449000130684714,
+    beta=1.4797401392661587,
+    gamma=4.436587033332203,
+    delta=3.093836498631062,
+    a=2.260307483563785,
+    b=2.2453003850227615,
+    L0=1.6876893831786663,
+)
+NEAR_DECOUPLED_XI = dict(xi1=6.272473373531876, xi2=0.48038018688212514)
+NEAR_DECOUPLED_K = 4.061309927365186
+
 
 def beam_splitter(b: float) -> JunctionParams:
     return JunctionParams(b=b, **BEAM_SPLITTER)
+
+
+def assert_matches_resolvent_near_singularity(cfg: RingConfig, k: float, fast) -> float:
+    """Compare a fast-path answer with the resolvent where I - s s~ is nearly singular.
+
+    A and F are bounded by flux and must agree absolutely; B..E grow like
+    1/|det|, so their tolerance does too.  Both answers must satisfy the node
+    condition at both nodes.  Returns |det(I - s s~)|.
+    """
+    s1, s2 = ring_matrices(cfg, k)
+    det = abs(np.linalg.det(np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:]))
+    ref = solve_closed_form(s1, s2).to_array()
+    fast = fast.to_array()
+    diff = np.abs(fast - ref)
+    assert diff[[0, 5]].max() < 1e-9
+    assert diff[1:5].max() < 1e-12 / det
+    U = build_U(cfg.left)
+    swapped = isinstance(cfg.mode, AntiSymmetric)
+    for A, B, C, D, E, F in (fast, ref):
+        tol = 1e-10 * max(1.0, abs(B), abs(C), abs(D), abs(E))
+        assert junction_residual(U, cfg.left.L0, k, cfg.xi1, [1, C, E], [A, B, D]) < tol
+        into, out = ([0, D, B], [F, E, C]) if swapped else ([0, B, D], [F, C, E])
+        assert junction_residual(U, cfg.left.L0, k, cfg.xi2, into, out, Orientation.OUTWARD) < tol
+    return det
 
 
 def random_ring(rng, mode_cycle: int):
@@ -258,6 +300,17 @@ class TestSymmetricFastPath:
             fast = solve_symmetric_scale_invariant(cfg, k)
             ref = solve_closed_form(*ring_matrices(cfg, k))
             assert np.abs(fast.to_array() - ref.to_array()).max() < 1e-12
+        # nearly decoupled node: the line at g = 1 has width eps = 1 - |h11|^2;
+        # sample it at half maximum and thirty widths out, where |det| is 5e-6
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=SYMMETRIC, **NEAR_DECOUPLED_XI)
+        eps = 1.0 - abs(reflection_core(cfg.left)[0, 0]) ** 2
+        assert eps <= 2e-4
+        dets = []
+        for widths in (1.0, 30.0):
+            k = 7 * PI / cfg.dxi + widths * eps / (2.0 * cfg.dxi)
+            fast = solve_symmetric_scale_invariant(cfg, k)
+            dets.append(assert_matches_resolvent_near_singularity(cfg, k, fast))
+        assert dets[0] < 1e-7 and 1e-6 < dets[1] < 1e-5
 
     def test_perfect_transmission_at_arm_resonance(self):
         cfg = RingConfig(left=beam_splitter(PI / 6), mode=SYMMETRIC, xi1=1.5, xi2=0.5)
@@ -313,6 +366,12 @@ class TestAntisymmetricFastPath:
                 continue
             assert np.abs(fast.to_array() - ref.to_array()).max() < 1e-12
             checked += 1
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=ANTISYMMETRIC, **NEAR_DECOUPLED_XI)
+        assert abs(reflection_core(cfg.left)[0, 0]) >= 0.9999
+        fast = solve_antisymmetric_scale_invariant(cfg, NEAR_DECOUPLED_K)
+        det = assert_matches_resolvent_near_singularity(cfg, NEAR_DECOUPLED_K, fast)
+        assert 1e-6 < det < 1e-5
+        assert abs(fast.B) > 100.0
 
     def test_perfect_reflection_at_arm_resonance(self):
         cfg = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=2.0, xi2=1.0)
@@ -430,6 +489,12 @@ class TestSolveAuto:
         amps = solve_auto(cfg, PI)  # the resolvent is singular here; fast path is not
         assert abs(amps.A) < 1e-10
         assert abs(abs(amps.F) - 1.0) < 1e-10
+
+    def test_near_decoupled_ring_takes_one_route(self):
+        # no second solve: the fast-path answer comes back as computed
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=ANTISYMMETRIC, **NEAR_DECOUPLED_XI)
+        fast = solve_antisymmetric_scale_invariant(cfg, NEAR_DECOUPLED_K)
+        assert np.array_equal(solve_auto(cfg, NEAR_DECOUPLED_K).to_array(), fast.to_array())
 
     def test_general_mode_dispatch(self):
         rng = np.random.default_rng(31)

@@ -7,11 +7,9 @@ from conftest import expm_power_series, random_params
 from yring import (
     SingularMatrixError,
     build_U,
-    dagger,
     exp_i_generator,
     gell_mann,
     inverse2,
-    mul,
     unitarity_error,
 )
 
@@ -99,14 +97,6 @@ def test_exp_group_law_and_inverse(index):
 def test_exp_rejects_unsupported_generator(index):
     with pytest.raises(ValueError):
         exp_i_generator(index, 0.5)
-
-
-def test_dagger_is_involution_and_mul_is_product():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.abs(dagger(dagger(a)) - a).max() == 0.0
-    assert np.abs(mul(a, b) - a @ b).max() == 0.0
 
 
 def test_inverse2_identity():
