@@ -24,6 +24,7 @@ from .junction import (
     s_matrix,
 )
 from .ring import (
+    GRID_BLOCK,
     ConvergenceError,
     DegenerateRingError,
     RingConfig,
@@ -152,19 +153,30 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _csv_rows(spectrum: Spectrum):
-    yield CSV_HEADER
-    for p in spectrum.points:
-        if p.degenerate or p.amps is None:
-            nan = _fmt(float("nan"))
-            yield ",".join([_fmt(p.k)] + [nan] * 10 + ["1"])
-            continue
-        amps = p.amps.to_array()
-        cells = [_fmt(p.k)]
-        cells += [_fmt(abs(z) ** 2) for z in amps]
-        cells += [_fmt(amps[0].real), _fmt(amps[0].imag), _fmt(amps[5].real), _fmt(amps[5].imag)]
-        cells.append("0")
-        yield ",".join(cells)
+#: One CSV row: k, |A|^2..|F|^2, re/im of A and F, all as _fmt renders them.
+_CSV_ROW = ",".join(["%.17g"] * 11) + ",0\n"
+_CSV_DEGENERATE_ROW = "%.17g" + ",nan" * 10 + ",1\n"
+
+
+def _csv_blocks(spectrum: Spectrum):
+    """The sweep CSV, GRID_BLOCK rows per string."""
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(spectrum.k), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        amps = spectrum.amps[block]
+        moduli = np.hypot(amps.real, amps.imag).tolist()  # abs(z), as the scalar code takes it
+        rows = []
+        for k, (a, *_, f), m, degenerate in zip(
+            spectrum.k[block].tolist(), amps.tolist(), moduli, spectrum.degenerate[block].tolist()
+        ):
+            if degenerate:
+                rows.append(_CSV_DEGENERATE_ROW % k)
+                continue
+            rows.append(_CSV_ROW % (
+                k, m[0] ** 2, m[1] ** 2, m[2] ** 2, m[3] ** 2, m[4] ** 2, m[5] ** 2,
+                a.real, a.imag, f.real, f.imag,
+            ))
+        yield "".join(rows)
 
 
 def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> int:
@@ -178,8 +190,8 @@ def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"task: {exc}") from exc
     out = _out_stream(args)
     with _maybe_close(out, args):
-        for row in _csv_rows(spectrum):
-            out.write(row + "\n")
+        for text in _csv_blocks(spectrum):
+            out.write(text)
     return EXIT_OK
 
 

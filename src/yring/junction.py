@@ -26,6 +26,8 @@ from .smallmat import (
     Mat3,
     UNITARITY_TOL,
     Vec3,
+    _finite,
+    _PyComplexArray,
     as_complex_matrix,
     as_vec3,
     exp_i_generator,
@@ -130,17 +132,18 @@ def build_U(p: JunctionParams) -> Mat3:
     return (v * d) @ v.conj().T
 
 
-def _s0_diagonal(p: JunctionParams, k: float, orientation: Orientation) -> np.ndarray:
+def _s0_diagonal(p: JunctionParams, k, orientation: Orientation, unit=1j) -> list:
     # (i k L_i + 1) / (i k L_i - 1) with L_i = L0 * cot(theta_i / 2), written
     # through (cos, sin) of theta_i/2 so theta_i = 0 needs no limit handling.
-    out = np.empty(3, dtype=complex)
-    for i, th in enumerate(p.theta):
+    # k is one wavenumber (unit 1j) or a grid of them (unit a _PyComplexArray).
+    out = []
+    for th in p.theta:
         c = p.L0 * k * math.cos(th / 2.0)
         s = math.sin(th / 2.0)
         if orientation is Orientation.INWARD:
-            out[i] = (1j * c + s) / (1j * c - s)
+            out.append((unit * c + s) / (unit * c - s))
         else:
-            out[i] = (1j * c - s) / (1j * c + s)
+            out.append((unit * c - s) / (unit * c + s))
     return out
 
 
@@ -168,10 +171,29 @@ def _s_array(p: JunctionParams, k: float, xi: float, orientation: Orientation) -
     if not math.isfinite(xi):
         raise ValueError("xi must be finite")
     v = build_V(p)
-    d = _s0_diagonal(p, k, orientation)
+    d = np.array(_s0_diagonal(p, k, orientation))
     sign = 2.0 if orientation is Orientation.INWARD else -2.0
     phase = np.exp(1j * sign * k * xi)
     return as_complex_matrix(phase * ((v * d) @ v.conj().T), (3, 3))
+
+
+def _s_grid(p: JunctionParams, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
+    # _s_array on a grid of wavenumbers, shape (n, 3, 3), bit-identical row by
+    # row: the scalar complex arithmetic runs as _PyComplexArray, and every
+    # numpy operation keeps the per-point shapes (length-3 rows in v * d, one
+    # 3x3 BLAS product per point, length-9 rows times the phase).
+    bad = ~(np.isfinite(ks) & (ks > 0.0))
+    if bad.any():
+        raise ValueError(f"k must be positive and finite, got {ks[bad][0].item()!r}")
+    if not math.isfinite(xi):
+        raise ValueError("xi must be finite")
+    v = build_V(p)
+    unit = _PyComplexArray(0.0, 1.0)
+    d = np.stack([z.to_numpy() for z in _s0_diagonal(p, ks, orientation, unit)], axis=-1)
+    sign = 2.0 if orientation is Orientation.INWARD else -2.0
+    phase = np.exp((unit * sign * ks * xi).to_numpy())
+    m = np.matmul(v * d[:, None, :], v.conj().T).reshape(-1, 9)
+    return _finite(phase[:, None] * m).reshape(-1, 3, 3)
 
 
 def junction_residual(

@@ -18,6 +18,7 @@ together with the perfect-transmission target for the antisymmetric ring.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,10 +29,19 @@ from .junction import (
     Orientation,
     ScatteringMatrix,
     _s_array,
+    _s_grid,
     build_V,
     is_scale_invariant,
 )
-from .smallmat import Mat3, SingularMatrixError, inverse2
+from .smallmat import (
+    SINGULAR_RTOL,
+    Mat3,
+    SingularMatrixError,
+    _entries,
+    _PyComplexArray,
+    _square,
+    inverse2,
+)
 
 #: Interior-wire swap used by the antisymmetric ring variant.
 PERM_23: Mat3 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
@@ -42,6 +52,9 @@ DEGENERATE_TOL = 1e-13
 
 #: Bounce count after which solve_series switches to binary doubling.
 _SERIES_DOUBLING_THRESHOLD = 4096
+
+#: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.
+GRID_BLOCK = 512
 
 
 class DegenerateRingError(ArithmeticError):
@@ -136,13 +149,14 @@ def flux_defect(amps: RingAmplitudes) -> float:
     return abs(amps.p_reflection + amps.p_transmission - 1.0)
 
 
-def _node_arrays(cfg: RingConfig, k: float) -> tuple[Mat3, Mat3]:
+def _node_arrays(cfg: RingConfig, k, node=_s_array) -> tuple[Mat3, Mat3]:
     # Left inward array at xi1 and effective right outward array at xi2.
     # Index 0 is the exterior wire of each node; 1 and 2 are the interior wires.
-    m1 = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
+    # With node=_s_grid, k is a grid and both arrays are stacks (n, 3, 3).
+    m1 = node(cfg.left, k, cfg.xi1, Orientation.INWARD)
     if isinstance(cfg.mode, General):
-        return m1, _s_array(cfg.mode.right, k, cfg.xi2, Orientation.OUTWARD)
-    m2 = _s_array(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
+        return m1, node(cfg.mode.right, k, cfg.xi2, Orientation.OUTWARD)
+    m2 = node(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
     if isinstance(cfg.mode, AntiSymmetric):
         m2 = PERM_23 @ m2 @ PERM_23
     return m1, m2
@@ -160,13 +174,19 @@ def ring_matrices(cfg: RingConfig, k: float) -> tuple[ScatteringMatrix, Scatteri
 def _assemble(m1: Mat3, m2: Mat3, v: np.ndarray) -> RingAmplitudes:
     # v is the resolvent (or partial bounce sum) applied to (s21, s31).
     sv = m2[1:, 1:] @ v
-    return RingAmplitudes(
-        A=m1[0, 0] + m1[0, 1] * sv[0] + m1[0, 2] * sv[1],
-        B=m1[1, 0] + m1[1, 1] * sv[0] + m1[1, 2] * sv[1],
-        C=m2[1, 1] * v[0] + m2[1, 2] * v[1],
-        D=m1[2, 0] + m1[2, 1] * sv[0] + m1[2, 2] * sv[1],
-        E=m2[2, 1] * v[0] + m2[2, 2] * v[1],
-        F=m2[0, 1] * v[0] + m2[0, 2] * v[1],
+    return RingAmplitudes(*_amplitudes(m1.tolist(), m2.tolist(), v.tolist(), sv.tolist()))
+
+
+def _amplitudes(s, t, v, sv) -> tuple:
+    # A..F from the node entries s[i][j], t[i][j], v and sv = t[1:, 1:] v; the
+    # entries are complex scalars, or _PyComplexArray for a whole grid.
+    return (
+        s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1],
+        s[1][0] + s[1][1] * sv[0] + s[1][2] * sv[1],
+        t[1][1] * v[0] + t[1][2] * v[1],
+        s[2][0] + s[2][1] * sv[0] + s[2][2] * sv[1],
+        t[2][1] * v[0] + t[2][2] * v[1],
+        t[0][1] * v[0] + t[0][2] * v[1],
     )
 
 
@@ -369,29 +389,44 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     """
     _require_scale_invariant(cfg, Symmetric)
     m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    g = cmath.exp(2j * k * cfg.dxi)
-    s11, s12, s13 = complex(m[0, 0]), complex(m[0, 1]), complex(m[0, 2])
-    s21, s31 = complex(m[1, 0]), complex(m[2, 0])
-    p11 = abs(s11) ** 2
-    den = 1.0 - g * p11
+    den, amplitudes = _symmetric_forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
     if abs(den) < DEGENERATE_TOL:
         raise DegenerateRingError(f"symmetric ring is degenerate at k={k!r}")
-    return RingAmplitudes(
-        A=(1.0 - g) * s11 / den,
-        B=s21 / den,
-        C=-g * s11 * s12.conjugate() / den,
-        D=s31 / den,
-        E=-g * s11 * s13.conjugate() / den,
-        F=g * (1.0 - p11) / den,
-    )
+    return RingAmplitudes(*amplitudes())
 
 
-def _anti_invariants(m: Mat3) -> tuple[complex, complex]:
-    """Denominator trace term and coupling combination for the antisymmetric forms."""
-    cj = complex.conjugate
-    s11, s12, s13 = complex(m[0, 0]), complex(m[0, 1]), complex(m[0, 2])
-    s21, s22, s23 = complex(m[1, 0]), complex(m[1, 1]), complex(m[1, 2])
-    s31, s32, s33 = complex(m[2, 0]), complex(m[2, 1]), complex(m[2, 2])
+def _symmetric_forms(s, g):
+    # Denominator and the A..F formulas of the symmetric closed form, from
+    # the node entries s[i][j] and g: complex scalars, or _PyComplexArray.
+    s11, s12, s13 = s[0]
+    s21, s31 = s[1][0], s[2][0]
+    p11 = _square(abs(s11))
+    den = 1.0 - g * p11
+
+    def amplitudes():
+        return (
+            (1.0 - g) * s11 / den,
+            s21 / den,
+            -g * s11 * s12.conjugate() / den,
+            s31 / den,
+            -g * s11 * s13.conjugate() / den,
+            g * (1.0 - p11) / den,
+        )
+
+    return den, amplitudes
+
+
+def _cj(z):
+    return z.conjugate()
+
+
+def _anti_invariants(s) -> tuple[complex, complex]:
+    """Denominator trace term and coupling combination for the antisymmetric forms.
+
+    s holds the node entries s[i][j] (complex scalars, or _PyComplexArray).
+    """
+    cj = _cj
+    (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s
     trm = s22 * cj(s33) + s23 * cj(s32) + s32 * cj(s23) + s33 * cj(s22)
     lam = (
         -s11 * trm
@@ -411,31 +446,39 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     """
     _require_scale_invariant(cfg, AntiSymmetric)
     m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    g = cmath.exp(2j * k * cfg.dxi)
-    cj = complex.conjugate
-    s11, s12, s13 = complex(m[0, 0]), complex(m[0, 1]), complex(m[0, 2])
-    s21, s22, s23 = complex(m[1, 0]), complex(m[1, 1]), complex(m[1, 2])
-    s31, s32, s33 = complex(m[2, 0]), complex(m[2, 1]), complex(m[2, 2])
-    trm, lam = _anti_invariants(m)
-    den = 1.0 - g * trm + abs(s11) ** 2 * g * g
+    den, amplitudes = _antisymmetric_forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
     if abs(den) < DEGENERATE_TOL:
         raise DegenerateRingError(f"antisymmetric ring is degenerate at k={k!r}")
-    return RingAmplitudes(
-        A=(s11 + s11 * g * g + g * lam) / den,
-        B=(
-            s21
-            + g * (-s21 * (s32 * cj(s23) + s33 * cj(s22)) + s31 * (s22 * cj(s23) + cj(s22) * s23))
+    return RingAmplitudes(*amplitudes())
+
+
+def _antisymmetric_forms(s, g):
+    # Denominator and the A..F formulas of the antisymmetric closed form, from
+    # the node entries s[i][j] and g: complex scalars, or _PyComplexArray.
+    cj = _cj
+    (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s
+    trm, lam = _anti_invariants(s)
+    den = 1.0 - g * trm + _square(abs(s11)) * g * g
+
+    def amplitudes():
+        return (
+            (s11 + s11 * g * g + g * lam) / den,
+            (
+                s21
+                + g * (-s21 * (s32 * cj(s23) + s33 * cj(s22)) + s31 * (s22 * cj(s23) + cj(s22) * s23))
+            )
+            / den,
+            g * ((cj(s33) * s21 + cj(s23) * s31) + s11 * cj(s12) * g) / den,
+            (
+                s31
+                + g * (-s31 * (s22 * cj(s33) + s23 * cj(s32)) + s21 * (s32 * cj(s33) + s33 * cj(s32)))
+            )
+            / den,
+            g * ((cj(s32) * s21 + cj(s22) * s31) + s11 * cj(s13) * g) / den,
+            g * (cj(s31) * s21 + cj(s21) * s31) * (1.0 - g) / den,
         )
-        / den,
-        C=g * ((cj(s33) * s21 + cj(s23) * s31) + s11 * cj(s12) * g) / den,
-        D=(
-            s31
-            + g * (-s31 * (s22 * cj(s33) + s23 * cj(s32)) + s21 * (s32 * cj(s33) + s33 * cj(s32)))
-        )
-        / den,
-        E=g * ((cj(s32) * s21 + cj(s22) * s31) + s11 * cj(s13) * g) / den,
-        F=g * (cj(s31) * s21 + cj(s21) * s31) * (1.0 - g) / den,
-    )
+
+    return den, amplitudes
 
 
 @dataclass(frozen=True)
@@ -488,7 +531,7 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     h11 = complex(h[0, 0])
     if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
         return TransmissionTarget(c_star=None, status="degenerate")
-    _, lam = _anti_invariants(h)
+    _, lam = _anti_invariants(h.tolist())
     ratio = -lam / (2.0 * h11)
     if not abs(ratio.imag) < 1e-10:
         raise ArithmeticError(f"transmission target ratio is not real: {ratio!r}")
@@ -513,3 +556,73 @@ def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
         return solve_antisymmetric_scale_invariant(cfg, k)
     m1, m2 = _node_arrays(cfg, k)
     return _resolve(m1, m2, k)
+
+
+def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
+    """solve_auto on a whole grid of wavenumbers, GRID_BLOCK of them at a time.
+
+    Returns the amplitudes, shape (n, 6) with columns A..F, and the
+    degenerate mask: the rows where solve_auto raises DegenerateRingError,
+    whose amplitudes are NaN.  Every other row equals solve_auto(cfg, k) bit
+    for bit.  The route is chosen once for the grid, and each step repeats
+    the per-point arithmetic: scalar complex operations run as
+    _PyComplexArray, and numpy operations keep the per-point shapes.
+    Raises ValueError for a wavenumber that is not positive and finite, or
+    where a node matrix is not finite.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1:
+        raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")
+    if isinstance(cfg.mode, Symmetric) and is_scale_invariant(cfg.left):
+        route = functools.partial(_closed_form_grid, _symmetric_forms)
+    elif isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
+        route = functools.partial(_closed_form_grid, _antisymmetric_forms)
+    else:
+        route = _resolve_grid
+    amps = np.empty((ks.size, 6), dtype=complex)
+    degenerate = np.empty(ks.size, dtype=bool)
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite node matrix
+        for start in range(0, ks.size, GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            amps[block], degenerate[block] = route(cfg, ks[block])
+    amps[degenerate] = complex(math.nan, math.nan)
+    return amps, degenerate
+
+
+def _stack(columns) -> np.ndarray:
+    return np.stack([z.to_numpy() for z in columns], axis=-1)
+
+
+def _closed_form_grid(forms, cfg: RingConfig, ks: np.ndarray):
+    m = _s_grid(cfg.left, ks, cfg.xi1, Orientation.INWARD)
+    dxi = cfg.dxi
+    g = np.array([cmath.exp(2j * k * dxi) for k in ks.tolist()])
+    den, amplitudes = forms(_entries(m), _PyComplexArray.of(g))
+    return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
+
+
+def _resolve_grid(cfg: RingConfig, ks: np.ndarray):
+    # _resolve on a grid: BLAS products per point as in _resolve, and the
+    # scalar steps (determinant, assembly) as _PyComplexArray.
+    m1, m2 = _node_arrays(cfg, ks, _s_grid)
+    gap = np.eye(2, dtype=complex) - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
+    entries = _entries(gap)
+    (g00, g01), (g10, g11) = entries
+    det = g00 * g11 - g01 * g10
+    size = abs(det)
+    degenerate = size < DEGENERATE_TOL
+    # inverse2's relative test, run as it stands wherever it could fail
+    # (the margin covers last-bit differences between np.abs and hypot)
+    scale = np.max([abs(z) for row in entries for z in row], axis=0)
+    for i in np.flatnonzero(~degenerate & (size <= 2.0 * SINGULAR_RTOL * scale * scale)):
+        try:
+            inverse2(gap[i])
+        except SingularMatrixError:
+            degenerate[i] = True
+    adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
+    resolvent = (adjugate / det.to_numpy()[:, None]).reshape(-1, 2, 2)
+    v = resolvent @ m1[:, 1:, 0:1]
+    sv = m2[:, 1:, 1:] @ v
+    (v0,), (v1,) = _entries(v)
+    (sv0,), (sv1,) = _entries(sv)
+    return _stack(_amplitudes(_entries(m1), _entries(m2), (v0, v1), (sv0, sv1))), degenerate

@@ -3,7 +3,9 @@
 All matrices are plain numpy arrays of dtype complex128; the module never
 infers shapes.  Only four generator exponentials are provided, in closed
 form, because only those four appear in the Euler-angle factorization used
-by the junction module.
+by the junction module.  `_PyComplexArray` and `_square` let the grid
+kernel evaluate scalar formulas on arrays with the rounding of the scalar
+code.
 """
 
 from __future__ import annotations
@@ -116,6 +118,103 @@ def inverse2(a: Mat2) -> Mat2:
     if abs(det) <= SINGULAR_RTOL * max_norm(a) ** 2:
         raise SingularMatrixError(f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
     return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
+
+
+class _PyComplexArray:
+    """Complex arrays that round exactly as CPython's complex scalars do.
+
+    numpy's vectorised complex multiply, divide and abs can differ from
+    CPython's scalar arithmetic in the last bit.  This type keeps the real and
+    imaginary parts as float arrays and repeats CPython's formulas operation
+    for operation: real operands are first promoted to (x, 0.0), as CPython
+    up to 3.13 does, and division is CPython's scaled quotient.  One
+    expression evaluated on Python complex scalars and on these arrays
+    therefore gives bit-identical results, element by element.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # ndarray (op) this -> this.__rop__, never elementwise on objects
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def of(cls, z: np.ndarray) -> "_PyComplexArray":
+        return cls(z.real, z.imag)
+
+    def to_numpy(self) -> np.ndarray:
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        out.real = self.re
+        out.imag = self.im
+        return out
+
+    @classmethod
+    def _lift(cls, x) -> "_PyComplexArray":
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, complex):
+            return cls(x.real, x.imag)
+        return cls(x, 0.0)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return _PyComplexArray(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return _PyComplexArray(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return _PyComplexArray(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    def __rmul__(self, other):
+        return self._lift(other) * self
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        ar, ai, br, bi = (np.asarray(x) for x in (self.re, self.im, o.re, o.im))
+        by_re = np.abs(br) >= np.abs(bi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # both branches are evaluated
+            ratio = bi / br
+            denom = br + bi * ratio
+            ratio_i = br / bi
+            denom_i = br * ratio_i + bi
+            return _PyComplexArray(
+                np.where(by_re, (ar + ai * ratio) / denom, (ar * ratio_i + ai) / denom_i),
+                np.where(by_re, (ai - ar * ratio) / denom, (ai * ratio_i - ar) / denom_i),
+            )
+
+    def __neg__(self):
+        return _PyComplexArray(-self.re, -self.im)
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.re, self.im)
+
+    def conjugate(self):
+        return _PyComplexArray(self.re, -self.im)
+
+
+def _entries(m: np.ndarray) -> list[list[_PyComplexArray]]:
+    """Entry (i, j) of a stack of matrices (..., rows, cols), as nested lists."""
+    return [[_PyComplexArray.of(m[..., i, j]) for j in range(m.shape[-1])] for i in range(m.shape[-2])]
+
+
+def _square(x):
+    """x ** 2 as CPython computes it (libm pow), elementwise on arrays.
+
+    numpy squares by multiplication, which differs from pow in the last bit
+    on a small share of inputs.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([t**2 for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return x**2
 
 
 def unitarity_error(a: np.ndarray) -> float:

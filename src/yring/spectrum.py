@@ -1,9 +1,10 @@
 """Wavenumber sweeps and resonance location for ring configurations.
 
-A sweep evaluates the ring amplitudes on a uniform wavenumber grid;
-isolated singular points are kept in the output with a degenerate flag so
-downstream tables stay grid-aligned.  The resonance finder scans either
-the reflection or the transmission probability, brackets every strict
+A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
+batched kernel `solve_grid`; isolated singular points are kept in the output
+with a degenerate flag so downstream tables stay grid-aligned.  The
+resonance finder scans either the reflection or the transmission
+probability on the same kernel, brackets every strict
 local minimum, sharpens each bracket by golden-section search, and keeps
 the minima whose probability actually drops below the requested tolerance.
 For scale-invariant symmetric/antisymmetric rings the found positions are
@@ -13,8 +14,10 @@ are reported as warnings.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,7 +35,9 @@ from .ring import (
     perfect_transmission_target,
     reflection_core,
     solve_auto,
+    solve_grid,
 )
+from .smallmat import _square
 
 #: Golden-section interval shrink factor per iteration.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,12 +62,31 @@ class SpectrumPoint:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ordered sweep samples plus a digest identifying the configuration."""
+    """A sweep as arrays, plus a digest identifying the configuration.
 
-    points: tuple[SpectrumPoint, ...]
+    k holds the n wavenumbers, amps the amplitudes A..F per row (n, 6) and
+    degenerate the rows where the ring decouples (their amplitudes are NaN).
+    The arrays are read-only.
+    """
+
+    k: np.ndarray
+    amps: np.ndarray
+    degenerate: np.ndarray
     fingerprint: str
+
+    @functools.cached_property
+    def points(self) -> tuple[SpectrumPoint, ...]:
+        """The rows as SpectrumPoint values, built on first access."""
+        points = []
+        for k, row, degenerate in zip(self.k.tolist(), self.amps.tolist(), self.degenerate.tolist()):
+            if degenerate:
+                points.append(SpectrumPoint(k=k, p_refl=math.nan, p_trans=math.nan, amps=None, degenerate=True))
+                continue
+            amps = RingAmplitudes(*row)
+            points.append(SpectrumPoint(k=k, p_refl=amps.p_reflection, p_trans=amps.p_transmission, amps=amps))
+        return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -101,25 +125,31 @@ def config_fingerprint(cfg: RingConfig) -> str:
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
 
-def _point(cfg: RingConfig, k: float) -> SpectrumPoint:
+def _check_range(k_min: float, k_max: float) -> None:
+    if not (0.0 < k_min < k_max < math.inf):
+        raise ValueError(f"need 0 < k_min < k_max < inf, got k_min={k_min!r}, k_max={k_max!r}")
+    if not math.isfinite(k_max / k_min):
+        raise ValueError(f"k_max/k_min must be finite, got k_min={k_min!r}, k_max={k_max!r}")
+
+
+def _check_count(n, least: int, name: str) -> int:
     try:
-        amps = solve_auto(cfg, k)
-    except DegenerateRingError:
-        return SpectrumPoint(k=k, p_refl=math.nan, p_trans=math.nan, amps=None, degenerate=True)
-    return SpectrumPoint(
-        k=k, p_refl=amps.p_reflection, p_trans=amps.p_transmission, amps=amps
-    )
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return n
 
 
 def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     """Evaluate the ring on n uniformly spaced wavenumbers in [k_min, k_max]."""
-    if not (0.0 < k_min < k_max):
-        raise ValueError(f"need 0 < k_min < k_max, got {k_min!r}, {k_max!r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    grid = np.linspace(k_min, k_max, n)
-    points = tuple(_point(cfg, float(k)) for k in grid)
-    return Spectrum(points=points, fingerprint=config_fingerprint(cfg))
+    _check_range(k_min, k_max)
+    k = np.linspace(k_min, k_max, _check_count(n, 2, "n"))
+    amps, degenerate = solve_grid(cfg, k)
+    for a in (k, amps, degenerate):
+        a.setflags(write=False)
+    return Spectrum(k=k, amps=amps, degenerate=degenerate, fingerprint=config_fingerprint(cfg))
 
 
 def _objective(cfg: RingConfig, kind: ResonanceKind):
@@ -218,18 +248,19 @@ def find_resonances(
     golden-section search to a width of 1e-12 * (k_max - k_min), and keeps
     minima with probability below tol.
     """
-    if not (0.0 < k_min < k_max):
-        raise ValueError(f"need 0 < k_min < k_max, got {k_min!r}, {k_max!r}")
+    _check_range(k_min, k_max)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if scan_n is None:
         scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
-    if scan_n < 3:
-        raise ValueError("scan_n must be at least 3")
+    scan_n = _check_count(scan_n, 3, "scan_n")
 
     f = _objective(cfg, kind)
     grid = np.linspace(k_min, k_max, scan_n)
-    values = np.array([f(float(k)) for k in grid])
+    amps, degenerate = solve_grid(cfg, grid)
+    target = amps[:, 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5]
+    values = _square(np.hypot(target.real, target.imag))  # as p_reflection / p_transmission
+    values[degenerate] = math.inf
     width = 1e-12 * (k_max - k_min)
 
     found: list[Resonance] = []

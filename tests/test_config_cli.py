@@ -272,6 +272,21 @@ class TestArgumentErrors:
         assert main([command, "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["find", "--kind", "transmission", "--k-max", "inf"], "k_max < inf"),
+        (["find", "--kind", "reflection", "--k-min", "1e-308", "--k-max", "1e308"], "k_max/k_min"),
+        (["sweep", "--k-max", "inf", "--n", "5"], "k_max < inf"),
+        (["sweep", "--k-min", "1e-308", "--k-max", "1e308", "--n", "5"], "k_max/k_min"),
+    ])
+    def test_unbounded_range_is_config_error(self, tmp_path, capsys, argv, bound):
+        # no task.n, so find sizes its scan from k_max/k_min
+        doc = json.loads(Path(GENERAL_CFG).read_text())
+        del doc["task"]["n"]
+        assert main(argv + ["--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and bound in err
+        assert "Warning" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate", "--config", SYMMETRIC_CFG])

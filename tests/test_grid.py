@@ -1,0 +1,219 @@
+"""The grid kernel against the per-point solver, bit for bit.
+
+`solve_grid` must return exactly what `solve_auto` returns at every
+wavenumber (amplitudes compared as raw bits, signed zeros included) and flag
+exactly the wavenumbers where `solve_auto` raises DegenerateRingError.  The
+sweep CSV and the resonance scan built on it must therefore equal their
+per-point renderings byte for byte.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import random_params
+from yring import (
+    ANTISYMMETRIC,
+    SYMMETRIC,
+    DegenerateRingError,
+    General,
+    JunctionParams,
+    ResonanceKind,
+    RingConfig,
+    find_resonances,
+    ring_matrices,
+    solve_auto,
+    solve_grid,
+)
+from yring import spectrum
+from yring.cli import CSV_HEADER, main
+from yring.config import load_config
+from yring.ring import GRID_BLOCK
+from yring.smallmat import SINGULAR_RTOL, max_norm
+
+PI = math.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
+
+FULL_REFLECTOR = JunctionParams(theta=(PI, PI, PI), beta=0.8, delta=1.9)
+
+#: Nearly decoupled scale-invariant node (|h11| = 0.99996), as in test_ring.
+NEAR_DECOUPLED_SI = JunctionParams(
+    theta=(0.0, 0.0, PI),
+    alpha=2.449000130684714,
+    beta=1.4797401392661587,
+    gamma=4.436587033332203,
+    delta=3.093836498631062,
+    a=2.260307483563785,
+    b=2.2453003850227615,
+    L0=1.6876893831786663,
+)
+NEAR_DECOUPLED_XI = dict(xi1=6.272473373531876, xi2=0.48038018688212514)
+NEAR_DECOUPLED_K = 4.061309927365186
+
+#: General ring whose interior wire 2 is decoupled at both nodes (V only
+#: mixes wires 0 and 1); the closed wire resonates at ONE_WIRE_K, with slope
+#: d|det(I - s s~)|/dk of about 2.2 there.
+ONE_WIRE_RING = RingConfig(
+    left=JunctionParams(theta=(0.9, 2.4, 4.1), beta=1.1, L0=0.8),
+    mode=General(JunctionParams(theta=(1.6, 3.3, 5.2), beta=0.45, L0=1.4)),
+    xi1=1.3,
+    xi2=0.2,
+)
+ONE_WIRE_K = 2.287970761502012
+
+
+def per_point(cfg, ks):
+    """The reference: solve_auto at each wavenumber, NaN rows where it is degenerate."""
+    amps = np.empty((len(ks), 6), dtype=complex)
+    degenerate = np.zeros(len(ks), dtype=bool)
+    for i, k in enumerate(np.asarray(ks, dtype=float).tolist()):
+        try:
+            amps[i] = solve_auto(cfg, k).to_array()
+        except DegenerateRingError:
+            amps[i] = complex(math.nan, math.nan)
+            degenerate[i] = True
+    return amps, degenerate
+
+
+def assert_matches_per_point(cfg, ks):
+    amps, degenerate = solve_grid(cfg, ks)
+    ref_amps, ref_degenerate = per_point(cfg, ks)
+    np.testing.assert_array_equal(degenerate, ref_degenerate)
+    assert np.array_equal(amps, ref_amps, equal_nan=True)
+    # raw bits: signed zeros and NaN payloads included
+    np.testing.assert_array_equal(amps.view(np.int64), ref_amps.view(np.int64))
+    return degenerate
+
+
+def random_ring(rng, mode: str, scale_invariant: bool) -> RingConfig:
+    left = random_params(rng, scale_invariant=scale_invariant)
+    if mode == "general":
+        ring_mode = General(random_params(rng, scale_invariant=scale_invariant))
+    else:
+        ring_mode = SYMMETRIC if mode == "symmetric" else ANTISYMMETRIC
+    xi2 = float(rng.uniform(-2.0, 1.0))
+    return RingConfig(left=left, mode=ring_mode, xi1=xi2 + float(rng.uniform(0.1, 3.0)), xi2=xi2)
+
+
+class TestSolveGrid:
+    @pytest.mark.parametrize("scale_invariant", [True, False])
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric", "general"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_rings_match_solve_auto(self, mode, scale_invariant, seed):
+        rng = np.random.default_rng([seed, len(mode), scale_invariant])
+        cfg = random_ring(rng, mode, scale_invariant)
+        # more than two blocks, ending inside the third
+        ks = np.linspace(float(rng.uniform(0.05, 1.0)), float(rng.uniform(5.0, 40.0)), 2 * GRID_BLOCK + 37)
+        assert_matches_per_point(cfg, ks)
+
+    @pytest.mark.parametrize("mode", [SYMMETRIC, ANTISYMMETRIC])
+    def test_nearly_decoupled_node(self, mode):
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, **NEAR_DECOUPLED_XI)
+        k = NEAR_DECOUPLED_K
+        ks = np.concatenate([[k], k + np.linspace(-1e-3, 1e-3, 301), np.linspace(0.3, 12.0, 400)])
+        assert_matches_per_point(cfg, ks)
+
+    def test_symmetric_full_reflector_degenerates_at_pi(self):
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        degenerate = assert_matches_per_point(cfg, np.linspace(PI / 2, 3 * PI / 2, 3))
+        assert degenerate.tolist() == [False, True, False]
+        ks = np.concatenate([np.linspace(0.5, PI, 200), PI + np.ldexp(1.0, -np.arange(10, 52))])
+        assert assert_matches_per_point(cfg, ks).any()
+
+    def test_general_all_pi_ring_degenerates_at_grid_end(self):
+        right = JunctionParams(theta=(PI, PI, PI), alpha=0.3, beta=2.1, delta=0.4)
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=General(right), xi1=1.5, xi2=0.25)
+        ks = np.linspace(0.5, 2 * PI / cfg.dxi, 777)  # ends on m pi / dxi with m = 2
+        assert assert_matches_per_point(cfg, ks)[-1]
+
+    def test_one_decoupled_wire_relative_singularity_test(self):
+        # |det| between DEGENERATE_TOL and the relative bound of inverse2 on
+        # part of this grid, so both singularity tests decide some points
+        offsets = np.linspace(0.5e-13, 2e-13, 150) / 2.2
+        ks = np.concatenate([ONE_WIRE_K + offsets, ONE_WIRE_K - offsets])
+        relative_only = 0
+        for k in ks.tolist():
+            s1, s2 = ring_matrices(ONE_WIRE_RING, k)
+            gap = np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:]
+            det = abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0])
+            relative_only += 1e-13 <= det <= SINGULAR_RTOL * max_norm(gap) ** 2
+        assert relative_only > 10
+        degenerate = assert_matches_per_point(ONE_WIRE_RING, ks)
+        assert degenerate.any() and not degenerate.all()
+
+    def test_empty_grid(self):
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        amps, degenerate = solve_grid(cfg, [])
+        assert amps.shape == (0, 6) and degenerate.shape == (0,)
+
+    @pytest.mark.parametrize("mode", [SYMMETRIC, ANTISYMMETRIC, General(FULL_REFLECTOR)])
+    def test_overflowing_phase_raises_value_error(self, mode):
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, xi1=1.3, xi2=-0.4)
+        with pytest.raises(ValueError, match="finite"):
+            solve_grid(cfg, [1.0, 1.7e308])  # k * xi overflows
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_wavenumbers_like_solve_auto(self, bad):
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            solve_auto(cfg, bad)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            solve_grid(cfg, [1.0, bad])
+
+
+def reference_csv(cfg, k_min, k_max, n) -> bytes:
+    """The sweep CSV rendered point by point from solve_auto, as the CLI used to."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    rows = [CSV_HEADER]
+    for k in np.linspace(k_min, k_max, n):
+        k = float(k)
+        try:
+            amps = solve_auto(cfg, k).to_array()
+        except DegenerateRingError:
+            rows.append(",".join([fmt(k)] + [fmt(math.nan)] * 10 + ["1"]))
+            continue
+        cells = [fmt(k)]
+        cells += [fmt(abs(z) ** 2) for z in amps]
+        cells += [fmt(amps[0].real), fmt(amps[0].imag), fmt(amps[5].real), fmt(amps[5].imag)]
+        cells.append("0")
+        rows.append(",".join(cells))
+    return "".join(row + "\n" for row in rows).encode()
+
+
+class TestByteStableOutput:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_sweep_csv_equals_per_point_rendering(self, path, tmp_path):
+        parsed = load_config(path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--n", "4096", "--out", str(out)]) == 0
+        expected = reference_csv(parsed.ring, parsed.task["k_min"], parsed.task["k_max"], 4096)
+        assert out.read_bytes() == expected
+
+    def test_degenerate_rows_equal_per_point_rendering(self, tmp_path):
+        path = tmp_path / "mirror.json"
+        path.write_text(
+            '{"junctions": {"m": {"theta": ["pi:1", "pi:1", "pi:1"], "beta": 0.8, "delta": 1.9}}, '
+            '"ring": {"left": "m", "mode": "symmetric", "xi1": 1.0, "xi2": 0.0}}'
+        )
+        cfg = load_config(path).ring
+        out = tmp_path / "sweep.csv"
+        for k_min, k_max, n in ((PI / 2, 3 * PI / 2, 3), (0.5, 3 * PI, 1001)):
+            argv = ["sweep", "--config", str(path), "--k-min", repr(k_min), "--k-max", repr(k_max)]
+            assert main(argv + ["--n", str(n), "--out", str(out)]) == 0
+            expected = reference_csv(cfg, k_min, k_max, n)
+            assert out.read_bytes() == expected
+        assert b",1\n" in expected
+
+    @pytest.mark.parametrize("kind", list(ResonanceKind))
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_find_equals_per_point_scan(self, path, kind, monkeypatch):
+        cfg = load_config(path).ring
+        grid = find_resonances(cfg, 0.3, 12.0, kind)
+        monkeypatch.setattr(spectrum, "solve_grid", per_point)
+        assert find_resonances(cfg, 0.3, 12.0, kind) == grid

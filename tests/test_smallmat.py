@@ -12,6 +12,7 @@ from yring import (
     inverse2,
     unitarity_error,
 )
+from yring.smallmat import _PyComplexArray, _square
 
 SQ3 = math.sqrt(3.0)
 
@@ -130,3 +131,47 @@ def test_unitarity_error_of_built_boundary_matrices():
     for _ in range(300):
         worst = max(worst, unitarity_error(build_U(random_params(rng))))
     assert worst < 1e-13
+
+
+def _python_complex_cases(n: int = 20000):
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n) + 1j * rng.normal(size=n)
+    z[:40] = z[:40].real  # zero imaginary parts
+    z[40:80] = 1j * z[40:80].imag  # zero real parts
+    z[80:90] = -0.0 - 0.0j  # negative zeros
+    return z
+
+
+def bits(a) -> list:
+    return np.asarray(a, dtype=complex).view(np.int64).tolist()
+
+
+def test_py_complex_array_rounds_like_python_complex():
+    a = _python_complex_cases()
+    b = np.roll(a, 1234)[::-1]
+    x = np.random.default_rng(8).normal(size=a.size)
+    za, zb = _PyComplexArray.of(a), _PyComplexArray.of(b)
+    pa, pb, px = a.tolist(), b.tolist(), x.tolist()
+    cases = [
+        (za * zb, [u * v for u, v in zip(pa, pb)]),
+        (za + zb, [u + v for u, v in zip(pa, pb)]),
+        (za - zb, [u - v for u, v in zip(pa, pb)]),
+        (za * x, [u * t for u, t in zip(pa, px)]),
+        (x * za, [t * u for u, t in zip(pa, px)]),
+        (1.0 - za, [1.0 - u for u in pa]),
+        (-za, [-u for u in pa]),
+        (za.conjugate(), [u.conjugate() for u in pa]),
+        (_PyComplexArray(0.0, 1.0) * x, [1j * t for t in px]),
+    ]
+    for got, expected in cases:
+        assert bits(got.to_numpy()) == bits(expected)
+    nonzero = b != 0
+    quotient = _PyComplexArray.of(a[nonzero]) / _PyComplexArray.of(b[nonzero])
+    assert bits(quotient.to_numpy()) == bits([u / v for u, v in zip(a[nonzero].tolist(), b[nonzero].tolist())])
+    assert abs(za).tolist() == [abs(u) for u in pa]
+
+
+def test_square_rounds_like_python_pow():
+    x = np.abs(_python_complex_cases().real)
+    assert _square(x).tolist() == [t**2 for t in x.tolist()]
+    assert _square(1.5) == 2.25

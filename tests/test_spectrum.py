@@ -91,6 +91,30 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(beam_cfg(), 0.5, 1.0, 1)
 
+    @pytest.mark.parametrize("k_min, k_max", [(0.5, math.inf), (1e-308, 1e308), (math.nan, 1.0)])
+    def test_rejects_unbounded_range(self, k_min, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            sweep(beam_cfg(), k_min, k_max, 8)
+
+    @pytest.mark.parametrize("n", [4.5, 8.0, "8", None])
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sweep(beam_cfg(), 0.5, 1.0, n)
+
+    def test_arrays_back_the_points(self):
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        spec = sweep(cfg, PI / 2, 3 * PI / 2, 3)
+        assert spec.k.shape == (3,) and spec.amps.shape == (3, 6)
+        assert spec.degenerate.tolist() == [False, True, False]
+        assert np.isnan(spec.amps[1]).all()
+        for p, k, row in zip(spec.points, spec.k, spec.amps):
+            assert p.k == k
+            if not p.degenerate:
+                assert p.amps.to_array().tolist() == row.tolist()
+                assert p.p_refl == abs(row[0]) ** 2 and p.p_trans == abs(row[5]) ** 2
+        with pytest.raises(ValueError):
+            spec.amps[0, 0] = 0.0
+
     def test_fingerprint_identifies_configuration(self):
         cfg1 = beam_cfg()
         cfg2 = beam_cfg(b=PI / 5)
@@ -167,3 +191,8 @@ class TestFindResonances:
             find_resonances(cfg, 0.5, 2.0, ResonanceKind.PERFECT_REFLECTION, tol=0.0)
         with pytest.raises(ValueError):
             find_resonances(cfg, 0.5, 2.0, ResonanceKind.PERFECT_REFLECTION, scan_n=2)
+        with pytest.raises(ValueError, match="scan_n must be an integer"):
+            find_resonances(cfg, 0.5, 2.0, ResonanceKind.PERFECT_REFLECTION, scan_n=300.0)
+        for k_min, k_max in ((0.5, math.inf), (1e-308, 1e308)):
+            with pytest.raises(ValueError, match="k_max"):
+                find_resonances(cfg, k_min, k_max, ResonanceKind.PERFECT_REFLECTION)
