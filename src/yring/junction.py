@@ -15,6 +15,7 @@ ground truth for everything else in this package.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .smallmat import (
     Mat3,
     UNITARITY_TOL,
     Vec3,
-    _finite,
     _PyComplexArray,
     as_complex_matrix,
     as_vec3,
@@ -132,18 +132,35 @@ def build_U(p: JunctionParams) -> Mat3:
     return (v * d) @ v.conj().T
 
 
-def _s0_diagonal(p: JunctionParams, k, orientation: Orientation, unit=1j) -> list:
+class _Node:
+    """The wavenumber-independent part of _s_array for one junction.
+
+    V, V^dagger, (cos, sin) of each half eigenphase and L0, computed once.
+    """
+
+    __slots__ = ("v", "vh", "half", "L0")
+
+    def __init__(self, p: JunctionParams) -> None:
+        self.v = build_V(p)
+        self.vh = self.v.conj().T
+        self.half = tuple((math.cos(t / 2.0), math.sin(t / 2.0)) for t in p.theta)
+        self.L0 = p.L0
+
+
+#: i * sign of the position phase exp(i * sign * k * xi) for each orientation.
+_PHASE = {Orientation.INWARD: 1j * 2.0, Orientation.OUTWARD: 1j * -2.0}
+
+
+def _s0_diagonal(node: _Node, k, orientation: Orientation, unit=1j) -> list:
     # (i k L_i + 1) / (i k L_i - 1) with L_i = L0 * cot(theta_i / 2), written
     # through (cos, sin) of theta_i/2 so theta_i = 0 needs no limit handling.
     # k is one wavenumber (unit 1j) or a grid of them (unit a _PyComplexArray).
+    lk = node.L0 * k
+    inward = orientation is Orientation.INWARD
     out = []
-    for th in p.theta:
-        c = p.L0 * k * math.cos(th / 2.0)
-        s = math.sin(th / 2.0)
-        if orientation is Orientation.INWARD:
-            out.append((unit * c + s) / (unit * c - s))
-        else:
-            out.append((unit * c - s) / (unit * c + s))
+    for c, s in node.half:
+        ic = unit * (lk * c)
+        out.append((ic + s) / (ic - s) if inward else (ic - s) / (ic + s))
     return out
 
 
@@ -159,41 +176,56 @@ def s_matrix(
     incoming amplitudes (coefficients of exp(+ik x)) to outgoing ones;
     outward orientation flips the sign of k throughout.
     """
-    m = _s_array(p, k, xi, orientation)
+    m = _s_array(_Node(p), k, xi, orientation)
     return ScatteringMatrix(m=m, k=float(k), xi=float(xi), orientation=orientation)
 
 
-def _s_array(p: JunctionParams, k: float, xi: float, orientation: Orientation) -> Mat3:
-    # The arithmetic of s_matrix on a plain array.  Unitary by construction
-    # for finite input; an overflowing k*L0 or k*xi is rejected here.
+def _phase_exponent(node: _Node, k: float, xi: float, orientation: Orientation) -> complex:
+    # Exponent of the position phase, after the checks of every node matrix:
+    # k positive and finite, xi finite, and finite products k*L0 and k*xi.
+    # Both products enter through modulus-1 factors, so the matrix is then
+    # finite too.
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
     if not math.isfinite(xi):
         raise ValueError("xi must be finite")
-    v = build_V(p)
-    d = np.array(_s0_diagonal(p, k, orientation))
-    sign = 2.0 if orientation is Orientation.INWARD else -2.0
-    phase = np.exp(1j * sign * k * xi)
-    return as_complex_matrix(phase * ((v * d) @ v.conj().T), (3, 3))
+    if not math.isfinite(node.L0 * k):
+        raise ValueError(f"k*L0 overflows at k={k!r}, L0={node.L0!r}: the node matrix is not finite")
+    z = _PHASE[orientation] * k * xi
+    if not cmath.isfinite(z):
+        raise ValueError(
+            f"k*xi overflows in the position phase at k={k!r}, xi={xi!r}: the node matrix is not finite"
+        )
+    return z
 
 
-def _s_grid(p: JunctionParams, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
-    # _s_array on a grid of wavenumbers, shape (n, 3, 3), bit-identical row by
-    # row: the scalar complex arithmetic runs as _PyComplexArray, and every
-    # numpy operation keeps the per-point shapes (length-3 rows in v * d, one
-    # 3x3 BLAS product per point, length-9 rows times the phase).
-    bad = ~(np.isfinite(ks) & (ks > 0.0))
-    if bad.any():
-        raise ValueError(f"k must be positive and finite, got {ks[bad][0].item()!r}")
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
-    v = build_V(p)
+def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3:
+    # The arithmetic of s_matrix on a plain array, unitary by construction.
+    z = _phase_exponent(node, k, xi, orientation)
+    d = np.array(_s0_diagonal(node, k, orientation))
+    return np.exp(z) * ((node.v * d) @ node.vh)
+
+
+def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
+    # Where _phase_exponent accepts the wavenumbers ks, as a mask; the caller
+    # silences numpy's overflow warnings.
+    z = _PyComplexArray._lift(_PHASE[orientation]) * ks * xi
+    return (
+        np.isfinite(ks) & (ks > 0.0) & math.isfinite(xi) & np.isfinite(node.L0 * ks)
+        & np.isfinite(z.re) & np.isfinite(z.im)
+    )
+
+
+def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
+    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3), bit-identical
+    # row by row: the scalar complex arithmetic runs as _PyComplexArray, and
+    # every numpy operation keeps the per-point shapes (length-3 rows in v * d,
+    # one 3x3 BLAS product per point, length-9 rows times the phase).
     unit = _PyComplexArray(0.0, 1.0)
-    d = np.stack([z.to_numpy() for z in _s0_diagonal(p, ks, orientation, unit)], axis=-1)
-    sign = 2.0 if orientation is Orientation.INWARD else -2.0
-    phase = np.exp((unit * sign * ks * xi).to_numpy())
-    m = np.matmul(v * d[:, None, :], v.conj().T).reshape(-1, 9)
-    return _finite(phase[:, None] * m).reshape(-1, 3, 3)
+    d = np.stack([z.to_numpy() for z in _s0_diagonal(node, ks, orientation, unit)], axis=-1)
+    phase = np.exp((_PyComplexArray._lift(_PHASE[orientation]) * ks * xi).to_numpy())
+    m = np.matmul(node.v * d[:, None, :], node.vh).reshape(-1, 9)
+    return (phase[:, None] * m).reshape(-1, 3, 3)
 
 
 def junction_residual(

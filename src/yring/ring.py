@@ -28,6 +28,8 @@ from .junction import (
     JunctionParams,
     Orientation,
     ScatteringMatrix,
+    _accepted,
+    _Node,
     _s_array,
     _s_grid,
     build_V,
@@ -46,6 +48,9 @@ from .smallmat import (
 #: Interior-wire swap used by the antisymmetric ring variant.
 PERM_23: Mat3 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
 PERM_23.setflags(write=False)
+
+_EYE2 = np.eye(2, dtype=complex)
+_EYE2.setflags(write=False)
 
 #: |denominator| below this is treated as a decoupled (degenerate) ring.
 DEGENERATE_TOL = 1e-13
@@ -116,6 +121,16 @@ class RingConfig:
         """Arm length xi1 - xi2 (strictly positive)."""
         return self.xi1 - self.xi2
 
+    @functools.cached_property
+    def _route(self) -> "_Route":
+        # Built on first use and kept on this instance.  It is not a field, so
+        # __eq__, __hash__ and repr ignore it, and __getstate__ leaves it out
+        # of pickles and copies.
+        return _Route(self)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_route"}
+
 
 @dataclass(frozen=True)
 class RingAmplitudes:
@@ -149,22 +164,9 @@ def flux_defect(amps: RingAmplitudes) -> float:
     return abs(amps.p_reflection + amps.p_transmission - 1.0)
 
 
-def _node_arrays(cfg: RingConfig, k, node=_s_array) -> tuple[Mat3, Mat3]:
-    # Left inward array at xi1 and effective right outward array at xi2.
-    # Index 0 is the exterior wire of each node; 1 and 2 are the interior wires.
-    # With node=_s_grid, k is a grid and both arrays are stacks (n, 3, 3).
-    m1 = node(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    if isinstance(cfg.mode, General):
-        return m1, node(cfg.mode.right, k, cfg.xi2, Orientation.OUTWARD)
-    m2 = node(cfg.left, k, cfg.xi2, Orientation.OUTWARD)
-    if isinstance(cfg.mode, AntiSymmetric):
-        m2 = PERM_23 @ m2 @ PERM_23
-    return m1, m2
-
-
 def ring_matrices(cfg: RingConfig, k: float) -> tuple[ScatteringMatrix, ScatteringMatrix]:
     """Left inward matrix at xi1 and the effective right outward matrix at xi2."""
-    m1, m2 = _node_arrays(cfg, k)
+    m1, m2 = cfg._route.arrays(k)
     return (
         ScatteringMatrix(m=m1, k=float(k), xi=float(cfg.xi1), orientation=Orientation.INWARD),
         ScatteringMatrix(m=m2, k=float(k), xi=float(cfg.xi2), orientation=Orientation.OUTWARD),
@@ -191,7 +193,7 @@ def _amplitudes(s, t, v, sv) -> tuple:
 
 
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
-    gap = np.eye(2, dtype=complex) - m1[1:, 1:] @ m2[1:, 1:]
+    gap = _EYE2 - m1[1:, 1:] @ m2[1:, 1:]
     # gap entries are O(1) by unitarity, so the degeneracy test is absolute;
     # a uniformly tiny gap (fully decoupled ring at resonance) must not pass
     # the scale-relative singularity test inside inverse2.
@@ -373,11 +375,13 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     )
 
 
-def _require_scale_invariant(cfg: RingConfig, expected_mode: type) -> None:
+def _closed_form_route(cfg: RingConfig, expected_mode: type) -> "_Route":
     if not isinstance(cfg.mode, expected_mode):
         raise ValueError(f"this fast path requires {expected_mode.__name__} mode")
-    if not is_scale_invariant(cfg.left):
+    route = cfg._route
+    if route.forms is None:
         raise ValueError("this fast path requires a scale-invariant left node")
+    return route
 
 
 def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes:
@@ -387,9 +391,7 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     g = exp(2ik(xi1-xi2)); the common denominator is 1 - g |s11|^2.
     Perfect transmission (A = 0) happens exactly at g = 1.
     """
-    _require_scale_invariant(cfg, Symmetric)
-    m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    den, amplitudes = _symmetric_forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
+    den, amplitudes = _closed_form_route(cfg, Symmetric).closed_form(k)
     if abs(den) < DEGENERATE_TOL:
         raise DegenerateRingError(f"symmetric ring is degenerate at k={k!r}")
     return RingAmplitudes(*amplitudes())
@@ -444,9 +446,7 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     Perfect reflection (F = 0) happens exactly at g = 1 whenever the
     interior couplings s21, s31 are both nonzero (and den is not).
     """
-    _require_scale_invariant(cfg, AntiSymmetric)
-    m = _s_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
-    den, amplitudes = _antisymmetric_forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
+    den, amplitudes = _closed_form_route(cfg, AntiSymmetric).closed_form(k)
     if abs(den) < DEGENERATE_TOL:
         raise DegenerateRingError(f"antisymmetric ring is degenerate at k={k!r}")
     return RingAmplitudes(*amplitudes())
@@ -526,7 +526,7 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     node (the core matrix is Hermitian); ArithmeticError is raised if
     rounding breaks this.
     """
-    _require_scale_invariant(cfg, AntiSymmetric)
+    _closed_form_route(cfg, AntiSymmetric)
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])
     if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
@@ -548,14 +548,16 @@ def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
     forms (well conditioned at their resonances, where the general resolvent
     becomes singular); everything else goes through the resolvent.  The
     routes are not compared at run time: `yring check` and the tests hold
-    them against the series and algebraic solvers.
+    them against the series and algebraic solvers.  The route and the node
+    constants are prepared once per configuration (`_Route`); each call
+    repeats only the per-wavenumber arithmetic.
     """
-    if isinstance(cfg.mode, Symmetric) and is_scale_invariant(cfg.left):
+    route = cfg._route
+    if route.forms is None:
+        return route.resolve(k)
+    if isinstance(cfg.mode, Symmetric):
         return solve_symmetric_scale_invariant(cfg, k)
-    if isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
-        return solve_antisymmetric_scale_invariant(cfg, k)
-    m1, m2 = _node_arrays(cfg, k)
-    return _resolve(m1, m2, k)
+    return solve_antisymmetric_scale_invariant(cfg, k)
 
 
 def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -564,27 +566,24 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     Returns the amplitudes, shape (n, 6) with columns A..F, and the
     degenerate mask: the rows where solve_auto raises DegenerateRingError,
     whose amplitudes are NaN.  Every other row equals solve_auto(cfg, k) bit
-    for bit.  The route is chosen once for the grid, and each step repeats
+    for bit.  The route is the one solve_auto takes, and each step repeats
     the per-point arithmetic: scalar complex operations run as
     _PyComplexArray, and numpy operations keep the per-point shapes.
-    Raises ValueError for a wavenumber that is not positive and finite, or
-    where a node matrix is not finite.
+    Raises the ValueError solve_auto raises at the first wavenumber it
+    rejects (not positive and finite, or k*L0 or k*xi not finite).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1:
         raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")
-    if isinstance(cfg.mode, Symmetric) and is_scale_invariant(cfg.left):
-        route = functools.partial(_closed_form_grid, _symmetric_forms)
-    elif isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
-        route = functools.partial(_closed_form_grid, _antisymmetric_forms)
-    else:
-        route = _resolve_grid
+    route = cfg._route
+    solve_block = route.resolve_grid if route.forms is None else route.closed_form_grid
     amps = np.empty((ks.size, 6), dtype=complex)
     degenerate = np.empty(ks.size, dtype=bool)
-    with np.errstate(all="ignore"):  # overflow shows up as a non-finite node matrix
+    with np.errstate(all="ignore"):  # overflowing products, and degenerate rows dividing by ~0
         for start in range(0, ks.size, GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            amps[block], degenerate[block] = route(cfg, ks[block])
+            route.check_grid(ks[block])  # blocks go in grid order: the first rejected k raises
+            amps[block], degenerate[block] = solve_block(ks[block])
     amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
 
@@ -593,36 +592,95 @@ def _stack(columns) -> np.ndarray:
     return np.stack([z.to_numpy() for z in columns], axis=-1)
 
 
-def _closed_form_grid(forms, cfg: RingConfig, ks: np.ndarray):
-    m = _s_grid(cfg.left, ks, cfg.xi1, Orientation.INWARD)
-    dxi = cfg.dxi
-    g = np.array([cmath.exp(2j * k * dxi) for k in ks.tolist()])
-    den, amplitudes = forms(_entries(m), _PyComplexArray.of(g))
-    return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
+class _Route:
+    """The wavenumber-independent half of solve_auto and solve_grid for one ring.
 
+    Built once per RingConfig (its `_route`): the route choice (`forms` is the
+    closed form of a scale-invariant symmetric or antisymmetric ring, None
+    for the resolvent) and the constants of both nodes.  The methods do the
+    per-wavenumber half, operation for operation as the per-point code.
+    """
 
-def _resolve_grid(cfg: RingConfig, ks: np.ndarray):
-    # _resolve on a grid: BLAS products per point as in _resolve, and the
-    # scalar steps (determinant, assembly) as _PyComplexArray.
-    m1, m2 = _node_arrays(cfg, ks, _s_grid)
-    gap = np.eye(2, dtype=complex) - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
-    entries = _entries(gap)
-    (g00, g01), (g10, g11) = entries
-    det = g00 * g11 - g01 * g10
-    size = abs(det)
-    degenerate = size < DEGENERATE_TOL
-    # inverse2's relative test, run as it stands wherever it could fail
-    # (the margin covers last-bit differences between np.abs and hypot)
-    scale = np.max([abs(z) for row in entries for z in row], axis=0)
-    for i in np.flatnonzero(~degenerate & (size <= 2.0 * SINGULAR_RTOL * scale * scale)):
-        try:
-            inverse2(gap[i])
-        except SingularMatrixError:
-            degenerate[i] = True
-    adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
-    resolvent = (adjugate / det.to_numpy()[:, None]).reshape(-1, 2, 2)
-    v = resolvent @ m1[:, 1:, 0:1]
-    sv = m2[:, 1:, 1:] @ v
-    (v0,), (v1,) = _entries(v)
-    (sv0,), (sv1,) = _entries(sv)
-    return _stack(_amplitudes(_entries(m1), _entries(m2), (v0, v1), (sv0, sv1))), degenerate
+    __slots__ = ("left", "right", "swap", "forms", "xi1", "xi2", "dxi")
+
+    def __init__(self, cfg: RingConfig) -> None:
+        self.left = _Node(cfg.left)
+        self.right = _Node(cfg.mode.right) if isinstance(cfg.mode, General) else self.left
+        self.swap = isinstance(cfg.mode, AntiSymmetric)
+        self.forms = None
+        if not isinstance(cfg.mode, General) and is_scale_invariant(cfg.left):
+            self.forms = _antisymmetric_forms if self.swap else _symmetric_forms
+        self.xi1, self.xi2, self.dxi = cfg.xi1, cfg.xi2, cfg.dxi
+
+    def arrays(self, k: float) -> tuple[Mat3, Mat3]:
+        # Left inward array at xi1 and effective right outward array at xi2.
+        # Index 0 is the exterior wire of each node; 1 and 2 are the interior wires.
+        m1 = _s_array(self.left, k, self.xi1, Orientation.INWARD)
+        m2 = _s_array(self.right, k, self.xi2, Orientation.OUTWARD)
+        if self.swap:
+            m2 = PERM_23 @ m2 @ PERM_23
+        return m1, m2
+
+    def resolve(self, k: float) -> RingAmplitudes:
+        m1, m2 = self.arrays(k)
+        return _resolve(m1, m2, k)
+
+    def closed_form(self, k: float):
+        # Denominator and amplitude formulas of the closed form at k.
+        m = _s_array(self.left, k, self.xi1, Orientation.INWARD)
+        z = 2j * k * self.dxi
+        if not cmath.isfinite(z):
+            raise ValueError(f"k*xi overflows in the arm phase at k={k!r}, xi1-xi2={self.dxi!r}")
+        return self.forms(m.tolist(), cmath.exp(z))
+
+    def check_grid(self, ks: np.ndarray) -> None:
+        # Raises what the per-point route raises at the first wavenumber it
+        # rejects; the masks repeat its checks on the whole grid.
+        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
+        if self.forms is None:
+            accepted &= _accepted(self.right, ks, self.xi2, Orientation.OUTWARD)
+        else:
+            z = _PyComplexArray._lift(2j) * ks * self.dxi
+            accepted &= np.isfinite(z.re) & np.isfinite(z.im)
+        if not accepted.all():
+            k = ks[np.argmin(accepted)].item()
+            if self.forms is None:
+                self.arrays(k)
+            else:
+                self.closed_form(k)
+
+    def closed_form_grid(self, ks: np.ndarray):
+        m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
+        dxi = self.dxi
+        g = np.array([cmath.exp(2j * k * dxi) for k in ks.tolist()])
+        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(g))
+        return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
+
+    def resolve_grid(self, ks: np.ndarray):
+        # _resolve on a grid: BLAS products per point as in _resolve, and the
+        # scalar steps (determinant, assembly) as _PyComplexArray.
+        m1 = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
+        m2 = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
+        if self.swap:
+            m2 = PERM_23 @ m2 @ PERM_23
+        gap = _EYE2 - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
+        entries = _entries(gap)
+        (g00, g01), (g10, g11) = entries
+        det = g00 * g11 - g01 * g10
+        size = abs(det)
+        degenerate = size < DEGENERATE_TOL
+        # inverse2's relative test, run as it stands wherever it could fail
+        # (the margin covers last-bit differences between np.abs and hypot)
+        scale = np.max([abs(z) for row in entries for z in row], axis=0)
+        for i in np.flatnonzero(~degenerate & (size <= 2.0 * SINGULAR_RTOL * scale * scale)):
+            try:
+                inverse2(gap[i])
+            except SingularMatrixError:
+                degenerate[i] = True
+        adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
+        resolvent = (adjugate / det.to_numpy()[:, None]).reshape(-1, 2, 2)
+        v = resolvent @ m1[:, 1:, 0:1]
+        sv = m2[:, 1:, 1:] @ v
+        (v0,), (v1,) = _entries(v)
+        (sv0,), (sv1,) = _entries(sv)
+        return _stack(_amplitudes(_entries(m1), _entries(m2), (v0, v1), (sv0, sv1))), degenerate

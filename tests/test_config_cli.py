@@ -247,11 +247,15 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--k-min", "1e307", "--k-max", "1.7e308", "--n", "3"],
         ["ring", "--k", "1.7e308"],
+        ["junction", "--k", "1.7e308"],
     ])
     def test_overflowing_wavenumber_is_config_error(self, cfg, argv, capsys):
         # k * L0 and k * xi overflow, so the node matrices would not be finite
         assert main(argv + ["--config", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "k*xi overflows in the position phase" in err  # 2*k overflows first on these configs
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("command, task, field", [
         ("junction", '{"junction": ["j"], "k": 1}', "task.junction"),
