@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 degenerate ring,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Any, TextIO
@@ -95,7 +96,10 @@ def _require_ring(cfg: ParsedConfig) -> RingConfig:
 
 def _out_stream(args: argparse.Namespace) -> TextIO:
     if getattr(args, "out", None):
-        return open(args.out, "w", newline="")
+        try:
+            return open(args.out, "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
     return sys.stdout
 
 
@@ -305,7 +309,11 @@ class _maybe_close:
         return False
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call of main, not at import, and shared by every
+    # later call: parsing leaves the parser unchanged and keeps each call's
+    # state in the Namespace it returns.
     parser = argparse.ArgumentParser(
         prog="yring",
         description="Scattering amplitudes and resonances for double-node quantum ring systems.",

@@ -85,8 +85,8 @@ class ParsedConfig:
 def load_config(path: str | Path) -> ParsedConfig:
     """Load and validate a config file."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(raw)

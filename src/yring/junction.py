@@ -184,13 +184,17 @@ def _phase_exponent(node: _Node, k: float, xi: float, orientation: Orientation) 
     # Exponent of the position phase, after the checks of every node matrix:
     # k positive and finite, xi finite, and finite products k*L0 and k*xi.
     # Both products enter through modulus-1 factors, so the matrix is then
-    # finite too.
+    # finite too.  k*L0 must also be nonzero: an eigenphase 0 would divide
+    # 0 by 0 in _s0_diagonal.
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
     if not math.isfinite(xi):
         raise ValueError("xi must be finite")
-    if not math.isfinite(node.L0 * k):
+    lk = node.L0 * k
+    if not math.isfinite(lk):
         raise ValueError(f"k*L0 overflows at k={k!r}, L0={node.L0!r}: the node matrix is not finite")
+    if lk == 0.0:
+        raise ValueError(f"k*L0 underflows to zero at k={k!r}, L0={node.L0!r}: the node matrix is not defined")
     z = _PHASE[orientation] * k * xi
     if not cmath.isfinite(z):
         raise ValueError(
@@ -210,8 +214,9 @@ def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) 
     # Where _phase_exponent accepts the wavenumbers ks, as a mask; the caller
     # silences numpy's overflow warnings.
     z = _PyComplexArray._lift(_PHASE[orientation]) * ks * xi
+    lk = node.L0 * ks
     return (
-        np.isfinite(ks) & (ks > 0.0) & math.isfinite(xi) & np.isfinite(node.L0 * ks)
+        np.isfinite(ks) & (ks > 0.0) & math.isfinite(xi) & np.isfinite(lk) & (lk != 0.0)
         & np.isfinite(z.re) & np.isfinite(z.im)
     )
 

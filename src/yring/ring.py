@@ -257,8 +257,7 @@ def solve_series(
     u1 = u2 = 0.0 + 0.0j
     p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j  # running power of s s~
     terms = 0
-    bound = math.inf
-    norms: list[float] = []
+    nd = prev = 0.0  # increment norms of this term and the one before (0 before term 1)
     phase1 = min(max_terms, _SERIES_DOUBLING_THRESHOLD)
     while terms < phase1:
         u1 += d1
@@ -271,21 +270,18 @@ def solve_series(
             p21 * m11 + p22 * m21,
             p21 * m12 + p22 * m22,
         )
-        nd = max(abs(d1), abs(d2))
-        norms.append(nd)
+        prev2, prev, nd = prev, nd, max(abs(d1), abs(d2))
         if nd <= noise_floor:
-            bound = nd
             break
-        bound = math.inf
-        q = max(abs(p11) + abs(p12), abs(p21) + abs(p22))
-        if q < 1.0:
-            bound = q / (1.0 - q) * max(abs(u1), abs(u2))
+        # Either bound may certify the stop; the block bound is computed only
+        # when the ratio bound has not.
         rho = rho_matrix
-        if rho >= 1.0 and len(norms) >= 3 and norms[-3] > 0.0:
-            rho = max(norms[-1] / norms[-2], norms[-2] / norms[-3])
-        if rho < 1.0:
-            bound = min(bound, nd / (1.0 - rho))
-        if bound <= tol:
+        if rho >= 1.0 and prev2 > 0.0:  # three increments seen
+            rho = max(nd / prev, prev / prev2)
+        if rho < 1.0 and nd / (1.0 - rho) <= tol:
+            break
+        q = max(abs(p11) + abs(p12), abs(p21) + abs(p22))
+        if q < 1.0 and q / (1.0 - q) * max(abs(u1), abs(u2)) <= tol:
             break
     else:
         return _series_doubling(
@@ -570,7 +566,8 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     the per-point arithmetic: scalar complex operations run as
     _PyComplexArray, and numpy operations keep the per-point shapes.
     Raises the ValueError solve_auto raises at the first wavenumber it
-    rejects (not positive and finite, or k*L0 or k*xi not finite).
+    rejects (not positive and finite, k*L0 not finite or zero, or k*xi not
+    finite).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1:

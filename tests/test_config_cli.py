@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from yring import cli
 from yring.cli import main
 from yring.config import ConfigError, load_config, parse_angle
 
 PI = math.pi
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 SYMMETRIC_CFG = str(CONFIG_DIR / "symmetric_buttiker.json")
 ANTISYMMETRIC_CFG = str(CONFIG_DIR / "antisymmetric_generic.json")
 GENERAL_CFG = str(CONFIG_DIR / "general_ring.json")
@@ -91,6 +97,14 @@ class TestConfigParsing:
         bad = {"junctions": {"j": {"L0": -1.0}}}
         with pytest.raises(ConfigError, match="junctions.j"):
             load_config(write_config(tmp_path, bad))
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"junctions": {"n\u00f6de": {}}}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'cannot read config {path}: ')}"):
+            load_config(path)
+        assert main(["junction", "--config", str(path), "--k", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
 
 
 class TestJunctionCommand:
@@ -291,7 +305,73 @@ class TestArgumentErrors:
         assert err.startswith("config error") and bound in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ring", "--k", "5e-324"],
+        ["junction", "--k", "5e-324"],
+        ["sweep", "--k-min", "5e-324", "--k-max", "1e-323", "--n", "2"],
+    ])
+    def test_underflowing_wavenumber_is_config_error(self, tmp_path, capsys, argv):
+        # k*L0 = 0.4 * 5e-324 rounds to zero; the eigenphase 0 would divide 0 by 0
+        cfg = write_config(tmp_path, {
+            "junctions": {"j": {"theta": [0, "pi:1", "pi:1"], "beta": 0.8, "L0": 0.4}},
+            "ring": {"left": "j", "right": "j", "mode": "general", "xi1": 1.0, "xi2": 0.0},
+        })
+        assert main(argv + ["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "k*L0 underflows to zero at k=5e-324, L0=0.4" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["junction", "--k", "1.3"],
+        ["ring", "--k", "1.3"],
+        ["sweep", "--n", "3"],
+        ["find", "--kind", "transmission"],
+        ["check"],
+    ])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, argv):
+        for out in (tmp_path / "missing" / "x.txt", tmp_path):  # no parent directory; a directory
+            assert main(argv + ["--config", SYMMETRIC_CFG, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: cannot write --out {out}: ")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate", "--config", SYMMETRIC_CFG])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call's state is its own."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_find_kind_does_not_carry_over(self, tmp_path, capsys):
+        doc = json.loads(Path(SYMMETRIC_CFG).read_text())
+        del doc["task"]["kind"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["find", "--config", cfg, "--kind", "reflection"]) == 0
+        capsys.readouterr()
+        assert main(["find", "--config", cfg]) == 2
+        assert "task.kind: required" in capsys.readouterr().err
+
+    def test_ring_k_does_not_carry_over(self, capsys):
+        task_k = json.loads(Path(GENERAL_CFG).read_text())["task"]["k"]
+        assert main(["ring", "--config", GENERAL_CFG, "--k", "1.3"]) == 0
+        assert "k = 1.3\n" in capsys.readouterr().out
+        assert main(["ring", "--config", GENERAL_CFG]) == 0
+        assert f"k = {task_k:.12g}\n" in capsys.readouterr().out
+
+    def test_parse_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ring"])  # --config missing
+        assert err.value.code == 2
+        capsys.readouterr()
+        argv = ["ring", "--config", ANTISYMMETRIC_CFG, "--k", "2.2"]
+        assert main(argv) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        fresh = subprocess.run([sys.executable, "-m", "yring.cli", *argv],
+                               capture_output=True, text=True, env=env, check=True)
+        assert capsys.readouterr().out == fresh.stdout

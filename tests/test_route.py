@@ -262,6 +262,26 @@ class TestRaiseSites:
         assert expected[0] is ValueError
         assert str(grid.value) == str(point.value)
 
+    @pytest.mark.parametrize("theta", [(0.0, PI, PI), (PI, PI, PI), (0.3, 1.9, 4.4)])
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric", "general"])
+    def test_underflow_names_the_product(self, mode, theta):
+        # k*L0 = 0.4 * 5e-324 rounds to zero: rejected whether or not an
+        # eigenphase is 0 (where the reference divided 0 by 0)
+        left = JunctionParams(theta=theta, beta=0.7, delta=1.1, L0=0.4)
+        ring_mode = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC, "general": General(left)}[mode]
+        cfg = RingConfig(left=left, mode=ring_mode, xi1=1.3, xi2=-0.4)
+        message = "k*L0 underflows to zero at k=5e-324, L0=0.4: the node matrix is not defined"
+        assert outcome(solve_auto, cfg, 5e-324) == (ValueError, message)
+        with pytest.raises(ValueError) as grid:
+            solve_grid(cfg, [1.0, 5e-324, 1e-323])
+        assert str(grid.value) == message
+        # the smallest wavenumber accepted before is still accepted (the ring
+        # degenerates as k*(xi1-xi2) -> 0), on both routes
+        expected = outcome(reference_solve_auto, cfg, 1e-323)
+        assert outcome(solve_auto, cfg, 1e-323) == expected
+        _, degenerate = solve_grid(cfg, [1e-323, 1.0])
+        assert degenerate[0] == (expected[0] is DegenerateRingError)
+
     def test_grid_names_the_first_rejected_wavenumber(self):
         # k = 6e307 overflows only the right node (xi2 = -9), k = 1e308 only the
         # left one (L0 = 2): the grid reports the first of them, as a
