@@ -1,7 +1,8 @@
 """Command-line interface: junction | ring | sweep | find | check.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 degenerate ring,
-4 series convergence failure.
+4 series convergence failure, 141 (128 + SIGPIPE) standard output closed by
+its reader before the command finished.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Any, TextIO
 
@@ -44,6 +46,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_BROKEN_PIPE = 141
 
 CSV_HEADER = "k,abs2_A,abs2_B,abs2_C,abs2_D,abs2_E,abs2_F,re_A,im_A,re_F,im_F,degenerate"
 
@@ -369,6 +372,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return _DISPATCH[args.command](cfg, args)
+    except BrokenPipeError:
+        # The reader of stdout has gone (`yring sweep ... | head -1`).  Point
+        # stdout at devnull so that the interpreter's final flush of what is
+        # still buffered stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

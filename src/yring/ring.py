@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ _EYE2.setflags(write=False)
 
 #: |denominator| below this is treated as a decoupled (degenerate) ring.
 DEGENERATE_TOL = 1e-13
+
+#: Size of a rounding-level component of O(1) node entries (solve_algebraic).
+_ROUNDING = 64 * sys.float_info.epsilon
 
 #: Bounce count after which solve_series switches to binary doubling.
 _SERIES_DOUBLING_THRESHOLD = 4096
@@ -355,7 +359,11 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     if not abs(delta - delta_b) <= 1e-12:
         raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
     if abs(delta) < DEGENERATE_TOL:
-        raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
+        gap = np.array([[1.0 - b22, -b32], [-b23, 1.0 - b33]])  # I - s s~, the B, D system
+        amps = _unexcited_bound_state(m1, m2, gap)
+        if amps is None:
+            raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
+        return amps
 
     c_num = a12 * (1.0 - a33) + a13 * a32
     e_num = a13 * (1.0 - a22) + a12 * a23
@@ -368,6 +376,34 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
         D=d_num / delta,
         E=e_num / delta,
         F=(m2[0, 1] * b_num + m2[0, 2] * d_num) / delta,
+    )
+
+
+def _unexcited_bound_state(m1: Mat3, m2: Mat3, gap: np.ndarray) -> RingAmplitudes | None:
+    """The ring amplitudes at a bound state the launch does not excite, else None.
+
+    At a bound state embedded in the continuum the gap I - s s~ has rank
+    one.  When the launch (s21, s31) has no component along its left null
+    direction and the right null direction reaches neither A nor F (both at
+    rounding level), the exterior amplitudes are determined: B, D solve the
+    gap system on its rank-one part, C, E and F follow from the right node
+    and A from the left one.  A fully decoupled ring (gap of rank zero), or
+    a launch that reaches the null space, gives None.
+    """
+    u, sv, vh = np.linalg.svd(gap)
+    null = vh[1].conj()
+    launch = m1[1:, 0]
+    if not (
+        sv[1] <= _ROUNDING * sv[0]
+        and abs(u[:, 1].conj() @ launch) <= _ROUNDING
+        and abs(m2[0, 1:] @ null) <= _ROUNDING
+        and abs(m1[0, 1:] @ (m2[1:, 1:] @ null)) <= _ROUNDING
+    ):
+        return None
+    bd = vh[0].conj() * ((u[:, 0].conj() @ launch) / sv[0])
+    ce = m2[1:, 1:] @ bd
+    return RingAmplitudes(
+        A=m1[0, 0] + m1[0, 1:] @ ce, B=bd[0], C=ce[0], D=bd[1], E=ce[1], F=m2[0, 1:] @ bd
     )
 
 

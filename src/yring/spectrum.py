@@ -4,9 +4,11 @@ A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
 batched kernel `solve_grid`; isolated singular points are kept in the output
 with a degenerate flag so downstream tables stay grid-aligned.  The
 resonance finder scans either the reflection or the transmission
-probability on the same kernel, brackets every strict
-local minimum, sharpens each bracket by golden-section search, and keeps
-the minima whose probability actually drops below the requested tolerance.
+probability on the same kernel, brackets every strict local minimum that
+is not rounding noise, sharpens each bracket by safeguarded Newton steps on
+the complex amplitude (whose perfect transmission or reflection is a simple
+real zero), and keeps the minima whose probability actually drops below the
+requested tolerance.
 For scale-invariant symmetric/antisymmetric rings the found positions are
 cross-checked against the analytic resonance condition and discrepancies
 are reported as warnings.
@@ -18,6 +20,7 @@ import functools
 import hashlib
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,9 +41,6 @@ from .ring import (
     solve_grid,
 )
 from .smallmat import _square
-
-#: Golden-section interval shrink factor per iteration.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Default scan density of the resonance finder, per decade of wavenumber.
 SCAN_PER_DECADE = 2048
@@ -152,38 +152,72 @@ def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     return Spectrum(k=k, amps=amps, degenerate=degenerate, fingerprint=config_fingerprint(cfg))
 
 
-def _objective(cfg: RingConfig, kind: ResonanceKind):
-    if kind is ResonanceKind.PERFECT_TRANSMISSION:
-        def f(k: float) -> float:
-            try:
-                return solve_auto(cfg, k).p_reflection
-            except DegenerateRingError:
-                return math.inf
-    else:
-        def f(k: float) -> float:
-            try:
-                return solve_auto(cfg, k).p_transmission
-            except DegenerateRingError:
-                return math.inf
-    return f
+def _golden_minimize(probe, k, z, f, width: float) -> tuple[float, float]:
+    """Refine one scan bracket to the minimum of |z(k)|^2 by safeguarded Newton steps.
 
+    k holds the bracket's three scan wavenumbers in increasing order, the
+    middle one the lowest, z their complex amplitudes and f = |z|^2 (inf
+    where the ring is degenerate); probe(k) returns (z, f) at a new
+    wavenumber.  Each step fits the complex quadratic through the best probe
+    and the two latest and takes Newton's step on |z|^2 from its z' and z'',
+    -Re(z* z') / (|z'|^2 + Re(z* z'')).  As in Brent's minimizer (Algorithms
+    for Minimization without Derivatives, 1973), a golden-section step into
+    the larger part of the bracket replaces a step that leaves the bracket
+    or is not shorter than half the step before last, and the bracket
+    shrinks as in golden-section search; so does a step after a Newton step
+    that did not lower |z|^2, where the fit is no model of z (the tail of a
+    line narrower than the scan spacing).  Stops after a step no longer than
+    width (a zero of z), when the Newton decrement g^2/h of |z|^2 falls to
+    4 eps |z|^2 (a nonzero minimum), or at |z|^2 = 0, and returns the best
+    probe and its |z|^2.
 
-def _golden_minimize(f, a: float, b: float, width: float) -> tuple[float, float]:
-    """Minimize f on [a, b] down to the given interval width."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > width:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
+    The name predates the Newton steps: perfbench/tracing.py finds the
+    refine by it.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    decrement_floor = 2.0 * sys.float_info.epsilon  # g^2/h <= 4 eps f, with half-derivatives
+    a, x, b = k
+    zx, fx = z[1], f[1]
+    latest = [(k[0], z[0]), (k[2], z[2])]  # the two latest probes other than the best
+    step = before = b - a
+    newton_failed = False
+    while fx > 0.0:
+        (k1, z1), (k2, z2) = latest
+        slope = (z1 - zx) / (k1 - x)
+        curve = ((z2 - z1) / (k2 - k1) - slope) / (k2 - x)  # z''/2 of the quadratic
+        d1 = slope + curve * (x - k1)  # z' of the quadratic at x
+        g = (zx.conjugate() * d1).real  # half of (|z|^2)'
+        h = abs(d1) * abs(d1) + 2.0 * (zx.conjugate() * curve).real  # half of (|z|^2)''
+        if h > 0.0 and g * g <= decrement_floor * fx * h:
+            break
+        newton = -g / h if h > 0.0 else math.nan
+        is_newton = not newton_failed and a < x + newton < b and abs(newton) < 0.5 * abs(before)
+        if is_newton:
+            before, step = step, newton
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            before = a - x if x >= 0.5 * (a + b) else b - x
+            step = golden * before
+        u = x + step
+        if u == x:
+            break
+        zu, fu = probe(u)
+        newton_failed = is_newton and not fu < fx
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            latest = [(x, zx), latest[0]]
+            x, zx, fx = u, zu, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            latest = [(u, zu), latest[0]]
+        if abs(step) <= width:
+            break
+    return x, fx
 
 
 def _expected_resonances(
@@ -243,10 +277,14 @@ def find_resonances(
 ) -> ResonanceSearch:
     """Locate wavenumbers where the targeted probability vanishes.
 
-    Scans scan_n points, brackets strict local minima of |A|^2 (perfect
-    transmission) or |F|^2 (perfect reflection), refines each bracket by
-    golden-section search to a width of 1e-12 * (k_max - k_min), and keeps
-    minima with probability below tol.
+    Scans scan_n points and brackets the strict local minima of |A|^2
+    (perfect transmission) or |F|^2 (perfect reflection), except where both
+    neighbours are below tol (an identically vanishing amplitude) or within
+    64 eps of the minimum (rounding noise on a flat curve).  Each bracket is
+    refined from its three scan samples by Newton steps on the complex
+    amplitude, safeguarded by golden-section steps, down to a step of
+    1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
+    below tol are kept.
     """
     _check_range(k_min, k_max)
     if not tol > 0.0:
@@ -255,23 +293,34 @@ def find_resonances(
         scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
     scan_n = _check_count(scan_n, 3, "scan_n")
 
-    f = _objective(cfg, kind)
     grid = np.linspace(k_min, k_max, scan_n)
     amps, degenerate = solve_grid(cfg, grid)
-    target = amps[:, 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5]
+    transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
+    target = amps[:, 0 if transmission else 5]
     values = _square(np.hypot(target.real, target.imag))  # as p_reflection / p_transmission
     values[degenerate] = math.inf
     width = 1e-12 * (k_max - k_min)
 
+    def probe(k: float) -> tuple[complex, float]:
+        try:
+            amplitudes = solve_auto(cfg, k)
+        except DegenerateRingError:
+            return complex(math.nan, math.nan), math.inf
+        z = amplitudes.A if transmission else amplitudes.F
+        return z, abs(z) ** 2
+
+    mid, lo, hi = values[1:-1], values[:-2], values[2:]
+    rim = np.maximum(lo, hi)
+    # strict local minima, minus two kinds of false dip: the probability is
+    # already below tol on a whole neighbourhood (an identically vanishing
+    # amplitude, not a zero), or the dip is rounding noise on a flat curve
+    dips = (mid < lo) & (mid < hi) & (rim > tol) & (rim > (1.0 + 64.0 * sys.float_info.epsilon) * mid)
     found: list[Resonance] = []
-    for i in range(1, scan_n - 1):
-        if not (values[i] < values[i - 1] and values[i] < values[i + 1]):
-            continue
-        if max(values[i - 1], values[i + 1]) <= tol:
-            # not an isolated dip: the probability is already below tol on a
-            # whole neighbourhood (identically vanishing amplitude, not a zero)
-            continue
-        k_star, residual = _golden_minimize(f, float(grid[i - 1]), float(grid[i + 1]), width)
+    for i in (np.flatnonzero(dips) + 1).tolist():
+        bracket = slice(i - 1, i + 2)
+        k_star, residual = _golden_minimize(
+            probe, grid[bracket].tolist(), target[bracket].tolist(), values[bracket].tolist(), width
+        )
         if residual < tol:
             found.append(Resonance(k_star=k_star, kind=kind, residual=residual))
 

@@ -375,3 +375,30 @@ class TestParserReuse:
         fresh = subprocess.run([sys.executable, "-m", "yring.cli", *argv],
                                capture_output=True, text=True, env=env, check=True)
         assert capsys.readouterr().out == fresh.stdout
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", SYMMETRIC_CFG, "--n", "20000"],
+            ["find", "--config", ANTISYMMETRIC_CFG, "--kind", "transmission", "--k-max", "2700",
+             "--n", "20000"],
+        ],
+        ids=["sweep", "find"],
+    )
+    def test_reader_closing_early_ends_quietly(self, argv):
+        # `yring sweep ... | head -1`: exit 128 + SIGPIPE, nothing on stderr.
+        # Both outputs exceed a pipe's 64 KiB, so the command is still
+        # writing when the reader goes, whatever the buffering.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        proc = subprocess.Popen([sys.executable, "-m", "yring.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert first and err == b""

@@ -15,6 +15,7 @@ from yring import (
     JunctionParams,
     Orientation,
     RingConfig,
+    ScatteringMatrix,
     Symmetric,
     build_U,
     flux_defect,
@@ -30,6 +31,7 @@ from yring import (
     solve_series,
     solve_symmetric_scale_invariant,
 )
+from yring.ring import DEGENERATE_TOL
 
 PI = math.pi
 
@@ -277,6 +279,70 @@ class TestSolveAlgebraic:
             oracle = linear_ring_solve(s1.m, s2.m)
             got = solve_algebraic(s1, s2).to_array()
             assert np.abs(got - oracle).max() < 1e-12
+
+
+def node_relation_residual(s1: np.ndarray, s2: np.ndarray, amps) -> float:
+    """Largest defect of the two node relations: S1 (1, C, E) = (A, B, D), S2 (0, B, D) = (F, C, E)."""
+    a, b, c, d, e, f = amps.to_array()
+    left = s1 @ np.array([1.0, c, e]) - np.array([a, b, d])
+    right = s2 @ np.array([0.0, b, d]) - np.array([f, c, e])
+    return float(max(np.abs(left).max(), np.abs(right).max()))
+
+
+def wire_rotation(eta: float, wire: int) -> ScatteringMatrix:
+    """Unitary node coupling the exterior wire to one interior wire by the angle eta."""
+    m = np.eye(3, dtype=complex)
+    c, s = math.cos(eta), math.sin(eta)
+    m[0, 0], m[0, wire], m[wire, 0], m[wire, wire] = c, -s, s, c
+    return ScatteringMatrix(m=m, k=1.0, xi=0.0, orientation=Orientation.INWARD)
+
+
+class TestSolveAlgebraicBoundState:
+    """|Delta| below DEGENERATE_TOL: a bound state in the continuum, or a decoupled ring."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symmetric_lattice_matches_closed_form(self, n):
+        # The arm resonance n pi of the beam-splitter ring carries a bound
+        # state that the launch does not excite: |Delta| ~ 3e-16 there.
+        cfg = RingConfig(left=beam_splitter(PI / 6), mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        k = n * PI
+        s1, s2 = ring_matrices(cfg, k)
+        m1, m2 = s1.m, s2.m
+        gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]
+        assert abs(np.linalg.det(gap)) < DEGENERATE_TOL
+        amps = solve_algebraic(s1, s2)
+        closed = solve_symmetric_scale_invariant(cfg, k)
+        assert np.abs(amps.to_array() - closed.to_array()).max() <= 1e-15
+        assert node_relation_residual(m1, m2, amps) <= 1e-15
+        assert abs(amps.A) <= 1e-15 and abs(amps.F) == pytest.approx(1.0, abs=1e-15)
+
+    def test_decoupled_wire_bound_state(self):
+        # Interior wire 1 is closed at both nodes and resonates; the exterior
+        # wire talks to wire 2 only, so the bound state is exactly unexcited.
+        s1 = wire_rotation(0.6, wire=2)
+        s2 = ScatteringMatrix(m=np.diag([1.0, 1.0, -1.0]).astype(complex), k=1.0, xi=0.0,
+                              orientation=Orientation.OUTWARD)
+        amps = solve_algebraic(s1, s2)
+        assert node_relation_residual(s1.m, s2.m, amps) <= 1e-15
+        assert amps.A == pytest.approx(1.0, abs=1e-15) and amps.F == 0.0
+        assert amps.B == 0.0 and amps.C == 0.0
+
+    def test_launch_reaching_the_null_space_raises(self):
+        # The same ring with the exterior wire weakly coupled to the resonant
+        # wire: |Delta| = 1e-14 and the launch has a component of 1e-7 along
+        # the null direction, so the amplitudes are not determined.
+        s1 = wire_rotation(1e-7, wire=1)
+        s2 = ScatteringMatrix(m=np.diag([1.0, 1.0, -1.0]).astype(complex), k=1.0, xi=0.0,
+                              orientation=Orientation.OUTWARD)
+        with pytest.raises(DegenerateRingError, match="Delta"):
+            solve_algebraic(s1, s2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fully_decoupled_ring_still_raises(self, n):
+        # All interior directions resonate at once (gap of rank zero).
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        with pytest.raises(DegenerateRingError, match="Delta"):
+            solve_algebraic(*ring_matrices(cfg, n * PI))
 
 
 class TestFluxConservation:
