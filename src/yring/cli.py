@@ -249,9 +249,8 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> int:
     lines: list[str] = []
     all_ok = True
     for name, params in sorted(cfg.junctions.items()):
-        all_ok &= _check_line(
-            lines, f"unitarity U ({name})", unitarity_error(build_U(params)), 1e-12
-        )
+        u = build_U(params)
+        all_ok &= _check_line(lines, f"unitarity U ({name})", unitarity_error(u), 1e-12)
         worst_s = 0.0
         worst_res = 0.0
         for _ in range(4):
@@ -261,9 +260,7 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> int:
             for orientation in (Orientation.INWARD, Orientation.OUTWARD):
                 S = s_matrix(params, k, xi, orientation)
                 worst_s = max(worst_s, unitarity_error(S.m))
-                res = junction_residual(
-                    build_U(params), params.L0, k, xi, phi, S.m @ phi, orientation
-                )
+                res = junction_residual(u, params.L0, k, xi, phi, S.m @ phi, orientation)
                 worst_res = max(worst_res, res)
         all_ok &= _check_line(lines, f"unitarity S ({name})", worst_s, 1e-12)
         all_ok &= _check_line(lines, f"node-condition residual ({name})", worst_res, 1e-10)

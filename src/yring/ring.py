@@ -5,7 +5,8 @@ interior wires; unit flux enters on the exterior wire of the left node.
 The six amplitudes (A, B, C, D, E, F) of the piecewise plane-wave state
 are obtained by three independent routes that must agree:
 
-* solve_series      -- sums the multiple-bounce expansion term by term,
+* solve_series      -- sums the multiple-bounce expansion, term by term and
+                       then by exact doubling,
 * solve_closed_form -- resums the bounce series into a 2x2 resolvent,
 * solve_algebraic   -- explicit component formulas from eliminating the
                        interior amplitudes.
@@ -59,8 +60,10 @@ DEGENERATE_TOL = 1e-13
 #: Size of a rounding-level component of O(1) node entries (solve_algebraic).
 _ROUNDING = 64 * sys.float_info.epsilon
 
-#: Bounce count after which solve_series switches to binary doubling.
-_SERIES_DOUBLING_THRESHOLD = 4096
+#: Bounce count after which solve_series switches to binary doubling: the
+#: measured crossover (BENCH_7.json), above the 15-20 terms that a
+#: quarter-reflecting ring needs at tol 1e-10.
+_SERIES_DOUBLING_THRESHOLD = 64
 
 #: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.
 GRID_BLOCK = 512
@@ -224,7 +227,7 @@ def solve_series(
     tol: float = 1e-12,
     max_terms: int = 100_000,
 ) -> tuple[RingAmplitudes, int]:
-    """Sum the multiple-bounce expansion term by term.
+    """Sum the multiple-bounce expansion: term by term, then by exact doubling.
 
     Term n applies (s s~)^(n-1) to the launch vector (s21, s31); summation
     stops once a geometric bound on the remaining tail drops below tol.
@@ -239,10 +242,11 @@ def solve_series(
       (symmetric rings keep a unimodular eigenvalue orthogonal to the
       launch vector).
 
-    Slowly contracting rings (thousands of bounces) are finished by exact
-    binary doubling of the same series: partial sums over 2n terms follow
-    from n via S_2n = S_n + (s s~)^n S_n, so the term count in the result
-    stays the true number of bounce terms summed.
+    A sum that neither bound ends within _SERIES_DOUBLING_THRESHOLD terms is
+    finished by exact binary doubling of the same series: partial sums over
+    2n terms follow from n via S_2n = S_n + (s s~)^n S_n, so the term count
+    in the result stays the true number of bounce terms summed: phase 1's
+    count times a power of two.
 
     Returns the amplitudes and the number of terms used.
     """
@@ -288,40 +292,40 @@ def solve_series(
         if q < 1.0 and q / (1.0 - q) * max(abs(u1), abs(u2)) <= tol:
             break
     else:
-        return _series_doubling(
-            m1, m2, (m11, m12, m21, m22), (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms
-        )
+        return _series_doubling(m1, m2, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
     return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
 
 
-def _series_doubling(m1, m2, m, p, u, terms, tol, max_terms):
-    """Finish a slowly contracting bounce series by doubling partial sums."""
-    M = np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
-    P = np.array([[p[0], p[1]], [p[2], p[3]]], dtype=complex)  # M**terms
-    S = np.array([u[0], u[1]], dtype=complex)
+def _series_doubling(m1, m2, p, u, terms, tol, max_terms):
+    """Finish a slowly contracting bounce series by doubling partial sums.
+
+    p is the power (s s~)**terms and u the sum of the first `terms` terms,
+    as phase 1 of solve_series leaves them; the products are phase 1's 2x2
+    formulas on complex scalars.
+    """
+    p11, p12, p21, p22 = p
+    u1, u2 = u
     prev_inc = math.inf
     bound = math.inf
     while True:
-        inc = P @ S  # series terms [terms, 2*terms), summed
-        inc_norm = float(np.abs(inc).max())
+        # series terms [terms, 2*terms), summed
+        i1, i2 = p11 * u1 + p12 * u2, p21 * u1 + p22 * u2
+        inc_norm = max(abs(i1), abs(i2))
         if inc_norm == 0.0:
             bound = 0.0
             break
         if inc_norm <= tol:
             # certify with a per-block decay factor: the matrix norm of P when
             # it contracts (rigorous), else the observed block-to-block decay
-            ratios = []
-            q = float(np.abs(P).sum(axis=1).max())
-            if q < 1.0:
-                ratios.append(q)
-            if math.isfinite(prev_inc) and prev_inc > 0.0:
-                ratios.append(inc_norm / prev_inc)
-            if ratios and min(ratios) < 1.0:
-                bound = inc_norm / (1.0 - min(ratios))
+            rate = max(abs(p11) + abs(p12), abs(p21) + abs(p22))
+            if prev_inc < math.inf:
+                rate = min(rate, inc_norm / prev_inc)
+            if rate < 1.0:
+                bound = inc_norm / (1.0 - rate)
                 if bound <= tol:
                     break
         if 2 * terms > max_terms:
-            partial = _assemble(m1, m2, S)
+            partial = _assemble(m1, m2, np.array([u1, u2], dtype=complex))
             raise ConvergenceError(
                 f"bounce series did not reach tol={tol:g} within {max_terms} terms "
                 f"(block increment {inc_norm:g})",
@@ -329,11 +333,17 @@ def _series_doubling(m1, m2, m, p, u, terms, tol, max_terms):
                 terms=terms,
                 bound=bound if math.isfinite(bound) else inc_norm,
             )
-        S = S + inc
-        P = P @ P
+        u1 += i1
+        u2 += i2
+        p11, p12, p21, p22 = (
+            p11 * p11 + p12 * p21,
+            p11 * p12 + p12 * p22,
+            p21 * p11 + p22 * p21,
+            p21 * p12 + p22 * p22,
+        )
         terms *= 2
         prev_inc = inc_norm
-    return _assemble(m1, m2, S), terms
+    return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
 
 
 def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:

@@ -1,4 +1,4 @@
-"""Fixed-shape complex linear algebra: 2x2 / 3x3 matrices and the SU(3) generators.
+"""Fixed-shape complex linear algebra: 2x2 / 3x3 matrices and SU(3) generator exponentials.
 
 All matrices are plain numpy arrays of dtype complex128; the module never
 infers shapes.  Only four generator exponentials are provided, in closed
@@ -48,34 +48,6 @@ def as_complex_matrix(entries, shape: tuple[int, int]) -> np.ndarray:
 def as_vec3(entries) -> Vec3:
     v = np.asarray(entries, dtype=complex).reshape(3)
     return _finite(v)
-
-
-_GELL_MANN: tuple[Mat3, ...] = tuple(
-    np.array(m, dtype=complex)
-    for m in (
-        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
-        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
-        [
-            [1 / math.sqrt(3), 0, 0],
-            [0, 1 / math.sqrt(3), 0],
-            [0, 0, -2 / math.sqrt(3)],
-        ],
-    )
-)
-for _m in _GELL_MANN:
-    _m.setflags(write=False)
-
-
-def gell_mann(index: int) -> Mat3:
-    """Return the SU(3) generator with the given 1-based index (1..8)."""
-    if not isinstance(index, (int, np.integer)) or not 1 <= index <= 8:
-        raise ValueError(f"generator index must be in 1..8, got {index!r}")
-    return _GELL_MANN[index - 1].copy()
 
 
 def exp_i_generator(index: int, angle: float) -> Mat3:

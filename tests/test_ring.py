@@ -31,7 +31,7 @@ from yring import (
     solve_series,
     solve_symmetric_scale_invariant,
 )
-from yring.ring import DEGENERATE_TOL
+from yring.ring import DEGENERATE_TOL, _SERIES_DOUBLING_THRESHOLD
 
 PI = math.pi
 
@@ -249,7 +249,7 @@ class TestSolveSeries:
         s1, s2 = ring_matrices(cfg, 2.0)
         with pytest.raises(ConvergenceError) as err:
             solve_series(s1, s2, tol=1e-12, max_terms=2**20)
-        assert err.value.terms >= 4096
+        assert err.value.terms >= _SERIES_DOUBLING_THRESHOLD
         assert err.value.bound > 1e-12
 
     def test_rejects_bad_arguments(self):

@@ -8,13 +8,41 @@ from yring import (
     SingularMatrixError,
     build_U,
     exp_i_generator,
-    gell_mann,
     inverse2,
     unitarity_error,
 )
 from yring.smallmat import _PyComplexArray, _square
 
 SQ3 = math.sqrt(3.0)
+
+# The eight Gell-Mann matrices; the inputs of the exp_i_generator oracle.
+_GELL_MANN = tuple(
+    np.array(m, dtype=complex)
+    for m in (
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        [
+            [1 / math.sqrt(3), 0, 0],
+            [0, 1 / math.sqrt(3), 0],
+            [0, 0, -2 / math.sqrt(3)],
+        ],
+    )
+)
+for _m in _GELL_MANN:
+    _m.setflags(write=False)
+
+
+def gell_mann(index: int) -> np.ndarray:
+    """Return the SU(3) generator with the given 1-based index (1..8)."""
+    if not isinstance(index, (int, np.integer)) or not 1 <= index <= 8:
+        raise ValueError(f"generator index must be in 1..8, got {index!r}")
+    return _GELL_MANN[index - 1].copy()
+
 
 REFERENCE_GENERATORS = {
     1: [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
