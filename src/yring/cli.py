@@ -16,7 +16,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .config import ConfigError, ParsedConfig, load_config, task_orientation
+from .config import ConfigError, ParsedConfig, _number, load_config, task_orientation
 from .junction import (
     Orientation,
     build_U,
@@ -75,9 +75,7 @@ def _require_number(
         if default is _REQUIRED:
             raise ConfigError(f"task.{name}: required (or pass --{name.replace('_', '-')})")
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"task.{name}: expected a number, got {value!r}")
-    return float(value)
+    return _number(value, f"task.{name}")
 
 
 def _require_count(

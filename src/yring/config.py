@@ -32,7 +32,7 @@ def parse_angle(value: Any, where: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected an angle, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _float(value, where)
     if isinstance(value, str) and value.startswith("pi:"):
         try:
             return float(value[3:]) * math.pi
@@ -44,7 +44,15 @@ def parse_angle(value: Any, where: str) -> float:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    return _float(value, where)
+
+
+def _float(value: int | float, where: str) -> float:
+    # JSON integers are unbounded; float() of one beyond the float range raises.
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer too large to convert to a float") from None
 
 
 def _junction(block: Any, where: str) -> JunctionParams:

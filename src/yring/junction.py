@@ -37,6 +37,9 @@ from .smallmat import (
 
 TWO_PI = 2.0 * math.pi
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
 #: Default tolerance for angle-based predicates; looser than the arithmetic
 #: tolerance because users typically type truncated decimals for pi.
 PREDICATE_TOL = 1e-9
@@ -263,8 +266,7 @@ def junction_residual(
         e_in, e_out = np.exp(-1j * k * xi), np.exp(1j * k * xi)
         big_psi = e_in * phi + e_out * psi
         big_dpsi = -1j * k * (e_in * phi - e_out * psi)
-    eye = np.eye(3)
-    res = (U - eye) @ big_psi + 1j * L0 * (U + eye) @ big_dpsi
+    res = (U - _EYE3) @ big_psi + 1j * L0 * (U + _EYE3) @ big_dpsi
     return float(np.abs(res).max())
 
 

@@ -267,30 +267,43 @@ def solve_series(
     terms = 0
     nd = prev = 0.0  # increment norms of this term and the one before (0 before term 1)
     phase1 = min(max_terms, _SERIES_DOUBLING_THRESHOLD)
+    # The loop body runs once per bounce term, so it avoids interpreter work:
+    # each row of the power is updated on its own (the rows are independent),
+    # and `b if b > a else a` is what max(a, b) returns, NaN included.
     while terms < phase1:
         u1 += d1
         u2 += d2
         terms += 1
         d1, d2 = m11 * d1 + m12 * d2, m21 * d1 + m22 * d2
-        p11, p12, p21, p22 = (
-            p11 * m11 + p12 * m21,
-            p11 * m12 + p12 * m22,
-            p21 * m11 + p22 * m21,
-            p21 * m12 + p22 * m22,
-        )
-        prev2, prev, nd = prev, nd, max(abs(d1), abs(d2))
+        p11, p12 = p11 * m11 + p12 * m21, p11 * m12 + p12 * m22
+        p21, p22 = p21 * m11 + p22 * m21, p21 * m12 + p22 * m22
+        prev2 = prev
+        prev = nd
+        nd = abs(d1)
+        a = abs(d2)
+        if a > nd:
+            nd = a
         if nd <= noise_floor:
             break
         # Either bound may certify the stop; the block bound is computed only
         # when the ratio bound has not.
         rho = rho_matrix
         if rho >= 1.0 and prev2 > 0.0:  # three increments seen
-            rho = max(nd / prev, prev / prev2)
+            rho = nd / prev
+            a = prev / prev2
+            if a > rho:
+                rho = a
         if rho < 1.0 and nd / (1.0 - rho) <= tol:
             break
-        q = max(abs(p11) + abs(p12), abs(p21) + abs(p22))
-        if q < 1.0 and q / (1.0 - q) * max(abs(u1), abs(u2)) <= tol:
-            break
+        q = abs(p11) + abs(p12)
+        a = abs(p21) + abs(p22)
+        if a > q:
+            q = a
+        if q < 1.0:
+            a = abs(u1)
+            b = abs(u2)
+            if q / (1.0 - q) * (b if b > a else a) <= tol:
+                break
     else:
         return _series_doubling(m1, m2, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
     return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms

@@ -10,6 +10,7 @@ code.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ class SingularMatrixError(ValueError):
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -189,9 +190,17 @@ def _square(x):
     return x**2
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    # np.eye(n), built once per size and shared, hence read-only.
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def unitarity_error(a: np.ndarray) -> float:
     """Max-norm of a @ a^dagger - I for a square matrix."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("unitarity_error expects a square matrix")
-    return max_norm(a @ a.conj().T - np.eye(n))
+    return max_norm(a @ a.conj().T - _identity(n))

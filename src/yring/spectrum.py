@@ -284,11 +284,12 @@ def find_resonances(
     refined from its three scan samples by Newton steps on the complex
     amplitude, safeguarded by golden-section steps, down to a step of
     1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
-    below tol are kept.
+    below tol are kept.  tol must lie strictly between 0 and 1: probabilities
+    are at most 1, so with tol >= 1 no dip could have a neighbour above it.
     """
     _check_range(k_min, k_max)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     if scan_n is None:
         scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
     scan_n = _check_count(scan_n, 3, "scan_n")

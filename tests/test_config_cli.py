@@ -290,6 +290,39 @@ class TestArgumentErrors:
         assert main([command, "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, where, field", [
+        ("ring", ("ring", "xi1"), "ring.xi1"),
+        ("junction", ("junctions", "j", "alpha"), "junctions.j.alpha"),
+        ("junction", ("junctions", "j", "L0"), "junctions.j.L0"),
+        ("ring", ("task", "k"), "task.k"),
+        ("sweep", ("task", "n"), "task.n"),
+    ])
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys, command, where, field):
+        # JSON integers are unbounded: float(10**400) raises OverflowError
+        doc = {
+            "junctions": {"j": {"alpha": 0.5, "L0": 1}},
+            "ring": {"left": "j", "mode": "symmetric", "xi1": 1, "xi2": 0},
+            "task": {"k": 1.3, "n": 4, "k_min": 1, "k_max": 2},
+        }
+        *parents, name = where
+        block = doc
+        for key in parents:
+            block = block[key]
+        block[name] = 10**400
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {field}: integer too large to convert to a float\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["1", "1e8", "inf"])
+    def test_find_tol_outside_unit_interval_is_config_error(self, capsys, tol):
+        argv = ["find", "--config", SYMMETRIC_CFG, "--kind", "transmission", "--tol", tol]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: task: tol must lie strictly between 0 and 1")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, bound", [
         (["find", "--kind", "transmission", "--k-max", "inf"], "k_max < inf"),
         (["find", "--kind", "reflection", "--k-min", "1e-308", "--k-max", "1e308"], "k_max/k_min"),

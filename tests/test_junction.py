@@ -19,6 +19,7 @@ from yring import (
     s_matrix,
     unitarity_error,
 )
+from yring.smallmat import as_complex_matrix, as_vec3
 
 PI = math.pi
 
@@ -203,7 +204,42 @@ class TestSMatrix:
             ScatteringMatrix(m=bad, k=1.0, xi=0.0, orientation=Orientation.INWARD)
 
 
+def reference_junction_residual(U, L0, k, xi, phi, psi, orientation=Orientation.INWARD):
+    """The previous junction_residual body, which built np.eye(3) on every call."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"k must be positive and finite, got {k!r}")
+    U = as_complex_matrix(U, (3, 3))
+    phi = as_vec3(phi)
+    psi = as_vec3(psi)
+    if orientation is Orientation.INWARD:
+        e_in, e_out = np.exp(1j * k * xi), np.exp(-1j * k * xi)
+        big_psi = e_in * phi + e_out * psi
+        big_dpsi = 1j * k * (e_in * phi - e_out * psi)
+    else:
+        e_in, e_out = np.exp(-1j * k * xi), np.exp(1j * k * xi)
+        big_psi = e_in * phi + e_out * psi
+        big_dpsi = -1j * k * (e_in * phi - e_out * psi)
+    eye = np.eye(3)
+    res = (U - eye) @ big_psi + 1j * L0 * (U + eye) @ big_dpsi
+    return float(np.abs(res).max())
+
+
 class TestJunctionResidual:
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_matches_previous_body(self, orientation):
+        rng = np.random.default_rng([43, orientation is Orientation.INWARD])
+        for _ in range(60):
+            p = random_params(rng)
+            k, xi = float(rng.uniform(0.1, 20.0)), float(rng.uniform(-2.0, 2.0))
+            phi, noise = random_incoming(rng), random_incoming(rng)
+            S = s_matrix(p, k, xi, orientation)
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            # a unitary U with psi = S phi (rounding-level residual), with a wrong psi,
+            # and a non-unitary U
+            for U, psi in ((build_U(p), S.m @ phi), (build_U(p), S.m @ phi + noise), (g, noise)):
+                args = (U, p.L0, k, xi, phi, psi, orientation)
+                assert junction_residual(*args).hex() == reference_junction_residual(*args).hex()
+
     def test_zero_vectors(self):
         U = build_U(JunctionParams())
         assert junction_residual(U, 1.0, 1.0, 0.0, np.zeros(3), np.zeros(3)) == 0.0

@@ -11,7 +11,7 @@ from yring import (
     inverse2,
     unitarity_error,
 )
-from yring.smallmat import _PyComplexArray, _square
+from yring.smallmat import _PyComplexArray, _finite, _identity, _square, as_complex_matrix, as_vec3, max_norm
 
 SQ3 = math.sqrt(3.0)
 
@@ -159,6 +159,78 @@ def test_unitarity_error_of_built_boundary_matrices():
     for _ in range(300):
         worst = max(worst, unitarity_error(build_U(random_params(rng))))
     assert worst < 1e-13
+
+
+# -- the previous validation helpers, kept as references -----------------------
+
+
+def reference_finite(m):
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
+def reference_unitarity_error(a):
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("unitarity_error expects a square matrix")
+    return max_norm(a @ a.conj().T - np.eye(n))
+
+
+def random_matrices(rng, n: int, count: int = 40) -> list:
+    """Random unitary matrices (QR of complex Gaussians), complex Gaussians, and
+    unitary matrices perturbed by 1e-13 (errors near UNITARITY_TOL)."""
+    out = []
+    for _ in range(count):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(g)
+        out += [q * (np.diag(r) / np.abs(np.diag(r))), g, q + 1e-13 * g]
+    return out
+
+
+def with_non_finite(m, value):
+    bad = m.copy()
+    bad.flat[bad.size // 2] = value
+    return bad
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unitarity_error_matches_previous_body(n):
+    rng = np.random.default_rng([41, n])
+    for m in random_matrices(rng, n):
+        assert unitarity_error(m).hex() == reference_unitarity_error(m).hex()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product
+        for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+            m = with_non_finite(np.eye(n, dtype=complex), value)
+            assert unitarity_error(m).hex() == reference_unitarity_error(m).hex()
+    assert not _identity(n).flags.writeable
+    assert np.array_equal(_identity(n), np.eye(n)) and _identity(n).dtype == np.eye(n).dtype
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_finite_matches_previous_body(n):
+    rng = np.random.default_rng([42, n])
+    for m in random_matrices(rng, n, count=10):
+        assert _finite(m) is m and reference_finite(m) is m
+        for value in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)):
+            bad = with_non_finite(m, value)
+            for check in (_finite, reference_finite):
+                with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+                    check(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_coercions_reject_non_finite_entries(value):
+    m = np.eye(3, dtype=complex)
+    m[2, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        as_complex_matrix(m, (3, 3))
+    with pytest.raises(ValueError, match="finite"):
+        as_complex_matrix(m.tolist(), (3, 3))
+    with pytest.raises(ValueError, match="finite"):
+        as_vec3([1.0, value, 0.0])
+    assert np.array_equal(as_complex_matrix(np.eye(3), (3, 3)), np.eye(3))
+    assert np.array_equal(as_vec3([1, 2j, 3]), np.array([1, 2j, 3]))
 
 
 def _python_complex_cases(n: int = 20000):

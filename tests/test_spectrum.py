@@ -196,3 +196,9 @@ class TestFindResonances:
         for k_min, k_max in ((0.5, math.inf), (1e-308, 1e308)):
             with pytest.raises(ValueError, match="k_max"):
                 find_resonances(cfg, k_min, k_max, ResonanceKind.PERFECT_REFLECTION)
+
+    @pytest.mark.parametrize("tol", [1.0, 1e8, math.inf, math.nan, -1e-8])
+    def test_rejects_tol_outside_unit_interval(self, tol):
+        # probabilities are at most 1: a tol of 1 or more would silently find nothing
+        with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+            find_resonances(beam_cfg(), 0.5, 7.0, ResonanceKind.PERFECT_TRANSMISSION, tol=tol)
