@@ -8,15 +8,16 @@ its reader before the command finished.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
 import sys
-from typing import Any, TextIO
+from typing import Any, Iterable
 
 import numpy as np
 
-from .config import ConfigError, ParsedConfig, _number, load_config, task_orientation
+from .config import _TASK_FIELDS, ConfigError, ParsedConfig, _number, load_config, task_orientation
 from .junction import (
     Orientation,
     build_U,
@@ -65,12 +66,13 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.12e} {z.imag:+.12e}j"
 
 
-def _require_number(
-    task: dict[str, Any], args: argparse.Namespace, name: str, flag: str, default: Any = _REQUIRED
-) -> Any:
-    value = getattr(args, flag, None)
-    if value is None:
-        value = task.get(name)
+#: What a command hands to main: its exit code and its output text, as
+#: strings that main writes one after another.
+_Output = tuple[int, Iterable[str]]
+
+
+def _require_number(task: dict[str, Any], name: str, default: Any = _REQUIRED) -> Any:
+    value = task.get(name)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"task.{name}: required (or pass --{name.replace('_', '-')})")
@@ -78,10 +80,8 @@ def _require_number(
     return _number(value, f"task.{name}")
 
 
-def _require_count(
-    task: dict[str, Any], args: argparse.Namespace, default: Any = _REQUIRED
-) -> int | None:
-    value = _require_number(task, args, "n", "n", default)
+def _require_count(task: dict[str, Any], default: Any = _REQUIRED) -> int | None:
+    value = _require_number(task, "n", default)
     if value is None:
         return None
     if not (math.isfinite(value) and value.is_integer()):
@@ -95,48 +95,38 @@ def _require_ring(cfg: ParsedConfig) -> RingConfig:
     return cfg.ring
 
 
-def _out_stream(args: argparse.Namespace) -> TextIO:
-    if getattr(args, "out", None):
-        try:
-            return open(args.out, "w", newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
-    return sys.stdout
-
-
-def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> int:
-    name = args.junction or cfg.task.get("junction") or cfg.sole_junction_name()
+def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
+    name = cfg.task.get("junction") or cfg.sole_junction_name()
     if not isinstance(name, str) or name not in cfg.junctions:
         raise ConfigError(f"task.junction: unknown junction {name!r}")
     params = cfg.junctions[name]
-    k = _require_number(cfg.task, args, "k", "k")
-    xi = _require_number(cfg.task, args, "xi", "xi", 0.0)
+    k = _require_number(cfg.task, "k")
+    xi = _require_number(cfg.task, "xi", 0.0)
     orientation = task_orientation(cfg.task)
     S = s_matrix(params, k, xi, orientation)
     probs = probabilities(S)
-    out = _out_stream(args)
-    with _maybe_close(out, args):
-        w = out.write
-        w(f"junction '{name}'  (L0={params.L0:.12g})\n")
-        w(f"theta = ({params.theta[0]:.12g}, {params.theta[1]:.12g}, {params.theta[2]:.12g})\n")
-        w(f"k = {k:.12g}  xi = {xi:.12g}  orientation = {orientation.value}\n")
-        w("S matrix (rows: outgoing wire, columns: incoming wire):\n")
-        for i in range(3):
-            w("  " + "  ".join(_fmt_complex(S.m[i, j]) for j in range(3)) + "\n")
-        w(f"unitarity error: {unitarity_error(S.m):.3e}\n")
-        w("probabilities P(i -> j), entry (j, i) = |S_ji|^2:\n")
-        for i in range(3):
-            w("  " + "  ".join(f"{probs[i, j]:.12f}" for j in range(3)) + "\n")
-        col_sums = probs.sum(axis=0)
-        w("column sums: " + "  ".join(f"{c:.12f}" for c in col_sums) + "\n")
-        w(f"time-reversal symmetric: {'yes' if is_time_reversal(params) else 'no'}\n")
-        w(f"scale-invariant: {'yes' if is_scale_invariant(params) else 'no'}\n")
-    return EXIT_OK
+    lines: list[str] = []
+    w = lines.append
+    w(f"junction '{name}'  (L0={params.L0:.12g})\n")
+    w(f"theta = ({params.theta[0]:.12g}, {params.theta[1]:.12g}, {params.theta[2]:.12g})\n")
+    w(f"k = {k:.12g}  xi = {xi:.12g}  orientation = {orientation.value}\n")
+    w("S matrix (rows: outgoing wire, columns: incoming wire):\n")
+    for i in range(3):
+        w("  " + "  ".join(_fmt_complex(S.m[i, j]) for j in range(3)) + "\n")
+    w(f"unitarity error: {unitarity_error(S.m):.3e}\n")
+    w("probabilities P(i -> j), entry (j, i) = |S_ji|^2:\n")
+    for i in range(3):
+        w("  " + "  ".join(f"{probs[i, j]:.12f}" for j in range(3)) + "\n")
+    col_sums = probs.sum(axis=0)
+    w("column sums: " + "  ".join(f"{c:.12f}" for c in col_sums) + "\n")
+    w(f"time-reversal symmetric: {'yes' if is_time_reversal(params) else 'no'}\n")
+    w(f"scale-invariant: {'yes' if is_scale_invariant(params) else 'no'}\n")
+    return EXIT_OK, lines
 
 
-def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> int:
+def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     ring = _require_ring(cfg)
-    k = _require_number(cfg.task, args, "k", "k")
+    k = _require_number(cfg.task, "k")
     amps = solve_auto(ring, k)  # fast paths stay regular at their resonances
     try:
         check = solve_algebraic(*ring_matrices(ring, k))
@@ -144,18 +134,17 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> int:
                      f"{float(np.abs(amps.to_array() - check.to_array()).max()):.3e}\n"
     except DegenerateRingError:
         crosscheck = "algebraic cross-check skipped (resolvent degenerate at this k)\n"
-    out = _out_stream(args)
-    with _maybe_close(out, args):
-        w = out.write
-        w(f"ring: mode={type(ring.mode).__name__}  xi1={ring.xi1:.12g}  xi2={ring.xi2:.12g}\n")
-        w(f"k = {k:.12g}\n")
-        for label, z in zip("ABCDEF", amps.to_array()):
-            w(f"{label} = {_fmt_complex(z)}   |{label}|^2 = {abs(z) ** 2:.12e}\n")
-        w(f"p_reflection = {amps.p_reflection:.12e}\n")
-        w(f"p_transmission = {amps.p_transmission:.12e}\n")
-        w(f"flux defect ||A|^2+|F|^2-1| = {flux_defect(amps):.3e}\n")
-        w(crosscheck)
-    return EXIT_OK
+    lines: list[str] = []
+    w = lines.append
+    w(f"ring: mode={type(ring.mode).__name__}  xi1={ring.xi1:.12g}  xi2={ring.xi2:.12g}\n")
+    w(f"k = {k:.12g}\n")
+    for label, z in zip("ABCDEF", amps.to_array()):
+        w(f"{label} = {_fmt_complex(z)}   |{label}|^2 = {abs(z) ** 2:.12e}\n")
+    w(f"p_reflection = {amps.p_reflection:.12e}\n")
+    w(f"p_transmission = {amps.p_transmission:.12e}\n")
+    w(f"flux defect ||A|^2+|F|^2-1| = {flux_defect(amps):.3e}\n")
+    w(crosscheck)
+    return EXIT_OK, lines
 
 
 #: One CSV row: k, |A|^2..|F|^2, re/im of A and F, all as _fmt renders them.
@@ -184,27 +173,23 @@ def _csv_blocks(spectrum: Spectrum):
         yield "".join(rows)
 
 
-def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     ring = _require_ring(cfg)
-    k_min = _require_number(cfg.task, args, "k_min", "k_min")
-    k_max = _require_number(cfg.task, args, "k_max", "k_max")
-    n = _require_count(cfg.task, args)
+    k_min = _require_number(cfg.task, "k_min")
+    k_max = _require_number(cfg.task, "k_max")
+    n = _require_count(cfg.task)
     try:
         spectrum = sweep(ring, k_min, k_max, n)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    out = _out_stream(args)
-    with _maybe_close(out, args):
-        for text in _csv_blocks(spectrum):
-            out.write(text)
-    return EXIT_OK
+    return EXIT_OK, _csv_blocks(spectrum)
 
 
-def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> int:
+def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     ring = _require_ring(cfg)
-    k_min = _require_number(cfg.task, args, "k_min", "k_min")
-    k_max = _require_number(cfg.task, args, "k_max", "k_max")
-    kind_raw = args.kind or cfg.task.get("kind")
+    k_min = _require_number(cfg.task, "k_min")
+    k_max = _require_number(cfg.task, "k_max")
+    kind_raw = cfg.task.get("kind")
     if kind_raw is None:
         raise ConfigError("task.kind: required (or pass --kind)")
     try:
@@ -213,36 +198,35 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"task.kind: expected transmission|reflection, got {kind_raw!r}"
         ) from None
-    tol = _require_number(cfg.task, args, "tol", "tol", 1e-8)
-    scan_n = _require_count(cfg.task, args, None)
+    tol = _require_number(cfg.task, "tol", 1e-8)
+    scan_n = _require_count(cfg.task, None)
     try:
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    out = _out_stream(args)
-    with _maybe_close(out, args):
-        w = out.write
-        if args.out:
-            w("k_star,kind,residual\n")
-            for r in result.resonances:
-                w(f"{_fmt(r.k_star)},{r.kind.value},{_fmt(r.residual)}\n")
-        else:
-            w(f"resonances (kind={kind.value}) in [{k_min:.12g}, {k_max:.12g}]: "
-              f"{len(result.resonances)} found\n")
-            for r in result.resonances:
-                w(f"k* = {r.k_star:.15g}   residual = {r.residual:.6e}\n")
-        for msg in result.warnings:
-            print(f"warning: {msg}", file=sys.stderr)
-    return EXIT_OK
+    for msg in result.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+    lines: list[str] = []
+    w = lines.append
+    if args.out:
+        w("k_star,kind,residual\n")
+        for r in result.resonances:
+            w(f"{_fmt(r.k_star)},{r.kind.value},{_fmt(r.residual)}\n")
+    else:
+        w(f"resonances (kind={kind.value}) in [{k_min:.12g}, {k_max:.12g}]: "
+          f"{len(result.resonances)} found\n")
+        for r in result.resonances:
+            w(f"k* = {r.k_star:.15g}   residual = {r.residual:.6e}\n")
+    return EXIT_OK, lines
 
 
 def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:
     ok = value <= limit
-    out.append(f"check {label}: {value:.3e} <= {limit:.0e} {'ok' if ok else 'FAIL'}")
+    out.append(f"check {label}: {value:.3e} <= {limit:.0e} {'ok' if ok else 'FAIL'}\n")
     return ok
 
 
-def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> int:
+def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     rng = np.random.default_rng(_CHECK_SEED)
     lines: list[str] = []
     all_ok = True
@@ -283,28 +267,8 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> int:
         all_ok &= _check_line(lines, "three-way solver agreement", worst_pair, 1e-10)
         all_ok &= _check_line(lines, "flux conservation", worst_flux, 1e-10)
 
-    out = _out_stream(args)
-    with _maybe_close(out, args):
-        for line in lines:
-            out.write(line + "\n")
-        out.write("all checks passed\n" if all_ok else "CHECK FAILED\n")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
-class _maybe_close:
-    """Close the stream on exit when it was opened from --out."""
-
-    def __init__(self, stream: TextIO, args: argparse.Namespace):
-        self.stream = stream
-        self.opened = bool(getattr(args, "out", None))
-
-    def __enter__(self):
-        return self.stream
-
-    def __exit__(self, *exc):
-        if self.opened:
-            self.stream.close()
-        return False
+    lines.append("all checks passed\n" if all_ok else "CHECK FAILED\n")
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, lines
 
 
 @functools.cache
@@ -366,7 +330,22 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _DISPATCH[args.command](cfg, args)
+        flags = {name: value for name, value in vars(args).items()
+                 if name in _TASK_FIELDS and value is not None}
+        code, text = _DISPATCH[args.command](
+            dataclasses.replace(cfg, task={**cfg.task, **flags}), args
+        )
+        # Opened only once the command has succeeded, so a failed run truncates nothing.
+        if args.out:
+            try:
+                out = open(args.out, "w", newline="")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
+            with out:
+                out.writelines(text)
+        else:
+            sys.stdout.writelines(text)
+        return code
     except BrokenPipeError:
         # The reader of stdout has gone (`yring sweep ... | head -1`).  Point
         # stdout at devnull so that the interpreter's final flush of what is

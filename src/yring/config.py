@@ -25,6 +25,7 @@ class ConfigError(ValueError):
 _JUNCTION_ANGLES = ("alpha", "beta", "gamma", "delta", "a", "b")
 _JUNCTION_FIELDS = frozenset(("theta", "L0") + _JUNCTION_ANGLES)
 _RING_FIELDS = frozenset(("left", "right", "mode", "xi1", "xi2"))
+_TASK_FIELDS = frozenset(("junction", "k", "xi", "orientation", "k_min", "k_max", "n", "tol", "kind"))
 
 
 def parse_angle(value: Any, where: str) -> float:
@@ -120,6 +121,9 @@ def load_config(path: str | Path) -> ParsedConfig:
     task = doc.get("task", {})
     if not isinstance(task, dict):
         raise ConfigError("task: expected an object")
+    unknown = set(task) - _TASK_FIELDS
+    if unknown:
+        raise ConfigError(f"task.{sorted(unknown)[0]}: unknown field")
     return ParsedConfig(junctions=junctions, ring=ring, task=dict(task))
 
 

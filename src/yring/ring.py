@@ -439,6 +439,14 @@ def _closed_form_route(cfg: RingConfig, expected_mode: type) -> "_Route":
     return route
 
 
+def _solve_closed_form(cfg: RingConfig, k: float, mode: type) -> RingAmplitudes:
+    # The body of both scale-invariant fast paths; mode is Symmetric or AntiSymmetric.
+    den, amplitudes = _closed_form_route(cfg, mode).closed_form(k)
+    if abs(den) < DEGENERATE_TOL:
+        raise DegenerateRingError(f"{mode.__name__.lower()} ring is degenerate at k={k!r}")
+    return RingAmplitudes(*amplitudes())
+
+
 def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes:
     """Closed forms for the symmetric ring with a scale-invariant node.
 
@@ -446,10 +454,7 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     g = exp(2ik(xi1-xi2)); the common denominator is 1 - g |s11|^2.
     Perfect transmission (A = 0) happens exactly at g = 1.
     """
-    den, amplitudes = _closed_form_route(cfg, Symmetric).closed_form(k)
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateRingError(f"symmetric ring is degenerate at k={k!r}")
-    return RingAmplitudes(*amplitudes())
+    return _solve_closed_form(cfg, k, Symmetric)
 
 
 def _symmetric_forms(s, g):
@@ -501,10 +506,7 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     Perfect reflection (F = 0) happens exactly at g = 1 whenever the
     interior couplings s21, s31 are both nonzero (and den is not).
     """
-    den, amplitudes = _closed_form_route(cfg, AntiSymmetric).closed_form(k)
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateRingError(f"antisymmetric ring is degenerate at k={k!r}")
-    return RingAmplitudes(*amplitudes())
+    return _solve_closed_form(cfg, k, AntiSymmetric)
 
 
 def _antisymmetric_forms(s, g):
@@ -561,16 +563,9 @@ def reflection_core(p: JunctionParams) -> Mat3:
     if not is_scale_invariant(p):
         raise ValueError("reflection_core requires a scale-invariant node")
     v = build_V(p)
-    signs = np.array([1.0 if _dist0(t) <= _distpi(t) else -1.0 for t in p.theta])
+    # +1 for an eigenphase nearer 0 (or 2 pi) than pi, -1 otherwise
+    signs = np.array([1.0 if min(t, 2.0 * math.pi - t) <= abs(t - math.pi) else -1.0 for t in p.theta])
     return (v * signs) @ v.conj().T
-
-
-def _dist0(theta: float) -> float:
-    return min(theta, 2.0 * math.pi - theta)
-
-
-def _distpi(theta: float) -> float:
-    return abs(theta - math.pi)
 
 
 def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:

@@ -252,19 +252,13 @@ def _expected_resonances(
     if target.status != "ok":
         return [] if target.status == "out_of_range" else None
     half = math.acos(max(-1.0, min(1.0, target.c_star)))
-    ks: list[float] = []
-    n = 0
-    while True:
-        base = n * math.pi / dxi
-        if base - half / (2.0 * dxi) > k_max and n > 0:
-            break
-        for cand in (base + half / (2.0 * dxi), base - half / (2.0 * dxi)):
-            if k_min < cand < k_max:
-                ks.append(cand)
-        n += 1
-        if n > int(k_max * dxi / math.pi) + 3:
-            break
-    return sorted(set(ks))
+    # n pi/dxi - half/(2 dxi) < k_max needs n < k_max dxi/pi + 1/2, as half <= pi
+    return sorted({
+        cand
+        for n in range(int(k_max * dxi / math.pi) + 2)
+        for cand in (n * math.pi / dxi + half / (2.0 * dxi), n * math.pi / dxi - half / (2.0 * dxi))
+        if k_min < cand < k_max
+    })
 
 
 def find_resonances(

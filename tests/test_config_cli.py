@@ -106,6 +106,15 @@ class TestConfigParsing:
         assert main(["junction", "--config", str(path), "--k", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
 
+    def test_unknown_task_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt k_min must not leave find searching the default range
+        doc = json.loads(Path(SYMMETRIC_CFG).read_text())
+        doc["task"]["k_mn"] = 5
+        assert main(["find", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: task.k_mn: unknown field\n"
+        assert captured.out == ""
+
 
 class TestJunctionCommand:
     def test_report_contents(self, capsys):
@@ -371,6 +380,70 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate", "--config", SYMMETRIC_CFG])
         assert err.value.code == 2
+
+
+SHIPPED_CFGS = [SYMMETRIC_CFG, ANTISYMMETRIC_CFG, GENERAL_CFG]
+
+
+class TestOutContract:
+    """--out receives the bytes stdout would; find alone writes CSV there."""
+
+    @pytest.mark.parametrize("cfg", SHIPPED_CFGS)
+    @pytest.mark.parametrize("command", ["junction", "ring", "sweep", "check"])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, command, cfg):
+        code = main([command, "--config", cfg])
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("cfg", SHIPPED_CFGS)
+    @pytest.mark.parametrize("kind", ["transmission", "reflection"])
+    def test_find_out_is_csv(self, tmp_path, capsys, kind, cfg):
+        argv = ["find", "--config", cfg, "--kind", kind, "--k-min", "0.5", "--k-max", "7"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out.splitlines()
+        out = tmp_path / "found.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        header, *rows = out.read_text().splitlines()
+        assert header == "k_star,kind,residual"
+        assert report[0].startswith(f"resonances (kind={kind}) in [0.5, 7]: {len(rows)} found")
+        for line, row in zip(report[1:], rows, strict=True):
+            k_star, row_kind, _ = row.split(",")
+            assert row_kind == kind
+            assert line.startswith(f"k* = {float(k_star):.15g}   ")
+
+    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "kept.txt"
+        out.write_text("earlier result\n")
+        assert main(["ring", "--config", SYMMETRIC_CFG, "--k", "-1", "--out", str(out)]) == 2
+        assert out.read_text() == "earlier result\n"
+
+    @pytest.mark.parametrize("command, flag, key, value", [
+        ("ring", "--k", "k", 1.3),
+        ("junction", "--k", "k", 1.3),
+        ("junction", "--junction", "junction", "right_node"),
+        ("sweep", "--k-min", "k_min", 2.0),
+        ("sweep", "--k-max", "k_max", 3.0),
+        ("sweep", "--n", "n", 7),
+        ("find", "--n", "n", 300),
+        ("find", "--tol", "tol", 1e-6),
+        ("find", "--kind", "kind", "reflection"),
+    ])
+    def test_flag_overrides_task_value(self, tmp_path, capsys, command, flag, key, value):
+        # the task holds a value the command would reject, so only an override succeeds
+        doc = json.loads(Path(GENERAL_CFG).read_text())
+        doc["task"][key] = "unusable"
+        argv = [command, "--config", write_config(tmp_path, doc, "bad.json")]
+        assert main(argv) == 2
+        assert f"task.{key}" in capsys.readouterr().err
+        assert main(argv + [flag, str(value)]) == 0
+        overridden = capsys.readouterr().out
+        doc["task"][key] = value
+        assert main([command, "--config", write_config(tmp_path, doc, "good.json")]) == 0
+        assert capsys.readouterr().out == overridden
 
 
 class TestParserReuse:
