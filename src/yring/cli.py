@@ -39,7 +39,7 @@ from .ring import (
     solve_closed_form,
     solve_series,
 )
-from .smallmat import unitarity_error
+from .smallmat import _square, unitarity_error
 from .spectrum import ResonanceKind, Spectrum, find_resonances, sweep
 
 EXIT_OK = 0
@@ -147,30 +147,24 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     return EXIT_OK, lines
 
 
-#: One CSV row: k, |A|^2..|F|^2, re/im of A and F, all as _fmt renders them.
-_CSV_ROW = ",".join(["%.17g"] * 11) + ",0\n"
-_CSV_DEGENERATE_ROW = "%.17g" + ",nan" * 10 + ",1\n"
-
-
 def _csv_blocks(spectrum: Spectrum):
     """The sweep CSV, GRID_BLOCK rows per string."""
+    from .render import csv_rows  # here, so that the other commands neither load nor compile it
+
     yield CSV_HEADER + "\n"
     for start in range(0, len(spectrum.k), GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
         amps = spectrum.amps[block]
-        moduli = np.hypot(amps.real, amps.imag).tolist()  # abs(z), as the scalar code takes it
-        rows = []
-        for k, (a, *_, f), m, degenerate in zip(
-            spectrum.k[block].tolist(), amps.tolist(), moduli, spectrum.degenerate[block].tolist()
-        ):
-            if degenerate:
-                rows.append(_CSV_DEGENERATE_ROW % k)
-                continue
-            rows.append(_CSV_ROW % (
-                k, m[0] ** 2, m[1] ** 2, m[2] ** 2, m[3] ** 2, m[4] ** 2, m[5] ** 2,
-                a.real, a.imag, f.real, f.imag,
-            ))
-        yield "".join(rows)
+        degenerate = spectrum.degenerate[block]
+        # k, |A|^2..|F|^2, re/im of A and F, the degenerate flag; nan amplitudes where degenerate
+        cells = np.empty((len(amps), 12))
+        cells[:, 0] = spectrum.k[block]
+        cells[:, 1:7] = _square(np.hypot(amps.real, amps.imag))  # abs(z) ** 2, as scalar code takes it
+        a, f = amps[:, 0], amps[:, 5]
+        cells[:, 7], cells[:, 8], cells[:, 9], cells[:, 10] = a.real, a.imag, f.real, f.imag
+        cells[:, 11] = degenerate
+        cells[degenerate, 1:11] = math.nan
+        yield csv_rows(cells)
 
 
 def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:

@@ -107,7 +107,8 @@ class ScatteringMatrix:
     orientation: Orientation
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.m, (3, 3))
+        # A private copy: frozen below, it must not freeze the caller's array.
+        m = as_complex_matrix(np.array(self.m, dtype=complex), (3, 3))
         err = unitarity_error(m)
         if err > UNITARITY_TOL:
             raise ValueError(f"scattering matrix is not unitary (error {err:.3e})")

@@ -11,6 +11,7 @@ code.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -186,7 +187,7 @@ def _square(x):
     on a small share of inputs.
     """
     if isinstance(x, np.ndarray):
-        return np.array([t**2 for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+        return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(2.0)), float, x.size).reshape(x.shape)
     return x**2
 
 

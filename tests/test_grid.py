@@ -7,6 +7,7 @@ sweep CSV and the resonance scan built on it must therefore equal their
 per-point renderings byte for byte.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -209,6 +210,46 @@ class TestByteStableOutput:
             expected = reference_csv(cfg, k_min, k_max, n)
             assert out.read_bytes() == expected
         assert b",1\n" in expected
+
+    @staticmethod
+    def sweep_matches_reference(tmp_path, doc, k_min, k_max, n) -> bytes:
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(path), "--k-min", repr(k_min), "--k-max", repr(k_max)]
+        assert main(argv + ["--n", str(n), "--out", str(out)]) == 0
+        expected = reference_csv(load_config(path).ring, k_min, k_max, n)
+        assert out.read_bytes() == expected
+        return expected
+
+    def test_decoupled_ring_ending_on_a_bound_state(self, tmp_path):
+        # Two identical totally reflecting nodes: |A|^2 is at times exactly 1, and
+        # the last k, an arm resonance m pi / dxi, is degenerate.
+        node = {"theta": ["pi:1", "pi:1", "pi:1"], "alpha": 0.4, "beta": 1.2, "gamma": 2.9,
+                "delta": 0.7, "a": 5.1, "b": 2.2, "L0": 1.3}
+        dxi = 1.7
+        doc = {"junctions": {"l": node, "r": node},
+               "ring": {"left": "l", "right": "r", "mode": "general", "xi1": dxi, "xi2": 0.0}}
+        expected = self.sweep_matches_reference(tmp_path, doc, 0.5, 5 * PI / dxi, 4096)
+        rows = expected.decode().splitlines()[1:]
+        assert rows[-1].endswith(",nan,1") and sum(r.endswith(",1") for r in rows) == 1
+        assert "1" in {r.split(",")[1] for r in rows}
+
+    def test_wavenumbers_below_the_formatting_table(self, tmp_path):
+        doc = json.loads(CONFIG_DIR.joinpath("symmetric_buttiker.json").read_text())
+        expected = self.sweep_matches_reference(tmp_path, doc, 1e-300, 1e-299, 300)
+        assert expected.splitlines()[1].startswith(b"1e-300,") and b",1\n" not in expected
+
+    def test_grid_ending_on_a_power_of_ten(self, tmp_path):
+        doc = json.loads(CONFIG_DIR.joinpath("general_ring.json").read_text())
+        expected = self.sweep_matches_reference(tmp_path, doc, 1.0, 100.0, 1500)
+        assert expected.splitlines()[1].startswith(b"1,") and expected.splitlines()[-1].startswith(b"100,")
+
+    def test_negative_zero_amplitude_parts(self, tmp_path):
+        doc = {"junctions": {"n": {"theta": [0.0, 0.0, 0.0]}},
+               "ring": {"left": "n", "mode": "symmetric", "xi1": 1.0, "xi2": 0.0}}
+        expected = self.sweep_matches_reference(tmp_path, doc, 0.5, 10.0, 600)
+        assert b",-0," in expected
 
     @pytest.mark.parametrize("kind", list(ResonanceKind))
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -193,6 +193,13 @@ class TestSMatrix:
         with pytest.raises(ValueError):
             S.m[0, 0] = 0.0
 
+    def test_leaves_the_callers_matrix_writable(self):
+        a = buttiker_matrix(0.3)
+        S = ScatteringMatrix(m=a, k=1.0, xi=0.0, orientation=Orientation.INWARD)
+        assert a.flags.writeable and not S.m.flags.writeable
+        a[0, 0] = 0.0  # the caller's edit does not reach S
+        assert S.m[0, 0] == buttiker_matrix(0.3)[0, 0]
+
     def test_rejects_non_unitary_matrix(self):
         with pytest.raises(ValueError):
             ScatteringMatrix(m=2.0 * np.eye(3), k=1.0, xi=0.0, orientation=Orientation.INWARD)
