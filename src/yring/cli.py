@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import sys
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,9 +66,17 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.12e} {z.imag:+.12e}j"
 
 
-#: What a command hands to main: its exit code and its output text, as
-#: strings that main writes one after another.
-_Output = tuple[int, Iterable[str]]
+class _Output(NamedTuple):
+    """What a command hands to main.
+
+    Its exit code; its output text, as strings that main writes one after
+    another; and warnings, which main writes to stderr once the output has
+    been written.
+    """
+
+    code: int
+    text: Iterable[str]
+    warnings: tuple[str, ...] = ()
 
 
 def _require_number(task: dict[str, Any], name: str, default: Any = _REQUIRED) -> Any:
@@ -121,7 +129,7 @@ def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     w("column sums: " + "  ".join(f"{c:.12f}" for c in col_sums) + "\n")
     w(f"time-reversal symmetric: {'yes' if is_time_reversal(params) else 'no'}\n")
     w(f"scale-invariant: {'yes' if is_scale_invariant(params) else 'no'}\n")
-    return EXIT_OK, lines
+    return _Output(EXIT_OK, lines)
 
 
 def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
@@ -144,7 +152,7 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     w(f"p_transmission = {amps.p_transmission:.12e}\n")
     w(f"flux defect ||A|^2+|F|^2-1| = {flux_defect(amps):.3e}\n")
     w(crosscheck)
-    return EXIT_OK, lines
+    return _Output(EXIT_OK, lines)
 
 
 def _csv_blocks(spectrum: Spectrum):
@@ -176,7 +184,7 @@ def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         spectrum = sweep(ring, k_min, k_max, n)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    return EXIT_OK, _csv_blocks(spectrum)
+    return _Output(EXIT_OK, _csv_blocks(spectrum))
 
 
 def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
@@ -198,8 +206,6 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    for msg in result.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
     lines: list[str] = []
     w = lines.append
     if args.out:
@@ -211,7 +217,7 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
           f"{len(result.resonances)} found\n")
         for r in result.resonances:
             w(f"k* = {r.k_star:.15g}   residual = {r.residual:.6e}\n")
-    return EXIT_OK, lines
+    return _Output(EXIT_OK, lines, result.warnings)
 
 
 def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:
@@ -262,7 +268,7 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         all_ok &= _check_line(lines, "flux conservation", worst_flux, 1e-10)
 
     lines.append("all checks passed\n" if all_ok else "CHECK FAILED\n")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, lines
+    return _Output(EXIT_OK if all_ok else EXIT_CHECK_FAILED, lines)
 
 
 @functools.cache
@@ -326,9 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         flags = {name: value for name, value in vars(args).items()
                  if name in _TASK_FIELDS and value is not None}
-        code, text = _DISPATCH[args.command](
-            dataclasses.replace(cfg, task={**cfg.task, **flags}), args
-        )
+        result = _DISPATCH[args.command](dataclasses.replace(cfg, task={**cfg.task, **flags}), args)
         # Opened only once the command has succeeded, so a failed run truncates nothing.
         if args.out:
             try:
@@ -336,10 +340,12 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
             with out:
-                out.writelines(text)
+                out.writelines(result.text)
         else:
-            sys.stdout.writelines(text)
-        return code
+            sys.stdout.writelines(result.text)
+        for msg in result.warnings:
+            print(f"warning: {msg}", file=sys.stderr)
+        return result.code
     except BrokenPipeError:
         # The reader of stdout has gone (`yring sweep ... | head -1`).  Point
         # stdout at devnull so that the interpreter's final flush of what is

@@ -28,6 +28,7 @@ from .smallmat import (
     UNITARITY_TOL,
     Vec3,
     _PyComplexArray,
+    _stack_times,
     as_complex_matrix,
     as_vec3,
     exp_i_generator,
@@ -227,13 +228,14 @@ def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) 
 
 def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
     # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3), bit-identical
-    # row by row: the scalar complex arithmetic runs as _PyComplexArray, and
-    # every numpy operation keeps the per-point shapes (length-3 rows in v * d,
-    # one 3x3 BLAS product per point, length-9 rows times the phase).
+    # row by row: the scalar complex arithmetic runs as _PyComplexArray, the
+    # elementwise numpy steps keep the per-point shapes (length-3 rows in v * d,
+    # length-9 rows times the phase), and the products by V^dagger are one
+    # tall BLAS call, which rounds each row as the per-point 3x3 product does.
     unit = _PyComplexArray(0.0, 1.0)
     d = np.stack([z.to_numpy() for z in _s0_diagonal(node, ks, orientation, unit)], axis=-1)
     phase = np.exp((_PyComplexArray._lift(_PHASE[orientation]) * ks * xi).to_numpy())
-    m = np.matmul(node.v * d[:, None, :], node.vh).reshape(-1, 9)
+    m = _stack_times(node.v * d[:, None, :], node.vh).reshape(-1, 9)
     return (phase[:, None] * m).reshape(-1, 3, 3)
 
 

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .smallmat import _SPLIT
+
 #: Decades served by the table: 10**_X_LOW <= |x| < 10**(_X_HIGH + 1).  Far
 #: enough inside the double range that no split or product of _digits
 #: overflows, and that the low half of a split stays a normal number.
@@ -33,8 +35,6 @@ _LOW, _HIGH = 10.0 ** _X_LOW, 10.0 ** (_X_HIGH + 1)
 #: not powers of ten, so X reaches one decade past them, and an estimate of X
 #: one more.
 _S_LOW, _S_HIGH = 16 - (_X_HIGH + 2), 16 - (_X_LOW - 2)
-#: Dekker's splitting constant for doubles, 2**27 + 1.
-_SPLIT = 134217729.0
 #: Distance from a rounding tie below which an inexact product is not trusted.
 #: Its error is below 1e-14 (three half-ulps of 2**-106 relative at 1e17, plus
 #: a rounding of the low part); the margin leaves five decades to spare.

@@ -44,6 +44,7 @@ from .smallmat import (
     _entries,
     _PyComplexArray,
     _square,
+    _stack_times,
     inverse2,
 )
 
@@ -618,7 +619,11 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     whose amplitudes are NaN.  Every other row equals solve_auto(cfg, k) bit
     for bit.  The route is the one solve_auto takes, and each step repeats
     the per-point arithmetic: scalar complex operations run as
-    _PyComplexArray, and numpy operations keep the per-point shapes.
+    _PyComplexArray, and elementwise numpy operations keep the per-point
+    shapes.  A product by a constant matrix (V^dagger in each node matrix,
+    the wire swap of the antisymmetric ring) is one tall BLAS call per
+    block, not one 3x3 call per wavenumber: the tall product rounds each row
+    as the 3x3 product does, and tests/test_grid.py holds it to that.
     Raises the ValueError solve_auto raises at the first wavenumber it
     rejects (not positive and finite, k*L0 not finite or zero, or k*xi not
     finite).
@@ -633,7 +638,7 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # overflowing products, and degenerate rows dividing by ~0
         for start in range(0, ks.size, GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            route.check_grid(ks[block])  # blocks go in grid order: the first rejected k raises
+            # blocks go in grid order: the first rejected k raises
             amps[block], degenerate[block] = solve_block(ks[block])
     amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
@@ -641,6 +646,15 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack(columns) -> np.ndarray:
     return np.stack([z.to_numpy() for z in columns], axis=-1)
+
+
+def _swap_grid(m: np.ndarray) -> np.ndarray:
+    # PERM_23 @ m[i] @ PERM_23 for a stack m (n, 3, 3), bit for bit, as two tall
+    # products.  The left one runs through the transposed layout,
+    # (P m)^T = m^T P^T; that matches the per-point product for this
+    # permutation, where a general left factor would not.
+    left = _stack_times(m.transpose(0, 2, 1), PERM_23.T).transpose(0, 2, 1)
+    return _stack_times(left, PERM_23)
 
 
 class _Route:
@@ -684,15 +698,9 @@ class _Route:
             raise ValueError(f"k*xi overflows in the arm phase at k={k!r}, xi1-xi2={self.dxi!r}")
         return self.forms(m.tolist(), cmath.exp(z))
 
-    def check_grid(self, ks: np.ndarray) -> None:
+    def _check_grid(self, ks: np.ndarray, accepted: np.ndarray) -> None:
         # Raises what the per-point route raises at the first wavenumber it
-        # rejects; the masks repeat its checks on the whole grid.
-        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
-        if self.forms is None:
-            accepted &= _accepted(self.right, ks, self.xi2, Orientation.OUTWARD)
-        else:
-            z = _PyComplexArray._lift(2j) * ks * self.dxi
-            accepted &= np.isfinite(z.re) & np.isfinite(z.im)
+        # rejects; accepted repeats its checks on the whole grid.
         if not accepted.all():
             k = ks[np.argmin(accepted)].item()
             if self.forms is None:
@@ -701,19 +709,24 @@ class _Route:
                 self.closed_form(k)
 
     def closed_form_grid(self, ks: np.ndarray):
+        # The arm-phase exponent 2j * k * dxi, as closed_form computes it, serves
+        # both the check and np.exp, which rounds as cmath.exp does.
+        z = _PyComplexArray._lift(2j) * ks * self.dxi
+        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
+        self._check_grid(ks, accepted & np.isfinite(z.re) & np.isfinite(z.im))
         m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        dxi = self.dxi
-        g = np.array([cmath.exp(2j * k * dxi) for k in ks.tolist()])
-        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(g))
+        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(np.exp(z.to_numpy())))
         return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
 
     def resolve_grid(self, ks: np.ndarray):
-        # _resolve on a grid: BLAS products per point as in _resolve, and the
-        # scalar steps (determinant, assembly) as _PyComplexArray.
+        # _resolve on a grid: the 2x2 BLAS products per point as in _resolve,
+        # and the scalar steps (determinant, assembly) as _PyComplexArray.
+        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
+        self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
         m1 = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
         m2 = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
         if self.swap:
-            m2 = PERM_23 @ m2 @ PERM_23
+            m2 = _swap_grid(m2)
         gap = _EYE2 - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
         entries = _entries(gap)
         (g00, g01), (g10, g11) = entries

@@ -5,7 +5,10 @@ infers shapes.  Only four generator exponentials are provided, in closed
 form, because only those four appear in the Euler-angle factorization used
 by the junction module.  `_PyComplexArray` and `_square` let the grid
 kernel evaluate scalar formulas on arrays with the rounding of the scalar
-code.
+code: `_square` squares by numpy multiplication wherever Dekker's exact
+error term certifies that libm's pow would round the same way, and calls
+pow on the rest.  `_stack_times` multiplies a stack of matrices by one
+constant matrix in a single BLAS call.
 """
 
 from __future__ import annotations
@@ -180,15 +183,50 @@ def _entries(m: np.ndarray) -> list[list[_PyComplexArray]]:
     return [[_PyComplexArray.of(m[..., i, j]) for j in range(m.shape[-1])] for i in range(m.shape[-2])]
 
 
+#: Dekker's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+#: The exponent bits of a double: h & _EXPONENT is 2**floor(log2 h) for normal h > 0.
+_EXPONENT = np.int64(0x7FF0000000000000)
+
+
 def _square(x):
     """x ** 2 as CPython computes it (libm pow), elementwise on arrays.
 
-    numpy squares by multiplication, which differs from pow in the last bit
-    on a small share of inputs.
+    numpy squares by multiplication, which is correctly rounded; pow is not
+    quite, and differs from it in the last bit when x**2 lies near a rounding
+    midpoint.  So h = x*x is kept where Dekker's error-free product (Dekker,
+    Numer. Math. 18, 224, 1971) puts the exact x**2 within 0.45 ulp of h,
+    which leaves pow more than half an ulp of its own error before it could
+    round elsewhere.  pow computes the rest: values nearer the midpoint
+    (about a tenth of uniform inputs), squares that are powers of two (the
+    spacing below them is half; only exact squares land there), squares
+    outside [2**-900, 2**1024), where the error term is not exact or the
+    square overflows, and values that are not finite.
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(2.0)), float, x.size).reshape(x.shape)
-    return x**2
+    if not isinstance(x, np.ndarray):
+        return x**2
+    v = x.ravel()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        h = v * v
+        c = v * _SPLIT
+        hi = c - (c - v)
+        lo = v - hi
+        err = ((hi * hi - h) + 2.0 * hi * lo) + lo * lo  # exactly x**2 - h
+        top = (h.view(np.int64) & _EXPONENT).view(float)
+        certified = (np.abs(err) < 0.45 * 2.0**-52 * top) & (h != top) & (top >= 2.0**-900)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        h[rest] = list(map(pow, v[rest].tolist(), itertools.repeat(2.0)))
+    return h.reshape(x.shape)
+
+
+def _stack_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b for every matrix of a stack a (..., rows, cols), as one tall BLAS product.
+
+    The tall product rounds each row as the product of its own matrix does
+    (tests/test_grid.py holds it to that, bit for bit, on the BLAS numpy uses).
+    """
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
 @functools.lru_cache(maxsize=8)

@@ -239,6 +239,26 @@ class TestFindCommand:
         assert len(lines) == 3
         assert all(",reflection," in l for l in lines[1:])
 
+    def test_warnings_follow_the_written_output(self, tmp_path, capsys):
+        # A search that leaves analytic resonances unrecovered warns, but only
+        # once its output is written: a failed write reports the error alone.
+        argv = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "20",
+                "--kind", "transmission", "--n", "5"]
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write --out {out}: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        run = subprocess.run([sys.executable, "-m", "yring.cli", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.STDOUT, text=True, env=env, check=True)
+        lines = run.stdout.splitlines()
+        assert lines[0].startswith("resonances (kind=transmission) in [0.5, 20]: ")
+        warned = [line.startswith("warning: ") for line in lines]
+        assert warned == sorted(warned) and sum(warned) == 3  # the report, then the warnings
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("cfg", [SYMMETRIC_CFG, ANTISYMMETRIC_CFG, GENERAL_CFG])

@@ -5,8 +5,15 @@ wavenumber (amplitudes compared as raw bits, signed zeros included) and flag
 exactly the wavenumbers where `solve_auto` raises DegenerateRingError.  The
 sweep CSV and the resonance scan built on it must therefore equal their
 per-point renderings byte for byte.
+
+The kernel multiplies each stack of matrices by a constant matrix in one
+tall BLAS call; `TestBatchedProducts` pins the assumption that makes this
+exact: the tall product rounds every row as the per-point product does.
 """
 
+import cmath
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -23,6 +30,7 @@ from yring import (
     JunctionParams,
     ResonanceKind,
     RingConfig,
+    build_V,
     find_resonances,
     ring_matrices,
     solve_auto,
@@ -31,8 +39,8 @@ from yring import (
 from yring import spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.ring import GRID_BLOCK
-from yring.smallmat import SINGULAR_RTOL, max_norm
+from yring.ring import GRID_BLOCK, PERM_23, _swap_grid
+from yring.smallmat import SINGULAR_RTOL, _PyComplexArray, _stack_times, max_norm
 
 PI = math.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -163,6 +171,94 @@ class TestSolveGrid:
             solve_auto(cfg, bad)
         with pytest.raises(ValueError, match="k must be positive and finite"):
             solve_grid(cfg, [1.0, bad])
+
+
+def blas_config() -> str:
+    """numpy's BLAS entry of show_config, naming the library a bit-identity failure ran on."""
+    try:
+        return repr(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            np.show_config()
+        return printed.getvalue()
+
+
+def assert_same_words(got, expected, what: str) -> None:
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    assert got.shape == expected.shape
+    differ = np.count_nonzero(got.view(np.int64) != expected.view(np.int64))
+    assert differ == 0, (
+        f"{what}: {differ} of {expected.size * 2} words differ from the per-point products; "
+        f"numpy {np.__version__}, BLAS {blas_config()}"
+    )
+
+
+def product_stacks():
+    """(label, stack (n, 3, 3)): random entries, entries over 1e+-200, exact +0/-0 parts."""
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3, 5, 7, 8, 511, 512, 513, 4096):
+        shape = (n, 3, 3)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        yield f"n={n} random", a
+        yield f"n={n} scaled", a * 10.0 ** rng.uniform(-200.0, 200.0, shape)
+        re, im = a.real.copy(), a.imag.copy()
+        for part in (re, im):
+            part[rng.random(shape) < 0.3] = 0.0
+            part[rng.random(shape) < 0.15] = -0.0
+        yield f"n={n} signed zeros", re + 1j * im
+
+
+class TestBatchedProducts:
+    """Each product the grid kernel batches equals the stacked per-point products, word for word."""
+
+    def test_node_matrix_product(self):
+        # _s_grid: (v * d[i]) @ V^dagger, for V of random nodes; a general
+        # right factor too, and one with exact zeros
+        rng = np.random.default_rng(5)
+        rights = [build_V(random_params(rng)).conj().T for _ in range(3)]
+        rights.append(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rights.append(np.where(rng.random((3, 3)) < 0.4, 0.0, rights[-1]))
+        with np.errstate(all="ignore"):
+            for label, a in product_stacks():
+                for b in rights:
+                    expected = np.stack([a[i] @ b for i in range(len(a))])
+                    assert_same_words(_stack_times(a, b), expected, f"node product, {label}")
+
+    def test_swap_left_product(self):
+        # PERM_23 @ m[i], through the transposed layout as _swap_grid takes it
+        with np.errstate(all="ignore"):
+            for label, a in product_stacks():
+                got = _stack_times(a.transpose(0, 2, 1), PERM_23.T).transpose(0, 2, 1)
+                expected = np.stack([PERM_23 @ a[i] for i in range(len(a))])
+                assert_same_words(got, expected, f"left swap product, {label}")
+
+    def test_swap_right_product(self):
+        with np.errstate(all="ignore"):
+            for label, a in product_stacks():
+                expected = np.stack([a[i] @ PERM_23 for i in range(len(a))])
+                assert_same_words(_stack_times(a, PERM_23), expected, f"right swap product, {label}")
+
+    def test_swap_grid(self):
+        # both products as the kernel composes them, against _Route.arrays' PERM_23 @ m2 @ PERM_23
+        with np.errstate(all="ignore"):
+            for label, a in product_stacks():
+                expected = np.stack([PERM_23 @ a[i] @ PERM_23 for i in range(len(a))])
+                assert_same_words(_swap_grid(a), expected, f"swap, {label}")
+
+    def test_arm_phase(self):
+        # closed_form_grid's np.exp of the exponent against closed_form's cmath.exp
+        rng = np.random.default_rng(11)
+        k = np.concatenate([
+            10.0 ** rng.uniform(-3.0, 13.0, 400_000),  # k * dxi up to 1e15
+            rng.uniform(0.3, 60.0, 200_000),
+            np.linspace(0.5, 10.0, 4096),
+        ])
+        dxi = 10.0 ** rng.uniform(-2.0, 2.0, k.size)
+        z = _PyComplexArray._lift(2j) * k * dxi
+        assert np.abs(z.im).max() > 1e14
+        expected = np.array([cmath.exp(2j * a * b) for a, b in zip(k.tolist(), dxi.tolist())])
+        assert_same_words(np.exp(z.to_numpy()), expected, f"arm phase on {k.size} pairs")
 
 
 def reference_csv(cfg, k_min, k_max, n) -> bytes:
