@@ -326,6 +326,22 @@ _DISPATCH = {
 }
 
 
+def _write(text: Iterable[str], path: str | None) -> None:
+    """Write a command's text to path, or to stdout, which is then flushed."""
+    if path:
+        try:
+            out = open(path, "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {path}: {exc}") from exc
+        with out:
+            out.writelines(text)
+    else:
+        sys.stdout.writelines(text)
+        # Flushed here, so that the warnings written next follow the text on a
+        # shared stream (`2>&1`) however stdout is buffered.
+        sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -333,27 +349,21 @@ def main(argv: list[str] | None = None) -> int:
         flags = {name: value for name, value in vars(args).items()
                  if name in _TASK_FIELDS and value is not None}
         result = _DISPATCH[args.command](dataclasses.replace(cfg, task={**cfg.task, **flags}), args)
-        # Opened only once the command has succeeded, so a failed run truncates nothing.
-        if args.out:
-            try:
-                out = open(args.out, "w", newline="")
-            except OSError as exc:
-                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
-            with out:
-                out.writelines(result.text)
-        else:
-            sys.stdout.writelines(result.text)
+        # Written only once the command has succeeded, so a failed run truncates nothing.
+        try:
+            _write(result.text, args.out)
+            code = result.code
+        except BrokenPipeError:
+            # The reader of stdout has gone (`yring sweep ... | head -1`).  Point
+            # stdout at devnull so that the interpreter's final flush of what is
+            # still buffered stays silent too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            code = EXIT_BROKEN_PIPE
         for msg in result.warnings:
             print(f"warning: {msg}", file=sys.stderr)
-        return result.code
-    except BrokenPipeError:
-        # The reader of stdout has gone (`yring sweep ... | head -1`).  Point
-        # stdout at devnull so that the interpreter's final flush of what is
-        # still buffered stays silent too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

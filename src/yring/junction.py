@@ -231,7 +231,8 @@ def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) ->
     # row by row: the scalar complex arithmetic runs as _PyComplexArray, the
     # elementwise numpy steps keep the per-point shapes (length-3 rows in v * d,
     # length-9 rows times the phase), and the products by V^dagger are one
-    # tall BLAS call, which rounds each row as the per-point 3x3 product does.
+    # tall BLAS call.  That rounds each row as the per-point 3x3 product does
+    # on the BLAS builds where tests/test_grid.py::TestBatchedProducts passes.
     unit = _PyComplexArray(0.0, 1.0)
     d = np.stack([z.to_numpy() for z in _s0_diagonal(node, ks, orientation, unit)], axis=-1)
     phase = np.exp((_PyComplexArray._lift(_PHASE[orientation]) * ks * xi).to_numpy())

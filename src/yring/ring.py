@@ -44,7 +44,6 @@ from .smallmat import (
     _entries,
     _PyComplexArray,
     _square,
-    _stack_times,
     inverse2,
 )
 
@@ -620,10 +619,12 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     for bit.  The route is the one solve_auto takes, and each step repeats
     the per-point arithmetic: scalar complex operations run as
     _PyComplexArray, and elementwise numpy operations keep the per-point
-    shapes.  A product by a constant matrix (V^dagger in each node matrix,
-    the wire swap of the antisymmetric ring) is one tall BLAS call per
-    block, not one 3x3 call per wavenumber: the tall product rounds each row
-    as the 3x3 product does, and tests/test_grid.py holds it to that.
+    shapes.  The product by V^dagger in each node matrix is one tall BLAS
+    call per block, not one 3x3 call per wavenumber.  Bit identity then
+    needs the BLAS to round each row of the tall product as it rounds that
+    row's own 3x3 product.  That holds on the BLAS builds where
+    tests/test_grid.py::TestBatchedProducts passes (checked on OpenBLAS
+    0.3.31), not on every BLAS.
     Raises the ValueError solve_auto raises at the first wavenumber it
     rejects (not positive and finite, k*L0 not finite or zero, or k*xi not
     finite).
@@ -638,7 +639,7 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # overflowing products, and degenerate rows dividing by ~0
         for start in range(0, ks.size, GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            # blocks go in grid order: the first rejected k raises
+            # each block checks its own wavenumbers, in grid order: the first rejected k raises
             amps[block], degenerate[block] = solve_block(ks[block])
     amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
@@ -646,15 +647,6 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack(columns) -> np.ndarray:
     return np.stack([z.to_numpy() for z in columns], axis=-1)
-
-
-def _swap_grid(m: np.ndarray) -> np.ndarray:
-    # PERM_23 @ m[i] @ PERM_23 for a stack m (n, 3, 3), bit for bit, as two tall
-    # products.  The left one runs through the transposed layout,
-    # (P m)^T = m^T P^T; that matches the per-point product for this
-    # permutation, where a general left factor would not.
-    left = _stack_times(m.transpose(0, 2, 1), PERM_23.T).transpose(0, 2, 1)
-    return _stack_times(left, PERM_23)
 
 
 class _Route:
@@ -719,14 +711,15 @@ class _Route:
         return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
 
     def resolve_grid(self, ks: np.ndarray):
-        # _resolve on a grid: the 2x2 BLAS products per point as in _resolve,
-        # and the scalar steps (determinant, assembly) as _PyComplexArray.
+        # _resolve on a grid: the wire swap and the 2x2 BLAS products per point
+        # as in _resolve, and the scalar steps (determinant, assembly) as
+        # _PyComplexArray.
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
         m1 = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
         m2 = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
         if self.swap:
-            m2 = _swap_grid(m2)
+            m2 = PERM_23 @ m2 @ PERM_23
         gap = _EYE2 - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
         entries = _entries(gap)
         (g00, g01), (g10, g11) = entries

@@ -223,8 +223,9 @@ def _square(x):
 def _stack_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b for every matrix of a stack a (..., rows, cols), as one tall BLAS product.
 
-    The tall product rounds each row as the product of its own matrix does
-    (tests/test_grid.py holds it to that, bit for bit, on the BLAS numpy uses).
+    Bit for bit equal to the per-matrix products only on a BLAS that rounds
+    each row of the tall product as it rounds that row's own product;
+    tests/test_grid.py::TestBatchedProducts checks this on the BLAS numpy uses.
     """
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
 

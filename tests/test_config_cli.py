@@ -26,6 +26,15 @@ def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
     return str(path)
 
 
+def cli_env() -> dict[str, str]:
+    """The environment for a `python -m yring.cli` child: src importable, stdout buffered as by default."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def reflector_config(tmp_path: Path) -> str:
     return write_config(
         tmp_path,
@@ -239,25 +248,41 @@ class TestFindCommand:
         assert len(lines) == 3
         assert all(",reflection," in l for l in lines[1:])
 
+    WARNING_ARGV = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "20",
+                    "--kind", "transmission", "--n", "5"]  # leaves 3 analytic resonances unrecovered
+
     def test_warnings_follow_the_written_output(self, tmp_path, capsys):
         # A search that leaves analytic resonances unrecovered warns, but only
         # once its output is written: a failed write reports the error alone.
-        argv = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "20",
-                "--kind", "transmission", "--n", "5"]
         out = tmp_path / "missing" / "x.csv"
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(self.WARNING_ARGV + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: cannot write --out {out}: ")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        ))
-        run = subprocess.run([sys.executable, "-m", "yring.cli", *argv], stdout=subprocess.PIPE,
-                             stderr=subprocess.STDOUT, text=True, env=env, check=True)
+        # On one pipe for both streams, and with stdout block-buffered as it is
+        # without PYTHONUNBUFFERED, the report comes first.
+        run = subprocess.run([sys.executable, "-m", "yring.cli", *self.WARNING_ARGV],
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                             env=cli_env(), check=True)
         lines = run.stdout.splitlines()
         assert lines[0].startswith("resonances (kind=transmission) in [0.5, 20]: ")
         warned = [line.startswith("warning: ") for line in lines]
         assert warned == sorted(warned) and sum(warned) == 3  # the report, then the warnings
+
+    def test_warnings_survive_a_closed_stdout(self):
+        # `yring find ... | head -0`: the reader has gone before the report is
+        # written; the run still ends as a broken pipe and still warns.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "yring.cli", *self.WARNING_ARGV],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                 env=cli_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert run.returncode == cli.EXIT_BROKEN_PIPE
+        lines = run.stderr.splitlines()
+        assert len(lines) == 3 and all(line.startswith("warning: analytic resonance ") for line in lines)
 
 
 class TestCheckCommand:

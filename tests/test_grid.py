@@ -39,7 +39,7 @@ from yring import (
 from yring import spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.ring import GRID_BLOCK, PERM_23, _swap_grid
+from yring.ring import GRID_BLOCK
 from yring.smallmat import SINGULAR_RTOL, _PyComplexArray, _stack_times, max_norm
 
 PI = math.pi
@@ -224,27 +224,6 @@ class TestBatchedProducts:
                 for b in rights:
                     expected = np.stack([a[i] @ b for i in range(len(a))])
                     assert_same_words(_stack_times(a, b), expected, f"node product, {label}")
-
-    def test_swap_left_product(self):
-        # PERM_23 @ m[i], through the transposed layout as _swap_grid takes it
-        with np.errstate(all="ignore"):
-            for label, a in product_stacks():
-                got = _stack_times(a.transpose(0, 2, 1), PERM_23.T).transpose(0, 2, 1)
-                expected = np.stack([PERM_23 @ a[i] for i in range(len(a))])
-                assert_same_words(got, expected, f"left swap product, {label}")
-
-    def test_swap_right_product(self):
-        with np.errstate(all="ignore"):
-            for label, a in product_stacks():
-                expected = np.stack([a[i] @ PERM_23 for i in range(len(a))])
-                assert_same_words(_stack_times(a, PERM_23), expected, f"right swap product, {label}")
-
-    def test_swap_grid(self):
-        # both products as the kernel composes them, against _Route.arrays' PERM_23 @ m2 @ PERM_23
-        with np.errstate(all="ignore"):
-            for label, a in product_stacks():
-                expected = np.stack([PERM_23 @ a[i] @ PERM_23 for i in range(len(a))])
-                assert_same_words(_swap_grid(a), expected, f"swap, {label}")
 
     def test_arm_phase(self):
         # closed_form_grid's np.exp of the exponent against closed_form's cmath.exp
