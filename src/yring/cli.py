@@ -28,7 +28,6 @@ from .junction import (
     s_matrix,
 )
 from .ring import (
-    GRID_BLOCK,
     ConvergenceError,
     DegenerateRingError,
     RingConfig,
@@ -53,6 +52,11 @@ CSV_HEADER = "k,abs2_A,abs2_B,abs2_C,abs2_D,abs2_E,abs2_F,re_A,im_A,re_F,im_F,de
 
 _CHECK_SEED = 20240613
 _CHECK_KS = 16
+
+#: Rows rendered per string of the sweep CSV, apart from the grid kernel's
+#: block: the renderer runs slower at 256 rows and from 2048 rows on than at
+#: 512-1024 (BENCH_12.json).
+_CSV_BLOCK = 512
 
 #: Marks a task value that has no default.
 _REQUIRED = object()
@@ -95,6 +99,11 @@ def _require_count(task: dict[str, Any], default: Any = _REQUIRED) -> int | None
     if not (math.isfinite(value) and value.is_integer()):
         raise ConfigError(f"task.n: expected a whole number, got {value!r}")
     return int(value)
+
+
+def _too_many_points(exc: MemoryError) -> ConfigError:
+    # A grid too large to allocate is a bad task.n, not a crash.
+    return ConfigError(f"task.n: too many points to hold in memory ({exc})")
 
 
 def _require_ring(cfg: ParsedConfig) -> RingConfig:
@@ -156,12 +165,12 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
 
 
 def _csv_blocks(spectrum: Spectrum):
-    """The sweep CSV, GRID_BLOCK rows per string."""
+    """The sweep CSV, _CSV_BLOCK rows per string."""
     from .render import csv_rows  # here, so that the other commands neither load nor compile it
 
     yield CSV_HEADER + "\n"
-    for start in range(0, len(spectrum.k), GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
+    for start in range(0, len(spectrum.k), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
         amps = spectrum.amps[block]
         degenerate = spectrum.degenerate[block]
         # k, |A|^2..|F|^2, re/im of A and F, the degenerate flag; nan amplitudes where degenerate
@@ -184,6 +193,8 @@ def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         spectrum = sweep(ring, k_min, k_max, n)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
+    except MemoryError as exc:
+        raise _too_many_points(exc) from exc
     return _Output(EXIT_OK, _csv_blocks(spectrum))
 
 
@@ -206,6 +217,8 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
+    except MemoryError as exc:
+        raise _too_many_points(exc) from exc
     lines: list[str] = []
     w = lines.append
     if args.out:

@@ -344,6 +344,14 @@ class TestArgumentErrors:
         assert main([command, "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sweep"], ["find", "--kind", "transmission"]])
+    def test_grid_too_large_to_allocate_is_config_error(self, capsys, argv):
+        # numpy refuses 10**15 points (8 PB) at once, without allocating any of it
+        assert main(argv + ["--config", GENERAL_CFG, "--n", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: task.n: too many points to hold in memory")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize("command, where, field", [
         ("ring", ("ring", "xi1"), "ring.xi1"),
         ("junction", ("junctions", "j", "alpha"), "junctions.j.alpha"),

@@ -36,7 +36,7 @@ from yring import (
     solve_auto,
     solve_grid,
 )
-from yring import spectrum
+from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
 from yring.ring import GRID_BLOCK
@@ -333,3 +333,55 @@ class TestByteStableOutput:
         grid = find_resonances(cfg, 0.3, 12.0, kind)
         monkeypatch.setattr(spectrum, "solve_grid", per_point)
         assert find_resonances(cfg, 0.3, 12.0, kind) == grid
+
+
+#: Lines up with neither the kernel's block nor the CSV's: 2 * 2048 + 513.
+UNALIGNED_N = 4609
+
+
+def block_cases():
+    """The shipped configs on their own ranges, and a ring whose grid ends on a bound state.
+
+    Each case is (doc, k_min, k_max, whether the last row is degenerate).
+    """
+    for path in SHIPPED:
+        doc = json.loads(path.read_text())
+        yield pytest.param(doc, doc["task"]["k_min"], doc["task"]["k_max"], False, id=path.stem)
+    node = {"theta": ["pi:1", "pi:1", "pi:1"], "alpha": 0.4, "beta": 1.2, "gamma": 2.9,
+            "delta": 0.7, "a": 5.1, "b": 2.2, "L0": 1.3}
+    doc = {"junctions": {"l": node, "r": node},
+           "ring": {"left": "l", "right": "r", "mode": "general", "xi1": 1.7, "xi2": 0.0}}
+    yield pytest.param(doc, 0.5, 5 * PI / 1.7, True, id="bound_state")
+
+
+class TestBlockBoundaries:
+    """The kernel and the CSV renderer each work in blocks of their own size."""
+
+    @pytest.mark.parametrize("doc, k_min, k_max, ends_degenerate", block_cases())
+    def test_unaligned_sweep_equals_per_point_rendering(self, doc, k_min, k_max, ends_degenerate,
+                                                        tmp_path):
+        assert UNALIGNED_N % ring.GRID_BLOCK and UNALIGNED_N % cli._CSV_BLOCK
+        assert UNALIGNED_N > 2 * ring.GRID_BLOCK
+        expected = TestByteStableOutput.sweep_matches_reference(tmp_path, doc, k_min, k_max, UNALIGNED_N)
+        assert expected.endswith(b",nan,1\n") == ends_degenerate
+
+    @pytest.mark.parametrize("doc, k_min, k_max, ends_degenerate", block_cases())
+    def test_small_coprime_blocks(self, doc, k_min, k_max, ends_degenerate, tmp_path, monkeypatch):
+        # 15 kernel blocks and 21 CSV blocks, sharing a boundary only at rows 35 and 70
+        monkeypatch.setattr(ring, "GRID_BLOCK", 7)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 5)
+        expected = TestByteStableOutput.sweep_matches_reference(tmp_path, doc, k_min, k_max, 101)
+        assert expected.endswith(b",nan,1\n") == ends_degenerate
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("bad", [-2.5, 1.7e308])
+    def test_rejection_in_the_third_block(self, path, bad):
+        cfg = load_config(path).ring
+        ks = np.linspace(0.5, 10.0, 3 * ring.GRID_BLOCK + 10)
+        ks[2 * ring.GRID_BLOCK + 5] = bad
+        ks[-1] = math.nan  # a later rejection, in the fourth block, must not be the one raised
+        with pytest.raises(ValueError) as at_point:
+            solve_auto(cfg, bad)
+        with pytest.raises(ValueError) as on_grid:
+            solve_grid(cfg, ks)
+        assert str(on_grid.value) == str(at_point.value)

@@ -6,6 +6,7 @@ import pytest
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
+    General,
     JunctionParams,
     ResonanceKind,
     RingConfig,
@@ -114,6 +115,24 @@ class TestSweep:
                 assert p.p_refl == abs(row[0]) ** 2 and p.p_trans == abs(row[5]) ** 2
         with pytest.raises(ValueError):
             spec.amps[0, 0] = 0.0
+
+    @pytest.mark.xfail(strict=True, reason="the absolute DEGENERATE_TOL flags a regular row next "
+                       "to a bound state (ROADMAP item 4)")
+    def test_decoupled_ring_next_to_a_bound_state(self):
+        # Two identical totally reflecting nodes: row 3231 lies 7.0e-8 below the
+        # bound state at 4 pi / dxi.  |det(I - s s~)| = 5.3e-14 there, but the
+        # gap is well conditioned and the launch reaches the bound state only at
+        # rounding level, so the row is regular.
+        node = JunctionParams(theta=(PI, PI, PI), alpha=2.705760305987929, beta=4.911454923910144,
+                              gamma=1.559479634880477, delta=0.761097772235759, a=5.661513426785202,
+                              b=5.410080887967616, L0=1.391109854007584)
+        cfg = RingConfig(left=node, mode=General(node), xi1=1.6362450844544478, xi2=0.0)
+        spec = sweep(cfg, 0.5, 9.600006390965733, 4096)
+        assert spec.k[3231] == 7.680005042542194
+        assert 0 < 4 * PI / cfg.dxi - spec.k[3231] < 1e-7
+        assert not spec.degenerate[3231]
+        a, f = spec.amps[3231, [0, 5]]
+        assert abs(abs(a) ** 2 + abs(f) ** 2 - 1.0) <= 1e-10
 
     def test_fingerprint_identifies_configuration(self):
         cfg1 = beam_cfg()
