@@ -39,7 +39,7 @@ from .ring import (
     solve_series,
 )
 from .smallmat import _square, unitarity_error
-from .spectrum import ResonanceKind, Spectrum, find_resonances, sweep
+from .spectrum import _SCAN_LEAST, ResonanceKind, Spectrum, find_resonances, sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -213,6 +213,8 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
         ) from None
     tol = _require_number(cfg.task, "tol", 1e-8)
     scan_n = _require_count(cfg.task, None)
+    if scan_n is not None and scan_n < _SCAN_LEAST:
+        raise ConfigError(f"task.n: expected at least {_SCAN_LEAST} scan points, got {scan_n}")
     try:
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     except ValueError as exc:

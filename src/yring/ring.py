@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -70,6 +71,9 @@ _SERIES_DOUBLING_THRESHOLD = 64
 #: 20-45% less time per point; 4096 would add about 2.5 MB of peak memory
 #: (BENCH_12.json).
 GRID_BLOCK = 2048
+
+#: Flags for the amplitudes A..F: which ones a formula or grid route computes.
+_ALL_COLUMNS = (True,) * 6
 
 
 class DegenerateRingError(ArithmeticError):
@@ -189,16 +193,18 @@ def _assemble(m1: Mat3, m2: Mat3, v: np.ndarray) -> RingAmplitudes:
     return RingAmplitudes(*_amplitudes(m1.tolist(), m2.tolist(), v.tolist(), sv.tolist()))
 
 
-def _amplitudes(s, t, v, sv) -> tuple:
-    # A..F from the node entries s[i][j], t[i][j], v and sv = t[1:, 1:] v; the
-    # entries are complex scalars, or _PyComplexArray for a whole grid.
+def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
+    # The amplitudes A..F that columns flags (None for the others) from the node
+    # entries s[i][j], t[i][j], v and sv = t[1:, 1:] v; the entries are complex
+    # scalars, or _PyComplexArray for a whole grid.  Only A, B and D read sv.
+    a, b, c, d, e, f = columns
     return (
-        s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1],
-        s[1][0] + s[1][1] * sv[0] + s[1][2] * sv[1],
-        t[1][1] * v[0] + t[1][2] * v[1],
-        s[2][0] + s[2][1] * sv[0] + s[2][2] * sv[1],
-        t[2][1] * v[0] + t[2][2] * v[1],
-        t[0][1] * v[0] + t[0][2] * v[1],
+        s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1] if a else None,
+        s[1][0] + s[1][1] * sv[0] + s[1][2] * sv[1] if b else None,
+        t[1][1] * v[0] + t[1][2] * v[1] if c else None,
+        s[2][0] + s[2][1] * sv[0] + s[2][2] * sv[1] if d else None,
+        t[2][1] * v[0] + t[2][2] * v[1] if e else None,
+        t[0][1] * v[0] + t[0][2] * v[1] if f else None,
     )
 
 
@@ -460,22 +466,24 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     return _solve_closed_form(cfg, k, Symmetric)
 
 
-def _symmetric_forms(s, g):
-    # Denominator and the A..F formulas of the symmetric closed form, from
-    # the node entries s[i][j] and g: complex scalars, or _PyComplexArray.
+def _symmetric_forms(s, g, columns=_ALL_COLUMNS):
+    # Denominator and the formulas of the symmetric closed form for the
+    # amplitudes that columns flags (as _amplitudes), from the node entries
+    # s[i][j] and g: complex scalars, or _PyComplexArray.
     s11, s12, s13 = s[0]
     s21, s31 = s[1][0], s[2][0]
     p11 = _square(abs(s11))
     den = 1.0 - g * p11
 
     def amplitudes():
+        a, b, c, d, e, f = columns
         return (
-            (1.0 - g) * s11 / den,
-            s21 / den,
-            -g * s11 * s12.conjugate() / den,
-            s31 / den,
-            -g * s11 * s13.conjugate() / den,
-            g * (1.0 - p11) / den,
+            (1.0 - g) * s11 / den if a else None,
+            s21 / den if b else None,
+            -g * s11 * s12.conjugate() / den if c else None,
+            s31 / den if d else None,
+            -g * s11 * s13.conjugate() / den if e else None,
+            g * (1.0 - p11) / den if f else None,
         )
 
     return den, amplitudes
@@ -485,20 +493,22 @@ def _cj(z):
     return z.conjugate()
 
 
-def _anti_invariants(s) -> tuple[complex, complex]:
-    """Denominator trace term and coupling combination for the antisymmetric forms.
+def _anti_trace(s):
+    """Trace term of the antisymmetric denominator, from s[i][j] (complex scalars or _PyComplexArray)."""
+    cj = _cj
+    (_, s22, s23), (_, s32, s33) = s[1], s[2]
+    return s22 * cj(s33) + s23 * cj(s32) + s32 * cj(s23) + s33 * cj(s22)
 
-    s holds the node entries s[i][j] (complex scalars, or _PyComplexArray).
-    """
+
+def _anti_lambda(s, trm):
+    """Coupling combination of the antisymmetric A, from s[i][j] and _anti_trace(s)."""
     cj = _cj
     (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s
-    trm = s22 * cj(s33) + s23 * cj(s32) + s32 * cj(s23) + s33 * cj(s22)
-    lam = (
+    return (
         -s11 * trm
         + s12 * (cj(s33) * s21 + cj(s23) * s31)
         + s13 * (cj(s32) * s21 + cj(s22) * s31)
     )
-    return trm, lam
 
 
 def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes:
@@ -512,30 +522,26 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     return _solve_closed_form(cfg, k, AntiSymmetric)
 
 
-def _antisymmetric_forms(s, g):
-    # Denominator and the A..F formulas of the antisymmetric closed form, from
-    # the node entries s[i][j] and g: complex scalars, or _PyComplexArray.
+def _antisymmetric_forms(s, g, columns=_ALL_COLUMNS):
+    # Denominator and the formulas of the antisymmetric closed form for the
+    # amplitudes that columns flags (as _amplitudes), from the node entries
+    # s[i][j] and g: complex scalars, or _PyComplexArray.
     cj = _cj
     (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s
-    trm, lam = _anti_invariants(s)
+    trm = _anti_trace(s)
     den = 1.0 - g * trm + _square(abs(s11)) * g * g
 
     def amplitudes():
+        a, b, c, d, e, f = columns
         return (
-            (s11 + s11 * g * g + g * lam) / den,
-            (
-                s21
-                + g * (-s21 * (s32 * cj(s23) + s33 * cj(s22)) + s31 * (s22 * cj(s23) + cj(s22) * s23))
-            )
-            / den,
-            g * ((cj(s33) * s21 + cj(s23) * s31) + s11 * cj(s12) * g) / den,
-            (
-                s31
-                + g * (-s31 * (s22 * cj(s33) + s23 * cj(s32)) + s21 * (s32 * cj(s33) + s33 * cj(s32)))
-            )
-            / den,
-            g * ((cj(s32) * s21 + cj(s22) * s31) + s11 * cj(s13) * g) / den,
-            g * (cj(s31) * s21 + cj(s21) * s31) * (1.0 - g) / den,
+            (s11 + s11 * g * g + g * _anti_lambda(s, trm)) / den if a else None,
+            (s21 + g * (-s21 * (s32 * cj(s23) + s33 * cj(s22)) + s31 * (s22 * cj(s23) + cj(s22) * s23))) / den
+            if b else None,
+            g * ((cj(s33) * s21 + cj(s23) * s31) + s11 * cj(s12) * g) / den if c else None,
+            (s31 + g * (-s31 * (s22 * cj(s33) + s23 * cj(s32)) + s21 * (s32 * cj(s33) + s33 * cj(s32)))) / den
+            if d else None,
+            g * ((cj(s32) * s21 + cj(s22) * s31) + s11 * cj(s13) * g) / den if e else None,
+            g * (cj(s31) * s21 + cj(s21) * s31) * (1.0 - g) / den if f else None,
         )
 
     return den, amplitudes
@@ -584,7 +590,8 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     h11 = complex(h[0, 0])
     if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
         return TransmissionTarget(c_star=None, status="degenerate")
-    _, lam = _anti_invariants(h.tolist())
+    s = h.tolist()
+    lam = _anti_lambda(s, _anti_trace(s))
     ratio = -lam / (2.0 * h11)
     if not abs(ratio.imag) < 1e-10:
         raise ArithmeticError(f"transmission target ratio is not real: {ratio!r}")
@@ -630,26 +637,35 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     0.3.31), not on every BLAS.
     Raises the ValueError solve_auto raises at the first wavenumber it
     rejects (not positive and finite, k*L0 not finite or zero, or k*xi not
-    finite).
+    finite).  The scan of find_resonances runs the same kernel on the one
+    column it searches.
+    """
+    return _solve_grid_columns(cfg, ks, _ALL_COLUMNS)
+
+
+def _solve_grid_columns(cfg: RingConfig, ks, columns) -> tuple[np.ndarray, np.ndarray]:
+    """solve_grid for the amplitudes that columns flags (six flags for A..F).
+
+    Returns an (n, m) array holding those m columns of solve_grid, word for
+    word, and the degenerate mask; the others are not computed.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1:
         raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")
     route = cfg._route
     solve_block = route.resolve_grid if route.forms is None else route.closed_form_grid
-    amps = np.empty((ks.size, 6), dtype=complex)
+    amps = np.empty((ks.size, sum(columns)), dtype=complex)
     degenerate = np.empty(ks.size, dtype=bool)
     with np.errstate(all="ignore"):  # overflowing products, and degenerate rows dividing by ~0
         for start in range(0, ks.size, GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
             # each block checks its own wavenumbers, in grid order: the first rejected k raises
-            amps[block], degenerate[block] = solve_block(ks[block])
+            values, degenerate[block] = solve_block(ks[block], columns)
+            for j, z in enumerate(itertools.compress(values, columns)):
+                out = amps[block, j]
+                out.real, out.imag = z.re, z.im
     amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
-
-
-def _stack(columns) -> np.ndarray:
-    return np.stack([z.to_numpy() for z in columns], axis=-1)
 
 
 class _Route:
@@ -703,19 +719,21 @@ class _Route:
             else:
                 self.closed_form(k)
 
-    def closed_form_grid(self, ks: np.ndarray):
-        # The arm-phase exponent 2j * k * dxi, as closed_form computes it, serves
-        # both the check and np.exp, which rounds as cmath.exp does.
+    def closed_form_grid(self, ks: np.ndarray, columns):
+        # The amplitudes that columns flags (as _amplitudes) and the degenerate
+        # mask.  The arm-phase exponent 2j * k * dxi, as closed_form computes it,
+        # serves both the check and np.exp, which rounds as cmath.exp does.
         z = _PyComplexArray._lift(2j) * ks * self.dxi
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & np.isfinite(z.re) & np.isfinite(z.im))
         m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(np.exp(z.to_numpy())))
-        return _stack(amplitudes()), abs(den) < DEGENERATE_TOL
+        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(np.exp(z.to_numpy())), columns)
+        return amplitudes(), abs(den) < DEGENERATE_TOL
 
-    def resolve_grid(self, ks: np.ndarray):
-        # _resolve on a grid: the wire swap and the 2x2 BLAS products per point
-        # as in _resolve, and the scalar steps (determinant, assembly) as
+    def resolve_grid(self, ks: np.ndarray, columns):
+        # _resolve on a grid, for the amplitudes that columns flags (as
+        # _amplitudes): the wire swap and the 2x2 BLAS products per point as in
+        # _resolve, and the scalar steps (determinant, assembly) as
         # _PyComplexArray.
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
@@ -740,7 +758,9 @@ class _Route:
         adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
         resolvent = (adjugate / det.to_numpy()[:, None]).reshape(-1, 2, 2)
         v = resolvent @ m1[:, 1:, 0:1]
-        sv = m2[:, 1:, 1:] @ v
         (v0,), (v1,) = _entries(v)
-        (sv0,), (sv1,) = _entries(sv)
-        return _stack(_amplitudes(_entries(m1), _entries(m2), (v0, v1), (sv0, sv1))), degenerate
+        sv = None
+        if columns[0] or columns[1] or columns[3]:  # only A, B and D read sv
+            (sv0,), (sv1,) = _entries(m2[:, 1:, 1:] @ v)
+            sv = (sv0, sv1)
+        return _amplitudes(_entries(m1), _entries(m2), (v0, v1), sv, columns), degenerate

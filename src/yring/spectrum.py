@@ -4,18 +4,20 @@ A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
 batched kernel `solve_grid`; isolated singular points are kept in the output
 with a degenerate flag so downstream tables stay grid-aligned.  The
 resonance finder scans either the reflection or the transmission
-probability on the same kernel, brackets every strict local minimum that
-is not rounding noise, sharpens each bracket by safeguarded Newton steps on
-the complex amplitude (whose perfect transmission or reflection is a simple
-real zero), and keeps the minima whose probability actually drops below the
-requested tolerance.
+probability on the same kernel, which evaluates the searched amplitude (A
+or F) alone; it brackets every strict local minimum that is not rounding
+noise, sharpens each bracket by safeguarded Newton steps on the complex
+amplitude (whose perfect transmission or reflection is a simple real zero),
+and keeps the minima whose probability actually drops below the requested
+tolerance.
 For scale-invariant symmetric/antisymmetric rings the found positions are
 cross-checked against the analytic resonance condition and discrepancies
-are reported as warnings.
+are reported as warnings; the check is linear in the lines of the window.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import math
@@ -34,7 +36,8 @@ from .ring import (
     RingAmplitudes,
     RingConfig,
     Symmetric,
-    _anti_invariants,
+    _anti_trace,
+    _solve_grid_columns,
     perfect_transmission_target,
     reflection_core,
     solve_auto,
@@ -44,6 +47,9 @@ from .smallmat import _square
 
 #: Default scan density of the resonance finder, per decade of wavenumber.
 SCAN_PER_DECADE = 2048
+
+#: Fewest scan points find_resonances takes: one bracket of three.
+_SCAN_LEAST = 3
 
 
 class ResonanceKind(Enum):
@@ -223,15 +229,20 @@ def _golden_minimize(probe, k, z, f, width: float) -> tuple[float, float]:
 def _expected_resonances(
     cfg: RingConfig, kind: ResonanceKind, k_min: float, k_max: float
 ) -> list[float] | None:
-    """Analytic resonance positions for scale-invariant rings, None when no prediction."""
+    """Analytic resonance positions for scale-invariant rings, None when no prediction.
+
+    The positions are sorted.  They lie on or beside the lines n pi/dxi, and
+    only the n from one line below the window up are visited.
+    """
     if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
         return None
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])
     dxi = cfg.dxi
+    first, last = int(k_min * dxi / math.pi) - 1, int(k_max * dxi / math.pi) + 2
     lattice = [
         n * math.pi / dxi
-        for n in range(1, int(k_max * dxi / math.pi) + 2)
+        for n in range(max(1, first), last)
         if k_min < n * math.pi / dxi < k_max
     ]
     if isinstance(cfg.mode, Symmetric):
@@ -241,8 +252,7 @@ def _expected_resonances(
             return None  # trivial cases: reflection identically zero / no transmission
         return lattice
     # AntiSymmetric
-    trm, _ = _anti_invariants(h)
-    den_at_one = 1.0 - complex(trm) + abs(h11) ** 2
+    den_at_one = 1.0 - complex(_anti_trace(h)) + abs(h11) ** 2
     if kind is ResonanceKind.PERFECT_REFLECTION:
         coupling = 2.0 * (h[2, 0].conjugate() * h[1, 0]).real
         if abs(coupling) < 1e-9 or abs(den_at_one) < 1e-9:
@@ -252,10 +262,11 @@ def _expected_resonances(
     if target.status != "ok":
         return [] if target.status == "out_of_range" else None
     half = math.acos(max(-1.0, min(1.0, target.c_star)))
-    # n pi/dxi - half/(2 dxi) < k_max needs n < k_max dxi/pi + 1/2, as half <= pi
+    # n pi/dxi - half/(2 dxi) < k_max needs n < k_max dxi/pi + 1/2, as half <= pi,
+    # and n pi/dxi + half/(2 dxi) > k_min needs n > k_min dxi/pi - 1/2
     return sorted({
         cand
-        for n in range(int(k_max * dxi / math.pi) + 2)
+        for n in range(max(0, first), last)
         for cand in (n * math.pi / dxi + half / (2.0 * dxi), n * math.pi / dxi - half / (2.0 * dxi))
         if k_min < cand < k_max
     })
@@ -271,8 +282,9 @@ def find_resonances(
 ) -> ResonanceSearch:
     """Locate wavenumbers where the targeted probability vanishes.
 
-    Scans scan_n points and brackets the strict local minima of |A|^2
-    (perfect transmission) or |F|^2 (perfect reflection), except where both
+    Scans |A|^2 (perfect transmission) or |F|^2 (perfect reflection) on
+    scan_n points, computing that amplitude alone (solve_grid's column, word
+    for word), and brackets the strict local minima, except where both
     neighbours are below tol (an identically vanishing amplitude) or within
     64 eps of the minimum (rounding noise on a flat curve).  Each bracket is
     refined from its three scan samples by Newton steps on the complex
@@ -280,18 +292,21 @@ def find_resonances(
     1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
     below tol are kept.  tol must lie strictly between 0 and 1: probabilities
     are at most 1, so with tol >= 1 no dip could have a neighbour above it.
+    For scale-invariant symmetric and antisymmetric rings the result carries
+    the warnings of _cross_check against the analytic positions.
     """
     _check_range(k_min, k_max)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     if scan_n is None:
         scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
-    scan_n = _check_count(scan_n, 3, "scan_n")
+    scan_n = _check_count(scan_n, _SCAN_LEAST, "scan_n")
 
     grid = np.linspace(k_min, k_max, scan_n)
-    amps, degenerate = solve_grid(cfg, grid)
     transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
-    target = amps[:, 0 if transmission else 5]
+    column = 0 if transmission else 5  # A or F
+    amps, degenerate = _solve_grid_columns(cfg, grid, tuple(i == column for i in range(6)))
+    target = amps[:, 0]
     values = _square(np.hypot(target.real, target.imag))  # as p_reflection / p_transmission
     values[degenerate] = math.inf
     width = 1e-12 * (k_max - k_min)
@@ -319,22 +334,43 @@ def find_resonances(
         if residual < tol:
             found.append(Resonance(k_star=k_star, kind=kind, residual=residual))
 
-    warnings: list[str] = []
     expected = _expected_resonances(cfg, kind, k_min, k_max)
-    if expected is not None:
-        step = (k_max - k_min) / (scan_n - 1)
-        for ke in expected:
-            if ke <= k_min + step or ke >= k_max - step:
-                continue  # too close to the range edge to bracket
-            if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for r in found):
-                warnings.append(
-                    f"analytic resonance near k={ke:.12g} was not recovered; "
-                    f"scan_n={scan_n} may be too coarse"
-                )
-        for r in found:
-            if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in expected):
-                warnings.append(
-                    f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
-                    "has no analytic counterpart"
-                )
+    warnings = () if expected is None else _cross_check(found, expected, k_min, k_max, scan_n)
     return ResonanceSearch(resonances=tuple(found), warnings=tuple(warnings))
+
+
+def _near(values: list[float], centre: float, reach: float) -> list[float]:
+    # The members of the sorted list values within reach of centre.
+    return values[bisect.bisect_left(values, centre - reach):bisect.bisect_right(values, centre + reach)]
+
+
+def _cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
+    """Warnings for the analytic positions no resonance recovers, then for the resonances none explains.
+
+    A resonance at k* and an expected position ke match when
+    |k* - ke| <= 1e-6 max(1, |ke|).  Both lists are sorted, so bisection
+    finds the few candidates that could match (within 2e-6 max(1, |k|), which
+    holds every match) and only those are tested, so the cost is about linear
+    in the lines of the window.  Positions within one scan step of the range
+    edge cannot be bracketed, so they are not reported.
+    """
+    step = (k_max - k_min) / (scan_n - 1)
+    stars = sorted(r.k_star for r in found)
+    warnings = []
+    for ke in expected:
+        if ke <= k_min + step or ke >= k_max - step:
+            continue  # too close to the range edge to bracket
+        tol = 1e-6 * max(1.0, abs(ke))
+        if not any(abs(k - ke) <= tol for k in _near(stars, ke, 2.0 * tol)):
+            warnings.append(
+                f"analytic resonance near k={ke:.12g} was not recovered; "
+                f"scan_n={scan_n} may be too coarse"
+            )
+    for r in found:
+        near = _near(expected, r.k_star, 2e-6 * max(1.0, abs(r.k_star)))
+        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in near):
+            warnings.append(
+                f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
+                "has no analytic counterpart"
+            )
+    return warnings

@@ -385,6 +385,14 @@ class TestArgumentErrors:
         assert captured.err.startswith("config error: task: tol must lie strictly between 0 and 1")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n", ["2", "0", "-5"])
+    def test_find_scan_count_error_names_the_flag(self, capsys, n):
+        argv = ["find", "--config", SYMMETRIC_CFG, "--kind", "transmission", "--n", n]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: task.n: expected at least 3 scan points, got {n}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, bound", [
         (["find", "--kind", "transmission", "--k-max", "inf"], "k_max < inf"),
         (["find", "--kind", "reflection", "--k-min", "1e-308", "--k-max", "1e308"], "k_max/k_min"),

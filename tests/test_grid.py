@@ -39,7 +39,7 @@ from yring import (
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.ring import GRID_BLOCK
+from yring.ring import GRID_BLOCK, _solve_grid_columns
 from yring.smallmat import SINGULAR_RTOL, _PyComplexArray, _stack_times, max_norm
 
 PI = math.pi
@@ -331,8 +331,76 @@ class TestByteStableOutput:
     def test_find_equals_per_point_scan(self, path, kind, monkeypatch):
         cfg = load_config(path).ring
         grid = find_resonances(cfg, 0.3, 12.0, kind)
-        monkeypatch.setattr(spectrum, "solve_grid", per_point)
+        scanned = []
+
+        def per_point_columns(cfg, ks, columns):
+            scanned.append(columns)
+            amps, degenerate = per_point(cfg, ks)
+            return amps[:, np.flatnonzero(columns)], degenerate
+
+        monkeypatch.setattr(spectrum, "_solve_grid_columns", per_point_columns)
         assert find_resonances(cfg, 0.3, 12.0, kind) == grid
+        assert scanned == [one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)]
+
+
+def one_column(column: int) -> tuple[bool, ...]:
+    """The column flags that select amplitude `column` of A..F alone."""
+    return tuple(i == column for i in range(6))
+
+
+#: General ring of two totally reflecting nodes, and a grid of it that
+#: crosses two block boundaries and ends on the bound state 2 pi / dxi.
+ALL_PI_RING = RingConfig(
+    left=FULL_REFLECTOR,
+    mode=General(JunctionParams(theta=(PI, PI, PI), alpha=0.3, beta=2.1, delta=0.4)),
+    xi1=1.5,
+    xi2=0.25,
+)
+ALL_PI_GRID = np.linspace(0.5, 2 * PI / ALL_PI_RING.dxi, 2 * GRID_BLOCK + 37)
+
+
+def scan_cases():
+    """(cfg, ks) for the column scan: shipped configs, random rings, and a grid ending on a bound state."""
+    ks = np.linspace(0.5, 12.0, 2 * GRID_BLOCK + 37)  # crosses two block boundaries
+    for path in SHIPPED:
+        yield pytest.param(load_config(path).ring, ks, id=path.stem)
+    for mode in ("symmetric", "antisymmetric", "general"):
+        for scale_invariant in (True, False):
+            rng = np.random.default_rng([3, len(mode), scale_invariant])
+            yield pytest.param(random_ring(rng, mode, scale_invariant), ks, id=f"{mode}-si{scale_invariant:d}")
+    yield pytest.param(ALL_PI_RING, ALL_PI_GRID, id="bound_state")
+
+
+class TestScannedColumn:
+    """The one-column scan of find_resonances equals solve_grid's column word for word."""
+
+    @pytest.mark.parametrize("column", [0, 5], ids=["A", "F"])
+    @pytest.mark.parametrize("cfg, ks", scan_cases())
+    def test_column_equals_solve_grid(self, cfg, ks, column):
+        amps, degenerate = solve_grid(cfg, ks)
+        scanned, scanned_degenerate = _solve_grid_columns(cfg, ks, one_column(column))
+        assert scanned.shape == (ks.size, 1)
+        np.testing.assert_array_equal(scanned_degenerate, degenerate)
+        assert_same_words(scanned[:, 0], amps[:, column], f"column {column}")
+
+    @pytest.mark.parametrize("column", [0, 5], ids=["A", "F"])
+    def test_bound_state_row_is_nan(self, column):
+        scanned, degenerate = _solve_grid_columns(ALL_PI_RING, ALL_PI_GRID, one_column(column))
+        assert degenerate[-1] and np.isnan(scanned[-1, 0])
+
+    @pytest.mark.parametrize("column", [0, 5], ids=["A", "F"])
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("bad", [-2.5, 1.7e308])
+    def test_rejection_in_the_third_block(self, path, bad, column):
+        cfg = load_config(path).ring
+        ks = np.linspace(0.5, 10.0, 3 * ring.GRID_BLOCK + 10)
+        ks[2 * ring.GRID_BLOCK + 5] = bad
+        ks[-1] = math.nan
+        with pytest.raises(ValueError) as at_point:
+            solve_auto(cfg, bad)
+        with pytest.raises(ValueError) as on_scan:
+            _solve_grid_columns(cfg, ks, one_column(column))
+        assert str(on_scan.value) == str(at_point.value)
 
 
 #: Lines up with neither the kernel's block nor the CSV's: 2 * 2048 + 513.

@@ -503,10 +503,10 @@ class TestPerfectTransmissionTarget:
             )
 
         def lam_real(beta: float) -> float:
-            from yring.ring import _anti_invariants
+            from yring.ring import _anti_lambda, _anti_trace
 
-            _, lam = _anti_invariants(reflection_core(family(beta)))
-            return lam.real
+            h = reflection_core(family(beta))
+            return _anti_lambda(h, _anti_trace(h)).real
 
         lo, hi = 0.1548, 0.2596
         assert lam_real(lo) * lam_real(hi) < 0

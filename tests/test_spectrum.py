@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from yring import (
     SYMMETRIC,
     General,
     JunctionParams,
+    Resonance,
     ResonanceKind,
     RingConfig,
     config_fingerprint,
     find_resonances,
     sweep,
 )
+from yring.config import load_config
+from yring.spectrum import SCAN_PER_DECADE, _cross_check, _expected_resonances
 
 PI = math.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BEAM_SPLITTER = dict(theta=(0.0, PI, PI), alpha=0.0, beta=3 * PI / 2, gamma=PI, delta=PI / 4, a=0.0)
 
@@ -221,3 +226,127 @@ class TestFindResonances:
         # probabilities are at most 1: a tol of 1 or more would silently find nothing
         with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
             find_resonances(beam_cfg(), 0.5, 7.0, ResonanceKind.PERFECT_TRANSMISSION, tol=tol)
+
+
+# -- the analytic cross-check -------------------------------------------------------
+
+
+def quadratic_cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
+    """The cross-check as first written, every resonance against every position: the reference."""
+    warnings = []
+    step = (k_max - k_min) / (scan_n - 1)
+    for ke in expected:
+        if ke <= k_min + step or ke >= k_max - step:
+            continue  # too close to the range edge to bracket
+        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for r in found):
+            warnings.append(
+                f"analytic resonance near k={ke:.12g} was not recovered; "
+                f"scan_n={scan_n} may be too coarse"
+            )
+    for r in found:
+        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in expected):
+            warnings.append(
+                f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
+                "has no analytic counterpart"
+            )
+    return warnings
+
+
+def lattice_from_first_line(cfg, kind, k_min, k_max):
+    """The analytic positions built from n = 1 (or 0) up, as first written, then cut to the window."""
+    every = _expected_resonances(cfg, kind, 1e-300, k_max)  # the window starts below the first line
+    return None if every is None else [ke for ke in every if k_min < ke < k_max]
+
+
+ANTI_SI = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+
+#: (ring, kind, k_min, k_max, scan_n): full scans, coarse scans that miss
+#: lines, and windows that start far from the first line; 37.71 lies just
+#: past the line 12 pi of the dxi = 1 rings, whose antisymmetric
+#: transmission zero 12 pi + c lies in the window.
+CROSS_CHECK_SEARCHES = [
+    (ring, kind, k_min, k_max, scan_n)
+    for ring, kind in [
+        (beam_cfg(), ResonanceKind.PERFECT_TRANSMISSION),
+        (beam_cfg(xi1=2.7, xi2=0.4), ResonanceKind.PERFECT_TRANSMISSION),
+        (ANTI_SI, ResonanceKind.PERFECT_REFLECTION),
+        (ANTI_SI, ResonanceKind.PERFECT_TRANSMISSION),
+    ]
+    for k_min, k_max in [(0.1, 10.0), (37.71, 61.0), (1000.5, 1040.0)]
+    for scan_n in [None, 4, 9, 23]
+]
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("ring, kind, k_min, k_max, scan_n", CROSS_CHECK_SEARCHES)
+    def test_equals_the_quadratic_reference(self, ring, kind, k_min, k_max, scan_n):
+        expected = _expected_resonances(ring, kind, k_min, k_max)
+        assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
+        assert expected == sorted(expected) and expected
+        result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
+        if scan_n is None:
+            scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
+        reference = quadratic_cross_check(result.resonances, expected, k_min, k_max, scan_n)
+        assert list(result.warnings) == reference
+
+    def test_the_searches_miss_lines(self):
+        missed = 0
+        for ring, kind, k_min, k_max, scan_n in CROSS_CHECK_SEARCHES:
+            warnings = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n).warnings
+            missed += sum("was not recovered" in w for w in warnings)
+        assert missed > 20
+
+    def test_extra_and_shifted_minima(self):
+        # positions around the match tolerance, on both sides and below and above 1
+        expected = [0.25, 0.7, 1.0, 3.0, 5.5, 120.0, 4.5e6]
+        k_min, k_max, scan_n = 0.01, 5e6, 10**9
+        stars = []
+        for ke in expected:
+            tol = 1e-6 * max(1.0, ke)
+            for k in (ke + tol, ke - tol, ke + 2.0 * tol, ke - 1.5 * tol):
+                stars += [k, math.nextafter(k, math.inf), math.nextafter(k, -math.inf)]
+        stars += [0.5, 2.0, 4e6]  # between the positions
+        rng = np.random.default_rng(4)
+        for order in (sorted(stars), list(rng.permutation(stars))):
+            found = [Resonance(k_star=float(k), kind=ResonanceKind.PERFECT_TRANSMISSION, residual=1e-12)
+                     for k in order]
+            for drop in (0, 1, 2):  # every position matched, then some left bare
+                kept = [r for r in found if not (drop and abs(r.k_star - expected[drop]) < 1e-3 * expected[drop])]
+                reference = quadratic_cross_check(kept, expected, k_min, k_max, scan_n)
+                assert _cross_check(kept, expected, k_min, k_max, scan_n) == reference
+                assert any("no analytic counterpart" in w for w in reference)
+                assert any("not recovered" in w for w in reference) == bool(drop)
+
+    def test_wide_lattice(self):
+        # 50000 lines: the pairwise reference would make 2.5e9 comparisons
+        dxi = 1.3
+        expected = [n * PI / dxi for n in range(1, 50_001)]
+        k_min, k_max = 0.5 * PI / dxi, 50_000.5 * PI / dxi
+        missed = set(range(17, 50_000, 1000))
+        found = [Resonance(k_star=ke * (1.0 + 3e-7), kind=ResonanceKind.PERFECT_REFLECTION, residual=0.0)
+                 for n, ke in enumerate(expected) if n not in missed]
+        extras = [Resonance(k_star=(n + 0.5) * PI / dxi, kind=ResonanceKind.PERFECT_REFLECTION, residual=1e-9)
+                  for n in range(5, 50_000, 777)]
+        found = sorted(found + extras, key=lambda r: r.k_star)
+        warnings = _cross_check(found, expected, k_min, k_max, 1_000_000)
+        not_recovered = [f"analytic resonance near k={expected[n]:.12g} was not recovered; "
+                         "scan_n=1000000 may be too coarse" for n in sorted(missed)]
+        unexplained = [f"found minimum at k={r.k_star:.12g} (residual 1.000e-09) has no analytic counterpart"
+                       for r in extras]
+        assert warnings == not_recovered + unexplained
+
+    def test_window_far_from_the_first_line(self):
+        # the lattice from n = 1 would hold 3e11 lines here
+        cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        k_min, k_max = 1e12, 1e12 + 10.0
+        result = find_resonances(cfg, k_min, k_max, ResonanceKind.PERFECT_TRANSMISSION)
+        near = range(int(k_min * cfg.dxi / PI) - 3, int(k_max * cfg.dxi / PI) + 3)
+        lines = [n * PI / cfg.dxi for n in near if k_min < n * PI / cfg.dxi < k_max]
+        assert _expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max) == lines
+        assert len(lines) == 3 and len(result.resonances) == 3 and result.warnings == ()
+
+    def test_many_lines_in_the_window(self):
+        # 3183 lines; the pairwise cross-check took seconds here
+        cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        result = find_resonances(cfg, 1.0, 1e4, ResonanceKind.PERFECT_TRANSMISSION)
+        assert len(result.resonances) == 3182 and result.warnings == ()
