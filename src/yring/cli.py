@@ -180,7 +180,6 @@ def _csv_blocks(spectrum: Spectrum):
         a, f = amps[:, 0], amps[:, 5]
         cells[:, 7], cells[:, 8], cells[:, 9], cells[:, 10] = a.real, a.imag, f.real, f.imag
         cells[:, 11] = degenerate
-        cells[degenerate, 1:11] = math.nan
         yield csv_rows(cells)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .junction import JunctionParams, Orientation
+from .junction import EULER_ANGLES, JunctionParams, Orientation
 from .ring import ANTISYMMETRIC, SYMMETRIC, General, RingConfig
 
 
@@ -22,8 +22,7 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-_JUNCTION_ANGLES = ("alpha", "beta", "gamma", "delta", "a", "b")
-_JUNCTION_FIELDS = frozenset(("theta", "L0") + _JUNCTION_ANGLES)
+_JUNCTION_FIELDS = frozenset(("theta", "L0") + EULER_ANGLES)
 _RING_FIELDS = frozenset(("left", "right", "mode", "xi1", "xi2"))
 _TASK_FIELDS = frozenset(("junction", "k", "xi", "orientation", "k_min", "k_max", "n", "tol", "kind"))
 
@@ -66,7 +65,7 @@ def _junction(block: Any, where: str) -> JunctionParams:
     if not isinstance(theta, list) or len(theta) != 3:
         raise ConfigError(f"{where}.theta: expected a list of three angles")
     kwargs = {"theta": tuple(parse_angle(t, f"{where}.theta[{i}]") for i, t in enumerate(theta))}
-    for name in _JUNCTION_ANGLES:
+    for name in EULER_ANGLES:
         if name in block:
             kwargs[name] = parse_angle(block[name], f"{where}.{name}")
     if "L0" in block:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -41,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
-#: Default tolerance for angle-based predicates; looser than the arithmetic
+#: Tolerance of the angle-based predicates; looser than the arithmetic
 #: tolerance because users typically type truncated decimals for pi.
 PREDICATE_TOL = 1e-9
 
@@ -54,6 +54,10 @@ def canonical_angle(x: float) -> float:
     if v >= TWO_PI:
         v = 0.0
     return v
+
+
+#: The six Euler angles of JunctionParams, in the order of the factorization.
+EULER_ANGLES = ("alpha", "beta", "gamma", "delta", "a", "b")
 
 
 class Orientation(Enum):
@@ -87,14 +91,14 @@ class JunctionParams:
         th = tuple(float(t) for t in self.theta)
         if len(th) != 3:
             raise ValueError("theta must hold exactly three eigenphases")
-        angles = (*th, self.alpha, self.beta, self.gamma, self.delta, self.a, self.b)
-        if not all(math.isfinite(x) for x in angles):
+        euler = [getattr(self, name) for name in EULER_ANGLES]
+        if not all(math.isfinite(x) for x in (*th, *euler)):
             raise ValueError("all angles must be finite")
         if not (math.isfinite(self.L0) and self.L0 > 0.0):
             raise ValueError(f"L0 must be positive and finite, got {self.L0!r}")
         object.__setattr__(self, "theta", tuple(canonical_angle(t) for t in th))
-        for name in ("alpha", "beta", "gamma", "delta", "a", "b"):
-            object.__setattr__(self, name, canonical_angle(getattr(self, name)))
+        for name, x in zip(EULER_ANGLES, euler):
+            object.__setattr__(self, name, canonical_angle(x))
         object.__setattr__(self, "L0", float(self.L0))
 
 
@@ -227,12 +231,9 @@ def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) 
 
 
 def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
-    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3), bit-identical
-    # row by row: the scalar complex arithmetic runs as _PyComplexArray, the
-    # elementwise numpy steps keep the per-point shapes (length-3 rows in v * d,
-    # length-9 rows times the phase), and the products by V^dagger are one
-    # tall BLAS call.  That rounds each row as the per-point 3x3 product does
-    # on the BLAS builds where tests/test_grid.py::TestBatchedProducts passes.
+    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3), row by row
+    # under ring.solve_grid's grid/point contract: length-3 rows in v * d,
+    # length-9 rows times the phase, and one tall product by V^dagger.
     unit = _PyComplexArray(0.0, 1.0)
     d = np.stack([z.to_numpy() for z in _s0_diagonal(node, ks, orientation, unit)], axis=-1)
     phase = np.exp((_PyComplexArray._lift(_PHASE[orientation]) * ks * xi).to_numpy())
@@ -283,14 +284,14 @@ def probabilities(S: ScatteringMatrix) -> np.ndarray:
     return np.abs(S.m) ** 2
 
 
-def is_time_reversal(p: JunctionParams, tol: float = PREDICATE_TOL) -> bool:
+def is_time_reversal(p: JunctionParams) -> bool:
     """True when the boundary matrix is symmetric (U = U^T).
 
     A sufficient parameter condition is alpha, gamma, a each in {0, pi}
     mod 2*pi, which makes V real and the scattering matrix symmetric.
     """
     u = build_U(p)
-    return max_norm(u - u.T) <= tol
+    return max_norm(u - u.T) <= PREDICATE_TOL
 
 
 def _dist_to_0_or_pi(theta: float) -> float:
@@ -298,14 +299,14 @@ def _dist_to_0_or_pi(theta: float) -> float:
     return min(theta, TWO_PI - theta, abs(theta - math.pi))
 
 
-def is_scale_invariant(p: JunctionParams, tol: float = PREDICATE_TOL) -> bool:
-    """True when every eigenphase is 0 or pi (mod 2*pi) within tol.
+def is_scale_invariant(p: JunctionParams) -> bool:
+    """True when every eigenphase is 0 or pi (mod 2*pi) within PREDICATE_TOL.
 
     For such nodes the boundary condition splits into value and derivative
     parts, the length scale drops out, and scattering probabilities become
     independent of k.
     """
-    return all(_dist_to_0_or_pi(t) <= tol for t in p.theta)
+    return all(_dist_to_0_or_pi(t) <= PREDICATE_TOL for t in p.theta)
 
 
 def buttiker_matrix(b: float) -> Mat3:
@@ -341,13 +342,4 @@ def gauge_shift(p: JunctionParams, new_L0: float) -> JunctionParams:
     new_theta = tuple(
         2.0 * math.atan2(math.sin(t / 2.0), ratio * math.cos(t / 2.0)) for t in p.theta
     )
-    return JunctionParams(
-        theta=new_theta,
-        alpha=p.alpha,
-        beta=p.beta,
-        gamma=p.gamma,
-        delta=p.delta,
-        a=p.a,
-        b=p.b,
-        L0=new_L0,
-    )
+    return replace(p, theta=new_theta, L0=new_L0)

@@ -625,20 +625,23 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the amplitudes, shape (n, 6) with columns A..F, and the
     degenerate mask: the rows where solve_auto raises DegenerateRingError,
-    whose amplitudes are NaN.  Every other row equals solve_auto(cfg, k) bit
-    for bit.  The route is the one solve_auto takes, and each step repeats
-    the per-point arithmetic: scalar complex operations run as
-    _PyComplexArray, and elementwise numpy operations keep the per-point
-    shapes.  The product by V^dagger in each node matrix is one tall BLAS
-    call per block, not one 3x3 call per wavenumber.  Bit identity then
-    needs the BLAS to round each row of the tall product as it rounds that
-    row's own 3x3 product.  That holds on the BLAS builds where
-    tests/test_grid.py::TestBatchedProducts passes (checked on OpenBLAS
-    0.3.31), not on every BLAS.
-    Raises the ValueError solve_auto raises at the first wavenumber it
-    rejects (not positive and finite, k*L0 not finite or zero, or k*xi not
-    finite).  The scan of find_resonances runs the same kernel on the one
-    column it searches.
+    whose amplitudes are NaN.  Raises the ValueError solve_auto raises at the
+    first wavenumber it rejects (not positive and finite, k*L0 not finite or
+    zero, or k*xi not finite).  The scan of find_resonances runs the same
+    kernel on the one column it searches.
+
+    The grid/point contract, which every grid routine here keeps: every
+    other row equals solve_auto(cfg, k) bit for bit, signed zeros included.
+    The kernel takes solve_auto's route and repeats its arithmetic: scalar
+    complex operations run as _PyComplexArray (CPython's formulas),
+    elementwise numpy operations keep the per-point shapes, and the arm
+    phase is np.exp, which rounds as cmath.exp does.  The one departure is
+    the product by V^dagger in each node matrix, one tall BLAS call per block
+    (smallmat._stack_times) instead of one 3x3 call per wavenumber.  It is
+    bit-identical only on a BLAS that rounds each row of the tall product as
+    it rounds that row's own 3x3 product: OpenBLAS 0.3.31 (numpy 2.4,
+    Haswell kernels) does, and tests/test_grid.py::TestBatchedProducts
+    checks the BLAS at hand and names it when it does not.
     """
     return _solve_grid_columns(cfg, ks, _ALL_COLUMNS)
 

@@ -3,12 +3,9 @@
 All matrices are plain numpy arrays of dtype complex128; the module never
 infers shapes.  Only four generator exponentials are provided, in closed
 form, because only those four appear in the Euler-angle factorization used
-by the junction module.  `_PyComplexArray` and `_square` let the grid
-kernel evaluate scalar formulas on arrays with the rounding of the scalar
-code: `_square` squares by numpy multiplication wherever Dekker's exact
-error term certifies that libm's pow would round the same way, and calls
-pow on the rest.  `_stack_times` multiplies a stack of matrices by one
-constant matrix in a single BLAS call.
+by the junction module.  `_PyComplexArray`, `_square` and `_stack_times`
+are the array steps of the grid kernel under ring.solve_grid's grid/point
+contract.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import numpy as np
 # Aliases for readability of signatures; these are ordinary ndarrays.
 Mat2 = np.ndarray
 Mat3 = np.ndarray
-Vec2 = np.ndarray
 Vec3 = np.ndarray
 
 #: Default tolerance for unitarity checks.  Entries are O(1) everywhere.
@@ -223,9 +219,8 @@ def _square(x):
 def _stack_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b for every matrix of a stack a (..., rows, cols), as one tall BLAS product.
 
-    Bit for bit equal to the per-matrix products only on a BLAS that rounds
-    each row of the tall product as it rounds that row's own product;
-    tests/test_grid.py::TestBatchedProducts checks this on the BLAS numpy uses.
+    Equal to the per-matrix products bit for bit only on the BLAS builds that
+    ring.solve_grid's grid/point contract names.
     """
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
 

@@ -51,6 +51,9 @@ SCAN_PER_DECADE = 2048
 #: Fewest scan points find_resonances takes: one bracket of three.
 _SCAN_LEAST = 3
 
+#: Cross-check warnings of each kind written out; one line counts the rest.
+_WARNINGS_KEPT = 10
+
 
 class ResonanceKind(Enum):
     PERFECT_TRANSMISSION = "transmission"
@@ -111,24 +114,8 @@ class ResonanceSearch:
 
 
 def config_fingerprint(cfg: RingConfig) -> str:
-    """Opaque stable digest of a ring configuration."""
-    left = cfg.left
-    parts = [
-        "theta=" + ",".join(repr(t) for t in left.theta),
-        f"euler={left.alpha!r},{left.beta!r},{left.gamma!r},{left.delta!r},{left.a!r},{left.b!r}",
-        f"L0={left.L0!r}",
-        f"mode={type(cfg.mode).__name__}",
-        f"xi={cfg.xi1!r},{cfg.xi2!r}",
-    ]
-    if isinstance(cfg.mode, General):
-        right = cfg.mode.right
-        parts.append("rtheta=" + ",".join(repr(t) for t in right.theta))
-        parts.append(
-            f"reuler={right.alpha!r},{right.beta!r},{right.gamma!r},{right.delta!r},"
-            f"{right.a!r},{right.b!r}"
-        )
-        parts.append(f"rL0={right.L0!r}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+    """Opaque stable digest of a ring configuration: the SHA-256 of its repr, which holds every field."""
+    return hashlib.sha256(repr(cfg).encode()).hexdigest()
 
 
 def _check_range(k_min: float, k_max: float) -> None:
@@ -352,25 +339,33 @@ def _cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
     finds the few candidates that could match (within 2e-6 max(1, |k|), which
     holds every match) and only those are tested, so the cost is about linear
     in the lines of the window.  Positions within one scan step of the range
-    edge cannot be bracketed, so they are not reported.
+    edge cannot be bracketed, so they are not reported.  Each kind keeps its
+    first _WARNINGS_KEPT (10) warnings; one line counts the rest and their range.
     """
     step = (k_max - k_min) / (scan_n - 1)
     stars = sorted(r.k_star for r in found)
-    warnings = []
+    missed = []
     for ke in expected:
         if ke <= k_min + step or ke >= k_max - step:
             continue  # too close to the range edge to bracket
         tol = 1e-6 * max(1.0, abs(ke))
         if not any(abs(k - ke) <= tol for k in _near(stars, ke, 2.0 * tol)):
-            warnings.append(
-                f"analytic resonance near k={ke:.12g} was not recovered; "
-                f"scan_n={scan_n} may be too coarse"
-            )
+            missed.append(ke)
+    unexplained = []
     for r in found:
         near = _near(expected, r.k_star, 2e-6 * max(1.0, abs(r.k_star)))
         if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in near):
-            warnings.append(
-                f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
-                "has no analytic counterpart"
-            )
+            unexplained.append(r)
+    warnings = [f"analytic resonance near k={ke:.12g} was not recovered; scan_n={scan_n} may be too coarse"
+                for ke in missed[:_WARNINGS_KEPT]]
+    warnings += _rest(missed, "analytic resonances", f"were not recovered; scan_n={scan_n} may be too coarse")
+    warnings += [f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) has no analytic counterpart"
+                 for r in unexplained[:_WARNINGS_KEPT]]
+    warnings += _rest([r.k_star for r in unexplained], "found minima", "have no analytic counterpart")
     return warnings
+
+
+def _rest(ks: list[float], what: str, verdict: str) -> list[str]:
+    # The one line that stands for the warnings beyond the first _WARNINGS_KEPT.
+    rest = ks[_WARNINGS_KEPT:]
+    return [f"{len(rest)} more {what} in [{min(rest):.12g}, {max(rest):.12g}] {verdict}"] if rest else []

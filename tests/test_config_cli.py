@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from yring import cli
+from yring import JunctionParams, cli
 from yring.cli import main
-from yring.config import ConfigError, load_config, parse_angle
+from yring.config import _JUNCTION_FIELDS, ConfigError, load_config, parse_angle
 
 PI = math.pi
 REPO = Path(__file__).resolve().parent.parent
@@ -95,6 +96,14 @@ class TestConfigParsing:
                "ring": {"left": "j", "right": ["j"], "mode": "general", "xi1": 1, "xi2": 0}}
         with pytest.raises(ConfigError, match="ring.right"):
             load_config(write_config(tmp_path, bad))
+
+    def test_junction_keys_are_the_dataclass_fields(self, tmp_path):
+        # the parser and JunctionParams read one list of Euler angles, so they cannot drift apart
+        names = [f.name for f in dataclasses.fields(JunctionParams)]
+        assert _JUNCTION_FIELDS == set(names)
+        block = {name: 0.1 * (i + 1) for i, name in enumerate(names)} | {"theta": [0.3, "pi:1", 2.0]}
+        parsed = load_config(write_config(tmp_path, {"junctions": {"j": block}})).junctions["j"]
+        assert parsed == JunctionParams(**block | {"theta": (0.3, PI, 2.0)})
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

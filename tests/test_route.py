@@ -314,9 +314,9 @@ class TestPreparedOnce:
     def test_is_scale_invariant_count_does_not_grow_with_probes(self, mode, monkeypatch):
         calls = []
 
-        def counting(p, *args, **kwargs):
+        def counting(p):
             calls.append(p)
-            return is_scale_invariant(p, *args, **kwargs)
+            return is_scale_invariant(p)
 
         probes = []
 

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from conftest import expm_power_series, random_params
-from yring import (
+from yring import build_U, smallmat, unitarity_error
+from yring.cli import main
+from yring.smallmat import (
     SingularMatrixError,
-    build_U,
+    _PyComplexArray,
+    _finite,
+    _identity,
+    _square,
+    as_complex_matrix,
+    as_vec3,
     exp_i_generator,
     inverse2,
-    unitarity_error,
+    max_norm,
 )
-from yring import smallmat
-from yring.cli import main
-from yring.smallmat import _PyComplexArray, _finite, _identity, _square, as_complex_matrix, as_vec3, max_norm
 
 SQ3 = math.sqrt(3.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,9 @@ from yring import (
     find_resonances,
     sweep,
 )
+from yring.cli import main
 from yring.config import load_config
+from yring.junction import EULER_ANGLES
 from yring.spectrum import SCAN_PER_DECADE, _cross_check, _expected_resonances
 
 PI = math.pi
@@ -146,6 +152,47 @@ class TestSweep:
         assert config_fingerprint(cfg1) != config_fingerprint(cfg2)
 
 
+def one_field_changed(p: JunctionParams) -> list[JunctionParams]:
+    """p with one of its ten numbers changed: each eigenphase, each Euler angle, L0."""
+    thetas = [tuple(t + 0.25 * (i == j) for j, t in enumerate(p.theta)) for i in range(3)]
+    return ([dataclasses.replace(p, theta=theta) for theta in thetas]
+            + [dataclasses.replace(p, **{name: getattr(p, name) + 0.25}) for name in EULER_ANGLES]
+            + [dataclasses.replace(p, L0=1.5 * p.L0)])
+
+
+class TestFingerprint:
+    RIGHT = JunctionParams(theta=(0.3, 1.1, 2.0), alpha=0.4, beta=1.2, gamma=2.1, delta=0.9, a=1.7, b=0.2, L0=0.7)
+    BASE = RingConfig(left=GENERIC_SI, mode=General(RIGHT), xi1=1.3, xi2=0.2)
+
+    def test_every_field_changes_it(self):
+        base = self.BASE
+        assert [f.name for f in dataclasses.fields(JunctionParams)] == ["theta", *EULER_ANGLES, "L0"]
+        variants = [base]
+        variants += [dataclasses.replace(base, left=p) for p in one_field_changed(base.left)]
+        variants += [dataclasses.replace(base, mode=General(p)) for p in one_field_changed(self.RIGHT)]
+        variants += [dataclasses.replace(base, mode=mode) for mode in (SYMMETRIC, ANTISYMMETRIC)]
+        variants += [dataclasses.replace(base, xi1=2.0), dataclasses.replace(base, xi2=-0.5)]
+        assert len(variants) == 1 + 10 + 10 + 2 + 2
+        assert len(set(variants)) == len(variants)
+        assert len({config_fingerprint(cfg) for cfg in variants}) == len(variants)
+
+    def test_equal_configs_built_apart_agree(self):
+        again = RingConfig(left=dataclasses.replace(GENERIC_SI), mode=General(dataclasses.replace(self.RIGHT)),
+                           xi1=1.3, xi2=0.2)
+        assert again == self.BASE and again is not self.BASE
+        assert config_fingerprint(again) == config_fingerprint(self.BASE)
+        loaded = [load_config(CONFIG_DIR / "general_ring.json").ring for _ in range(2)]
+        assert config_fingerprint(loaded[0]) == config_fingerprint(loaded[1])
+
+    def test_pickle_copy_and_route_leave_it(self):
+        cfg = RingConfig(left=GENERIC_SI, mode=General(self.RIGHT), xi1=1.3, xi2=0.2)
+        before = config_fingerprint(cfg)
+        cfg._route  # built on the first solve and kept on the instance
+        assert "_route" in vars(cfg) and config_fingerprint(cfg) == before
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert config_fingerprint(twin) == before
+
+
 class TestFindResonances:
     def test_antisymmetric_perfect_reflection_lattice(self):
         cfg = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
@@ -252,6 +299,21 @@ def quadratic_cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
     return warnings
 
 
+def capped(warnings: list[str], scan_n: int) -> list[str]:
+    """Warnings as the cross-check reports them: the first ten of each kind, then one line for the rest."""
+    out = []
+    for marker, what, verdict in [
+        ("was not recovered", "analytic resonances", f"were not recovered; scan_n={scan_n} may be too coarse"),
+        ("no analytic counterpart", "found minima", "have no analytic counterpart"),
+    ]:
+        kind = [w for w in warnings if marker in w]
+        rest = [float(re.search(r"k=([^ ;]+)", w).group(1)) for w in kind[10:]]
+        out += kind[:10]
+        if rest:
+            out.append(f"{len(rest)} more {what} in [{min(rest):.12g}, {max(rest):.12g}] {verdict}")
+    return out
+
+
 def lattice_from_first_line(cfg, kind, k_min, k_max):
     """The analytic positions built from n = 1 (or 0) up, as first written, then cut to the window."""
     every = _expected_resonances(cfg, kind, 1e-300, k_max)  # the window starts below the first line
@@ -287,7 +349,7 @@ class TestCrossCheck:
         if scan_n is None:
             scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
         reference = quadratic_cross_check(result.resonances, expected, k_min, k_max, scan_n)
-        assert list(result.warnings) == reference
+        assert list(result.warnings) == capped(reference, scan_n)
 
     def test_the_searches_miss_lines(self):
         missed = 0
@@ -313,7 +375,7 @@ class TestCrossCheck:
             for drop in (0, 1, 2):  # every position matched, then some left bare
                 kept = [r for r in found if not (drop and abs(r.k_star - expected[drop]) < 1e-3 * expected[drop])]
                 reference = quadratic_cross_check(kept, expected, k_min, k_max, scan_n)
-                assert _cross_check(kept, expected, k_min, k_max, scan_n) == reference
+                assert _cross_check(kept, expected, k_min, k_max, scan_n) == capped(reference, scan_n)
                 assert any("no analytic counterpart" in w for w in reference)
                 assert any("not recovered" in w for w in reference) == bool(drop)
 
@@ -333,7 +395,11 @@ class TestCrossCheck:
                          "scan_n=1000000 may be too coarse" for n in sorted(missed)]
         unexplained = [f"found minimum at k={r.k_star:.12g} (residual 1.000e-09) has no analytic counterpart"
                        for r in extras]
-        assert warnings == not_recovered + unexplained
+        assert len(not_recovered) == 50 and len(unexplained) == 65
+        assert warnings == capped(not_recovered + unexplained, 1_000_000)
+        assert warnings[10] == (f"40 more analytic resonances in [{expected[10_017]:.12g}, {expected[49_017]:.12g}] "
+                                "were not recovered; scan_n=1000000 may be too coarse")
+        assert warnings[21].startswith("55 more found minima in [") and len(warnings) == 22
 
     def test_window_far_from_the_first_line(self):
         # the lattice from n = 1 would hold 3e11 lines here
@@ -350,3 +416,19 @@ class TestCrossCheck:
         cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
         result = find_resonances(cfg, 1.0, 1e4, ResonanceKind.PERFECT_TRANSMISSION)
         assert len(result.resonances) == 3182 and result.warnings == ()
+
+    def test_warnings_beyond_ten_of_a_kind_are_counted(self, capsys):
+        # [1e4, 1e5] holds about 28,650 lines, and a 512-point scan recovers 31
+        argv = ["find", "--config", str(CONFIG_DIR / "symmetric_buttiker.json"), "--k-min", "1e4", "--k-max", "1e5",
+                "--kind", "transmission", "--n", "512"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 11 and all(line.startswith("warning: analytic resonance near k=") for line in lines[:10])
+        assert lines[10] == ("warning: 28494 more analytic resonances in [10210.1761242, 99820.9649752] "
+                             "were not recovered; scan_n=512 may be too coarse")
+        cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        kind = ResonanceKind.PERFECT_TRANSMISSION
+        result = find_resonances(cfg, 1e4, 1e5, kind, scan_n=512)
+        reference = quadratic_cross_check(result.resonances, _expected_resonances(cfg, kind, 1e4, 1e5), 1e4, 1e5, 512)
+        assert len(result.resonances) == 31 and len(reference) == 28504
+        assert ["warning: " + w for w in capped(reference, 512)] == lines
