@@ -145,12 +145,14 @@ class _Node:
     """The wavenumber-independent part of _s_array for one junction.
 
     V, V^dagger, (cos, sin) of each half eigenphase and L0, computed once.
+    With swap, rows 1 and 2 of V are interchanged: the node with its interior
+    wires relabelled, as the antisymmetric ring's right node.
     """
 
     __slots__ = ("v", "vh", "half", "L0")
 
-    def __init__(self, p: JunctionParams) -> None:
-        self.v = build_V(p)
+    def __init__(self, p: JunctionParams, swap: bool = False) -> None:
+        self.v = build_V(p)[[0, 2, 1]] if swap else build_V(p)
         self.vh = self.v.conj().T
         self.half = tuple((math.cos(t / 2.0), math.sin(t / 2.0)) for t in p.theta)
         self.L0 = p.L0

@@ -38,25 +38,16 @@ from .junction import (
     build_V,
     is_scale_invariant,
 )
-from .smallmat import (
-    SINGULAR_RTOL,
-    Mat3,
-    SingularMatrixError,
-    _entries,
-    _PyComplexArray,
-    _square,
-    inverse2,
-)
-
-#: Interior-wire swap used by the antisymmetric ring variant.
-PERM_23: Mat3 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-PERM_23.setflags(write=False)
+from .smallmat import Mat3, _entries, _PyComplexArray, _square, max_norm
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE2.setflags(write=False)
 
 #: |denominator| below this is treated as a decoupled (degenerate) ring.
 DEGENERATE_TOL = 1e-13
+
+#: The gap I - s s~ is also singular when |det| <= SINGULAR_RTOL * (largest entry)**2.
+SINGULAR_RTOL = 1e-13
 
 #: Size of a rounding-level component of O(1) node entries (solve_algebraic).
 _ROUNDING = 64 * sys.float_info.epsilon
@@ -208,21 +199,28 @@ def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
     )
 
 
+def _singular(gap: np.ndarray, det: complex) -> str | None:
+    """Why the resolvent's gap I - s s~ (determinant det) is singular, or None.
+
+    gap entries are O(1) by unitarity, so the first test is absolute: a
+    uniformly tiny gap (fully decoupled ring at resonance) must not pass the
+    scale-relative second one.
+    """
+    if abs(det) < DEGENERATE_TOL:
+        return f"|det(I - s s~)|={abs(det):.3e}"
+    if abs(det) <= SINGULAR_RTOL * max_norm(gap) ** 2:
+        return f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})"
+    return None
+
+
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
     gap = _EYE2 - m1[1:, 1:] @ m2[1:, 1:]
-    # gap entries are O(1) by unitarity, so the degeneracy test is absolute;
-    # a uniformly tiny gap (fully decoupled ring at resonance) must not pass
-    # the scale-relative singularity test inside inverse2.
     det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
-    if abs(det) < DEGENERATE_TOL:
-        raise DegenerateRingError(
-            f"ring is degenerate at k={k!r}: |det(I - s s~)|={abs(det):.3e}"
-        )
-    try:
-        resolvent = inverse2(gap)
-    except SingularMatrixError as exc:
-        raise DegenerateRingError(f"ring is degenerate at k={k!r}: {exc}") from exc
-    return _assemble(m1, m2, resolvent @ m1[1:, 0])
+    reason = _singular(gap, det)
+    if reason is not None:
+        raise DegenerateRingError(f"ring is degenerate at k={k!r}: {reason}")
+    adjugate = np.array([[gap[1, 1], -gap[0, 1]], [-gap[1, 0], gap[0, 0]]], dtype=complex)
+    return _assemble(m1, m2, (adjugate / det) @ m1[1:, 0])
 
 
 def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
@@ -448,14 +446,6 @@ def _closed_form_route(cfg: RingConfig, expected_mode: type) -> "_Route":
     return route
 
 
-def _solve_closed_form(cfg: RingConfig, k: float, mode: type) -> RingAmplitudes:
-    # The body of both scale-invariant fast paths; mode is Symmetric or AntiSymmetric.
-    den, amplitudes = _closed_form_route(cfg, mode).closed_form(k)
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateRingError(f"{mode.__name__.lower()} ring is degenerate at k={k!r}")
-    return RingAmplitudes(*amplitudes())
-
-
 def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes:
     """Closed forms for the symmetric ring with a scale-invariant node.
 
@@ -463,7 +453,7 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     g = exp(2ik(xi1-xi2)); the common denominator is 1 - g |s11|^2.
     Perfect transmission (A = 0) happens exactly at g = 1.
     """
-    return _solve_closed_form(cfg, k, Symmetric)
+    return _closed_form_route(cfg, Symmetric).closed_form(k)
 
 
 def _symmetric_forms(s, g, columns=_ALL_COLUMNS):
@@ -519,7 +509,7 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     Perfect reflection (F = 0) happens exactly at g = 1 whenever the
     interior couplings s21, s31 are both nonzero (and den is not).
     """
-    return _solve_closed_form(cfg, k, AntiSymmetric)
+    return _closed_form_route(cfg, AntiSymmetric).closed_form(k)
 
 
 def _antisymmetric_forms(s, g, columns=_ALL_COLUMNS):
@@ -676,41 +666,48 @@ class _Route:
 
     Built once per RingConfig (its `_route`): the route choice (`forms` is the
     closed form of a scale-invariant symmetric or antisymmetric ring, None
-    for the resolvent) and the constants of both nodes.  The methods do the
-    per-wavenumber half, operation for operation as the per-point code.
+    for the resolvent) and the constants of both nodes.  The antisymmetric
+    ring's right node is the left one with the interior wires 1 and 2
+    interchanged, built so once.  The methods do the per-wavenumber half,
+    operation for operation as the per-point code.
     """
 
-    __slots__ = ("left", "right", "swap", "forms", "xi1", "xi2", "dxi")
+    __slots__ = ("mode", "left", "right", "forms", "xi1", "xi2", "dxi")
 
     def __init__(self, cfg: RingConfig) -> None:
-        self.left = _Node(cfg.left)
-        self.right = _Node(cfg.mode.right) if isinstance(cfg.mode, General) else self.left
-        self.swap = isinstance(cfg.mode, AntiSymmetric)
+        self.mode = cfg.mode
+        swap = isinstance(cfg.mode, AntiSymmetric)
+        self.left = self.right = _Node(cfg.left)
+        if isinstance(cfg.mode, General):
+            self.right = _Node(cfg.mode.right)
+        elif swap:
+            self.right = _Node(cfg.left, swap=True)
         self.forms = None
         if not isinstance(cfg.mode, General) and is_scale_invariant(cfg.left):
-            self.forms = _antisymmetric_forms if self.swap else _symmetric_forms
+            self.forms = _antisymmetric_forms if swap else _symmetric_forms
         self.xi1, self.xi2, self.dxi = cfg.xi1, cfg.xi2, cfg.dxi
 
     def arrays(self, k: float) -> tuple[Mat3, Mat3]:
         # Left inward array at xi1 and effective right outward array at xi2.
         # Index 0 is the exterior wire of each node; 1 and 2 are the interior wires.
-        m1 = _s_array(self.left, k, self.xi1, Orientation.INWARD)
-        m2 = _s_array(self.right, k, self.xi2, Orientation.OUTWARD)
-        if self.swap:
-            m2 = PERM_23 @ m2 @ PERM_23
-        return m1, m2
+        return (
+            _s_array(self.left, k, self.xi1, Orientation.INWARD),
+            _s_array(self.right, k, self.xi2, Orientation.OUTWARD),
+        )
 
     def resolve(self, k: float) -> RingAmplitudes:
         m1, m2 = self.arrays(k)
         return _resolve(m1, m2, k)
 
-    def closed_form(self, k: float):
-        # Denominator and amplitude formulas of the closed form at k.
+    def closed_form(self, k: float) -> RingAmplitudes:
         m = _s_array(self.left, k, self.xi1, Orientation.INWARD)
         z = 2j * k * self.dxi
         if not cmath.isfinite(z):
             raise ValueError(f"k*xi overflows in the arm phase at k={k!r}, xi1-xi2={self.dxi!r}")
-        return self.forms(m.tolist(), cmath.exp(z))
+        den, amplitudes = self.forms(m.tolist(), cmath.exp(z))
+        if abs(den) < DEGENERATE_TOL:
+            raise DegenerateRingError(f"{type(self.mode).__name__.lower()} ring is degenerate at k={k!r}")
+        return RingAmplitudes(*amplitudes())
 
     def _check_grid(self, ks: np.ndarray, accepted: np.ndarray) -> None:
         # Raises what the per-point route raises at the first wavenumber it
@@ -735,31 +732,23 @@ class _Route:
 
     def resolve_grid(self, ks: np.ndarray, columns):
         # _resolve on a grid, for the amplitudes that columns flags (as
-        # _amplitudes): the wire swap and the 2x2 BLAS products per point as in
-        # _resolve, and the scalar steps (determinant, assembly) as
-        # _PyComplexArray.
+        # _amplitudes): the 2x2 BLAS products per point as in _resolve, and
+        # the scalar steps (determinant, assembly) as _PyComplexArray.
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
         m1 = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
         m2 = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
-        if self.swap:
-            m2 = PERM_23 @ m2 @ PERM_23
         gap = _EYE2 - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
-        entries = _entries(gap)
-        (g00, g01), (g10, g11) = entries
-        det = g00 * g11 - g01 * g10
-        size = abs(det)
-        degenerate = size < DEGENERATE_TOL
-        # inverse2's relative test, run as it stands wherever it could fail
-        # (the margin covers last-bit differences between np.abs and hypot)
-        scale = np.max([abs(z) for row in entries for z in row], axis=0)
-        for i in np.flatnonzero(~degenerate & (size <= 2.0 * SINGULAR_RTOL * scale * scale)):
-            try:
-                inverse2(gap[i])
-            except SingularMatrixError:
-                degenerate[i] = True
+        (g00, g01), (g10, g11) = _entries(gap)
+        det = (g00 * g11 - g01 * g10).to_numpy()
+        # Every gap entry is at most 2 in modulus (s and s~ are unitary), so
+        # neither test of _singular passes where |det| > 4 * SINGULAR_RTOL,
+        # which exceeds DEGENERATE_TOL; 4.5 leaves room for rounding.
+        degenerate = np.zeros(ks.size, dtype=bool)
+        for i in np.flatnonzero(np.abs(det) <= 4.5 * SINGULAR_RTOL):
+            degenerate[i] = _singular(gap[i], det[i]) is not None
         adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
-        resolvent = (adjugate / det.to_numpy()[:, None]).reshape(-1, 2, 2)
+        resolvent = (adjugate / det[:, None]).reshape(-1, 2, 2)
         v = resolvent @ m1[:, 1:, 0:1]
         (v0,), (v1,) = _entries(v)
         sv = None

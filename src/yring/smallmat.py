@@ -1,8 +1,8 @@
-"""Fixed-shape complex linear algebra: 2x2 / 3x3 matrices and SU(3) generator exponentials.
+"""Fixed-shape complex linear algebra: 3x3 matrices and SU(3) generator exponentials.
 
 All matrices are plain numpy arrays of dtype complex128; the module never
-infers shapes.  Only four generator exponentials are provided, in closed
-form, because only those four appear in the Euler-angle factorization used
+infers shapes.  Only three generator exponentials are provided, in closed
+form, because only those three appear in the Euler-angle factorization used
 by the junction module.  `_PyComplexArray`, `_square` and `_stack_times`
 are the array steps of the grid kernel under ring.solve_grid's grid/point
 contract.
@@ -17,19 +17,11 @@ import math
 import numpy as np
 
 # Aliases for readability of signatures; these are ordinary ndarrays.
-Mat2 = np.ndarray
 Mat3 = np.ndarray
 Vec3 = np.ndarray
 
 #: Default tolerance for unitarity checks.  Entries are O(1) everywhere.
 UNITARITY_TOL = 1e-12
-
-#: Relative determinant threshold below which a 2x2 matrix is treated as singular.
-SINGULAR_RTOL = 1e-13
-
-
-class SingularMatrixError(ValueError):
-    """A 2x2 inverse was requested for an effectively singular matrix."""
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -52,11 +44,10 @@ def as_vec3(entries) -> Vec3:
 
 
 def exp_i_generator(index: int, angle: float) -> Mat3:
-    """Return exp(i * angle * generator) for index in {2, 3, 5, 8}, in closed form.
+    """Return exp(i * angle * generator) for index in {2, 3, 5}, in closed form.
 
-    Generators 2 and 5 exponentiate to real rotation blocks, 3 and 8 to
-    diagonal phases.  The remaining generators are not needed and are
-    rejected.
+    Generators 2 and 5 exponentiate to real rotation blocks, 3 to diagonal
+    phases.  The remaining generators are not needed and are rejected.
     """
     t = float(angle)
     if not math.isfinite(t):
@@ -70,27 +61,12 @@ def exp_i_generator(index: int, angle: float) -> Mat3:
     if index == 5:
         c, s = math.cos(t), math.sin(t)
         return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=complex)
-    if index == 8:
-        p = np.exp(1j * t / math.sqrt(3))
-        return np.diag([p, p, (p * p).conjugate()])
     raise ValueError(f"no closed-form exponential for generator {index!r}")
 
 
 def max_norm(a: np.ndarray) -> float:
     """Largest entry modulus."""
     return float(np.abs(a).max())
-
-
-def inverse2(a: Mat2) -> Mat2:
-    """Invert a 2x2 matrix via the determinant formula.
-
-    Raises SingularMatrixError when |det| <= SINGULAR_RTOL * max_norm(a)**2,
-    which in the ring solver signals an internal wire decoupling.
-    """
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) <= SINGULAR_RTOL * max_norm(a) ** 2:
-        raise SingularMatrixError(f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
 
 
 class _PyComplexArray:

@@ -28,11 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .junction import is_scale_invariant
 from .ring import (
     AntiSymmetric,
     DegenerateRingError,
-    General,
     RingAmplitudes,
     RingConfig,
     Symmetric,
@@ -221,7 +219,7 @@ def _expected_resonances(
     The positions are sorted.  They lie on or beside the lines n pi/dxi, and
     only the n from one line below the window up are visited.
     """
-    if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
+    if cfg._route.forms is None:
         return None
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])

@@ -39,8 +39,8 @@ from yring import (
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.ring import GRID_BLOCK, _solve_grid_columns
-from yring.smallmat import SINGULAR_RTOL, _PyComplexArray, _stack_times, max_norm
+from yring.ring import GRID_BLOCK, SINGULAR_RTOL, _solve_grid_columns
+from yring.smallmat import _PyComplexArray, _stack_times, max_norm
 
 PI = math.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -139,8 +139,8 @@ class TestSolveGrid:
         assert assert_matches_per_point(cfg, ks)[-1]
 
     def test_one_decoupled_wire_relative_singularity_test(self):
-        # |det| between DEGENERATE_TOL and the relative bound of inverse2 on
-        # part of this grid, so both singularity tests decide some points
+        # |det| between DEGENERATE_TOL and the relative bound of ring._singular
+        # on part of this grid, so both of its tests decide some points
         offsets = np.linspace(0.5e-13, 2e-13, 150) / 2.2
         ks = np.concatenate([ONE_WIRE_K + offsets, ONE_WIRE_K - offsets])
         relative_only = 0
@@ -408,13 +408,18 @@ UNALIGNED_N = 4609
 
 
 def block_cases():
-    """The shipped configs on their own ranges, and a ring whose grid ends on a bound state.
+    """The shipped configs on their own ranges, the antisymmetric one with eigenphases
+    that are not scale invariant (the resolvent on the wire-swapped right node), and a
+    ring whose grid ends on a bound state.
 
     Each case is (doc, k_min, k_max, whether the last row is degenerate).
     """
     for path in SHIPPED:
         doc = json.loads(path.read_text())
         yield pytest.param(doc, doc["task"]["k_min"], doc["task"]["k_max"], False, id=path.stem)
+    doc = json.loads(CONFIG_DIR.joinpath("antisymmetric_generic.json").read_text())
+    doc["junctions"]["node"]["theta"] = [0.4, 2.9, 4.1]
+    yield pytest.param(doc, doc["task"]["k_min"], doc["task"]["k_max"], False, id="antisymmetric_resolvent")
     node = {"theta": ["pi:1", "pi:1", "pi:1"], "alpha": 0.4, "beta": 1.2, "gamma": 2.9,
             "delta": 0.7, "a": 5.1, "b": 2.2, "L0": 1.3}
     doc = {"junctions": {"l": node, "r": node},

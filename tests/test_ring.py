@@ -31,7 +31,8 @@ from yring import (
     solve_series,
     solve_symmetric_scale_invariant,
 )
-from yring.ring import DEGENERATE_TOL, _SERIES_DOUBLING_THRESHOLD
+from yring.ring import DEGENERATE_TOL, SINGULAR_RTOL, _SERIES_DOUBLING_THRESHOLD, _assemble, _resolve, _singular
+from yring.smallmat import max_norm
 
 PI = math.pi
 
@@ -200,6 +201,77 @@ class TestSolveClosedForm:
         cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
         with pytest.raises(DegenerateRingError):
             solve_closed_form(*ring_matrices(cfg, PI))  # arm phase hits unity
+
+
+def determinant(gap: np.ndarray) -> complex:
+    return gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
+
+
+def arrays_with_gap(rng, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node arrays (not unitary) whose interior blocks give I - s s~ = gap, with s~ = I."""
+    m1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m1[1:, 1:] = np.eye(2) - gap
+    m2[1:, 1:] = np.eye(2)
+    return m1, m2
+
+
+class TestSingular:
+    """ring._singular: the one singularity test of the resolvent, on the point and grid routes."""
+
+    def test_identity_gap(self):
+        eye = np.eye(2, dtype=complex)
+        assert _singular(eye, determinant(eye)) is None
+        # s s~ = 0: the resolvent is the identity, exactly
+        m1, m2 = arrays_with_gap(np.random.default_rng(3), eye)
+        got = _resolve(m1, m2, 1.0).to_array()
+        assert np.array_equal(got, _assemble(m1, m2, m1[1:, 0]).to_array())
+
+    def test_matches_gauss_elimination_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            gap = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            assert _singular(gap, determinant(gap)) is None
+            m1, m2 = arrays_with_gap(rng, gap)
+            gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]  # as _resolve rounds it
+            expected = _assemble(m1, m2, np.linalg.solve(gap, m1[1:, 0])).to_array()
+            got = _resolve(m1, m2, 1.0).to_array()
+            assert np.abs(got - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
+
+    def test_rejects_singular(self):
+        for gap in (np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex), np.zeros((2, 2), dtype=complex)):
+            assert _singular(gap, determinant(gap)) is not None
+
+    @pytest.mark.parametrize("gap, absolute", [
+        (np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]], dtype=complex), True),  # |det| = 5e-14
+        (np.array([[2.0, 2.0], [2.0, 2.0 + 1e-13]], dtype=complex), False),  # |det| = 2e-13, max entry 2
+    ], ids=["absolute", "relative"])
+    def test_each_threshold_names_itself(self, gap, absolute):
+        det = abs(determinant(gap))
+        assert (det < DEGENERATE_TOL) == absolute and det <= SINGULAR_RTOL * max_norm(gap) ** 2
+        reason = r"\|det\(I - s s~\)\|=" if absolute else r"2x2 matrix is singular to working precision \(\|det\|="
+        m1, m2 = arrays_with_gap(np.random.default_rng(8), gap)
+        with pytest.raises(DegenerateRingError, match=r"^ring is degenerate at k=1\.5: " + reason + r"\d\.\d{3}e-1[34]\)?$"):
+            _resolve(m1, m2, 1.5)
+
+    def test_gap_entries_bounded_by_two(self):
+        # resolve_grid runs _singular only where |det| <= 4.5 * SINGULAR_RTOL:
+        # unitary nodes bound every entry of I - s s~ by 2, so max_norm(gap)**2 <= 4
+        rng = np.random.default_rng(2026)
+        rings = [random_ring(rng, i) for i in range(150)]
+        for i in range(150):
+            left = random_params(rng, scale_invariant=True)
+            mode = (SYMMETRIC, ANTISYMMETRIC, General(random_params(rng, scale_invariant=True)))[i % 3]
+            rings.append(RingConfig(left=left, mode=mode, xi1=float(rng.uniform(0.1, 3.0)), xi2=0.0))
+        for mode in (SYMMETRIC, ANTISYMMETRIC):
+            rings += [RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, **NEAR_DECOUPLED_XI)] * 20
+            rings += [RingConfig(left=FULL_REFLECTOR, mode=mode, xi1=1.0, xi2=0.0)] * 20
+        largest = 0.0
+        for cfg in rings:
+            for k in rng.uniform(0.05, 30.0, 8).tolist():
+                s1, s2 = ring_matrices(cfg, k)
+                largest = max(largest, max_norm(np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:]))
+        assert 1.9 < largest <= 2.0 + 1e-12
 
 
 class TestSolveSeries:

@@ -50,20 +50,35 @@ from yring import (
 )
 from yring import ring, spectrum
 from yring.config import load_config
-from yring.junction import build_V, is_scale_invariant
+from yring.junction import _s_grid, build_V, is_scale_invariant
 from yring.ring import (
     DEGENERATE_TOL,
-    PERM_23,
+    SINGULAR_RTOL,
     _amplitudes,
     _antisymmetric_forms,
     _symmetric_forms,
 )
-from yring.smallmat import SingularMatrixError, inverse2
+from yring.smallmat import max_norm
 
 PI = math.pi
 
 
 # -- the previous per-point solve_auto, kept as the reference -------------------
+
+#: Interior-wire swap of the antisymmetric ring variant.
+PERM_23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+
+
+class SingularMatrixError(ValueError):
+    """A 2x2 inverse was requested for an effectively singular matrix."""
+
+
+def inverse2(a: np.ndarray) -> np.ndarray:
+    """Invert a 2x2 matrix via the determinant formula, rejecting a relatively singular one."""
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if abs(det) <= SINGULAR_RTOL * max_norm(a) ** 2:
+        raise SingularMatrixError(f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
 
 
 def reference_node_array(p: JunctionParams, k: float, xi: float, orientation: Orientation) -> np.ndarray:
@@ -198,6 +213,26 @@ class TestBitIdentity:
             np.testing.assert_array_equal(s1.m.view(np.int64), m1.view(np.int64))
             np.testing.assert_array_equal(s2.m.view(np.int64), m2.view(np.int64))
 
+    @pytest.mark.parametrize("left", [
+        ONE_WIRE_RING.left,  # V mixes wires 0 and 1 only
+        JunctionParams(theta=(0.9, 2.4, 4.1)),  # V = I: a diagonal node
+        JunctionParams(theta=(0.9, 2.4, 4.1), delta=0.7),
+        random_params(np.random.default_rng(12)),
+    ], ids=["one_wire", "diagonal", "delta_only", "random"])
+    def test_antisymmetric_right_node_is_relabelled(self, left):
+        # word for word, signed zeros of the exact-zero entries included
+        anti = RingConfig(left=left, mode=ANTISYMMETRIC, xi1=1.3, xi2=0.2)
+        sym = RingConfig(left=left, mode=SYMMETRIC, xi1=1.3, xi2=0.2)
+        relabel = [0, 2, 1]
+        ks = np.linspace(0.05, 30.0, 301)
+        for k in ks[::10].tolist():
+            m2 = ring_matrices(sym, k)[1].m
+            np.testing.assert_array_equal(ring_matrices(anti, k)[1].m.view(np.int64),
+                                          np.ascontiguousarray(m2[relabel][:, relabel]).view(np.int64))
+        grid = [_s_grid(cfg._route.right, ks, cfg.xi2, Orientation.OUTWARD) for cfg in (anti, sym)]
+        np.testing.assert_array_equal(grid[0].view(np.int64),
+                                      np.ascontiguousarray(grid[1][:, relabel][:, :, relabel]).view(np.int64))
+
     def test_s_matrix(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -325,7 +360,6 @@ class TestPreparedOnce:
             return solve_auto(cfg, k)
 
         monkeypatch.setattr(ring, "is_scale_invariant", counting)
-        monkeypatch.setattr(spectrum, "is_scale_invariant", counting)
         monkeypatch.setattr(spectrum, "solve_auto", counting_solve)
         left = JunctionParams(theta=(0.0, PI, PI), beta=0.9, delta=0.4, gamma=1.3)
         counts = []
