@@ -38,7 +38,7 @@ from .ring import (
     solve_closed_form,
     solve_series,
 )
-from .smallmat import _square, unitarity_error
+from .smallmat import unitarity_error
 from .spectrum import _SCAN_LEAST, ResonanceKind, Spectrum, find_resonances, sweep
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def _csv_blocks(spectrum: Spectrum):
         # k, |A|^2..|F|^2, re/im of A and F, the degenerate flag; nan amplitudes where degenerate
         cells = np.empty((len(amps), 12))
         cells[:, 0] = spectrum.k[block]
-        cells[:, 1:7] = _square(np.hypot(amps.real, amps.imag))  # abs(z) ** 2, as scalar code takes it
+        cells[:, 1:7] = np.abs(amps) ** 2
         a, f = amps[:, 0], amps[:, 5]
         cells[:, 7], cells[:, 8], cells[:, 9], cells[:, 10] = a.real, a.imag, f.real, f.imag
         cells[:, 11] = degenerate

@@ -27,8 +27,6 @@ from .smallmat import (
     Mat3,
     UNITARITY_TOL,
     Vec3,
-    _PyComplexArray,
-    _stack_times,
     as_complex_matrix,
     as_vec3,
     exp_i_generator,
@@ -162,15 +160,14 @@ class _Node:
 _PHASE = {Orientation.INWARD: 1j * 2.0, Orientation.OUTWARD: 1j * -2.0}
 
 
-def _s0_diagonal(node: _Node, k, orientation: Orientation, unit=1j) -> list:
+def _s0_diagonal(node: _Node, k: float, orientation: Orientation) -> list:
     # (i k L_i + 1) / (i k L_i - 1) with L_i = L0 * cot(theta_i / 2), written
     # through (cos, sin) of theta_i/2 so theta_i = 0 needs no limit handling.
-    # k is one wavenumber (unit 1j) or a grid of them (unit a _PyComplexArray).
     lk = node.L0 * k
     inward = orientation is Orientation.INWARD
     out = []
     for c, s in node.half:
-        ic = unit * (lk * c)
+        ic = 1j * (lk * c)
         out.append((ic + s) / (ic - s) if inward else (ic - s) / (ic + s))
     return out
 
@@ -224,23 +221,27 @@ def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3
 def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
     # Where _phase_exponent accepts the wavenumbers ks, as a mask; the caller
     # silences numpy's overflow warnings.
-    z = _PyComplexArray._lift(_PHASE[orientation]) * ks * xi
     lk = node.L0 * ks
     return (
         np.isfinite(ks) & (ks > 0.0) & math.isfinite(xi) & np.isfinite(lk) & (lk != 0.0)
-        & np.isfinite(z.re) & np.isfinite(z.im)
+        & np.isfinite(_PHASE[orientation] * ks * xi)
     )
 
 
 def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
-    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3), row by row
-    # under ring.solve_grid's grid/point contract: length-3 rows in v * d,
-    # length-9 rows times the phase, and one tall product by V^dagger.
-    unit = _PyComplexArray(0.0, 1.0)
-    d = np.stack([z.to_numpy() for z in _s0_diagonal(node, ks, orientation, unit)], axis=-1)
-    phase = np.exp((_PyComplexArray._lift(_PHASE[orientation]) * ks * xi).to_numpy())
-    m = _stack_times(node.v * d[:, None, :], node.vh).reshape(-1, 9)
-    return (phase[:, None] * m).reshape(-1, 3, 3)
+    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3): the diagonal
+    # factors times the position phase, times V's rank-one projectors
+    # v_j v_j^dagger, in one product.  Each factor is -exp(+-2i atan2(k L0 cos,
+    # sin)), the unit-modulus form of _s0_diagonal's quotient (+ inward,
+    # - outward): numpy's complex division overflows where the divisor is
+    # subnormal.  Projector rows in the product's left operand keep a node
+    # with relabelled wires equal to the relabelled node, word for word.
+    cos, sin = np.array(node.half).T
+    sign = 2j if orientation is Orientation.INWARD else -2j
+    d = -np.exp(sign * np.arctan2(np.multiply.outer(cos, node.L0 * ks), sin[:, None]))
+    d *= np.exp(_PHASE[orientation] * ks * xi)
+    projectors = (node.v[:, None, :] * node.vh.T[None, :, :]).reshape(9, 3)
+    return np.ascontiguousarray((projectors @ d).T).reshape(-1, 3, 3)
 
 
 def junction_residual(

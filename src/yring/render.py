@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .smallmat import _SPLIT
+#: Dekker's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
 
 #: Decades served by the table: 10**_X_LOW <= |x| < 10**(_X_HIGH + 1).  Far
 #: enough inside the double range that no split or product of _digits

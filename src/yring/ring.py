@@ -38,7 +38,7 @@ from .junction import (
     build_V,
     is_scale_invariant,
 )
-from .smallmat import Mat3, _entries, _PyComplexArray, _square, max_norm
+from .smallmat import Mat3
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE2.setflags(write=False)
@@ -58,9 +58,10 @@ _ROUNDING = 64 * sys.float_info.epsilon
 _SERIES_DOUBLING_THRESHOLD = 64
 
 #: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.
-#: At 512 the per-block interpreter overhead dominates, and 2048 takes
-#: 20-45% less time per point; 4096 would add about 2.5 MB of peak memory
-#: (BENCH_12.json).
+#: On the shipped configs (2-vCPU VM, numpy 2.4 on OpenBLAS 0.3.31) the
+#: kernel takes 0.72-0.94 us a point at 2048, against 0.86-1.02 at 512,
+#: 0.76-0.97 at 1024 and 0.82-1.07 at 4096, where a 100000-point sweep also
+#: peaks up to 1.8 MB higher.
 GRID_BLOCK = 2048
 
 #: Flags for the amplitudes A..F: which ones a formula or grid route computes.
@@ -187,7 +188,7 @@ def _assemble(m1: Mat3, m2: Mat3, v: np.ndarray) -> RingAmplitudes:
 def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
     # The amplitudes A..F that columns flags (None for the others) from the node
     # entries s[i][j], t[i][j], v and sv = t[1:, 1:] v; the entries are complex
-    # scalars, or _PyComplexArray for a whole grid.  Only A, B and D read sv.
+    # scalars, or arrays over a grid.  Only A, B and D read sv.
     a, b, c, d, e, f = columns
     return (
         s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1] if a else None,
@@ -199,25 +200,25 @@ def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
     )
 
 
-def _singular(gap: np.ndarray, det: complex) -> str | None:
-    """Why the resolvent's gap I - s s~ (determinant det) is singular, or None.
+def _singular(gap: np.ndarray, det):
+    """Whether the resolvent's gap I - s s~ (determinant det) is singular, elementwise.
 
+    gap holds the 2x2 matrix on its first two axes: one matrix with a
+    complex det, or (2, 2, n) entries over a grid with n determinants.
     gap entries are O(1) by unitarity, so the first test is absolute: a
     uniformly tiny gap (fully decoupled ring at resonance) must not pass the
     scale-relative second one.
     """
-    if abs(det) < DEGENERATE_TOL:
-        return f"|det(I - s s~)|={abs(det):.3e}"
-    if abs(det) <= SINGULAR_RTOL * max_norm(gap) ** 2:
-        return f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})"
-    return None
+    size = abs(det)
+    return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * np.abs(gap).max(axis=(0, 1)) ** 2)
 
 
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
     gap = _EYE2 - m1[1:, 1:] @ m2[1:, 1:]
     det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
-    reason = _singular(gap, det)
-    if reason is not None:
+    if _singular(gap, det):
+        reason = (f"|det(I - s s~)|={abs(det):.3e}" if abs(det) < DEGENERATE_TOL
+                  else f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
         raise DegenerateRingError(f"ring is degenerate at k={k!r}: {reason}")
     adjugate = np.array([[gap[1, 1], -gap[0, 1]], [-gap[1, 0], gap[0, 0]]], dtype=complex)
     return _assemble(m1, m2, (adjugate / det) @ m1[1:, 0])
@@ -459,10 +460,10 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
 def _symmetric_forms(s, g, columns=_ALL_COLUMNS):
     # Denominator and the formulas of the symmetric closed form for the
     # amplitudes that columns flags (as _amplitudes), from the node entries
-    # s[i][j] and g: complex scalars, or _PyComplexArray.
+    # s[i][j] and g: complex scalars, or arrays over a grid.
     s11, s12, s13 = s[0]
     s21, s31 = s[1][0], s[2][0]
-    p11 = _square(abs(s11))
+    p11 = abs(s11) ** 2
     den = 1.0 - g * p11
 
     def amplitudes():
@@ -484,7 +485,7 @@ def _cj(z):
 
 
 def _anti_trace(s):
-    """Trace term of the antisymmetric denominator, from s[i][j] (complex scalars or _PyComplexArray)."""
+    """Trace term of the antisymmetric denominator, from s[i][j] (complex scalars or arrays)."""
     cj = _cj
     (_, s22, s23), (_, s32, s33) = s[1], s[2]
     return s22 * cj(s33) + s23 * cj(s32) + s32 * cj(s23) + s33 * cj(s22)
@@ -515,11 +516,11 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
 def _antisymmetric_forms(s, g, columns=_ALL_COLUMNS):
     # Denominator and the formulas of the antisymmetric closed form for the
     # amplitudes that columns flags (as _amplitudes), from the node entries
-    # s[i][j] and g: complex scalars, or _PyComplexArray.
+    # s[i][j] and g: complex scalars, or arrays over a grid.
     cj = _cj
     (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s
     trm = _anti_trace(s)
-    den = 1.0 - g * trm + _square(abs(s11)) * g * g
+    den = 1.0 - g * trm + abs(s11) ** 2 * g * g
 
     def amplitudes():
         a, b, c, d, e, f = columns
@@ -620,18 +621,14 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     zero, or k*xi not finite).  The scan of find_resonances runs the same
     kernel on the one column it searches.
 
-    The grid/point contract, which every grid routine here keeps: every
-    other row equals solve_auto(cfg, k) bit for bit, signed zeros included.
-    The kernel takes solve_auto's route and repeats its arithmetic: scalar
-    complex operations run as _PyComplexArray (CPython's formulas),
-    elementwise numpy operations keep the per-point shapes, and the arm
-    phase is np.exp, which rounds as cmath.exp does.  The one departure is
-    the product by V^dagger in each node matrix, one tall BLAS call per block
-    (smallmat._stack_times) instead of one 3x3 call per wavenumber.  It is
-    bit-identical only on a BLAS that rounds each row of the tall product as
-    it rounds that row's own 3x3 product: OpenBLAS 0.3.31 (numpy 2.4,
-    Haswell kernels) does, and tests/test_grid.py::TestBatchedProducts
-    checks the BLAS at hand and names it when it does not.
+    The grid/point contract: the kernel takes solve_auto's route through the
+    same formulas (_amplitudes, the closed forms, _singular) in numpy complex
+    arithmetic, so every other row agrees with solve_auto to rounding: within
+    256 eps / min(|det|, 1) of it, det being the resolvent's det(I - s s~)
+    (squared on the antisymmetric closed form, the less well conditioned
+    route).  The tests hold the grid to that bound against solve_auto and
+    against a 50-digit solve of the same node matrices.  The last bits can
+    depend on the numpy and BLAS build, never on the run.
     """
     return _solve_grid_columns(cfg, ks, _ALL_COLUMNS)
 
@@ -655,8 +652,7 @@ def _solve_grid_columns(cfg: RingConfig, ks, columns) -> tuple[np.ndarray, np.nd
             # each block checks its own wavenumbers, in grid order: the first rejected k raises
             values, degenerate[block] = solve_block(ks[block], columns)
             for j, z in enumerate(itertools.compress(values, columns)):
-                out = amps[block, j]
-                out.real, out.imag = z.re, z.im
+                amps[block, j] = z
     amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
 
@@ -668,8 +664,8 @@ class _Route:
     closed form of a scale-invariant symmetric or antisymmetric ring, None
     for the resolvent) and the constants of both nodes.  The antisymmetric
     ring's right node is the left one with the interior wires 1 and 2
-    interchanged, built so once.  The methods do the per-wavenumber half,
-    operation for operation as the per-point code.
+    interchanged, built so once.  The methods do the per-wavenumber half, at
+    one wavenumber or on a block of them.
     """
 
     __slots__ = ("mode", "left", "right", "forms", "xi1", "xi2", "dxi")
@@ -721,38 +717,28 @@ class _Route:
 
     def closed_form_grid(self, ks: np.ndarray, columns):
         # The amplitudes that columns flags (as _amplitudes) and the degenerate
-        # mask.  The arm-phase exponent 2j * k * dxi, as closed_form computes it,
-        # serves both the check and np.exp, which rounds as cmath.exp does.
-        z = _PyComplexArray._lift(2j) * ks * self.dxi
+        # mask.  The arm-phase exponent, as closed_form computes it, serves both
+        # the check and np.exp.
+        z = 2j * ks * self.dxi
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
-        self._check_grid(ks, accepted & np.isfinite(z.re) & np.isfinite(z.im))
-        m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        den, amplitudes = self.forms(_entries(m), _PyComplexArray.of(np.exp(z.to_numpy())), columns)
+        self._check_grid(ks, accepted & np.isfinite(z))
+        m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD).transpose(1, 2, 0)
+        den, amplitudes = self.forms(m, np.exp(z), columns)
         return amplitudes(), abs(den) < DEGENERATE_TOL
 
     def resolve_grid(self, ks: np.ndarray, columns):
         # _resolve on a grid, for the amplitudes that columns flags (as
-        # _amplitudes): the 2x2 BLAS products per point as in _resolve, and
-        # the scalar steps (determinant, assembly) as _PyComplexArray.
+        # _amplitudes), entry by entry: every product below is elementwise.
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
-        m1 = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        m2 = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
-        gap = _EYE2 - m1[:, 1:, 1:] @ m2[:, 1:, 1:]
-        (g00, g01), (g10, g11) = _entries(gap)
-        det = (g00 * g11 - g01 * g10).to_numpy()
-        # Every gap entry is at most 2 in modulus (s and s~ are unitary), so
-        # neither test of _singular passes where |det| > 4 * SINGULAR_RTOL,
-        # which exceeds DEGENERATE_TOL; 4.5 leaves room for rounding.
-        degenerate = np.zeros(ks.size, dtype=bool)
-        for i in np.flatnonzero(np.abs(det) <= 4.5 * SINGULAR_RTOL):
-            degenerate[i] = _singular(gap[i], det[i]) is not None
-        adjugate = np.stack([gap[:, 1, 1], -gap[:, 0, 1], -gap[:, 1, 0], gap[:, 0, 0]], axis=-1)
-        resolvent = (adjugate / det[:, None]).reshape(-1, 2, 2)
-        v = resolvent @ m1[:, 1:, 0:1]
-        (v0,), (v1,) = _entries(v)
+        s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD).transpose(1, 2, 0)
+        t = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD).transpose(1, 2, 0)
+        gap = _EYE2[:, :, None] - (s[1:, 1:, None] * t[None, 1:, 1:]).sum(axis=1)
+        (g00, g01), (g10, g11) = gap
+        det = g00 * g11 - g01 * g10
+        resolvent = np.array([[g11, -g01], [-g10, g00]]) / det
+        v = resolvent[:, 0] * s[1, 0] + resolvent[:, 1] * s[2, 0]
         sv = None
         if columns[0] or columns[1] or columns[3]:  # only A, B and D read sv
-            (sv0,), (sv1,) = _entries(m2[:, 1:, 1:] @ v)
-            sv = (sv0, sv1)
-        return _amplitudes(_entries(m1), _entries(m2), (v0, v1), sv, columns), degenerate
+            sv = t[1:, 1] * v[0] + t[1:, 2] * v[1]
+        return _amplitudes(s, t, v, sv, columns), _singular(gap, det)

@@ -41,7 +41,6 @@ from .ring import (
     solve_auto,
     solve_grid,
 )
-from .smallmat import _square
 
 #: Default scan density of the resonance finder, per decade of wavenumber.
 SCAN_PER_DECADE = 2048
@@ -292,7 +291,7 @@ def find_resonances(
     column = 0 if transmission else 5  # A or F
     amps, degenerate = _solve_grid_columns(cfg, grid, tuple(i == column for i in range(6)))
     target = amps[:, 0]
-    values = _square(np.hypot(target.real, target.imag))  # as p_reflection / p_transmission
+    values = np.abs(target) ** 2
     values[degenerate] = math.inf
     width = 1e-12 * (k_max - k_min)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from yring import JunctionParams, ScatteringMatrix
 
@@ -51,6 +52,31 @@ def linear_ring_solve(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
     M[4] = [0, -S2[1, 1], 1, -S2[1, 2], 0, 0]
     M[5] = [0, -S2[2, 1], 0, -S2[2, 2], 1, 0]
     return np.linalg.solve(M, rhs)
+
+
+def mp_resolvent_amplitudes(m1: np.ndarray, m2: np.ndarray, dps: int = 50) -> np.ndarray:
+    """A..F from the resolvent (I - s s~)^-1 of the float node matrices m1, m2, in dps digits.
+
+    The shared high-precision reference: the float solvers are measured
+    against it, each within the error bound its route claims.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        s = mpmath.matrix(m1.tolist())
+        t = mpmath.matrix(m2.tolist())
+        inner_s = s[1:3, 1:3]
+        inner_t = t[1:3, 1:3]
+        v = (mpmath.eye(2) - inner_s * inner_t) ** -1 * s[1:3, 0]
+        sv = inner_t * v
+        amps = (
+            s[0, 0] + s[0, 1] * sv[0] + s[0, 2] * sv[1],
+            s[1, 0] + s[1, 1] * sv[0] + s[1, 2] * sv[1],
+            t[1, 1] * v[0] + t[1, 2] * v[1],
+            s[2, 0] + s[2, 1] * sv[0] + s[2, 2] * sv[1],
+            t[2, 1] * v[0] + t[2, 2] * v[1],
+            t[0, 1] * v[0] + t[0, 2] * v[1],
+        )
+        return np.array([complex(z) for z in amps])
 
 
 def random_params(rng: np.random.Generator, scale_invariant: bool = False) -> JunctionParams:

@@ -1,19 +1,19 @@
-"""The grid kernel against the per-point solver, bit for bit.
+"""The grid kernel against the per-point solver, under the grid/point contract.
 
-`solve_grid` must return exactly what `solve_auto` returns at every
-wavenumber (amplitudes compared as raw bits, signed zeros included) and flag
-exactly the wavenumbers where `solve_auto` raises DegenerateRingError.  The
-sweep CSV and the resonance scan built on it must therefore equal their
-per-point renderings byte for byte.
+`solve_grid` takes `solve_auto`'s route through the same formulas in numpy
+complex arithmetic.  It must flag exactly the wavenumbers where `solve_auto`
+raises DegenerateRingError.  Every other row must lie within
+CONTRACT * eps / min(|det|, 1) of `solve_auto`, det being det(I - s s~) of the
+point route's node matrices (squared on the antisymmetric closed form, whose
+formulas are less well conditioned, ROADMAP item 2), and sampled rows must
+lie within the same bound of a 50-digit solve of those node matrices.
 
-The kernel multiplies each stack of matrices by a constant matrix in one
-tall BLAS call; `TestBatchedProducts` pins the assumption that makes this
-exact: the tall product rounds every row as the per-point product does.
+The sweep CSV is the '%.17g' rendering of the kernel's arrays, the same
+bytes from run to run, with no row lost or moved at the kernel's and the
+renderer's block boundaries; the resonance scan's column equals
+solve_grid's word for word.
 """
 
-import cmath
-import contextlib
-import io
 import json
 import math
 from pathlib import Path
@@ -21,17 +21,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import mp_resolvent_amplitudes, random_params
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
+    AntiSymmetric,
     DegenerateRingError,
     General,
     JunctionParams,
     ResonanceKind,
     RingConfig,
-    build_V,
     find_resonances,
+    is_scale_invariant,
     ring_matrices,
     solve_auto,
     solve_grid,
@@ -40,11 +41,15 @@ from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
 from yring.ring import GRID_BLOCK, SINGULAR_RTOL, _solve_grid_columns
-from yring.smallmat import _PyComplexArray, _stack_times, max_norm
+from yring.smallmat import max_norm
 
 PI = math.pi
+EPS = np.finfo(float).eps
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
+
+#: The contract's multiple of eps / min(|det|, 1).
+CONTRACT = 256
 
 FULL_REFLECTOR = JunctionParams(theta=(PI, PI, PI), beta=0.8, delta=1.9)
 
@@ -87,13 +92,35 @@ def per_point(cfg, ks):
     return amps, degenerate
 
 
-def assert_matches_per_point(cfg, ks):
+def contract_bound(cfg, k: float) -> float:
+    """The largest error the contract allows a row at k: CONTRACT * eps / min(|det|, 1)**power."""
+    m1, m2 = cfg._route.arrays(k)
+    gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]
+    scale = min(abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]), 1.0)
+    power = 2 if isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left) else 1
+    return CONTRACT * EPS / scale**power if scale > 0.0 else math.inf
+
+
+def contract_ratios(cfg, ks, amps, reference) -> np.ndarray:
+    """Each row's largest error against reference, in units of its contract bound."""
+    bounds = np.array([contract_bound(cfg, k) for k in np.asarray(ks, dtype=float).tolist()])
+    return np.abs(amps - reference).max(axis=1) / bounds
+
+
+def assert_within_contract(cfg, ks, samples: int = 4):
+    """solve_grid against solve_auto on every row, and against the 50-digit reference on a few."""
+    ks = np.asarray(ks, dtype=float)
     amps, degenerate = solve_grid(cfg, ks)
     ref_amps, ref_degenerate = per_point(cfg, ks)
     np.testing.assert_array_equal(degenerate, ref_degenerate)
-    assert np.array_equal(amps, ref_amps, equal_nan=True)
-    # raw bits: signed zeros and NaN payloads included
-    np.testing.assert_array_equal(amps.view(np.int64), ref_amps.view(np.int64))
+    assert np.isnan(amps[degenerate]).all()
+    rows = np.flatnonzero(~degenerate)
+    ratios = contract_ratios(cfg, ks[rows], amps[rows], ref_amps[rows])
+    assert (ratios <= 1.0).all(), f"row {rows[np.argmax(ratios)]}: {ratios.max():.3g} x the bound of solve_auto"
+    sampled = rows[np.unique(np.linspace(0, rows.size - 1, min(samples, rows.size)).astype(int))]
+    exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks[sampled].tolist()])
+    ratios = contract_ratios(cfg, ks[sampled], amps[sampled], exact.reshape(-1, 6))
+    assert (ratios <= 1.0).all(), f"{ratios.max():.3g} x the bound of the 50-digit reference"
     return degenerate
 
 
@@ -116,27 +143,27 @@ class TestSolveGrid:
         cfg = random_ring(rng, mode, scale_invariant)
         # more than two blocks, ending inside the third
         ks = np.linspace(float(rng.uniform(0.05, 1.0)), float(rng.uniform(5.0, 40.0)), 2 * GRID_BLOCK + 37)
-        assert_matches_per_point(cfg, ks)
+        assert_within_contract(cfg, ks)
 
     @pytest.mark.parametrize("mode", [SYMMETRIC, ANTISYMMETRIC])
     def test_nearly_decoupled_node(self, mode):
         cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, **NEAR_DECOUPLED_XI)
         k = NEAR_DECOUPLED_K
         ks = np.concatenate([[k], k + np.linspace(-1e-3, 1e-3, 301), np.linspace(0.3, 12.0, 400)])
-        assert_matches_per_point(cfg, ks)
+        assert_within_contract(cfg, ks)
 
     def test_symmetric_full_reflector_degenerates_at_pi(self):
         cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
-        degenerate = assert_matches_per_point(cfg, np.linspace(PI / 2, 3 * PI / 2, 3))
+        degenerate = assert_within_contract(cfg, np.linspace(PI / 2, 3 * PI / 2, 3))
         assert degenerate.tolist() == [False, True, False]
         ks = np.concatenate([np.linspace(0.5, PI, 200), PI + np.ldexp(1.0, -np.arange(10, 52))])
-        assert assert_matches_per_point(cfg, ks).any()
+        assert assert_within_contract(cfg, ks).any()
 
     def test_general_all_pi_ring_degenerates_at_grid_end(self):
         right = JunctionParams(theta=(PI, PI, PI), alpha=0.3, beta=2.1, delta=0.4)
         cfg = RingConfig(left=FULL_REFLECTOR, mode=General(right), xi1=1.5, xi2=0.25)
         ks = np.linspace(0.5, 2 * PI / cfg.dxi, 777)  # ends on m pi / dxi with m = 2
-        assert assert_matches_per_point(cfg, ks)[-1]
+        assert assert_within_contract(cfg, ks)[-1]
 
     def test_one_decoupled_wire_relative_singularity_test(self):
         # |det| between DEGENERATE_TOL and the relative bound of ring._singular
@@ -150,7 +177,7 @@ class TestSolveGrid:
             det = abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0])
             relative_only += 1e-13 <= det <= SINGULAR_RTOL * max_norm(gap) ** 2
         assert relative_only > 10
-        degenerate = assert_matches_per_point(ONE_WIRE_RING, ks)
+        degenerate = assert_within_contract(ONE_WIRE_RING, ks)
         assert degenerate.any() and not degenerate.all()
 
     def test_empty_grid(self):
@@ -173,91 +200,31 @@ class TestSolveGrid:
             solve_grid(cfg, [1.0, bad])
 
 
-def blas_config() -> str:
-    """numpy's BLAS entry of show_config, naming the library a bit-identity failure ran on."""
-    try:
-        return repr(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
-    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            np.show_config()
-        return printed.getvalue()
-
-
 def assert_same_words(got, expected, what: str) -> None:
     got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
     assert got.shape == expected.shape
     differ = np.count_nonzero(got.view(np.int64) != expected.view(np.int64))
-    assert differ == 0, (
-        f"{what}: {differ} of {expected.size * 2} words differ from the per-point products; "
-        f"numpy {np.__version__}, BLAS {blas_config()}"
-    )
-
-
-def product_stacks():
-    """(label, stack (n, 3, 3)): random entries, entries over 1e+-200, exact +0/-0 parts."""
-    rng = np.random.default_rng(20261018)
-    for n in (1, 2, 3, 5, 7, 8, 511, 512, 513, 4096):
-        shape = (n, 3, 3)
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        yield f"n={n} random", a
-        yield f"n={n} scaled", a * 10.0 ** rng.uniform(-200.0, 200.0, shape)
-        re, im = a.real.copy(), a.imag.copy()
-        for part in (re, im):
-            part[rng.random(shape) < 0.3] = 0.0
-            part[rng.random(shape) < 0.15] = -0.0
-        yield f"n={n} signed zeros", re + 1j * im
-
-
-class TestBatchedProducts:
-    """Each product the grid kernel batches equals the stacked per-point products, word for word."""
-
-    def test_node_matrix_product(self):
-        # _s_grid: (v * d[i]) @ V^dagger, for V of random nodes; a general
-        # right factor too, and one with exact zeros
-        rng = np.random.default_rng(5)
-        rights = [build_V(random_params(rng)).conj().T for _ in range(3)]
-        rights.append(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        rights.append(np.where(rng.random((3, 3)) < 0.4, 0.0, rights[-1]))
-        with np.errstate(all="ignore"):
-            for label, a in product_stacks():
-                for b in rights:
-                    expected = np.stack([a[i] @ b for i in range(len(a))])
-                    assert_same_words(_stack_times(a, b), expected, f"node product, {label}")
-
-    def test_arm_phase(self):
-        # closed_form_grid's np.exp of the exponent against closed_form's cmath.exp
-        rng = np.random.default_rng(11)
-        k = np.concatenate([
-            10.0 ** rng.uniform(-3.0, 13.0, 400_000),  # k * dxi up to 1e15
-            rng.uniform(0.3, 60.0, 200_000),
-            np.linspace(0.5, 10.0, 4096),
-        ])
-        dxi = 10.0 ** rng.uniform(-2.0, 2.0, k.size)
-        z = _PyComplexArray._lift(2j) * k * dxi
-        assert np.abs(z.im).max() > 1e14
-        expected = np.array([cmath.exp(2j * a * b) for a, b in zip(k.tolist(), dxi.tolist())])
-        assert_same_words(np.exp(z.to_numpy()), expected, f"arm phase on {k.size} pairs")
+    assert differ == 0, f"{what}: {differ} of {expected.size * 2} words differ"
 
 
 def reference_csv(cfg, k_min, k_max, n) -> bytes:
-    """The sweep CSV rendered point by point from solve_auto, as the CLI used to."""
+    """The sweep CSV rendered row by row with '%.17g' from solve_grid's arrays.
+
+    Also holds those arrays to the contract against solve_auto.
+    """
 
     def fmt(x):
         return format(float(x), ".17g")
 
+    ks = np.linspace(k_min, k_max, n)
+    amps, degenerate = solve_grid(cfg, ks)
+    assert_within_contract(cfg, ks)
+    squares = np.abs(amps) ** 2
     rows = [CSV_HEADER]
-    for k in np.linspace(k_min, k_max, n):
-        k = float(k)
-        try:
-            amps = solve_auto(cfg, k).to_array()
-        except DegenerateRingError:
-            rows.append(",".join([fmt(k)] + [fmt(math.nan)] * 10 + ["1"]))
-            continue
-        cells = [fmt(k)]
-        cells += [fmt(abs(z) ** 2) for z in amps]
-        cells += [fmt(amps[0].real), fmt(amps[0].imag), fmt(amps[5].real), fmt(amps[5].imag)]
-        cells.append("0")
+    for k, row, abs2, flag in zip(ks.tolist(), amps.tolist(), squares.tolist(), degenerate.tolist()):
+        cells = [fmt(k)] + [fmt(x) for x in abs2]
+        cells += [fmt(row[0].real), fmt(row[0].imag), fmt(row[5].real), fmt(row[5].imag)]
+        cells.append("1" if flag else "0")
         rows.append(",".join(cells))
     return "".join(row + "\n" for row in rows).encode()
 
@@ -265,11 +232,14 @@ def reference_csv(cfg, k_min, k_max, n) -> bytes:
 class TestByteStableOutput:
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_sweep_csv_equals_per_point_rendering(self, path, tmp_path):
+        # the rendering of the kernel's arrays, which the contract holds to
+        # solve_auto, and the same bytes on a second run
         parsed = load_config(path)
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(path), "--n", "4096", "--out", str(out)]) == 0
+        out, again = tmp_path / "sweep.csv", tmp_path / "again.csv"
+        for target in (out, again):
+            assert main(["sweep", "--config", str(path), "--n", "4096", "--out", str(target)]) == 0
         expected = reference_csv(parsed.ring, parsed.task["k_min"], parsed.task["k_max"], 4096)
-        assert out.read_bytes() == expected
+        assert out.read_bytes() == expected == again.read_bytes()
 
     def test_degenerate_rows_equal_per_point_rendering(self, tmp_path):
         path = tmp_path / "mirror.json"
@@ -329,6 +299,9 @@ class TestByteStableOutput:
     @pytest.mark.parametrize("kind", list(ResonanceKind))
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_find_equals_per_point_scan(self, path, kind, monkeypatch):
+        # A scan within the contract of solve_auto finds the same lines as a
+        # per-point scan; the refine starts from its samples, so k* may move
+        # in the last bits.
         cfg = load_config(path).ring
         grid = find_resonances(cfg, 0.3, 12.0, kind)
         scanned = []
@@ -339,8 +312,12 @@ class TestByteStableOutput:
             return amps[:, np.flatnonzero(columns)], degenerate
 
         monkeypatch.setattr(spectrum, "_solve_grid_columns", per_point_columns)
-        assert find_resonances(cfg, 0.3, 12.0, kind) == grid
+        reference = find_resonances(cfg, 0.3, 12.0, kind)
         assert scanned == [one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)]
+        assert len(grid.resonances) == len(reference.resonances)
+        for got, expected in zip(grid.resonances, reference.resonances):
+            assert abs(got.k_star - expected.k_star) <= 1e-14 * expected.k_star
+        assert len(grid.warnings) == len(reference.warnings)
 
 
 def one_column(column: int) -> tuple[bool, ...]:

@@ -25,7 +25,6 @@ from yring import (
     perfect_transmission_target,
     spectrum,
 )
-from yring.smallmat import _square
 from yring.spectrum import _expected_resonances
 
 PI = math.pi
@@ -59,7 +58,7 @@ def scan_values(cfg, k_min, k_max, kind, scan_n=None):
     grid = np.linspace(k_min, k_max, scan_n)
     amps, degenerate = spectrum.solve_grid(cfg, grid)
     target = amps[:, 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5]
-    values = _square(np.hypot(target.real, target.imag))
+    values = np.abs(target) ** 2
     values[degenerate] = math.inf
     return grid, values
 

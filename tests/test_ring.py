@@ -221,7 +221,7 @@ class TestSingular:
 
     def test_identity_gap(self):
         eye = np.eye(2, dtype=complex)
-        assert _singular(eye, determinant(eye)) is None
+        assert not _singular(eye, determinant(eye))
         # s s~ = 0: the resolvent is the identity, exactly
         m1, m2 = arrays_with_gap(np.random.default_rng(3), eye)
         got = _resolve(m1, m2, 1.0).to_array()
@@ -231,7 +231,7 @@ class TestSingular:
         rng = np.random.default_rng(17)
         for _ in range(200):
             gap = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert _singular(gap, determinant(gap)) is None
+            assert not _singular(gap, determinant(gap))
             m1, m2 = arrays_with_gap(rng, gap)
             gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]  # as _resolve rounds it
             expected = _assemble(m1, m2, np.linalg.solve(gap, m1[1:, 0])).to_array()
@@ -239,8 +239,12 @@ class TestSingular:
             assert np.abs(got - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
     def test_rejects_singular(self):
-        for gap in (np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex), np.zeros((2, 2), dtype=complex)):
-            assert _singular(gap, determinant(gap)) is not None
+        singular = [np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex), np.zeros((2, 2), dtype=complex)]
+        for gap in singular:
+            assert _singular(gap, determinant(gap))
+        # elementwise on a stack of gaps (2, 2, n), as the grid route calls it
+        gaps = np.stack(singular + [np.eye(2, dtype=complex), np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]])], axis=-1)
+        assert _singular(gaps, determinant(gaps)).tolist() == [True, True, False, True]
 
     @pytest.mark.parametrize("gap, absolute", [
         (np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]], dtype=complex), True),  # |det| = 5e-14
@@ -255,8 +259,8 @@ class TestSingular:
             _resolve(m1, m2, 1.5)
 
     def test_gap_entries_bounded_by_two(self):
-        # resolve_grid runs _singular only where |det| <= 4.5 * SINGULAR_RTOL:
-        # unitary nodes bound every entry of I - s s~ by 2, so max_norm(gap)**2 <= 4
+        # unitary nodes bound every entry of I - s s~ by 2, so max_norm(gap)**2 <= 4:
+        # the relative test of _singular cannot pass where |det| > 4 * SINGULAR_RTOL
         rng = np.random.default_rng(2026)
         rings = [random_ring(rng, i) for i in range(150)]
         for i in range(150):

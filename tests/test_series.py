@@ -18,7 +18,7 @@ whose BLAS products round differently in the last bits: the two must give
 the same term counts and agree to rounding.
 
 `TestNearUnimodularRing` pins a ring on which the doubling stops short of
-its tolerance, against a 40-digit resolvent.
+its tolerance, against the shared 50-digit resolvent (conftest).
 """
 
 import math
@@ -26,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mp_resolvent_amplitudes
 from test_grid import SHIPPED, random_ring
 from yring import (
     ANTISYMMETRIC,
@@ -378,30 +379,9 @@ NEAR_UNIMODULAR = RingConfig(
 NEAR_UNIMODULAR_K = 13.725667184225056
 
 
-def mp_resolvent_amplitudes(m1, m2, dps: int = 40) -> np.ndarray:
-    """A..F from the resolvent (I - s s~)^-1 of the same float matrices, in dps digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        s = mpmath.matrix(m1.tolist())
-        t = mpmath.matrix(m2.tolist())
-        inner_s = s[1:3, 1:3]
-        inner_t = t[1:3, 1:3]
-        v = (mpmath.eye(2) - inner_s * inner_t) ** -1 * s[1:3, 0]
-        sv = inner_t * v
-        amps = (
-            s[0, 0] + s[0, 1] * sv[0] + s[0, 2] * sv[1],
-            s[1, 0] + s[1, 1] * sv[0] + s[1, 2] * sv[1],
-            t[1, 1] * v[0] + t[1, 2] * v[1],
-            s[2, 0] + s[2, 1] * sv[0] + s[2, 2] * sv[1],
-            t[2, 1] * v[0] + t[2, 2] * v[1],
-            t[0, 1] * v[0] + t[0, 2] * v[1],
-        )
-        return np.array([complex(z) for z in amps])
-
-
 @pytest.fixture(scope="module")
 def near_unimodular_error():
-    """solve_series at tol 1e-12 on NEAR_UNIMODULAR: its error against the 40-digit resolvent."""
+    """solve_series at tol 1e-12 on NEAR_UNIMODULAR: its error against the 50-digit resolvent."""
     s1, s2 = ring_matrices(NEAR_UNIMODULAR, NEAR_UNIMODULAR_K)
     amps, terms = solve_series(s1, s2, tol=1e-12, max_terms=2**24)
     assert terms == 2**20
