@@ -14,6 +14,7 @@ renderer's block boundaries; the resonance scan's column equals
 solve_grid's word for word.
 """
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -40,6 +41,7 @@ from yring import (
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
+from yring.junction import Orientation, _Node, _s0_diagonal, _s_array, _s_grid
 from yring.ring import GRID_BLOCK, SINGULAR_RTOL, _solve_grid_columns
 from yring.smallmat import max_norm
 
@@ -50,6 +52,9 @@ SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
 
 #: The contract's multiple of eps / min(|det|, 1).
 CONTRACT = 256
+
+#: Largest entry error allowed a batched product of modulus-1 entries.
+PRODUCT_TOL = 16 * EPS
 
 FULL_REFLECTOR = JunctionParams(theta=(PI, PI, PI), beta=0.8, delta=1.9)
 
@@ -198,6 +203,76 @@ class TestSolveGrid:
             solve_auto(cfg, bad)
         with pytest.raises(ValueError, match="k must be positive and finite"):
             solve_grid(cfg, [1.0, bad])
+
+
+class TestBatchedProducts:
+    """Each product the grid kernel batches against its per-point counterpart, within PRODUCT_TOL."""
+
+    def test_node_matrix_product(self):
+        # _s_grid's projector product against _s_array, matrix by matrix, for
+        # random nodes, their relabelled copies and both orientations
+        rng = np.random.default_rng(5)
+        ks = np.concatenate([10.0 ** rng.uniform(-6.0, 8.0, 300), np.linspace(0.05, 40.0, 200)])
+        for _ in range(8):
+            p = random_params(rng)
+            xi = float(rng.uniform(-3.0, 3.0))
+            for node in (_Node(p), _Node(p, swap=True)):
+                for orientation in Orientation:
+                    got = _s_grid(node, ks, xi, orientation)
+                    expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
+                    assert np.abs(got - expected).max() <= PRODUCT_TOL
+                    assert unitarity_errors(got).max() <= PRODUCT_TOL
+
+    def test_arm_phase(self):
+        # closed_form_grid's exponent is closed_form's word for word, and np.exp
+        # of it agrees with cmath.exp up to k * dxi = 1e15
+        rng = np.random.default_rng(11)
+        k = np.concatenate([
+            10.0 ** rng.uniform(-3.0, 13.0, 200_000),
+            rng.uniform(0.3, 60.0, 100_000),
+            np.linspace(0.5, 10.0, 4096),
+        ])
+        dxi = 10.0 ** rng.uniform(-2.0, 2.0, k.size)
+        z = 2j * k * dxi
+        assert np.abs(z.imag).max() > 1e14
+        exponents = [2j * a * b for a, b in zip(k.tolist(), dxi.tolist())]
+        assert_same_words(z, np.array(exponents), f"arm-phase exponent on {k.size} pairs")
+        expected = np.array([cmath.exp(w) for w in exponents])
+        assert np.abs(np.exp(z) - expected).max() <= PRODUCT_TOL
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.name.lower())
+    def test_diagonal_factor_matches_the_quotient(self, orientation):
+        # On a node with V = I at xi = 0 the grid matrix is the diagonal of
+        # factors: its unit-modulus form against _s0_diagonal's quotient, for
+        # k * L0 from subnormal to 1e300 and eigenphases on and next to 0 and pi
+        theta = (0.0, PI, 1.3, 1e-9, PI - 1e-9, 2 * PI - 1e-9)
+        rng = np.random.default_rng(23)
+        ks = np.concatenate([[5e-324, 1e-320, 1e-310], 10.0 ** rng.uniform(-300.0, 300.0, 2000)])
+        for eigenphases in (theta[:3], theta[3:]):
+            node = _Node(JunctionParams(theta=eigenphases, L0=0.7))
+            assert np.array_equal(node.v, np.eye(3))
+            got = np.diagonal(_s_grid(node, ks, 0.0, orientation), axis1=1, axis2=2)
+            expected = np.array([_s0_diagonal(node, k, orientation) for k in ks.tolist()])
+            assert np.isfinite(got).all()
+            assert np.abs(got - expected).max() <= PRODUCT_TOL
+            assert np.abs(np.abs(got) - 1.0).max() <= 2 * EPS
+
+    def test_node_matrices_unitary_across_decades(self):
+        # k * L0 and k * xi over the whole range the checks accept, where a
+        # quotient form would overflow its reciprocal or lose the modulus
+        rng = np.random.default_rng(31)
+        ks = np.concatenate([[5e-324, 1e-318], 10.0 ** rng.uniform(-320.0, 300.0, 3000)])
+        for _ in range(6):
+            node = _Node(random_params(rng))
+            for orientation in Orientation:
+                got = _s_grid(node, ks, float(rng.uniform(-1.0, 1.0)), orientation)
+                assert np.isfinite(got).all()
+                assert unitarity_errors(got).max() <= PRODUCT_TOL
+
+
+def unitarity_errors(stack: np.ndarray) -> np.ndarray:
+    """max |m m^dagger - I| of each matrix of a stack (n, 3, 3)."""
+    return np.abs(stack @ stack.conj().transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
 
 
 def assert_same_words(got, expected, what: str) -> None:

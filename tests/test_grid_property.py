@@ -4,7 +4,8 @@ Nodes have Euler angles over the full range and eigenphases anywhere,
 including within 1e-9 of 0 and pi, where the quotients of the node matrix
 divide by nearly nothing; rings have every mode, arm lengths from 0.05 to
 10, and a grid of up to 160 wavenumbers.  Every draw is held to the contract
-of tests/test_grid.py against solve_auto.  Two rows of each draw are held to
+of tests/test_grid.py against solve_auto, and each node's grid matrices to
+a few eps of the per-point ones.  Two rows of each draw are held to
 the same bound against the 50-digit reference, except where solve_auto takes
 a closed form for a node only within PREDICATE_TOL of scale invariance: the
 closed forms then model the node as exactly scale invariant, an error of the
@@ -20,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import mp_resolvent_amplitudes  # noqa: E402
-from test_grid import contract_ratios, per_point  # noqa: E402
+from test_grid import PRODUCT_TOL, contract_ratios, per_point, unitarity_errors  # noqa: E402
 from yring import (  # noqa: E402
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -30,6 +31,7 @@ from yring import (  # noqa: E402
     is_scale_invariant,
     solve_grid,
 )
+from yring.junction import Orientation, _Node, _s_array, _s_grid  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,3 +91,14 @@ def test_grid_within_contract(cfg, ks):
     exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks[sampled].tolist()])
     ratios = contract_ratios(cfg, ks[sampled], amps[sampled], exact)
     assert (ratios <= 1.0).all(), f"{ratios.max():.3g} x the bound of the 50-digit reference"
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(p=junctions(), swap=st.booleans(), orientation=st.sampled_from(list(Orientation)),
+       xi=st.floats(-3.0, 3.0), ks=grids())
+def test_node_matrices_match_the_point_route(p, swap, orientation, xi, ks):
+    node = _Node(p, swap=swap)
+    got = _s_grid(node, ks, xi, orientation)
+    expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
+    assert np.abs(got - expected).max() <= PRODUCT_TOL
+    assert unitarity_errors(got).max() <= PRODUCT_TOL

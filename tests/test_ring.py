@@ -246,6 +246,29 @@ class TestSingular:
         gaps = np.stack(singular + [np.eye(2, dtype=complex), np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]])], axis=-1)
         assert _singular(gaps, determinant(gaps)).tolist() == [True, True, False, True]
 
+    def test_stacked_mask_equals_each_gap(self):
+        # the grid route's one call on (2, 2, n) against one call per gap, on
+        # nearly rank-one gaps from 1e-16 to 10 whose determinants straddle
+        # both thresholds
+        rng = np.random.default_rng(41)
+        n = 4000
+        u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        gaps = u[:, None, :] * v[None, :, :] * 10.0 ** rng.uniform(-8.0, 0.5, n)
+        gaps[[0, 1], [0, 1]] += 10.0 ** rng.uniform(-16.0, -11.0, (2, n))
+        mask = _singular(gaps, determinant(gaps))
+        expected = []
+        for gap in np.moveaxis(gaps, -1, 0):
+            det = determinant(gap)
+            one = _singular(gap, det)
+            assert one == (abs(det) < DEGENERATE_TOL or abs(det) <= SINGULAR_RTOL * max_norm(gap) ** 2)
+            expected.append(bool(one))
+        assert mask.tolist() == expected
+        sizes = np.abs(determinant(gaps))
+        assert 100 < mask.sum() < n - 100
+        assert (mask & (sizes >= DEGENERATE_TOL)).sum() > 10  # the relative test alone decides these
+        assert (mask & (sizes < DEGENERATE_TOL)).sum() > 10
+
     @pytest.mark.parametrize("gap, absolute", [
         (np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]], dtype=complex), True),  # |det| = 5e-14
         (np.array([[2.0, 2.0], [2.0, 2.0 + 1e-13]], dtype=complex), False),  # |det| = 2e-13, max entry 2

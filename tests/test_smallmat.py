@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import expm_power_series, random_params
 from yring import build_U, unitarity_error
+from yring.cli import main
 from yring.smallmat import (
     _finite,
     _identity,
@@ -15,6 +18,8 @@ from yring.smallmat import (
 )
 
 SQ3 = math.sqrt(3.0)
+EPS = np.finfo(float).eps
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # The eight Gell-Mann matrices; the inputs of the exp_i_generator oracle.
 _GELL_MANN = tuple(
@@ -212,3 +217,19 @@ def test_coercions_reject_non_finite_entries(value):
         as_vec3([1.0, value, 0.0])
     assert np.array_equal(as_complex_matrix(np.eye(3), (3, 3)), np.eye(3))
     assert np.array_equal(as_vec3([1, 2j, 3]), np.array([1, 2j, 3]))
+
+
+@pytest.mark.parametrize("config", ["symmetric_buttiker", "antisymmetric_generic", "general_ring"])
+def test_most_sweep_squares_skip_pow(config, tmp_path):
+    # The sweep squares |z| as numpy's |z| ** 2, with no pow of its own:
+    # parsed back from '%.17g', each |A|^2 and |F|^2 cell of a real sweep
+    # lies within 4 eps of the exact re^2 + im^2 of its row's own cells.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIG_DIR / f"{config}.json"), "--n", "4096", "--out", str(out)]) == 0
+    cells = np.loadtxt(out, delimiter=",", skiprows=1)
+    rows = cells[cells[:, 11] == 0]
+    assert rows.shape[0] > 4000
+    for square, re, im in ((1, 7, 8), (6, 9, 10)):
+        for got, x, y in zip(rows[:, square].tolist(), rows[:, re].tolist(), rows[:, im].tolist()):
+            exact = Fraction(x) ** 2 + Fraction(y) ** 2
+            assert abs(Fraction(got) - exact) <= 4 * EPS * exact
