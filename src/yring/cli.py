@@ -17,7 +17,8 @@ from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
-from .config import _TASK_FIELDS, ConfigError, ParsedConfig, _number, load_config, task_orientation
+from .config import _TASK_FIELDS, ConfigError, ParsedConfig, load_config, task_orientation
+from .config import _junction_named, _member, _number
 from .junction import (
     Orientation,
     build_U,
@@ -62,8 +63,9 @@ _CSV_BLOCK = 512
 _REQUIRED = object()
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _flag(key: str) -> str:
+    """The flag that sets task.<key>: --k-min for k_min."""
+    return "--" + key.replace("_", "-")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -83,27 +85,21 @@ class _Output(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _require_number(task: dict[str, Any], name: str, default: Any = _REQUIRED) -> Any:
+def _task_value(task: dict[str, Any], name: str, default: Any = _REQUIRED, parse=_number) -> Any:
+    """task[name] read by parse; default where it is absent or null, unless it is required."""
     value = task.get(name)
     if value is None:
         if default is _REQUIRED:
-            raise ConfigError(f"task.{name}: required (or pass --{name.replace('_', '-')})")
+            raise ConfigError(f"task.{name}: required (or pass {_flag(name)})")
         return default
-    return _number(value, f"task.{name}")
+    return parse(value, f"task.{name}")
 
 
-def _require_count(task: dict[str, Any], default: Any = _REQUIRED) -> int | None:
-    value = _require_number(task, "n", default)
-    if value is None:
-        return None
+def _count(value: Any, where: str) -> int:
+    value = _number(value, where)
     if not (math.isfinite(value) and value.is_integer()):
-        raise ConfigError(f"task.n: expected a whole number, got {value!r}")
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
     return int(value)
-
-
-def _too_many_points(exc: MemoryError) -> ConfigError:
-    # A grid too large to allocate is a bad task.n, not a crash.
-    return ConfigError(f"task.n: too many points to hold in memory ({exc})")
 
 
 def _require_ring(cfg: ParsedConfig) -> RingConfig:
@@ -112,13 +108,27 @@ def _require_ring(cfg: ParsedConfig) -> RingConfig:
     return cfg.ring
 
 
+def _ring_range(cfg: ParsedConfig) -> tuple[RingConfig, float, float]:
+    """The ring, k_min and k_max of sweep and find."""
+    return _require_ring(cfg), _task_value(cfg.task, "k_min"), _task_value(cfg.task, "k_max")
+
+
+def _over_range(run, *args, **kwargs):
+    # sweep or find_resonances: a value the library rejects is a task error, and
+    # a grid too large to allocate is a bad task.n, not a crash.
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"task: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"task.n: too many points to hold in memory ({exc})") from exc
+
+
 def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     name = cfg.task.get("junction") or cfg.sole_junction_name()
-    if not isinstance(name, str) or name not in cfg.junctions:
-        raise ConfigError(f"task.junction: unknown junction {name!r}")
-    params = cfg.junctions[name]
-    k = _require_number(cfg.task, "k")
-    xi = _require_number(cfg.task, "xi", 0.0)
+    params = _junction_named(cfg.junctions, name, "task.junction")
+    k = _task_value(cfg.task, "k")
+    xi = _task_value(cfg.task, "xi", 0.0)
     orientation = task_orientation(cfg.task)
     S = s_matrix(params, k, xi, orientation)
     probs = probabilities(S)
@@ -143,7 +153,7 @@ def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
 
 def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     ring = _require_ring(cfg)
-    k = _require_number(cfg.task, "k")
+    k = _task_value(cfg.task, "k")
     amps = solve_auto(ring, k)  # fast paths stay regular at their resonances
     try:
         check = solve_algebraic(*ring_matrices(ring, k))
@@ -184,48 +194,25 @@ def _csv_blocks(spectrum: Spectrum):
 
 
 def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
-    ring = _require_ring(cfg)
-    k_min = _require_number(cfg.task, "k_min")
-    k_max = _require_number(cfg.task, "k_max")
-    n = _require_count(cfg.task)
-    try:
-        spectrum = sweep(ring, k_min, k_max, n)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
-    except MemoryError as exc:
-        raise _too_many_points(exc) from exc
+    ring, k_min, k_max = _ring_range(cfg)
+    spectrum = _over_range(sweep, ring, k_min, k_max, _task_value(cfg.task, "n", parse=_count))
     return _Output(EXIT_OK, _csv_blocks(spectrum))
 
 
 def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
-    ring = _require_ring(cfg)
-    k_min = _require_number(cfg.task, "k_min")
-    k_max = _require_number(cfg.task, "k_max")
-    kind_raw = cfg.task.get("kind")
-    if kind_raw is None:
-        raise ConfigError("task.kind: required (or pass --kind)")
-    try:
-        kind = ResonanceKind(kind_raw)
-    except ValueError:
-        raise ConfigError(
-            f"task.kind: expected transmission|reflection, got {kind_raw!r}"
-        ) from None
-    tol = _require_number(cfg.task, "tol", 1e-8)
-    scan_n = _require_count(cfg.task, None)
+    ring, k_min, k_max = _ring_range(cfg)
+    kind = _task_value(cfg.task, "kind", parse=functools.partial(_member, ResonanceKind))
+    tol = _task_value(cfg.task, "tol", 1e-8)
+    scan_n = _task_value(cfg.task, "n", None, _count)
     if scan_n is not None and scan_n < _SCAN_LEAST:
         raise ConfigError(f"task.n: expected at least {_SCAN_LEAST} scan points, got {scan_n}")
-    try:
-        result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
-    except MemoryError as exc:
-        raise _too_many_points(exc) from exc
+    result = _over_range(find_resonances, ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
     lines: list[str] = []
     w = lines.append
     if args.out:
         w("k_star,kind,residual\n")
         for r in result.resonances:
-            w(f"{_fmt(r.k_star)},{r.kind.value},{_fmt(r.residual)}\n")
+            w(f"{r.k_star:.17g},{r.kind.value},{r.residual:.17g}\n")
     else:
         w(f"resonances (kind={kind.value}) in [{k_min:.12g}, {k_max:.12g}]: "
           f"{len(result.resonances)} found\n")
@@ -285,6 +272,23 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     return _Output(EXIT_OK if all_ok else EXIT_CHECK_FAILED, lines)
 
 
+#: argparse options of each flag, by the task key it sets; a flag not named here takes a float.
+_FLAG_OPTIONS = {"junction": {}, "n": {"type": int}, "kind": {"choices": [k.value for k in ResonanceKind]}}
+
+_K = ("k", "wavenumber")
+_RANGE = (("k_min", "range start"), ("k_max", "range end"))
+
+#: Each command's help line and its flags, as (task key, help).
+_COMMANDS = {
+    "junction": ("report one node's scattering matrix", (_K, ("junction", "junction block name"))),
+    "ring": ("solve the ring at one wavenumber", (_K,)),
+    "sweep": ("CSV spectrum over a wavenumber range", (*_RANGE, ("n", "number of grid points"))),
+    "find": ("locate perfect transmission/reflection", (*_RANGE, ("n", "scan points"),
+             ("tol", "probability threshold"), ("kind", "which probability must vanish"))),
+    "check": ("run the invariant suite on the config", ()),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first call of main, not at import, and shared by every
@@ -295,42 +299,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scattering amplitudes and resonances for double-node quantum ring systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", required=True, help="path to the JSON config file")
-        p.add_argument("--out", default=None, help="write the report/CSV to this path")
-
-    p_junction = sub.add_parser("junction", help="report one node's scattering matrix")
-    common(p_junction)
-    p_junction.add_argument("--k", type=float, default=None, help="wavenumber")
-    p_junction.add_argument("--junction", default=None, help="junction block name")
-
-    p_ring = sub.add_parser("ring", help="solve the ring at one wavenumber")
-    common(p_ring)
-    p_ring.add_argument("--k", type=float, default=None, help="wavenumber")
-
-    p_sweep = sub.add_parser("sweep", help="CSV spectrum over a wavenumber range")
-    common(p_sweep)
-    p_sweep.add_argument("--k-min", dest="k_min", type=float, default=None, help="range start")
-    p_sweep.add_argument("--k-max", dest="k_max", type=float, default=None, help="range end")
-    p_sweep.add_argument("--n", type=int, default=None, help="number of grid points")
-
-    p_find = sub.add_parser("find", help="locate perfect transmission/reflection")
-    common(p_find)
-    p_find.add_argument("--k-min", dest="k_min", type=float, default=None, help="range start")
-    p_find.add_argument("--k-max", dest="k_max", type=float, default=None, help="range end")
-    p_find.add_argument("--n", type=int, default=None, help="scan points")
-    p_find.add_argument("--tol", type=float, default=None, help="probability threshold")
-    p_find.add_argument(
-        "--kind", choices=[k.value for k in ResonanceKind], default=None,
-        help="which probability must vanish",
-    )
-
-    p_check = sub.add_parser("check", help="run the invariant suite on the config")
-    common(p_check)
+        p.add_argument("--out", help="write the report/CSV to this path")
+        for key, flag_help in flags:
+            # a flag left out is None and leaves the task value
+            p.add_argument(_flag(key), help=flag_help, **_FLAG_OPTIONS.get(key, {"type": float}))
     return parser
 
 
+#: The handler of each command, apart from _COMMANDS: perfbench/tracing.py
+#: reaches handlers as module attributes and dict values, not inside tuples.
 _DISPATCH = {
     "junction": cmd_junction,
     "ring": cmd_ring,
@@ -378,16 +358,13 @@ def main(argv: list[str] | None = None) -> int:
         for msg in result.warnings:
             print(f"warning: {msg}", file=sys.stderr)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DegenerateRingError as exc:
         print(f"degenerate ring: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:  # invalid values reaching library validation
+    except ValueError as exc:  # a ConfigError, or an invalid value reaching library validation
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

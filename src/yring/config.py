@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
@@ -55,12 +56,31 @@ def _float(value: int | float, where: str) -> float:
         raise ConfigError(f"{where}: integer too large to convert to a float") from None
 
 
-def _junction(block: Any, where: str) -> JunctionParams:
+def _block(block: Any, where: str, fields: frozenset[str]) -> dict[str, Any]:
+    """A junction, ring or task block: an object that holds only the given fields."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(block) - _JUNCTION_FIELDS
+    unknown = set(block) - fields
     if unknown:
         raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown field")
+    return block
+
+
+def _junction_named(junctions: dict[str, JunctionParams], name: Any, where: str) -> JunctionParams:
+    if not isinstance(name, str) or name not in junctions:
+        raise ConfigError(f"{where}: unknown junction {name!r}")
+    return junctions[name]
+
+
+def _member(enum: type[Enum], value: Any, where: str) -> Enum:
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {'|'.join(m.value for m in enum)}, got {value!r}") from None
+
+
+def _junction(block: Any, where: str) -> JunctionParams:
+    _block(block, where, _JUNCTION_FIELDS)
     theta = block.get("theta", [0.0, 0.0, 0.0])
     if not isinstance(theta, list) or len(theta) != 3:
         raise ConfigError(f"{where}.theta: expected a list of three angles")
@@ -117,58 +137,34 @@ def load_config(path: str | Path) -> ParsedConfig:
     if "ring" in doc:
         ring = _ring(doc["ring"], junctions)
 
-    task = doc.get("task", {})
-    if not isinstance(task, dict):
-        raise ConfigError("task: expected an object")
-    unknown = set(task) - _TASK_FIELDS
-    if unknown:
-        raise ConfigError(f"task.{sorted(unknown)[0]}: unknown field")
+    task = _block(doc.get("task", {}), "task", _TASK_FIELDS)
     return ParsedConfig(junctions=junctions, ring=ring, task=dict(task))
 
 
 def _ring(block: Any, junctions: dict[str, JunctionParams]) -> RingConfig:
-    if not isinstance(block, dict):
-        raise ConfigError("ring: expected an object")
-    unknown = set(block) - _RING_FIELDS
-    if unknown:
-        raise ConfigError(f"ring.{sorted(unknown)[0]}: unknown field")
+    _block(block, "ring", _RING_FIELDS)
     for req in ("left", "mode", "xi1", "xi2"):
         if req not in block:
             raise ConfigError(f"ring.{req}: required")
-    left_name = block["left"]
-    if not isinstance(left_name, str) or left_name not in junctions:
-        raise ConfigError(f"ring.left: unknown junction {left_name!r}")
+    left = _junction_named(junctions, block["left"], "ring.left")
     mode_name = block["mode"]
-    if mode_name == "symmetric":
-        mode = SYMMETRIC
-    elif mode_name == "antisymmetric":
-        mode = ANTISYMMETRIC
-    elif mode_name == "general":
-        right_name = block.get("right")
-        if right_name is None:
+    if mode_name not in ("symmetric", "antisymmetric", "general"):
+        raise ConfigError(f"ring.mode: expected symmetric|antisymmetric|general, got {mode_name!r}")
+    if mode_name == "general":
+        if block.get("right") is None:
             raise ConfigError("ring.right: required for general mode")
-        if not isinstance(right_name, str) or right_name not in junctions:
-            raise ConfigError(f"ring.right: unknown junction {right_name!r}")
-        mode = General(right=junctions[right_name])
-    else:
-        raise ConfigError(
-            f"ring.mode: expected symmetric|antisymmetric|general, got {mode_name!r}"
-        )
-    if mode_name != "general" and "right" in block:
+        mode = General(right=_junction_named(junctions, block["right"], "ring.right"))
+    elif "right" in block:
         raise ConfigError("ring.right: only valid for general mode")
+    else:
+        mode = SYMMETRIC if mode_name == "symmetric" else ANTISYMMETRIC
     xi1 = _number(block["xi1"], "ring.xi1")
     xi2 = _number(block["xi2"], "ring.xi2")
     try:
-        return RingConfig(left=junctions[left_name], mode=mode, xi1=xi1, xi2=xi2)
+        return RingConfig(left=left, mode=mode, xi1=xi1, xi2=xi2)
     except ValueError as exc:
         raise ConfigError(f"ring: {exc}") from exc
 
 
 def task_orientation(task: dict[str, Any]) -> Orientation:
-    raw = task.get("orientation", "inward")
-    try:
-        return Orientation(raw)
-    except ValueError:
-        raise ConfigError(
-            f"task.orientation: expected inward|outward, got {raw!r}"
-        ) from None
+    return _member(Orientation, task.get("orientation", "inward"), "task.orientation")

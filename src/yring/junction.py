@@ -27,6 +27,7 @@ from .smallmat import (
     Mat3,
     UNITARITY_TOL,
     Vec3,
+    _identity,
     as_complex_matrix,
     as_vec3,
     exp_i_generator,
@@ -35,9 +36,6 @@ from .smallmat import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
 
 #: Tolerance of the angle-based predicates; looser than the arithmetic
 #: tolerance because users typically type truncated decimals for pi.
@@ -49,9 +47,9 @@ def canonical_angle(x: float) -> float:
     v = math.fmod(float(x), TWO_PI)
     if v < 0.0:
         v += TWO_PI
-    if v >= TWO_PI:
-        v = 0.0
-    return v
+    # v is -0.0 for -0.0 and negative multiples of 2*pi, and 2*pi where a tiny
+    # negative v rounds up: both are stored as +0.0, so equal angles repr alike
+    return 0.0 if v == 0.0 or v >= TWO_PI else v
 
 
 #: The six Euler angles of JunctionParams, in the order of the factorization.
@@ -156,7 +154,7 @@ class _Node:
         self.L0 = p.L0
 
 
-#: i * sign of the position phase exp(i * sign * k * xi) for each orientation.
+#: 2i times the sign that each orientation gives k: the position phase is exp(_PHASE * k * xi).
 _PHASE = {Orientation.INWARD: 1j * 2.0, Orientation.OUTWARD: 1j * -2.0}
 
 
@@ -237,8 +235,7 @@ def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) ->
     # subnormal.  Projector rows in the product's left operand keep a node
     # with relabelled wires equal to the relabelled node, word for word.
     cos, sin = np.array(node.half).T
-    sign = 2j if orientation is Orientation.INWARD else -2j
-    d = -np.exp(sign * np.arctan2(np.multiply.outer(cos, node.L0 * ks), sin[:, None]))
+    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, node.L0 * ks), sin[:, None]))
     d *= np.exp(_PHASE[orientation] * ks * xi)
     projectors = (node.v[:, None, :] * node.vh.T[None, :, :]).reshape(9, 3)
     return np.ascontiguousarray((projectors @ d).T).reshape(-1, 3, 3)
@@ -266,15 +263,12 @@ def junction_residual(
     U = as_complex_matrix(U, (3, 3))
     phi = as_vec3(phi)
     psi = as_vec3(psi)
-    if orientation is Orientation.INWARD:
-        e_in, e_out = np.exp(1j * k * xi), np.exp(-1j * k * xi)
-        big_psi = e_in * phi + e_out * psi
-        big_dpsi = 1j * k * (e_in * phi - e_out * psi)
-    else:
-        e_in, e_out = np.exp(-1j * k * xi), np.exp(1j * k * xi)
-        big_psi = e_in * phi + e_out * psi
-        big_dpsi = -1j * k * (e_in * phi - e_out * psi)
-    res = (U - _EYE3) @ big_psi + 1j * L0 * (U + _EYE3) @ big_dpsi
+    i = _PHASE[orientation] / 2  # 1j inward, -1j outward: the sign of k at the node
+    e_in, e_out = np.exp(i * k * xi), np.exp(-i * k * xi)
+    big_psi = e_in * phi + e_out * psi
+    big_dpsi = i * k * (e_in * phi - e_out * psi)
+    eye = _identity(3)
+    res = (U - eye) @ big_psi + 1j * L0 * (U + eye) @ big_dpsi
     return float(np.abs(res).max())
 
 

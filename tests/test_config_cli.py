@@ -452,6 +452,135 @@ class TestArgumentErrors:
         assert err.value.code == 2
 
 
+ONE_JUNCTION = {"junctions": {"j": {}}}
+RING_BLOCK = {"left": "j", "mode": "symmetric", "xi1": 1, "xi2": 0}
+
+
+def without(block: dict, key: str) -> dict:
+    return {name: value for name, value in block.items() if name != key}
+
+
+class TestErrorMessages:
+    """Each config error the shipped configs never meet: its message, alone on stderr, and exit 2."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["check"], [1], "config root must be an object"),
+        (["check"], {**ONE_JUNCTION, "rings": {}}, "rings: unknown top-level field"),
+        (["check"], {}, "junctions: at least one named junction block is required"),
+        (["check"], {"junctions": {}}, "junctions: at least one named junction block is required"),
+        (["check"], {"junctions": {"j": 3}}, "junctions.j: expected an object"),
+        (["check"], {**ONE_JUNCTION, "task": [1]}, "task: expected an object"),
+        (["check"], {**ONE_JUNCTION, "ring": "j"}, "ring: expected an object"),
+        (["check"], {**ONE_JUNCTION, "ring": {**RING_BLOCK, "arm": 2}}, "ring.arm: unknown field"),
+        *[(["check"], {**ONE_JUNCTION, "ring": without(RING_BLOCK, key)}, f"ring.{key}: required")
+          for key in ("left", "mode", "xi1", "xi2")],
+        (["check"], {**ONE_JUNCTION, "ring": {**RING_BLOCK, "right": "j"}},
+         "ring.right: only valid for general mode"),
+        (["junction", "--k", "1.3"], {"junctions": {"i": {}, "j": {}}},
+         "task.junction: required when the config defines several junctions"),
+        (["junction", "--k", "1.3"], {**ONE_JUNCTION, "task": {"orientation": "sideways"}},
+         "task.orientation: expected inward|outward, got 'sideways'"),
+        (["ring", "--k", "1.3"], ONE_JUNCTION, "ring: block required for this command"),
+        (["sweep", "--k-min", "1", "--k-max", "2", "--n", "3"], ONE_JUNCTION,
+         "ring: block required for this command"),
+        (["find", "--k-min", "1", "--k-max", "2", "--kind", "transmission"], ONE_JUNCTION,
+         "ring: block required for this command"),
+    ])
+    def test_message(self, tmp_path, capsys, argv, doc, message):
+        assert main(argv + ["--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+
+#: `yring --help` and `yring <command> --help` on an 80-column terminal.
+HELP_SCREENS = {
+    "": """\
+usage: yring [-h] {junction,ring,sweep,find,check} ...
+
+Scattering amplitudes and resonances for double-node quantum ring systems.
+
+positional arguments:
+  {junction,ring,sweep,find,check}
+    junction            report one node's scattering matrix
+    ring                solve the ring at one wavenumber
+    sweep               CSV spectrum over a wavenumber range
+    find                locate perfect transmission/reflection
+    check               run the invariant suite on the config
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "junction": """\
+usage: yring junction [-h] --config CONFIG [--out OUT] [--k K]
+                      [--junction JUNCTION]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      path to the JSON config file
+  --out OUT            write the report/CSV to this path
+  --k K                wavenumber
+  --junction JUNCTION  junction block name
+""",
+    "ring": """\
+usage: yring ring [-h] --config CONFIG [--out OUT] [--k K]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  path to the JSON config file
+  --out OUT        write the report/CSV to this path
+  --k K            wavenumber
+""",
+    "sweep": """\
+usage: yring sweep [-h] --config CONFIG [--out OUT] [--k-min K_MIN]
+                   [--k-max K_MAX] [--n N]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  path to the JSON config file
+  --out OUT        write the report/CSV to this path
+  --k-min K_MIN    range start
+  --k-max K_MAX    range end
+  --n N            number of grid points
+""",
+    "find": """\
+usage: yring find [-h] --config CONFIG [--out OUT] [--k-min K_MIN]
+                  [--k-max K_MAX] [--n N] [--tol TOL]
+                  [--kind {transmission,reflection}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to the JSON config file
+  --out OUT             write the report/CSV to this path
+  --k-min K_MIN         range start
+  --k-max K_MAX         range end
+  --n N                 scan points
+  --tol TOL             probability threshold
+  --kind {transmission,reflection}
+                        which probability must vanish
+""",
+    "check": """\
+usage: yring check [-h] --config CONFIG [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  path to the JSON config file
+  --out OUT        write the report/CSV to this path
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SCREENS))
+def test_help_screen(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"] if command else ["--help"])
+    assert err.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == HELP_SCREENS[command]
+    assert captured.err == ""
+
+
 SHIPPED_CFGS = [SYMMETRIC_CFG, ANTISYMMETRIC_CFG, GENERAL_CFG]
 
 

@@ -196,6 +196,12 @@ class TestSolveGrid:
         with pytest.raises(ValueError, match="finite"):
             solve_grid(cfg, [1.0, 1.7e308])  # k * xi overflows
 
+    def test_rejects_a_two_dimensional_grid(self):
+        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        with pytest.raises(ValueError) as err:
+            solve_grid(cfg, np.ones((2, 2)))
+        assert str(err.value) == "ks must be one-dimensional, got shape (2, 2)"
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_wavenumbers_like_solve_auto(self, bad):
         cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)

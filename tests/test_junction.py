@@ -19,6 +19,7 @@ from yring import (
     s_matrix,
     unitarity_error,
 )
+from yring.junction import canonical_angle
 from yring.smallmat import as_complex_matrix, as_vec3
 
 PI = math.pi
@@ -46,6 +47,12 @@ class TestJunctionParams:
         assert p.theta[2] == pytest.approx(PI)
         assert 0.0 <= p.alpha < 2 * PI
         assert 0.0 <= p.b < 2 * PI
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 2 * PI, -2 * PI, -4 * PI, -1e-300])
+    def test_canonical_zero_is_positive(self, x):
+        # -0.0 and negative multiples of 2 pi leave fmod's remainder at -0.0
+        assert math.copysign(1.0, canonical_angle(x)) == 1.0
+        assert canonical_angle(x) == 0.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -137,6 +144,13 @@ class TestSMatrix:
         k, xi = 0.9, -1.2
         S = s_matrix(p, k, xi, Orientation.INWARD)
         assert max_diff(S, np.exp(2j * k * xi) * np.eye(3)) < 1e-13
+
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_rejects_non_finite_position(self, xi, orientation):
+        with pytest.raises(ValueError) as err:
+            s_matrix(JunctionParams(**BEAM_SPLITTER), 1.0, xi, orientation)
+        assert str(err.value) == "xi must be finite"
 
     def test_rejects_nonpositive_k(self):
         p = JunctionParams()

@@ -134,6 +134,27 @@ def test_exp_rejects_unsupported_generator(index):
         exp_i_generator(index, 0.5)
 
 
+@pytest.mark.parametrize("index", [2, 3, 5])
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_exp_rejects_non_finite_angle(index, angle):
+    with pytest.raises(ValueError) as err:
+        exp_i_generator(index, angle)
+    assert str(err.value) == "angle must be finite"
+
+
+def test_coercion_rejects_wrong_shape():
+    with pytest.raises(ValueError) as err:
+        as_complex_matrix(np.eye(2), (3, 3))
+    assert str(err.value) == "expected shape (3, 3), got (2, 2)"
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,)])
+def test_unitarity_error_rejects_non_square(shape):
+    with pytest.raises(ValueError) as err:
+        unitarity_error(np.ones(shape, dtype=complex))
+    assert str(err.value) == "unitarity_error expects a square matrix"
+
+
 def test_unitarity_error_examples():
     assert unitarity_error(np.eye(3, dtype=complex)) == 0.0
     assert unitarity_error(2.0 * np.eye(3, dtype=complex)) == pytest.approx(3.0, abs=1e-15)

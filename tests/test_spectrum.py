@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import re
@@ -183,6 +184,25 @@ class TestFingerprint:
         assert config_fingerprint(again) == config_fingerprint(self.BASE)
         loaded = [load_config(CONFIG_DIR / "general_ring.json").ring for _ in range(2)]
         assert config_fingerprint(loaded[0]) == config_fingerprint(loaded[1])
+
+    @pytest.mark.parametrize("zero", [-0.0, -2 * PI])
+    def test_signed_zero_angles_agree_with_zero(self, zero):
+        signed = JunctionParams(theta=(zero, PI, zero), alpha=zero, b=zero, L0=0.7)
+        plain = JunctionParams(theta=(0.0, PI, 0.0), L0=0.7)
+        assert signed == plain and repr(signed) == repr(plain)
+        rings = [RingConfig(left=p, mode=General(p), xi1=1.3, xi2=0.2) for p in (signed, plain)]
+        assert config_fingerprint(rings[0]) == config_fingerprint(rings[1])
+
+    def test_signed_zero_angles_in_a_config_file(self, tmp_path):
+        fingerprints = []
+        for zero in (0.0, -0.0, "pi:-2", "pi:-0"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "junctions": {"j": {"theta": [zero, "pi:1", zero], "alpha": zero, "b": zero}},
+                "ring": {"left": "j", "mode": "symmetric", "xi1": 1.3, "xi2": 0.2},
+            }))
+            fingerprints.append(config_fingerprint(load_config(path).ring))
+        assert len(set(fingerprints)) == 1
 
     def test_pickle_copy_and_route_leave_it(self):
         cfg = RingConfig(left=GENERIC_SI, mode=General(self.RIGHT), xi1=1.3, xi2=0.2)
