@@ -20,11 +20,16 @@ import numpy as np
 from .config import _TASK_FIELDS, ConfigError, ParsedConfig, load_config, task_orientation
 from .config import _junction_named, _member, _number
 from .junction import (
+    JunctionParams,
     Orientation,
+    ScatteringMatrix,
+    _accepted,
+    _Node,
+    _residual,
+    _s_grid,
     build_U,
     is_scale_invariant,
     is_time_reversal,
-    junction_residual,
     probabilities,
     s_matrix,
 )
@@ -32,6 +37,8 @@ from .ring import (
     ConvergenceError,
     DegenerateRingError,
     RingConfig,
+    _algebraic_grid,
+    _resolve_grid,
     flux_defect,
     ring_matrices,
     solve_algebraic,
@@ -222,9 +229,64 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
 
 
 def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:
-    ok = value <= limit
+    ok = bool(value <= limit)  # False for NaN
     out.append(f"check {label}: {value:.3e} <= {limit:.0e} {'ok' if ok else 'FAIL'}\n")
     return ok
+
+
+def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.random.Generator) -> bool:
+    # The unitarity of U, then the unitarity and the node-condition residual of
+    # both orientations' matrices at four seeded samples (k, xi, phi), each
+    # orientation's four matrices as one stack of the grid kernel.
+    u = build_U(params)
+    ok = _check_line(out, f"unitarity U ({name})", unitarity_error(u), 1e-12)
+    samples = [(float(rng.uniform(0.1, 20.0)), float(rng.uniform(-2.0, 2.0)),
+                rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(4)]
+    ks, xis, phis = (np.array(column) for column in zip(*samples))
+    phis = phis.T  # one column per sample, as _residual takes them
+    node = _Node(params)
+    orientations = (Orientation.INWARD, Orientation.OUTWARD)
+    with np.errstate(all="ignore"):  # overflowing products of a rejected sample
+        accepted = np.logical_and.reduce([_accepted(node, ks, xis, o) for o in orientations])
+    if not accepted.all():
+        k, xi, _ = samples[np.argmin(accepted)]
+        for orientation in orientations:
+            s_matrix(params, k, xi, orientation)  # raises at this sample
+    stacks = [_s_grid(node, ks, xis, orientation) for orientation in orientations]
+    residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("nij,jn->in", S, phis), orientation)
+                 for S, orientation in zip(stacks, orientations)]
+    ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(np.array(stacks)), 1e-12)
+    return ok & _check_line(out, f"node-condition residual ({name})", np.max(residuals), 1e-10)
+
+
+def _check_ring(out: list[str], ring: RingConfig, rng: np.random.Generator) -> bool:
+    # Agreement of the resolvent, the bounce series and the algebraic solve,
+    # and flux conservation, at _CHECK_KS seeded wavenumbers.  The node arrays,
+    # the resolvent and the algebraic solve run on the grid kernel over all of
+    # them, the series one wavenumber at a time.  The walk below raises at the
+    # first wavenumber where the per-point calls would, with their error.
+    ks = rng.uniform(0.1, 12.0, _CHECK_KS)
+    with np.errstate(all="ignore"):  # rejected and singular rows, raised or redone below
+        accepted, s, t = ring._route.node_stacks(ks)
+        entries = s.transpose(1, 2, 0), t.transpose(1, 2, 0)  # the wavenumbers on the last axis
+        closed, singular = _resolve_grid(*entries)
+        algebraic, regular = _algebraic_grid(*entries)
+    closed, algebraic = np.array(closed).T, np.array(algebraic).T  # (n, 6): A..F per row
+    series = np.empty_like(closed)
+    for i, k in enumerate(ks.tolist()):
+        if not accepted[i]:
+            ring_matrices(ring, k)  # raises at this wavenumber
+        s1 = ScatteringMatrix(m=s[i], k=k, xi=float(ring.xi1), orientation=Orientation.INWARD)
+        s2 = ScatteringMatrix(m=t[i], k=k, xi=float(ring.xi2), orientation=Orientation.OUTWARD)
+        if singular[i]:
+            closed[i] = solve_closed_form(s1, s2).to_array()  # raises where the point is singular too
+        series[i] = solve_series(s1, s2, tol=1e-12, max_terms=2**24)[0].to_array()
+        if not regular[i]:
+            algebraic[i] = solve_algebraic(s1, s2).to_array()
+    worst_pair = np.abs([closed - series, closed - algebraic, series - algebraic]).max()
+    worst_flux = np.abs(np.abs(closed[:, 0]) ** 2 + np.abs(closed[:, 5]) ** 2 - 1.0).max()
+    ok = _check_line(out, "three-way solver agreement", worst_pair, 1e-10)
+    return ok & _check_line(out, "flux conservation", worst_flux, 1e-10)
 
 
 def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
@@ -232,42 +294,9 @@ def cmd_check(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     lines: list[str] = []
     all_ok = True
     for name, params in sorted(cfg.junctions.items()):
-        u = build_U(params)
-        all_ok &= _check_line(lines, f"unitarity U ({name})", unitarity_error(u), 1e-12)
-        worst_s = 0.0
-        worst_res = 0.0
-        for _ in range(4):
-            k = float(rng.uniform(0.1, 20.0))
-            xi = float(rng.uniform(-2.0, 2.0))
-            phi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            for orientation in (Orientation.INWARD, Orientation.OUTWARD):
-                S = s_matrix(params, k, xi, orientation)
-                worst_s = max(worst_s, unitarity_error(S.m))
-                res = junction_residual(u, params.L0, k, xi, phi, S.m @ phi, orientation)
-                worst_res = max(worst_res, res)
-        all_ok &= _check_line(lines, f"unitarity S ({name})", worst_s, 1e-12)
-        all_ok &= _check_line(lines, f"node-condition residual ({name})", worst_res, 1e-10)
-
+        all_ok &= _check_junction(lines, name, params, rng)
     if cfg.ring is not None:
-        worst_pair = 0.0
-        worst_flux = 0.0
-        for _ in range(_CHECK_KS):
-            k = float(rng.uniform(0.1, 12.0))
-            s1, s2 = ring_matrices(cfg.ring, k)
-            closed = solve_closed_form(s1, s2).to_array()
-            series, _terms = solve_series(s1, s2, tol=1e-12, max_terms=2**24)
-            algebraic = solve_algebraic(s1, s2).to_array()
-            series = series.to_array()
-            worst_pair = max(
-                worst_pair,
-                float(np.abs(closed - series).max()),
-                float(np.abs(closed - algebraic).max()),
-                float(np.abs(series - algebraic).max()),
-            )
-            worst_flux = max(worst_flux, abs(float(np.abs(closed[0]) ** 2 + np.abs(closed[5]) ** 2) - 1.0))
-        all_ok &= _check_line(lines, "three-way solver agreement", worst_pair, 1e-10)
-        all_ok &= _check_line(lines, "flux conservation", worst_flux, 1e-10)
-
+        all_ok &= _check_ring(lines, cfg.ring, rng)
     lines.append("all checks passed\n" if all_ok else "CHECK FAILED\n")
     return _Output(EXIT_OK if all_ok else EXIT_CHECK_FAILED, lines)
 

@@ -216,18 +216,20 @@ def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3
     return np.exp(z) * ((node.v * d) @ node.vh)
 
 
-def _accepted(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
-    # Where _phase_exponent accepts the wavenumbers ks, as a mask; the caller
-    # silences numpy's overflow warnings.
+def _accepted(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> np.ndarray:
+    # Where _phase_exponent accepts the wavenumbers ks at the position xi (one
+    # position, or one per wavenumber), as a mask; the caller silences numpy's
+    # overflow warnings.
     lk = node.L0 * ks
     return (
-        np.isfinite(ks) & (ks > 0.0) & math.isfinite(xi) & np.isfinite(lk) & (lk != 0.0)
+        np.isfinite(ks) & (ks > 0.0) & np.isfinite(xi) & np.isfinite(lk) & (lk != 0.0)
         & np.isfinite(_PHASE[orientation] * ks * xi)
     )
 
 
-def _s_grid(node: _Node, ks: np.ndarray, xi: float, orientation: Orientation) -> np.ndarray:
-    # _s_array on a grid of accepted wavenumbers, shape (n, 3, 3): the diagonal
+def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> np.ndarray:
+    # _s_array on a grid of accepted wavenumbers at the position xi (one
+    # position, or one per wavenumber), shape (n, 3, 3): the diagonal
     # factors times the position phase, times V's rank-one projectors
     # v_j v_j^dagger, in one product.  Each factor is -exp(+-2i atan2(k L0 cos,
     # sin)), the unit-modulus form of _s0_diagonal's quotient (+ inward,
@@ -261,15 +263,20 @@ def junction_residual(
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
     U = as_complex_matrix(U, (3, 3))
-    phi = as_vec3(phi)
-    psi = as_vec3(psi)
+    return float(_residual(U, L0, k, xi, as_vec3(phi), as_vec3(psi), orientation))
+
+
+def _residual(U: Mat3, L0: float, k, xi, phi: np.ndarray, psi: np.ndarray, orientation: Orientation):
+    # The defect of junction_residual, unchecked: for one sample, or for n at
+    # once with k and xi of shape (n,) and phi, psi of shape (3, n), a column
+    # per sample, giving n defects.
     i = _PHASE[orientation] / 2  # 1j inward, -1j outward: the sign of k at the node
     e_in, e_out = np.exp(i * k * xi), np.exp(-i * k * xi)
     big_psi = e_in * phi + e_out * psi
     big_dpsi = i * k * (e_in * phi - e_out * psi)
     eye = _identity(3)
     res = (U - eye) @ big_psi + 1j * L0 * (U + eye) @ big_dpsi
-    return float(np.abs(res).max())
+    return np.abs(res).max(axis=0)
 
 
 def probabilities(S: ScatteringMatrix) -> np.ndarray:

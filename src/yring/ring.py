@@ -46,6 +46,9 @@ _EYE2.setflags(write=False)
 #: |denominator| below this is treated as a decoupled (degenerate) ring.
 DEGENERATE_TOL = 1e-13
 
+#: solve_algebraic's two forms of its determinant Delta agree to this.
+_IDENTITY_TOL = 1e-12
+
 #: The gap I - s s~ is also singular when |det| <= SINGULAR_RTOL * (largest entry)**2.
 SINGULAR_RTOL = 1e-13
 
@@ -374,12 +377,38 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     the pair sums over the interior wires and a common 2x2 determinant.
     """
     m1, m2 = S1.m, S2eff.m
+    delta, delta_b, gap, amplitudes = _algebraic_forms(m1, m2)
+    if not abs(delta - delta_b) <= _IDENTITY_TOL:
+        raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
+    if abs(delta) < DEGENERATE_TOL:
+        amps = _unexcited_bound_state(m1, m2, np.array(gap))
+        if amps is None:
+            raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
+        return amps
+    return RingAmplitudes(*amplitudes())
 
-    def pair_a(i: int, j: int) -> complex:
+
+def _algebraic_grid(s, t) -> tuple[tuple, np.ndarray]:
+    """solve_algebraic on node entries over a grid, shaped as for _resolve_grid.
+
+    Returns the amplitudes A..F and the mask of the rows where its formulas
+    hold; on the other rows solve_algebraic raises or solves a bound state.
+    """
+    delta, delta_b, _, amplitudes = _algebraic_forms(s, t)
+    return amplitudes(), (abs(delta - delta_b) <= _IDENTITY_TOL) & (abs(delta) >= DEGENERATE_TOL)
+
+
+def _algebraic_forms(m1, m2):
+    # The elimination of solve_algebraic on the node entries m1[i, j], m2[i, j]:
+    # complex scalars of two matrices, or arrays over a grid.  Returns Delta,
+    # its second form Delta_b from the B, D system, that system's 2x2 gap
+    # I - s s~ as nested rows, and the amplitudes A..F as a function.
+
+    def pair_a(i: int, j: int):
         # sum over interior wires of s[wire, i] * s~[j, wire]
         return m1[1, i] * m2[j, 1] + m1[2, i] * m2[j, 2]
 
-    def pair_b(i: int, j: int) -> complex:
+    def pair_b(i: int, j: int):
         return m2[1, i] * m1[j, 1] + m2[2, i] * m1[j, 2]
 
     a12, a13 = pair_a(0, 1), pair_a(0, 2)
@@ -387,27 +416,22 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     b22, b23, b32, b33 = pair_b(1, 1), pair_b(1, 2), pair_b(2, 1), pair_b(2, 2)
     delta = (1.0 - a22) * (1.0 - a33) - a23 * a32
     delta_b = (1.0 - b22) * (1.0 - b33) - b23 * b32
-    if not abs(delta - delta_b) <= 1e-12:
-        raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
-    if abs(delta) < DEGENERATE_TOL:
-        gap = np.array([[1.0 - b22, -b32], [-b23, 1.0 - b33]])  # I - s s~, the B, D system
-        amps = _unexcited_bound_state(m1, m2, gap)
-        if amps is None:
-            raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
-        return amps
 
-    c_num = a12 * (1.0 - a33) + a13 * a32
-    e_num = a13 * (1.0 - a22) + a12 * a23
-    b_num = m1[2, 0] * b32 + m1[1, 0] * (1.0 - b33)
-    d_num = m1[1, 0] * b23 + m1[2, 0] * (1.0 - b22)
-    return RingAmplitudes(
-        A=m1[0, 0] + (m1[0, 1] * c_num + m1[0, 2] * e_num) / delta,
-        B=b_num / delta,
-        C=c_num / delta,
-        D=d_num / delta,
-        E=e_num / delta,
-        F=(m2[0, 1] * b_num + m2[0, 2] * d_num) / delta,
-    )
+    def amplitudes():
+        c_num = a12 * (1.0 - a33) + a13 * a32
+        e_num = a13 * (1.0 - a22) + a12 * a23
+        b_num = m1[2, 0] * b32 + m1[1, 0] * (1.0 - b33)
+        d_num = m1[1, 0] * b23 + m1[2, 0] * (1.0 - b22)
+        return (
+            m1[0, 0] + (m1[0, 1] * c_num + m1[0, 2] * e_num) / delta,
+            b_num / delta,
+            c_num / delta,
+            d_num / delta,
+            e_num / delta,
+            (m2[0, 1] * b_num + m2[0, 2] * d_num) / delta,
+        )
+
+    return delta, delta_b, ((1.0 - b22, -b32), (-b23, 1.0 - b33)), amplitudes
 
 
 def _unexcited_bound_state(m1: Mat3, m2: Mat3, gap: np.ndarray) -> RingAmplitudes | None:
@@ -726,19 +750,33 @@ class _Route:
         den, amplitudes = self.forms(m, np.exp(z), columns)
         return amplitudes(), abs(den) < DEGENERATE_TOL
 
-    def resolve_grid(self, ks: np.ndarray, columns):
-        # _resolve on a grid, for the amplitudes that columns flags (as
-        # _amplitudes), entry by entry: every product below is elementwise.
+    def node_stacks(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Where the per-point route accepts the wavenumbers ks, as a mask, and
+        # both nodes' arrays over them, each of shape (n, 3, 3).
         accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
-        self._check_grid(ks, accepted & _accepted(self.right, ks, self.xi2, Orientation.OUTWARD))
-        s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD).transpose(1, 2, 0)
-        t = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD).transpose(1, 2, 0)
-        gap = _EYE2[:, :, None] - (s[1:, 1:, None] * t[None, 1:, 1:]).sum(axis=1)
-        (g00, g01), (g10, g11) = gap
-        det = g00 * g11 - g01 * g10
-        resolvent = np.array([[g11, -g01], [-g10, g00]]) / det
-        v = resolvent[:, 0] * s[1, 0] + resolvent[:, 1] * s[2, 0]
-        sv = None
-        if columns[0] or columns[1] or columns[3]:  # only A, B and D read sv
-            sv = t[1:, 1] * v[0] + t[1:, 2] * v[1]
-        return _amplitudes(s, t, v, sv, columns), _singular(gap, det)
+        accepted &= _accepted(self.right, ks, self.xi2, Orientation.OUTWARD)
+        s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
+        return accepted, s, _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
+
+    def resolve_grid(self, ks: np.ndarray, columns):
+        accepted, s, t = self.node_stacks(ks)
+        self._check_grid(ks, accepted)
+        return _resolve_grid(s.transpose(1, 2, 0), t.transpose(1, 2, 0), columns)
+
+
+def _resolve_grid(s: np.ndarray, t: np.ndarray, columns=_ALL_COLUMNS):
+    """_resolve on node entries over a grid, entry by entry: every product below is elementwise.
+
+    s and t hold the left and right node arrays with the grid on the last
+    axis, shape (3, 3, n).  Returns the amplitudes that columns flags (as
+    _amplitudes) and the singular mask.
+    """
+    gap = _EYE2[:, :, None] - (s[1:, 1:, None] * t[None, 1:, 1:]).sum(axis=1)
+    (g00, g01), (g10, g11) = gap
+    det = g00 * g11 - g01 * g10
+    resolvent = np.array([[g11, -g01], [-g10, g00]]) / det
+    v = resolvent[:, 0] * s[1, 0] + resolvent[:, 1] * s[2, 0]
+    sv = None
+    if columns[0] or columns[1] or columns[3]:  # only A, B and D read sv
+        sv = t[1:, 1] * v[0] + t[1:, 2] * v[1]
+    return _amplitudes(s, t, v, sv, columns), _singular(gap, det)

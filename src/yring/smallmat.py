@@ -75,8 +75,8 @@ def _identity(n: int) -> np.ndarray:
 
 
 def unitarity_error(a: np.ndarray) -> float:
-    """Max-norm of a @ a^dagger - I for a square matrix."""
-    n = a.shape[0]
-    if a.shape != (n, n):
+    """Max-norm of a @ a^dagger - I for a square matrix, the largest over a stack of them."""
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("unitarity_error expects a square matrix")
-    return max_norm(a @ a.conj().T - _identity(n))
+    return max_norm(a @ a.conj().swapaxes(-1, -2) - _identity(n))

@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from yring import JunctionParams, cli
+from yring import JunctionParams, cli, ring
 from yring.cli import main
 from yring.config import _JUNCTION_FIELDS, ConfigError, load_config, parse_angle
 
@@ -294,11 +296,112 @@ class TestFindCommand:
         assert len(lines) == 3 and all(line.startswith("warning: analytic resonance ") for line in lines)
 
 
+#: The lines of `yring check` on each shipped config, numbers masked.
+SHIPPED_CHECK_LINES = {
+    SYMMETRIC_CFG: [
+        "check unitarity U (splitter): <x> <= 1e-12 ok",
+        "check unitarity S (splitter): <x> <= 1e-12 ok",
+        "check node-condition residual (splitter): <x> <= 1e-10 ok",
+        "check three-way solver agreement: <x> <= 1e-10 ok",
+        "check flux conservation: <x> <= 1e-10 ok",
+        "all checks passed",
+    ],
+    ANTISYMMETRIC_CFG: [
+        "check unitarity U (node): <x> <= 1e-12 ok",
+        "check unitarity S (node): <x> <= 1e-12 ok",
+        "check node-condition residual (node): <x> <= 1e-10 ok",
+        "check three-way solver agreement: <x> <= 1e-10 ok",
+        "check flux conservation: <x> <= 1e-10 ok",
+        "all checks passed",
+    ],
+    GENERAL_CFG: [
+        "check unitarity U (left_node): <x> <= 1e-12 ok",
+        "check unitarity S (left_node): <x> <= 1e-12 ok",
+        "check node-condition residual (left_node): <x> <= 1e-10 ok",
+        "check unitarity U (right_node): <x> <= 1e-12 ok",
+        "check unitarity S (right_node): <x> <= 1e-12 ok",
+        "check node-condition residual (right_node): <x> <= 1e-10 ok",
+        "check three-way solver agreement: <x> <= 1e-10 ok",
+        "check flux conservation: <x> <= 1e-10 ok",
+        "all checks passed",
+    ],
+}
+
+#: The measured value of a check line.
+CHECK_NUMBER = re.compile(r"(?<=: )\S+(?= <= )")
+
+
+def nan_row(values: np.ndarray) -> np.ndarray:
+    """values with NaN in the middle row, past the first, as a new array."""
+    values = np.array(values, dtype=values.dtype)
+    values[len(values) // 2] = math.nan
+    return values
+
+
+def with_nan_amplitude(grid):
+    """A grid solve of cmd_check whose amplitude A is NaN at the middle wavenumber."""
+    def wrapped(s, t):
+        (a, *rest), mask = grid(s, t)
+        return (nan_row(a), *rest), mask
+    return wrapped
+
+
+def with_nan_series(solve_series):
+    """solve_series whose amplitude A is NaN at the middle one of cmd_check's calls."""
+    calls = []
+
+    def wrapped(s1, s2, **kwargs):
+        amps, terms = solve_series(s1, s2, **kwargs)
+        calls.append(s1)
+        if len(calls) == cli._CHECK_KS // 2 + 1:
+            amps = dataclasses.replace(amps, A=complex(math.nan, 0.0))
+        return amps, terms
+    return wrapped
+
+
+def with_nan_residual(residual):
+    """_residual with NaN at the middle sample."""
+    return lambda *args: nan_row(residual(*args))
+
+
+#: The cli name that each NaN injection wraps, and its wrapper.
+NAN_INJECTIONS = {
+    "series": ("solve_series", with_nan_series),
+    "resolvent": ("_resolve_grid", with_nan_amplitude),
+    "algebraic": ("_algebraic_grid", with_nan_amplitude),
+    "residual": ("_residual", with_nan_residual),
+}
+
+
+def check_wavenumbers(path: str, monkeypatch) -> list[float]:
+    """The seeded wavenumbers of `yring check`'s ring lines on a config, in draw order."""
+    ks = []
+    solve_series = cli.solve_series
+
+    def recording(s1, s2, **kwargs):
+        ks.append(s1.k)
+        return solve_series(s1, s2, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_series", recording)
+        assert main(["check", "--config", path]) == 0
+    assert len(ks) == cli._CHECK_KS
+    return ks
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("cfg", [SYMMETRIC_CFG, ANTISYMMETRIC_CFG, GENERAL_CFG])
     def test_shipped_configs_pass(self, cfg, capsys):
-        assert main(["check", "--config", cfg]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+        # every line, in order, with the numbers masked; no warning of the
+        # batched path reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert [CHECK_NUMBER.sub("<x>", line) for line in lines] == SHIPPED_CHECK_LINES[cfg]
+        assert all(line.endswith(" ok") for line in lines[:-1])
 
     def test_near_decoupled_ring_fails_to_converge(self, tmp_path, capsys):
         cfg = write_config(
@@ -310,6 +413,64 @@ class TestCheckCommand:
         )
         assert main(["check", "--config", cfg]) == 4
         assert "convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L0, xi1, message", [
+        # a node sample, then a ring wavenumber, that the node matrix rejects
+        (1e308, 1.0, "k*L0 overflows at k=2.4843104961753033, L0=1e+308: the node matrix is not finite"),
+        (1.0, 1e307, "k*xi overflows in the position phase at k=9.317931539798835, xi=1e+307: "
+                     "the node matrix is not finite"),
+    ])
+    def test_rejected_sample_is_config_error(self, L0, xi1, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "junctions": {"j": {"theta": [1.0, 2.0, 3.0], "beta": 1.1, "L0": L0}},
+            "ring": {"left": "j", "mode": "symmetric", "xi1": xi1, "xi2": 0.0},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("where", ["series", "resolvent", "algebraic", "residual"])
+    def test_nan_fails_the_check(self, where, monkeypatch, capsys):
+        # a NaN at one sample, past the first, fails its line: every worst
+        # value propagates NaN
+        label = {"residual": "node-condition residual (left_node)"}.get(where, "three-way solver agreement")
+        name, wrap = NAN_INJECTIONS[where]
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+        assert main(["check", "--config", GENERAL_CFG]) == 1
+        out = capsys.readouterr().out
+        assert f"check {label}: nan <= 1e-10 FAIL\n" in out
+        assert out.endswith("CHECK FAILED\n")
+
+    @pytest.mark.parametrize("singular_at, fails_at, code", [(4, 8, 3), (8, 4, 4)])
+    def test_first_failure_in_draw_order_wins(self, singular_at, fails_at, code, monkeypatch, capsys):
+        # the resolvent singular at one seeded wavenumber, the series failing
+        # at another: the earlier one ends the run, with its per-point error
+        ks = check_wavenumbers(GENERAL_CFG, monkeypatch)
+        capsys.readouterr()
+        solve_series, singular = cli.solve_series, ring._singular
+
+        def failing_series(s1, s2, **kwargs):
+            if s1.k == ks[fails_at]:
+                kwargs["max_terms"] = 1  # the series cannot end within one term
+            return solve_series(s1, s2, **kwargs)
+
+        def singular_row(gap, det):
+            if np.ndim(det) == 0:  # the per-point resolvent, reached on flagged rows only
+                return True
+            flags = singular(gap, det)
+            flags[singular_at] = True
+            return flags
+
+        monkeypatch.setattr(cli, "solve_series", failing_series)
+        monkeypatch.setattr(ring, "_singular", singular_row)
+        assert main(["check", "--config", GENERAL_CFG]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        if code == cli.EXIT_DEGENERATE:
+            assert err.startswith(f"degenerate ring: ring is degenerate at k={ks[singular_at]!r}: ")
+        else:
+            assert err.startswith("convergence failure: bounce series did not reach tol=1e-12 within 1 terms")
 
 
 class TestArgumentErrors:

@@ -32,17 +32,28 @@ from yring import (
     JunctionParams,
     ResonanceKind,
     RingConfig,
+    ScatteringMatrix,
+    build_U,
     find_resonances,
     is_scale_invariant,
+    junction_residual,
     ring_matrices,
+    solve_algebraic,
     solve_auto,
     solve_grid,
 )
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.junction import Orientation, _Node, _s0_diagonal, _s_array, _s_grid
-from yring.ring import GRID_BLOCK, SINGULAR_RTOL, _solve_grid_columns
+from yring.junction import Orientation, _Node, _residual, _s0_diagonal, _s_array, _s_grid
+from yring.ring import (
+    DEGENERATE_TOL,
+    GRID_BLOCK,
+    SINGULAR_RTOL,
+    _algebraic_forms,
+    _algebraic_grid,
+    _solve_grid_columns,
+)
 from yring.smallmat import max_norm
 
 PI = math.pi
@@ -274,6 +285,49 @@ class TestBatchedProducts:
                 got = _s_grid(node, ks, float(rng.uniform(-1.0, 1.0)), orientation)
                 assert np.isfinite(got).all()
                 assert unitarity_errors(got).max() <= PRODUCT_TOL
+
+
+    def test_algebraic_solve(self):
+        # _algebraic_grid against solve_algebraic on the same node matrices, row
+        # by row, within CONTRACT eps / min(|Delta|, 1); it leaves to
+        # solve_algebraic exactly the rows where that one leaves its formulas
+        rng = np.random.default_rng(41)
+        rings = [random_ring(rng, mode, si) for mode in ("symmetric", "antisymmetric", "general")
+                 for si in (True, False) for _ in range(3)]
+        rings.append(RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0))
+        left_to_point = 0
+        for cfg in rings:
+            ks = np.concatenate([[PI, 2 * PI], rng.uniform(0.1, 20.0, 40)])
+            _, s, t = cfg._route.node_stacks(ks)
+            with np.errstate(all="ignore"):
+                amps, regular = _algebraic_grid(s.transpose(1, 2, 0), t.transpose(1, 2, 0))
+            amps = np.array(amps).T
+            for i, k in enumerate(ks.tolist()):
+                delta, delta_b, _, _ = _algebraic_forms(s[i], t[i])
+                assert regular[i] == (abs(delta - delta_b) <= 1e-12 and abs(delta) >= DEGENERATE_TOL)
+                if not regular[i]:
+                    left_to_point += 1
+                    continue
+                s1 = ScatteringMatrix(m=s[i], k=k, xi=cfg.xi1, orientation=Orientation.INWARD)
+                s2 = ScatteringMatrix(m=t[i], k=k, xi=cfg.xi2, orientation=Orientation.OUTWARD)
+                error = np.abs(amps[i] - solve_algebraic(s1, s2).to_array()).max()
+                assert error <= CONTRACT * EPS / min(abs(delta), 1.0)
+        assert left_to_point == 2  # the full reflector at pi and 2 pi
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.name.lower())
+    def test_node_residual(self, orientation):
+        # _residual on a stack of samples against junction_residual, sample by
+        # sample, for unitary and arbitrary U and arbitrary psi
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            p = random_params(rng)
+            ks, xis = rng.uniform(0.1, 20.0, 8), rng.uniform(-2.0, 2.0, 8)
+            phis, psis = (rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)) for _ in range(2))
+            for u in (build_U(p), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))):
+                got = _residual(u, p.L0, ks, xis, phis.T, psis.T, orientation)
+                expected = np.array([junction_residual(u, p.L0, *sample, orientation)
+                                     for sample in zip(ks.tolist(), xis.tolist(), phis, psis)])
+                assert np.abs(got - expected).max() <= PRODUCT_TOL * expected.max()
 
 
 def unitarity_errors(stack: np.ndarray) -> np.ndarray:
