@@ -38,7 +38,7 @@ from .ring import (
     DegenerateRingError,
     RingConfig,
     _algebraic_grid,
-    _resolve_grid,
+    _resolvent_forms,
     flux_defect,
     ring_matrices,
     solve_algebraic,
@@ -269,9 +269,9 @@ def _check_ring(out: list[str], ring: RingConfig, rng: np.random.Generator) -> b
     with np.errstate(all="ignore"):  # rejected and singular rows, raised or redone below
         accepted, s, t = ring._route.node_stacks(ks)
         entries = s.transpose(1, 2, 0), t.transpose(1, 2, 0)  # the wavenumbers on the last axis
-        closed, singular = _resolve_grid(*entries)
+        _, singular, resolvent = _resolvent_forms(*entries)
         algebraic, regular = _algebraic_grid(*entries)
-    closed, algebraic = np.array(closed).T, np.array(algebraic).T  # (n, 6): A..F per row
+        closed, algebraic = np.array(resolvent()).T, np.array(algebraic).T  # (n, 6): A..F per row
     series = np.empty_like(closed)
     for i, k in enumerate(ks.tolist()):
         if not accepted[i]:

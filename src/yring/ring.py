@@ -1,15 +1,15 @@
 """Double-node ring solvers: bounce series, resolvent closed form, and algebraic forms.
 
-A ring is two three-wire nodes at positions xi1 > xi2 joined by the two
-interior wires; unit flux enters on the exterior wire of the left node.
-The six amplitudes (A, B, C, D, E, F) of the piecewise plane-wave state
-are obtained by three independent routes that must agree:
+A ring is two three-wire nodes at xi1 > xi2 joined by their interior wires;
+unit flux enters on the left node's exterior wire.  The six amplitudes A..F
+of the piecewise plane-wave state come from three routes that must agree:
 
-* solve_series      -- sums the multiple-bounce expansion, term by term and
-                       then by exact doubling,
-* solve_closed_form -- resums the bounce series into a 2x2 resolvent,
-* solve_algebraic   -- explicit component formulas from eliminating the
-                       interior amplitudes.
+* solve_series      -- sums the bounce series of (s s~)^n, then doubles it,
+* solve_closed_form -- resums it into the 2x2 resolvent (I - s s~)^-1,
+* solve_algebraic   -- eliminates the interior amplitudes explicitly.
+
+Each formula, the bounce operator s s~ (_bounce) included, is written once on
+the node entries s[i][j], t[i][j]: complex scalars at a point, arrays on a grid.
 
 Scale-invariant nodes admit much simpler closed forms for the symmetric
 and swap-antisymmetric ring variants; those fast paths live here too,
@@ -39,9 +39,6 @@ from .junction import (
     is_scale_invariant,
 )
 from .smallmat import Mat3
-
-_EYE2 = np.eye(2, dtype=complex)
-_EYE2.setflags(write=False)
 
 #: |denominator| below this is treated as a decoupled (degenerate) ring.
 DEGENERATE_TOL = 1e-13
@@ -182,17 +179,27 @@ def ring_matrices(cfg: RingConfig, k: float) -> tuple[ScatteringMatrix, Scatteri
     )
 
 
-def _assemble(m1: Mat3, m2: Mat3, v: np.ndarray) -> RingAmplitudes:
-    # v is the resolvent (or partial bounce sum) applied to (s21, s31).
-    sv = m2[1:, 1:] @ v
-    return RingAmplitudes(*_amplitudes(m1.tolist(), m2.tolist(), v.tolist(), sv.tolist()))
+def _check_pair(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> None:
+    if not (S1.k == S2eff.k and S1.orientation is Orientation.INWARD and S2eff.orientation is Orientation.OUTWARD):
+        raise ValueError(f"a ring needs an INWARD and an OUTWARD matrix at one k, got {S1.orientation.name} "
+                         f"at k={S1.k!r} and {S2eff.orientation.name} at k={S2eff.k!r}")
 
 
-def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
+def _bounce(s, t) -> tuple:
+    # The entries (m00, m01, m10, m11) of the bounce operator s s~ on the interior wires,
+    # from the node entries s[i][j], t[i][j]: complex scalars, or arrays over a grid.
+    (_, s11, s12), (_, s21, s22) = s[1], s[2]
+    (_, t11, t12), (_, t21, t22) = t[1], t[2]
+    return s11 * t11 + s12 * t21, s11 * t12 + s12 * t22, s21 * t11 + s22 * t21, s21 * t12 + s22 * t22
+
+
+def _amplitudes(s, t, v, columns=_ALL_COLUMNS) -> tuple:
     # The amplitudes A..F that columns flags (None for the others) from the node
-    # entries s[i][j], t[i][j], v and sv = t[1:, 1:] v; the entries are complex
-    # scalars, or arrays over a grid.  Only A, B and D read sv.
+    # entries s[i][j], t[i][j] and v, the resolvent (or a partial bounce sum)
+    # applied to (s21, s31): complex scalars, or arrays over a grid.
     a, b, c, d, e, f = columns
+    # only A, B and D read sv = t[1:, 1:] v
+    sv = (t[1][1] * v[0] + t[1][2] * v[1], t[2][1] * v[0] + t[2][2] * v[1]) if a or b or d else None
     return (
         s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1] if a else None,
         s[1][0] + s[1][1] * sv[0] + s[1][2] * sv[1] if b else None,
@@ -203,32 +210,46 @@ def _amplitudes(s, t, v, sv, columns=_ALL_COLUMNS) -> tuple:
     )
 
 
-def _singular(gap: np.ndarray, det):
+def _singular(gap, det):
     """Whether the resolvent's gap I - s s~ (determinant det) is singular, elementwise.
 
-    gap holds the 2x2 matrix on its first two axes: one matrix with a
-    complex det, or (2, 2, n) entries over a grid with n determinants.
-    gap entries are O(1) by unitarity, so the first test is absolute: a
-    uniformly tiny gap (fully decoupled ring at resonance) must not pass the
-    scale-relative second one.
+    gap holds the four entries (g00, g01, g10, g11) and det their determinant:
+    complex scalars, or arrays over a grid.  The entries are O(1) by unitarity,
+    so the first test is absolute: a uniformly tiny gap (fully decoupled ring
+    at resonance) must not pass the scale-relative second one.
     """
+    largest = functools.reduce(np.maximum, map(abs, gap))  # NaN if an entry is NaN
     size = abs(det)
-    return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * np.abs(gap).max(axis=(0, 1)) ** 2)
+    return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * largest ** 2)
+
+
+def _resolvent_forms(s, t, columns=_ALL_COLUMNS):
+    # The resolvent (I - s s~)^-1 on the node entries s[i][j], t[i][j] (complex
+    # scalars, or arrays over a grid): det(I - s s~), the singular test, and the
+    # amplitudes that columns flags as a function, which divides by det.
+    m00, m01, m10, m11 = _bounce(s, t)
+    g00, g01, g10, g11 = gap = (1.0 - m00, 0.0 - m01, 0.0 - m10, 1.0 - m11)  # 0.0 - m, not -m, keeps +0
+    det = g00 * g11 - g01 * g10
+
+    def amplitudes():
+        v = (g11 / det * s[1][0] + -g01 / det * s[2][0], -g10 / det * s[1][0] + g00 / det * s[2][0])
+        return _amplitudes(s, t, v, columns)
+
+    return det, _singular(gap, det), amplitudes
 
 
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
-    gap = _EYE2 - m1[1:, 1:] @ m2[1:, 1:]
-    det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
-    if _singular(gap, det):
+    det, singular, amplitudes = _resolvent_forms(m1.tolist(), m2.tolist())
+    if singular:  # tested first: CPython raises on a complex division by an exact zero
         reason = (f"|det(I - s s~)|={abs(det):.3e}" if abs(det) < DEGENERATE_TOL
                   else f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
         raise DegenerateRingError(f"ring is degenerate at k={k!r}: {reason}")
-    adjugate = np.array([[gap[1, 1], -gap[0, 1]], [-gap[1, 0], gap[0, 0]]], dtype=complex)
-    return _assemble(m1, m2, (adjugate / det) @ m1[1:, 0])
+    return RingAmplitudes(*amplitudes())
 
 
 def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
     """Resum the bounce series: apply the 2x2 resolvent (I - s s~)^-1 exactly."""
+    _check_pair(S1, S2eff)
     return _resolve(S1.m, S2eff.m, S1.k)
 
 
@@ -265,14 +286,13 @@ def solve_series(
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    m1, m2 = S1.m, S2eff.m
-    prod = m1[1:, 1:] @ m2[1:, 1:]
-    m11, m12 = complex(prod[0, 0]), complex(prod[0, 1])
-    m21, m22 = complex(prod[1, 0]), complex(prod[1, 1])
+    _check_pair(S1, S2eff)
+    s, t = S1.m.tolist(), S2eff.m.tolist()
+    m11, m12, m21, m22 = _bounce(s, t)
     rho_matrix = max(abs(m11) + abs(m12), abs(m21) + abs(m22))
     noise_floor = 1e-3 * tol  # rounding noise in increments sits near 1e-16
 
-    d1, d2 = complex(m1[1, 0]), complex(m1[2, 0])
+    d1, d2 = s[1][0], s[2][0]
     u1 = u2 = 0.0 + 0.0j
     p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j  # running power of s s~
     terms = 0
@@ -316,11 +336,11 @@ def solve_series(
             if q / (1.0 - q) * (b if b > a else a) <= tol:
                 break
     else:
-        return _series_doubling(m1, m2, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
-    return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
+        return _series_doubling(s, t, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
+    return RingAmplitudes(*_amplitudes(s, t, (u1, u2))), terms
 
 
-def _series_doubling(m1, m2, p, u, terms, tol, max_terms):
+def _series_doubling(s, t, p, u, terms, tol, max_terms):
     """Finish a slowly contracting bounce series by doubling partial sums.
 
     p is the power (s s~)**terms and u the sum of the first `terms` terms,
@@ -349,7 +369,7 @@ def _series_doubling(m1, m2, p, u, terms, tol, max_terms):
                 if bound <= tol:
                     break
         if 2 * terms > max_terms:
-            partial = _assemble(m1, m2, np.array([u1, u2], dtype=complex))
+            partial = RingAmplitudes(*_amplitudes(s, t, (u1, u2)))
             raise ConvergenceError(
                 f"bounce series did not reach tol={tol:g} within {max_terms} terms "
                 f"(block increment {inc_norm:g})",
@@ -367,7 +387,7 @@ def _series_doubling(m1, m2, p, u, terms, tol, max_terms):
         )
         terms *= 2
         prev_inc = inc_norm
-    return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
+    return RingAmplitudes(*_amplitudes(s, t, (u1, u2))), terms
 
 
 def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
@@ -376,8 +396,9 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     Independent of the resolvent route: everything is spelled out through
     the pair sums over the interior wires and a common 2x2 determinant.
     """
+    _check_pair(S1, S2eff)
     m1, m2 = S1.m, S2eff.m
-    delta, delta_b, gap, amplitudes = _algebraic_forms(m1, m2)
+    delta, delta_b, gap, amplitudes = _algebraic_forms(m1.tolist(), m2.tolist())
     if not abs(delta - delta_b) <= _IDENTITY_TOL:
         raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
     if abs(delta) < DEGENERATE_TOL:
@@ -389,7 +410,7 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
 
 
 def _algebraic_grid(s, t) -> tuple[tuple, np.ndarray]:
-    """solve_algebraic on node entries over a grid, shaped as for _resolve_grid.
+    """solve_algebraic on node entries over a grid, shape (3, 3, n).
 
     Returns the amplitudes A..F and the mask of the rows where its formulas
     hold; on the other rows solve_algebraic raises or solves a bound state.
@@ -399,17 +420,17 @@ def _algebraic_grid(s, t) -> tuple[tuple, np.ndarray]:
 
 
 def _algebraic_forms(m1, m2):
-    # The elimination of solve_algebraic on the node entries m1[i, j], m2[i, j]:
-    # complex scalars of two matrices, or arrays over a grid.  Returns Delta,
-    # its second form Delta_b from the B, D system, that system's 2x2 gap
-    # I - s s~ as nested rows, and the amplitudes A..F as a function.
+    # The elimination of solve_algebraic on the node entries m1[i][j], m2[i][j]:
+    # complex scalars, or arrays over a grid.  Returns Delta, its second form
+    # Delta_b from the B, D system, that system's 2x2 gap I - s s~ as nested
+    # rows, and the amplitudes A..F as a function.
 
     def pair_a(i: int, j: int):
         # sum over interior wires of s[wire, i] * s~[j, wire]
-        return m1[1, i] * m2[j, 1] + m1[2, i] * m2[j, 2]
+        return m1[1][i] * m2[j][1] + m1[2][i] * m2[j][2]
 
     def pair_b(i: int, j: int):
-        return m2[1, i] * m1[j, 1] + m2[2, i] * m1[j, 2]
+        return m2[1][i] * m1[j][1] + m2[2][i] * m1[j][2]
 
     a12, a13 = pair_a(0, 1), pair_a(0, 2)
     a22, a23, a32, a33 = pair_a(1, 1), pair_a(1, 2), pair_a(2, 1), pair_a(2, 2)
@@ -420,15 +441,15 @@ def _algebraic_forms(m1, m2):
     def amplitudes():
         c_num = a12 * (1.0 - a33) + a13 * a32
         e_num = a13 * (1.0 - a22) + a12 * a23
-        b_num = m1[2, 0] * b32 + m1[1, 0] * (1.0 - b33)
-        d_num = m1[1, 0] * b23 + m1[2, 0] * (1.0 - b22)
+        b_num = m1[2][0] * b32 + m1[1][0] * (1.0 - b33)
+        d_num = m1[1][0] * b23 + m1[2][0] * (1.0 - b22)
         return (
-            m1[0, 0] + (m1[0, 1] * c_num + m1[0, 2] * e_num) / delta,
+            m1[0][0] + (m1[0][1] * c_num + m1[0][2] * e_num) / delta,
             b_num / delta,
             c_num / delta,
             d_num / delta,
             e_num / delta,
-            (m2[0, 1] * b_num + m2[0, 2] * d_num) / delta,
+            (m2[0][1] * b_num + m2[0][2] * d_num) / delta,
         )
 
     return delta, delta_b, ((1.0 - b22, -b32), (-b23, 1.0 - b33)), amplitudes
@@ -629,7 +650,7 @@ def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
     """
     route = cfg._route
     if route.forms is None:
-        return route.resolve(k)
+        return _resolve(*route.arrays(k), k)
     if isinstance(cfg.mode, Symmetric):
         return solve_symmetric_scale_invariant(cfg, k)
     return solve_antisymmetric_scale_invariant(cfg, k)
@@ -645,12 +666,11 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     zero, or k*xi not finite).  The scan of find_resonances runs the same
     kernel on the one column it searches.
 
-    The grid/point contract: the kernel takes solve_auto's route through the
-    same formulas (_amplitudes, the closed forms, _singular) in numpy complex
-    arithmetic, so every other row agrees with solve_auto to rounding: within
-    256 eps / min(|det|, 1) of it, det being the resolvent's det(I - s s~)
-    (squared on the antisymmetric closed form, the less well conditioned
-    route).  The tests hold the grid to that bound against solve_auto and
+    The grid/point contract: the kernel runs solve_auto's formula bodies on
+    arrays, not complex scalars, and numpy rounds them unlike CPython: every
+    other row agrees with solve_auto within 256 eps / min(|det|, 1), det
+    being the resolvent's det(I - s s~) (squared on the antisymmetric closed
+    form, the less well conditioned route).  The tests hold the grid to that bound against solve_auto and
     against a 50-digit solve of the same node matrices.  The last bits can
     depend on the numpy and BLAS build, never on the run.
     """
@@ -715,10 +735,6 @@ class _Route:
             _s_array(self.right, k, self.xi2, Orientation.OUTWARD),
         )
 
-    def resolve(self, k: float) -> RingAmplitudes:
-        m1, m2 = self.arrays(k)
-        return _resolve(m1, m2, k)
-
     def closed_form(self, k: float) -> RingAmplitudes:
         m = _s_array(self.left, k, self.xi1, Orientation.INWARD)
         z = 2j * k * self.dxi
@@ -761,22 +777,5 @@ class _Route:
     def resolve_grid(self, ks: np.ndarray, columns):
         accepted, s, t = self.node_stacks(ks)
         self._check_grid(ks, accepted)
-        return _resolve_grid(s.transpose(1, 2, 0), t.transpose(1, 2, 0), columns)
-
-
-def _resolve_grid(s: np.ndarray, t: np.ndarray, columns=_ALL_COLUMNS):
-    """_resolve on node entries over a grid, entry by entry: every product below is elementwise.
-
-    s and t hold the left and right node arrays with the grid on the last
-    axis, shape (3, 3, n).  Returns the amplitudes that columns flags (as
-    _amplitudes) and the singular mask.
-    """
-    gap = _EYE2[:, :, None] - (s[1:, 1:, None] * t[None, 1:, 1:]).sum(axis=1)
-    (g00, g01), (g10, g11) = gap
-    det = g00 * g11 - g01 * g10
-    resolvent = np.array([[g11, -g01], [-g10, g00]]) / det
-    v = resolvent[:, 0] * s[1, 0] + resolvent[:, 1] * s[2, 0]
-    sv = None
-    if columns[0] or columns[1] or columns[3]:  # only A, B and D read sv
-        sv = t[1:, 1] * v[0] + t[1:, 2] * v[1]
-    return _amplitudes(s, t, v, sv, columns), _singular(gap, det)
+        _, singular, amplitudes = _resolvent_forms(s.transpose(1, 2, 0), t.transpose(1, 2, 0), columns)
+        return amplitudes(), singular

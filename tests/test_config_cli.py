@@ -346,6 +346,15 @@ def with_nan_amplitude(grid):
     return wrapped
 
 
+def with_nan_resolvent(forms):
+    """_resolvent_forms whose amplitude A is NaN at the middle wavenumber of cmd_check."""
+    def wrapped(s, t):
+        det, singular, amplitudes = forms(s, t)
+        a, *rest = amplitudes()
+        return det, singular, lambda: (nan_row(a), *rest)
+    return wrapped
+
+
 def with_nan_series(solve_series):
     """solve_series whose amplitude A is NaN at the middle one of cmd_check's calls."""
     calls = []
@@ -367,7 +376,7 @@ def with_nan_residual(residual):
 #: The cli name that each NaN injection wraps, and its wrapper.
 NAN_INJECTIONS = {
     "series": ("solve_series", with_nan_series),
-    "resolvent": ("_resolve_grid", with_nan_amplitude),
+    "resolvent": ("_resolvent_forms", with_nan_resolvent),
     "algebraic": ("_algebraic_grid", with_nan_amplitude),
     "residual": ("_residual", with_nan_residual),
 }

@@ -5,11 +5,11 @@ including within 1e-9 of 0 and pi, where the quotients of the node matrix
 divide by nearly nothing; rings have every mode, arm lengths from 0.05 to
 10, and a grid of up to 160 wavenumbers.  Every draw is held to the contract
 of tests/test_grid.py against solve_auto, and each node's grid matrices to
-a few eps of the per-point ones.  Two rows of each draw are held to
-the same bound against the 50-digit reference, except where solve_auto takes
-a closed form for a node only within PREDICATE_TOL of scale invariance: the
-closed forms then model the node as exactly scale invariant, an error of the
-route, not of the kernel.
+a few eps of the per-point ones.  Two rows of each draw, from the grid and
+from solve_auto, are held to the same bound against the 50-digit reference,
+except where solve_auto takes a closed form for a node only within
+PREDICATE_TOL of scale invariance: the closed forms then model the node as
+exactly scale invariant, an error of the route, not of the kernel.
 """
 
 import math
@@ -89,8 +89,9 @@ def test_grid_within_contract(cfg, ks):
         return
     sampled = rows[[0, -1]]
     exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks[sampled].tolist()])
-    ratios = contract_ratios(cfg, ks[sampled], amps[sampled], exact)
-    assert (ratios <= 1.0).all(), f"{ratios.max():.3g} x the bound of the 50-digit reference"
+    for route, got in (("grid", amps), ("point", reference)):
+        ratios = contract_ratios(cfg, ks[sampled], got[sampled], exact)
+        assert (ratios <= 1.0).all(), f"{route}: {ratios.max():.3g} x the bound of the 50-digit reference"
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)

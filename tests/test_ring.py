@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import linear_ring_solve, mp_resolvent_amplitudes, random_params
+from test_grid import CONFIG_DIR
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -31,7 +33,8 @@ from yring import (
     solve_series,
     solve_symmetric_scale_invariant,
 )
-from yring.ring import DEGENERATE_TOL, SINGULAR_RTOL, _SERIES_DOUBLING_THRESHOLD, _assemble, _resolve, _singular
+from yring.config import load_config
+from yring.ring import DEGENERATE_TOL, SINGULAR_RTOL, _SERIES_DOUBLING_THRESHOLD, _amplitudes, _resolve, _singular
 from yring.smallmat import max_norm
 
 PI = math.pi
@@ -232,35 +235,45 @@ def arrays_with_gap(rng, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m1, m2
 
 
+def entries(gap: np.ndarray) -> tuple:
+    """The four entries (g00, g01, g10, g11) of a 2x2 gap, or of a (2, 2, n) stack of them."""
+    return gap[0, 0], gap[0, 1], gap[1, 0], gap[1, 1]
+
+
+def assembled(m1: np.ndarray, m2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A..F of the node arrays m1, m2 with v = (I - s s~)^-1 (s21, s31)."""
+    return np.array(_amplitudes(m1.tolist(), m2.tolist(), v.tolist()))
+
+
 class TestSingular:
     """ring._singular: the one singularity test of the resolvent, on the point and grid routes."""
 
     def test_identity_gap(self):
         eye = np.eye(2, dtype=complex)
-        assert not _singular(eye, determinant(eye))
+        assert not _singular(entries(eye), determinant(eye))
         # s s~ = 0: the resolvent is the identity, exactly
         m1, m2 = arrays_with_gap(np.random.default_rng(3), eye)
         got = _resolve(m1, m2, 1.0).to_array()
-        assert np.array_equal(got, _assemble(m1, m2, m1[1:, 0]).to_array())
+        assert np.array_equal(got, assembled(m1, m2, m1[1:, 0]))
 
     def test_matches_gauss_elimination_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             gap = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert not _singular(gap, determinant(gap))
+            assert not _singular(entries(gap), determinant(gap))
             m1, m2 = arrays_with_gap(rng, gap)
-            gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]  # as _resolve rounds it
-            expected = _assemble(m1, m2, np.linalg.solve(gap, m1[1:, 0])).to_array()
+            gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]
+            expected = assembled(m1, m2, np.linalg.solve(gap, m1[1:, 0]))
             got = _resolve(m1, m2, 1.0).to_array()
             assert np.abs(got - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
     def test_rejects_singular(self):
         singular = [np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex), np.zeros((2, 2), dtype=complex)]
         for gap in singular:
-            assert _singular(gap, determinant(gap))
+            assert _singular(entries(gap), determinant(gap))
         # elementwise on a stack of gaps (2, 2, n), as the grid route calls it
         gaps = np.stack(singular + [np.eye(2, dtype=complex), np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]])], axis=-1)
-        assert _singular(gaps, determinant(gaps)).tolist() == [True, True, False, True]
+        assert _singular(entries(gaps), determinant(gaps)).tolist() == [True, True, False, True]
 
     def test_stacked_mask_equals_each_gap(self):
         # the grid route's one call on (2, 2, n) against one call per gap, on
@@ -272,11 +285,11 @@ class TestSingular:
         v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         gaps = u[:, None, :] * v[None, :, :] * 10.0 ** rng.uniform(-8.0, 0.5, n)
         gaps[[0, 1], [0, 1]] += 10.0 ** rng.uniform(-16.0, -11.0, (2, n))
-        mask = _singular(gaps, determinant(gaps))
+        mask = _singular(entries(gaps), determinant(gaps))
         expected = []
         for gap in np.moveaxis(gaps, -1, 0):
             det = determinant(gap)
-            one = _singular(gap, det)
+            one = _singular(entries(gap), det)
             assert one == (abs(det) < DEGENERATE_TOL or abs(det) <= SINGULAR_RTOL * max_norm(gap) ** 2)
             expected.append(bool(one))
         assert mask.tolist() == expected
@@ -662,6 +675,28 @@ class TestThreeWayAgreement:
             assert np.abs(closed - algebraic).max() < 1e-10
             assert np.abs(series - algebraic).max() < 1e-10
             assert np.abs(closed - oracle).max() < 1e-10
+
+
+def general_ring_pairs() -> dict:
+    """Pairs of the shipped general ring's node matrices that are not one ring at one k."""
+    cfg = load_config(CONFIG_DIR / "general_ring.json").ring
+    s1, s2 = ring_matrices(cfg, 1.3)
+    _, t2 = ring_matrices(cfg, 2.9)
+    return {
+        "wavenumbers": (s1, t2),
+        "swapped": (s2, s1),
+        "both_inward": (s1, dataclasses.replace(s2, orientation=Orientation.INWARD)),
+        "both_outward": (dataclasses.replace(s1, orientation=Orientation.OUTWARD), s2),
+    }
+
+
+class TestNodePair:
+    @pytest.mark.parametrize("mismatch", ["wavenumbers", "swapped", "both_inward", "both_outward"])
+    @pytest.mark.parametrize("solve", [solve_closed_form, solve_series, solve_algebraic],
+                             ids=lambda f: f.__name__)
+    def test_rejects_a_pair_that_is_not_a_ring(self, solve, mismatch):
+        with pytest.raises(ValueError, match=r"^a ring needs an INWARD and an OUTWARD matrix at one k, got "):
+            solve(*general_ring_pairs()[mismatch])
 
 
 class TestSolveAuto:

@@ -2,9 +2,12 @@
 
 `solve_auto` takes the route choice and the node constants from a `_Route`
 built once per RingConfig and repeats only the per-wavenumber arithmetic.
-`reference_solve_auto` below keeps the previous per-point body, which built
-everything at every call; the two must agree bit for bit (signed zeros
-included) and raise the same errors at the same wavenumbers.
+`reference_solve_auto` below keeps the previous per-point node build, which
+built everything at every call (the antisymmetric right node through the
+PERM_23 products), and the route choice and closed forms; it hands its node
+arrays to the library's resolvent, `ring._resolve`.  The two must give the
+same node arrays, route and raw bits (signed zeros included) and raise the
+same errors at the same wavenumbers.
 """
 
 import cmath
@@ -51,14 +54,7 @@ from yring import (
 from yring import ring, spectrum
 from yring.config import load_config
 from yring.junction import _s_grid, build_V, is_scale_invariant
-from yring.ring import (
-    DEGENERATE_TOL,
-    SINGULAR_RTOL,
-    _amplitudes,
-    _antisymmetric_forms,
-    _symmetric_forms,
-)
-from yring.smallmat import max_norm
+from yring.ring import DEGENERATE_TOL, _antisymmetric_forms, _resolve, _symmetric_forms
 
 PI = math.pi
 
@@ -67,18 +63,6 @@ PI = math.pi
 
 #: Interior-wire swap of the antisymmetric ring variant.
 PERM_23 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-
-
-class SingularMatrixError(ValueError):
-    """A 2x2 inverse was requested for an effectively singular matrix."""
-
-
-def inverse2(a: np.ndarray) -> np.ndarray:
-    """Invert a 2x2 matrix via the determinant formula, rejecting a relatively singular one."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) <= SINGULAR_RTOL * max_norm(a) ** 2:
-        raise SingularMatrixError(f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
 
 
 def reference_node_array(p: JunctionParams, k: float, xi: float, orientation: Orientation) -> np.ndarray:
@@ -124,18 +108,7 @@ def reference_solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
             if abs(den) < DEGENERATE_TOL:
                 raise DegenerateRingError(f"{name} ring is degenerate at k={k!r}")
             return RingAmplitudes(*amplitudes())
-    m1, m2 = reference_node_arrays(cfg, k)
-    gap = np.eye(2, dtype=complex) - m1[1:, 1:] @ m2[1:, 1:]
-    det = gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]
-    if abs(det) < DEGENERATE_TOL:
-        raise DegenerateRingError(f"ring is degenerate at k={k!r}: |det(I - s s~)|={abs(det):.3e}")
-    try:
-        resolvent = inverse2(gap)
-    except SingularMatrixError as exc:
-        raise DegenerateRingError(f"ring is degenerate at k={k!r}: {exc}") from exc
-    v = resolvent @ m1[1:, 0]
-    sv = m2[1:, 1:] @ v
-    return RingAmplitudes(*_amplitudes(m1.tolist(), m2.tolist(), v.tolist(), sv.tolist()))
+    return _resolve(*reference_node_arrays(cfg, k), k)
 
 
 # -- helpers ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ only when the ratio bound has not certified the stop and q < 1.  It does the
 same floating-point operations in the same order as the loop it replaced.
 `reference_solve_series` below
 keeps the previous phase-1 loop (a growing list of norms, both bounds every
-step, their minimum against tol); the two must give the same term counts and
+step, their minimum against tol), with s s~ from `ring._bounce` and the
+amplitudes from `ring._amplitudes`; the two must give the same term counts and
 the same raw bits of A..F, signed zeros included, and raise the same
 ConvergenceError.
 
@@ -34,12 +35,13 @@ from yring import (
     ConvergenceError,
     General,
     JunctionParams,
+    RingAmplitudes,
     RingConfig,
     ring_matrices,
     solve_series,
 )
 from yring import cli, ring, solve_closed_form
-from yring.ring import _SERIES_DOUBLING_THRESHOLD, _assemble, _series_doubling
+from yring.ring import _SERIES_DOUBLING_THRESHOLD, _amplitudes, _bounce, _series_doubling
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -60,14 +62,12 @@ def reference_solve_series(
         raise ValueError("tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    m1, m2 = S1.m, S2eff.m
-    prod = m1[1:, 1:] @ m2[1:, 1:]
-    m11, m12 = complex(prod[0, 0]), complex(prod[0, 1])
-    m21, m22 = complex(prod[1, 0]), complex(prod[1, 1])
+    s, t = S1.m.tolist(), S2eff.m.tolist()
+    m11, m12, m21, m22 = _bounce(s, t)
     rho_matrix = max(abs(m11) + abs(m12), abs(m21) + abs(m22))
     noise_floor = 1e-3 * tol
 
-    d1, d2 = complex(m1[1, 0]), complex(m1[2, 0])
+    d1, d2 = s[1][0], s[2][0]
     u1 = u2 = 0.0 + 0.0j
     p11, p12, p21, p22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     terms = 0
@@ -107,11 +107,11 @@ def reference_solve_series(
             break
     else:
         stops.append("doubling")
-        return doubling(m1, m2, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
-    return _assemble(m1, m2, np.array([u1, u2], dtype=complex)), terms
+        return doubling(s, t, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
+    return RingAmplitudes(*_amplitudes(s, t, (u1, u2))), terms
 
 
-def reference_series_doubling(m1, m2, p, u, terms, tol, max_terms):
+def reference_series_doubling(s, t, p, u, terms, tol, max_terms):
     """The previous phase 2, on numpy 2x2 arrays."""
     P = np.array([[p[0], p[1]], [p[2], p[3]]], dtype=complex)  # M**terms
     S = np.array([u[0], u[1]], dtype=complex)
@@ -135,7 +135,7 @@ def reference_series_doubling(m1, m2, p, u, terms, tol, max_terms):
                 if bound <= tol:
                     break
         if 2 * terms > max_terms:
-            partial = _assemble(m1, m2, S)
+            partial = RingAmplitudes(*_amplitudes(s, t, S.tolist()))
             raise ConvergenceError(
                 f"bounce series did not reach tol={tol:g} within {max_terms} terms "
                 f"(block increment {inc_norm:g})",
@@ -147,7 +147,7 @@ def reference_series_doubling(m1, m2, p, u, terms, tol, max_terms):
         P = P @ P
         terms *= 2
         prev_inc = inc_norm
-    return _assemble(m1, m2, S), terms
+    return RingAmplitudes(*_amplitudes(s, t, S.tolist())), terms
 
 
 # -- helpers ----------------------------------------------------------------------
