@@ -23,7 +23,6 @@ from .junction import (
     JunctionParams,
     Orientation,
     ScatteringMatrix,
-    _accepted,
     _Node,
     _residual,
     _s_grid,
@@ -237,7 +236,7 @@ def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:
 def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.random.Generator) -> bool:
     # The unitarity of U, then the unitarity and the node-condition residual of
     # both orientations' matrices at four seeded samples (k, xi, phi), each
-    # orientation's four matrices as one stack of the grid kernel.
+    # orientation's four matrices as one block of the grid kernel.
     u = build_U(params)
     ok = _check_line(out, f"unitarity U ({name})", unitarity_error(u), 1e-12)
     samples = [(float(rng.uniform(0.1, 20.0)), float(rng.uniform(-2.0, 2.0)),
@@ -247,15 +246,16 @@ def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.r
     node = _Node(params)
     orientations = (Orientation.INWARD, Orientation.OUTWARD)
     with np.errstate(all="ignore"):  # overflowing products of a rejected sample
-        accepted = np.logical_and.reduce([_accepted(node, ks, xis, o) for o in orientations])
+        masks, entries = zip(*[_s_grid(node, ks, xis, orientation) for orientation in orientations])
+    accepted = np.logical_and.reduce(masks)
     if not accepted.all():
         k, xi, _ = samples[np.argmin(accepted)]
         for orientation in orientations:
             s_matrix(params, k, xi, orientation)  # raises at this sample
-    stacks = [_s_grid(node, ks, xis, orientation) for orientation in orientations]
-    residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("nij,jn->in", S, phis), orientation)
-                 for S, orientation in zip(stacks, orientations)]
-    ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(np.array(stacks)), 1e-12)
+    residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("ijn,jn->in", s, phis), orientation)
+                 for s, orientation in zip(entries, orientations)]
+    stacks = np.moveaxis(np.array(entries), -1, 1)  # (2, n, 3, 3): one matrix per sample
+    ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(stacks), 1e-12)
     return ok & _check_line(out, f"node-condition residual ({name})", np.max(residuals), 1e-10)
 
 
@@ -267,17 +267,16 @@ def _check_ring(out: list[str], ring: RingConfig, rng: np.random.Generator) -> b
     # first wavenumber where the per-point calls would, with their error.
     ks = rng.uniform(0.1, 12.0, _CHECK_KS)
     with np.errstate(all="ignore"):  # rejected and singular rows, raised or redone below
-        accepted, s, t = ring._route.node_stacks(ks)
-        entries = s.transpose(1, 2, 0), t.transpose(1, 2, 0)  # the wavenumbers on the last axis
-        _, singular, resolvent = _resolvent_forms(*entries)
-        algebraic, regular = _algebraic_grid(*entries)
+        accepted, s, t = ring._route.node_entries(ks)
+        _, singular, resolvent = _resolvent_forms(s, t)
+        algebraic, regular = _algebraic_grid(s, t)
         closed, algebraic = np.array(resolvent()).T, np.array(algebraic).T  # (n, 6): A..F per row
     series = np.empty_like(closed)
     for i, k in enumerate(ks.tolist()):
         if not accepted[i]:
             ring_matrices(ring, k)  # raises at this wavenumber
-        s1 = ScatteringMatrix(m=s[i], k=k, xi=float(ring.xi1), orientation=Orientation.INWARD)
-        s2 = ScatteringMatrix(m=t[i], k=k, xi=float(ring.xi2), orientation=Orientation.OUTWARD)
+        s1 = ScatteringMatrix(m=s[..., i], k=k, xi=float(ring.xi1), orientation=Orientation.INWARD)
+        s2 = ScatteringMatrix(m=t[..., i], k=k, xi=float(ring.xi2), orientation=Orientation.OUTWARD)
         if singular[i]:
             closed[i] = solve_closed_form(s1, s2).to_array()  # raises where the point is singular too
         series[i] = solve_series(s1, s2, tol=1e-12, max_terms=2**24)[0].to_array()

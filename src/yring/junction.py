@@ -216,31 +216,26 @@ def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3
     return np.exp(z) * ((node.v * d) @ node.vh)
 
 
-def _accepted(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> np.ndarray:
-    # Where _phase_exponent accepts the wavenumbers ks at the position xi (one
-    # position, or one per wavenumber), as a mask; the caller silences numpy's
-    # overflow warnings.
+def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
+    # _s_array on a grid of wavenumbers at the position xi (one position, or
+    # one per wavenumber), in one pass: where _phase_exponent accepts them, as
+    # a mask, and the node entries s[i][j], shape (3, 3, n) with the
+    # wavenumbers last (meaningless where rejected; the caller silences
+    # numpy's overflow warnings).  The entries are the diagonal factors times
+    # the position phase, times V's rank-one projectors v_j v_j^dagger, in one
+    # product.  Each factor is -exp(+-2i atan2(k L0 cos, sin)), the
+    # unit-modulus form of _s0_diagonal's quotient (+ inward, - outward):
+    # numpy's complex division overflows where the divisor is subnormal.
+    # Projector rows in the product's left operand keep a node with relabelled
+    # wires equal to the relabelled node, word for word.
     lk = node.L0 * ks
-    return (
-        np.isfinite(ks) & (ks > 0.0) & np.isfinite(xi) & np.isfinite(lk) & (lk != 0.0)
-        & np.isfinite(_PHASE[orientation] * ks * xi)
-    )
-
-
-def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> np.ndarray:
-    # _s_array on a grid of accepted wavenumbers at the position xi (one
-    # position, or one per wavenumber), shape (n, 3, 3): the diagonal
-    # factors times the position phase, times V's rank-one projectors
-    # v_j v_j^dagger, in one product.  Each factor is -exp(+-2i atan2(k L0 cos,
-    # sin)), the unit-modulus form of _s0_diagonal's quotient (+ inward,
-    # - outward): numpy's complex division overflows where the divisor is
-    # subnormal.  Projector rows in the product's left operand keep a node
-    # with relabelled wires equal to the relabelled node, word for word.
+    z = _PHASE[orientation] * ks * xi
+    accepted = np.isfinite(ks) & (ks > 0.0) & np.isfinite(xi) & np.isfinite(lk) & (lk != 0.0) & np.isfinite(z)
     cos, sin = np.array(node.half).T
-    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, node.L0 * ks), sin[:, None]))
-    d *= np.exp(_PHASE[orientation] * ks * xi)
+    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, lk), sin[:, None]))
+    d *= np.exp(z)
     projectors = (node.v[:, None, :] * node.vh.T[None, :, :]).reshape(9, 3)
-    return np.ascontiguousarray((projectors @ d).T).reshape(-1, 3, 3)
+    return accepted, (projectors @ d).reshape(3, 3, -1)
 
 
 def junction_residual(

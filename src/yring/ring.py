@@ -31,7 +31,6 @@ from .junction import (
     JunctionParams,
     Orientation,
     ScatteringMatrix,
-    _accepted,
     _Node,
     _s_array,
     _s_grid,
@@ -760,22 +759,20 @@ class _Route:
         # mask.  The arm-phase exponent, as closed_form computes it, serves both
         # the check and np.exp.
         z = 2j * ks * self.dxi
-        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
+        accepted, m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
         self._check_grid(ks, accepted & np.isfinite(z))
-        m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD).transpose(1, 2, 0)
         den, amplitudes = self.forms(m, np.exp(z), columns)
         return amplitudes(), abs(den) < DEGENERATE_TOL
 
-    def node_stacks(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def node_entries(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Where the per-point route accepts the wavenumbers ks, as a mask, and
-        # both nodes' arrays over them, each of shape (n, 3, 3).
-        accepted = _accepted(self.left, ks, self.xi1, Orientation.INWARD)
-        accepted &= _accepted(self.right, ks, self.xi2, Orientation.OUTWARD)
-        s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        return accepted, s, _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
+        # both nodes' entries over them, each of shape (3, 3, n).
+        accepted, s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
+        right, t = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
+        return accepted & right, s, t
 
     def resolve_grid(self, ks: np.ndarray, columns):
-        accepted, s, t = self.node_stacks(ks)
+        accepted, s, t = self.node_entries(ks)
         self._check_grid(ks, accepted)
-        _, singular, amplitudes = _resolvent_forms(s.transpose(1, 2, 0), t.transpose(1, 2, 0), columns)
+        _, singular, amplitudes = _resolvent_forms(s, t, columns)
         return amplitudes(), singular

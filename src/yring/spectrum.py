@@ -279,6 +279,9 @@ def find_resonances(
     For scale-invariant symmetric and antisymmetric rings the result carries
     the warnings of _cross_check against the analytic positions.
     """
+    if not isinstance(kind, ResonanceKind):
+        raise ValueError(f"kind must be {ResonanceKind.PERFECT_TRANSMISSION} or {ResonanceKind.PERFECT_REFLECTION}, "
+                         f"got {kind!r}")
     _check_range(k_min, k_max)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")

@@ -15,6 +15,7 @@ solve_grid's word for word.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -221,6 +222,39 @@ class TestSolveGrid:
         with pytest.raises(ValueError, match="k must be positive and finite"):
             solve_grid(cfg, [1.0, bad])
 
+    def test_node_mask_is_where_the_point_route_raises(self):
+        # _s_grid's mask is False exactly where _s_array raises ValueError, for
+        # each rejection of _phase_exponent, at one position and at one position
+        # per wavenumber; the entries come out (3, 3, n) and C-contiguous
+        rng = np.random.default_rng(47)
+        ks = np.array([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan,
+                       8e307,  # k*L0 overflows at L0 = 5
+                       5e-324,  # k*L0 underflows to 0 at L0 = 0.4
+                       1e300, 1e-300, 0.3, 2.0, 17.0])
+        xis = [0.7, -2.5, 1e10, 0.0, math.inf, -math.inf, math.nan]  # 1e10: k*xi overflows at k = 1e300
+        grids = [(ks, xi) for xi in xis] + [(np.repeat(ks, len(xis)), np.tile(xis, ks.size))]
+        reasons = set()
+        for L0 in (5.0, 0.4, 1.0):
+            p = dataclasses.replace(random_params(rng), L0=L0)
+            for node in (_Node(p), _Node(p, swap=True)):
+                for orientation in Orientation:
+                    for grid, xi in grids:
+                        with np.errstate(all="ignore"):
+                            accepted, entries = _s_grid(node, grid, xi, orientation)
+                        assert entries.shape == (3, 3, grid.size) and entries.flags.c_contiguous
+                        expected = []
+                        for k, x in np.broadcast(grid, xi):
+                            try:
+                                _s_array(node, float(k), float(x), orientation)
+                            except ValueError as e:
+                                reasons.add(" ".join(str(e).split()[:2]))
+                                expected.append(False)
+                            else:
+                                expected.append(True)
+                        np.testing.assert_array_equal(accepted, expected)
+                        assert np.isfinite(entries[..., accepted]).all()
+        assert reasons == {"k must", "xi must", "k*L0 overflows", "k*L0 underflows", "k*xi overflows"}
+
 
 class TestBatchedProducts:
     """Each product the grid kernel batches against its per-point counterpart, within PRODUCT_TOL."""
@@ -235,7 +269,7 @@ class TestBatchedProducts:
             xi = float(rng.uniform(-3.0, 3.0))
             for node in (_Node(p), _Node(p, swap=True)):
                 for orientation in Orientation:
-                    got = _s_grid(node, ks, xi, orientation)
+                    got = matrix_stack(_s_grid(node, ks, xi, orientation))
                     expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
                     assert np.abs(got - expected).max() <= PRODUCT_TOL
                     assert unitarity_errors(got).max() <= PRODUCT_TOL
@@ -268,7 +302,7 @@ class TestBatchedProducts:
         for eigenphases in (theta[:3], theta[3:]):
             node = _Node(JunctionParams(theta=eigenphases, L0=0.7))
             assert np.array_equal(node.v, np.eye(3))
-            got = np.diagonal(_s_grid(node, ks, 0.0, orientation), axis1=1, axis2=2)
+            got = np.diagonal(matrix_stack(_s_grid(node, ks, 0.0, orientation)), axis1=1, axis2=2)
             expected = np.array([_s0_diagonal(node, k, orientation) for k in ks.tolist()])
             assert np.isfinite(got).all()
             assert np.abs(got - expected).max() <= PRODUCT_TOL
@@ -282,7 +316,7 @@ class TestBatchedProducts:
         for _ in range(6):
             node = _Node(random_params(rng))
             for orientation in Orientation:
-                got = _s_grid(node, ks, float(rng.uniform(-1.0, 1.0)), orientation)
+                got = matrix_stack(_s_grid(node, ks, float(rng.uniform(-1.0, 1.0)), orientation))
                 assert np.isfinite(got).all()
                 assert unitarity_errors(got).max() <= PRODUCT_TOL
 
@@ -298,18 +332,18 @@ class TestBatchedProducts:
         left_to_point = 0
         for cfg in rings:
             ks = np.concatenate([[PI, 2 * PI], rng.uniform(0.1, 20.0, 40)])
-            _, s, t = cfg._route.node_stacks(ks)
+            _, s, t = cfg._route.node_entries(ks)
             with np.errstate(all="ignore"):
-                amps, regular = _algebraic_grid(s.transpose(1, 2, 0), t.transpose(1, 2, 0))
+                amps, regular = _algebraic_grid(s, t)
             amps = np.array(amps).T
             for i, k in enumerate(ks.tolist()):
-                delta, delta_b, _, _ = _algebraic_forms(s[i], t[i])
+                delta, delta_b, _, _ = _algebraic_forms(s[..., i], t[..., i])
                 assert regular[i] == (abs(delta - delta_b) <= 1e-12 and abs(delta) >= DEGENERATE_TOL)
                 if not regular[i]:
                     left_to_point += 1
                     continue
-                s1 = ScatteringMatrix(m=s[i], k=k, xi=cfg.xi1, orientation=Orientation.INWARD)
-                s2 = ScatteringMatrix(m=t[i], k=k, xi=cfg.xi2, orientation=Orientation.OUTWARD)
+                s1 = ScatteringMatrix(m=s[..., i], k=k, xi=cfg.xi1, orientation=Orientation.INWARD)
+                s2 = ScatteringMatrix(m=t[..., i], k=k, xi=cfg.xi2, orientation=Orientation.OUTWARD)
                 error = np.abs(amps[i] - solve_algebraic(s1, s2).to_array()).max()
                 assert error <= CONTRACT * EPS / min(abs(delta), 1.0)
         assert left_to_point == 2  # the full reflector at pi and 2 pi
@@ -328,6 +362,11 @@ class TestBatchedProducts:
                 expected = np.array([junction_residual(u, p.L0, *sample, orientation)
                                      for sample in zip(ks.tolist(), xis.tolist(), phis, psis)])
                 assert np.abs(got - expected).max() <= PRODUCT_TOL * expected.max()
+
+
+def matrix_stack(grid) -> np.ndarray:
+    """The entries (3, 3, n) of an _s_grid result as a stack of matrices (n, 3, 3)."""
+    return np.moveaxis(grid[1], -1, 0)
 
 
 def unitarity_errors(stack: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import mp_resolvent_amplitudes  # noqa: E402
-from test_grid import PRODUCT_TOL, contract_ratios, per_point, unitarity_errors  # noqa: E402
+from test_grid import PRODUCT_TOL, contract_ratios, per_point, matrix_stack, unitarity_errors  # noqa: E402
 from yring import (  # noqa: E402
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -99,7 +99,7 @@ def test_grid_within_contract(cfg, ks):
        xi=st.floats(-3.0, 3.0), ks=grids())
 def test_node_matrices_match_the_point_route(p, swap, orientation, xi, ks):
     node = _Node(p, swap=swap)
-    got = _s_grid(node, ks, xi, orientation)
+    got = matrix_stack(_s_grid(node, ks, xi, orientation))
     expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
     assert np.abs(got - expected).max() <= PRODUCT_TOL
     assert unitarity_errors(got).max() <= PRODUCT_TOL

@@ -202,9 +202,9 @@ class TestBitIdentity:
             m2 = ring_matrices(sym, k)[1].m
             np.testing.assert_array_equal(ring_matrices(anti, k)[1].m.view(np.int64),
                                           np.ascontiguousarray(m2[relabel][:, relabel]).view(np.int64))
-        grid = [_s_grid(cfg._route.right, ks, cfg.xi2, Orientation.OUTWARD) for cfg in (anti, sym)]
+        grid = [_s_grid(cfg._route.right, ks, cfg.xi2, Orientation.OUTWARD)[1] for cfg in (anti, sym)]
         np.testing.assert_array_equal(grid[0].view(np.int64),
-                                      np.ascontiguousarray(grid[1][:, relabel][:, :, relabel]).view(np.int64))
+                                      np.ascontiguousarray(grid[1][relabel][:, relabel]).view(np.int64))
 
     def test_s_matrix(self):
         rng = np.random.default_rng(6)

@@ -21,6 +21,7 @@ from yring import (
     find_resonances,
     sweep,
 )
+from yring import spectrum
 from yring.cli import main
 from yring.config import load_config
 from yring.junction import EULER_ANGLES
@@ -293,6 +294,14 @@ class TestFindResonances:
         # probabilities are at most 1: a tol of 1 or more would silently find nothing
         with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
             find_resonances(beam_cfg(), 0.5, 7.0, ResonanceKind.PERFECT_TRANSMISSION, tol=tol)
+
+    @pytest.mark.parametrize("kind", ["transmission", None])
+    def test_rejects_a_kind_that_is_not_a_member(self, kind, monkeypatch):
+        # the value "transmission" is not the member: it would scan |F|^2
+        monkeypatch.setattr(spectrum, "_solve_grid_columns", None)  # raises before any scan
+        message = "kind must be ResonanceKind.PERFECT_TRANSMISSION or ResonanceKind.PERFECT_REFLECTION"
+        with pytest.raises(ValueError, match=message):
+            find_resonances(beam_cfg(), 3.0, 4.5, kind)
 
 
 # -- the analytic cross-check -------------------------------------------------------
