@@ -38,6 +38,7 @@ from .ring import (
     RingConfig,
     _algebraic_grid,
     _resolvent_forms,
+    _solved_grid,
     flux_defect,
     ring_matrices,
     solve_algebraic,
@@ -266,19 +267,19 @@ def _check_ring(out: list[str], ring: RingConfig, rng: np.random.Generator) -> b
     # them, the series one wavenumber at a time.  The walk below raises at the
     # first wavenumber where the per-point calls would, with their error.
     ks = rng.uniform(0.1, 12.0, _CHECK_KS)
-    with np.errstate(all="ignore"):  # rejected and singular rows, raised or redone below
+    with np.errstate(all="ignore"):  # rejected and degenerate rows, raised below
         accepted, s, t = ring._route.node_entries(ks)
-        _, singular, resolvent = _resolvent_forms(s, t)
+        closed, degenerate = _solved_grid(s, t, *_resolvent_forms(s, t))
         algebraic, regular = _algebraic_grid(s, t)
-        closed, algebraic = np.array(resolvent()).T, np.array(algebraic).T  # (n, 6): A..F per row
+        closed, algebraic = np.array(closed).T, np.array(algebraic).T  # (n, 6): A..F per row
     series = np.empty_like(closed)
     for i, k in enumerate(ks.tolist()):
         if not accepted[i]:
             ring_matrices(ring, k)  # raises at this wavenumber
         s1 = ScatteringMatrix(m=s[..., i], k=k, xi=float(ring.xi1), orientation=Orientation.INWARD)
         s2 = ScatteringMatrix(m=t[..., i], k=k, xi=float(ring.xi2), orientation=Orientation.OUTWARD)
-        if singular[i]:
-            closed[i] = solve_closed_form(s1, s2).to_array()  # raises where the point is singular too
+        if degenerate[i]:
+            closed[i] = solve_closed_form(s1, s2).to_array()  # raises where the point is degenerate too
         series[i] = solve_series(s1, s2, tol=1e-12, max_terms=2**24)[0].to_array()
         if not regular[i]:
             algebraic[i] = solve_algebraic(s1, s2).to_array()

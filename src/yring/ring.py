@@ -39,17 +39,20 @@ from .junction import (
 )
 from .smallmat import Mat3
 
-#: |denominator| below this is treated as a decoupled (degenerate) ring.
+#: _singular flags a gap I - s s~ with |det| below this; the closed forms raise where |denominator| is.
 DEGENERATE_TOL = 1e-13
 
 #: solve_algebraic's two forms of its determinant Delta agree to this.
 _IDENTITY_TOL = 1e-12
 
-#: The gap I - s s~ is also singular when |det| <= SINGULAR_RTOL * (largest entry)**2.
+#: _singular also flags a gap whose |det| <= SINGULAR_RTOL * (largest entry)**2.
 SINGULAR_RTOL = 1e-13
 
-#: Size of a rounding-level component of O(1) node entries (solve_algebraic).
+#: Rounding level: a singular value, coupling or relative launch component at most this is zero.
 _ROUNDING = 64 * sys.float_info.epsilon
+
+#: The one message of DegenerateRingError.
+_DEGENERATE = "ring is degenerate at k={!r}: I - s s~ is singular and the amplitudes are not determined"
 
 #: Bounce count after which solve_series switches to binary doubling: the
 #: measured crossover (BENCH_7.json), above the 15-20 terms that a
@@ -210,22 +213,57 @@ def _amplitudes(s, t, v, columns=_ALL_COLUMNS) -> tuple:
 
 
 def _singular(gap, det):
-    """Whether the resolvent's gap I - s s~ (determinant det) is singular, elementwise.
+    """Whether the gap I - s s~ is left to _gap_rule, elementwise: a cheap prefilter.
 
-    gap holds the four entries (g00, g01, g10, g11) and det their determinant:
-    complex scalars, or arrays over a grid.  The entries are O(1) by unitarity,
-    so the first test is absolute: a uniformly tiny gap (fully decoupled ring
-    at resonance) must not pass the scale-relative second one.
+    gap holds the entries (g00, g01, g10, g11), det their determinant (scalars or
+    grid arrays); unitary nodes bound |gap| by 2, so each gap it passes is regular.
     """
     largest = functools.reduce(np.maximum, map(abs, gap))  # NaN if an entry is NaN
     size = abs(det)
     return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * largest ** 2)
 
 
+def _gap_rule(s, t, k, singular, regular) -> tuple:
+    """The amplitudes A..F at one wavenumber k: regular(), unless _singular flags the gap.
+
+    Then the SVD of the gap I - s s~ on the node entries s[i][j], t[i][j]
+    decides.  A bound state the launch (s21, s31) does not excite (its part
+    along the left null direction is rounding relative to its norm, and the
+    right null direction reaches neither A nor F) is solved on the gap's
+    range, which a gap of rank zero lacks; a gap regular to working precision
+    keeps regular(); anything else is a decoupling: DegenerateRingError.
+    """
+    if not singular:  # tested first: CPython raises on a complex division by an exact zero
+        return regular()
+    u, sv, vh = np.linalg.svd(np.eye(2) - np.reshape(_bounce(s, t), (2, 2)))
+    s, t = np.array(s), np.array(t)
+    launch, null = s[1:, 0], vh[1].conj()
+    reach = max(abs(t[0, 1:] @ null), abs(s[0, 1:] @ t[1:, 1:] @ null))  # of the null direction to F and A
+    if sv[0] > _ROUNDING >= reach and abs(u[:, 1].conj() @ launch) <= _ROUNDING * np.linalg.norm(launch):
+        return _amplitudes(s, t, vh[0].conj() * ((u[:, 0].conj() @ launch) / sv[0]))
+    if sv[1] > _ROUNDING:
+        return regular()
+    raise DegenerateRingError(_DEGENERATE.format(k))
+
+
+def _solved_grid(s, t, singular, amplitudes) -> tuple[tuple, np.ndarray]:
+    # amplitudes() on node entries (3, 3, n) under _gap_rule, and the degenerate mask.
+    values, degenerate = amplitudes(), np.zeros_like(singular)
+    for i in np.flatnonzero(singular).tolist():
+        try:
+            amps = _gap_rule(s[..., i], t[..., i], None, True, tuple)  # () keeps a regular row's values
+        except DegenerateRingError:
+            amps, degenerate[i] = (), True
+        for z, a in zip(values, amps):
+            if z is not None:  # a column not computed
+                z[i] = a
+    return values, degenerate
+
+
 def _resolvent_forms(s, t, columns=_ALL_COLUMNS):
     # The resolvent (I - s s~)^-1 on the node entries s[i][j], t[i][j] (complex
-    # scalars, or arrays over a grid): det(I - s s~), the singular test, and the
-    # amplitudes that columns flags as a function, which divides by det.
+    # scalars, or arrays over a grid): _singular of the gap, and the amplitudes
+    # that columns flags as a function, which divides by det(I - s s~).
     m00, m01, m10, m11 = _bounce(s, t)
     g00, g01, g10, g11 = gap = (1.0 - m00, 0.0 - m01, 0.0 - m10, 1.0 - m11)  # 0.0 - m, not -m, keeps +0
     det = g00 * g11 - g01 * g10
@@ -234,16 +272,12 @@ def _resolvent_forms(s, t, columns=_ALL_COLUMNS):
         v = (g11 / det * s[1][0] + -g01 / det * s[2][0], -g10 / det * s[1][0] + g00 / det * s[2][0])
         return _amplitudes(s, t, v, columns)
 
-    return det, _singular(gap, det), amplitudes
+    return _singular(gap, det), amplitudes
 
 
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
-    det, singular, amplitudes = _resolvent_forms(m1.tolist(), m2.tolist())
-    if singular:  # tested first: CPython raises on a complex division by an exact zero
-        reason = (f"|det(I - s s~)|={abs(det):.3e}" if abs(det) < DEGENERATE_TOL
-                  else f"2x2 matrix is singular to working precision (|det|={abs(det):.3e})")
-        raise DegenerateRingError(f"ring is degenerate at k={k!r}: {reason}")
-    return RingAmplitudes(*amplitudes())
+    s, t = m1.tolist(), m2.tolist()
+    return RingAmplitudes(*_gap_rule(s, t, k, *_resolvent_forms(s, t)))
 
 
 def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
@@ -393,36 +427,29 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
     """Explicit component solution obtained by eliminating the interior amplitudes.
 
     Independent of the resolvent route: everything is spelled out through
-    the pair sums over the interior wires and a common 2x2 determinant.
+    the pair sums over the interior wires and a common 2x2 determinant Delta.
+    Where _singular flags Delta, _gap_rule decides, as for the resolvent.
     """
     _check_pair(S1, S2eff)
-    m1, m2 = S1.m, S2eff.m
-    delta, delta_b, gap, amplitudes = _algebraic_forms(m1.tolist(), m2.tolist())
+    s, t = S1.m.tolist(), S2eff.m.tolist()
+    delta, delta_b, singular, amplitudes = _algebraic_forms(s, t)
     if not abs(delta - delta_b) <= _IDENTITY_TOL:
         raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
-    if abs(delta) < DEGENERATE_TOL:
-        amps = _unexcited_bound_state(m1, m2, np.array(gap))
-        if amps is None:
-            raise DegenerateRingError(f"ring is degenerate at k={S1.k!r}: |Delta|={abs(delta):.3e}")
-        return amps
-    return RingAmplitudes(*amplitudes())
+    return RingAmplitudes(*_gap_rule(s, t, S1.k, singular, amplitudes))
 
 
 def _algebraic_grid(s, t) -> tuple[tuple, np.ndarray]:
-    """solve_algebraic on node entries over a grid, shape (3, 3, n).
-
-    Returns the amplitudes A..F and the mask of the rows where its formulas
-    hold; on the other rows solve_algebraic raises or solves a bound state.
-    """
-    delta, delta_b, _, amplitudes = _algebraic_forms(s, t)
-    return amplitudes(), (abs(delta - delta_b) <= _IDENTITY_TOL) & (abs(delta) >= DEGENERATE_TOL)
+    """solve_algebraic on node entries (3, 3, n): A..F, and the rows where it does not raise."""
+    delta, delta_b, singular, amplitudes = _algebraic_forms(s, t)
+    values, degenerate = _solved_grid(s, t, singular, amplitudes)
+    return values, (abs(delta - delta_b) <= _IDENTITY_TOL) & ~degenerate
 
 
 def _algebraic_forms(m1, m2):
     # The elimination of solve_algebraic on the node entries m1[i][j], m2[i][j]:
     # complex scalars, or arrays over a grid.  Returns Delta, its second form
-    # Delta_b from the B, D system, that system's 2x2 gap I - s s~ as nested
-    # rows, and the amplitudes A..F as a function.
+    # Delta_b from the B, D system, _singular of that system's gap I - s s~
+    # with Delta, and the amplitudes A..F as a function.
 
     def pair_a(i: int, j: int):
         # sum over interior wires of s[wire, i] * s~[j, wire]
@@ -451,35 +478,7 @@ def _algebraic_forms(m1, m2):
             (m2[0][1] * b_num + m2[0][2] * d_num) / delta,
         )
 
-    return delta, delta_b, ((1.0 - b22, -b32), (-b23, 1.0 - b33)), amplitudes
-
-
-def _unexcited_bound_state(m1: Mat3, m2: Mat3, gap: np.ndarray) -> RingAmplitudes | None:
-    """The ring amplitudes at a bound state the launch does not excite, else None.
-
-    At a bound state embedded in the continuum the gap I - s s~ has rank
-    one.  When the launch (s21, s31) has no component along its left null
-    direction and the right null direction reaches neither A nor F (both at
-    rounding level), the exterior amplitudes are determined: B, D solve the
-    gap system on its rank-one part, C, E and F follow from the right node
-    and A from the left one.  A fully decoupled ring (gap of rank zero), or
-    a launch that reaches the null space, gives None.
-    """
-    u, sv, vh = np.linalg.svd(gap)
-    null = vh[1].conj()
-    launch = m1[1:, 0]
-    if not (
-        sv[1] <= _ROUNDING * sv[0]
-        and abs(u[:, 1].conj() @ launch) <= _ROUNDING
-        and abs(m2[0, 1:] @ null) <= _ROUNDING
-        and abs(m1[0, 1:] @ (m2[1:, 1:] @ null)) <= _ROUNDING
-    ):
-        return None
-    bd = vh[0].conj() * ((u[:, 0].conj() @ launch) / sv[0])
-    ce = m2[1:, 1:] @ bd
-    return RingAmplitudes(
-        A=m1[0, 0] + m1[0, 1:] @ ce, B=bd[0], C=ce[0], D=bd[1], E=ce[1], F=m2[0, 1:] @ bd
-    )
+    return delta, delta_b, _singular((1.0 - b22, 0.0 - b32, 0.0 - b23, 1.0 - b33), delta), amplitudes
 
 
 def _closed_form_route(cfg: RingConfig, expected_mode: type) -> "_Route":
@@ -660,10 +659,11 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the amplitudes, shape (n, 6) with columns A..F, and the
     degenerate mask: the rows where solve_auto raises DegenerateRingError,
-    whose amplitudes are NaN.  Raises the ValueError solve_auto raises at the
-    first wavenumber it rejects (not positive and finite, k*L0 not finite or
-    zero, or k*xi not finite).  The scan of find_resonances runs the same
-    kernel on the one column it searches.
+    a real decoupling (ring._gap_rule), whose amplitudes are NaN.  Raises
+    the ValueError solve_auto raises at the first wavenumber it rejects (not
+    positive and finite, k*L0 not finite or zero, or k*xi not finite).  The
+    scan of find_resonances runs the same kernel on the one column it
+    searches.
 
     The grid/point contract: the kernel runs solve_auto's formula bodies on
     arrays, not complex scalars, and numpy rounds them unlike CPython: every
@@ -741,7 +741,7 @@ class _Route:
             raise ValueError(f"k*xi overflows in the arm phase at k={k!r}, xi1-xi2={self.dxi!r}")
         den, amplitudes = self.forms(m.tolist(), cmath.exp(z))
         if abs(den) < DEGENERATE_TOL:
-            raise DegenerateRingError(f"{type(self.mode).__name__.lower()} ring is degenerate at k={k!r}")
+            raise DegenerateRingError(_DEGENERATE.format(k))
         return RingAmplitudes(*amplitudes())
 
     def _check_grid(self, ks: np.ndarray, accepted: np.ndarray) -> None:
@@ -774,5 +774,4 @@ class _Route:
     def resolve_grid(self, ks: np.ndarray, columns):
         accepted, s, t = self.node_entries(ks)
         self._check_grid(ks, accepted)
-        _, singular, amplitudes = _resolvent_forms(s, t, columns)
-        return amplitudes(), singular
+        return _solved_grid(s, t, *_resolvent_forms(s, t, columns))

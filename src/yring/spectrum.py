@@ -29,7 +29,6 @@ from enum import Enum
 import numpy as np
 
 from .ring import (
-    AntiSymmetric,
     DegenerateRingError,
     RingAmplitudes,
     RingConfig,

@@ -340,18 +340,9 @@ def nan_row(values: np.ndarray) -> np.ndarray:
 
 def with_nan_amplitude(grid):
     """A grid solve of cmd_check whose amplitude A is NaN at the middle wavenumber."""
-    def wrapped(s, t):
-        (a, *rest), mask = grid(s, t)
+    def wrapped(*args):
+        (a, *rest), mask = grid(*args)
         return (nan_row(a), *rest), mask
-    return wrapped
-
-
-def with_nan_resolvent(forms):
-    """_resolvent_forms whose amplitude A is NaN at the middle wavenumber of cmd_check."""
-    def wrapped(s, t):
-        det, singular, amplitudes = forms(s, t)
-        a, *rest = amplitudes()
-        return det, singular, lambda: (nan_row(a), *rest)
     return wrapped
 
 
@@ -376,7 +367,7 @@ def with_nan_residual(residual):
 #: The cli name that each NaN injection wraps, and its wrapper.
 NAN_INJECTIONS = {
     "series": ("solve_series", with_nan_series),
-    "resolvent": ("_resolvent_forms", with_nan_resolvent),
+    "resolvent": ("_solved_grid", with_nan_amplitude),
     "algebraic": ("_algebraic_grid", with_nan_amplitude),
     "residual": ("_residual", with_nan_residual),
 }
@@ -453,26 +444,26 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("singular_at, fails_at, code", [(4, 8, 3), (8, 4, 4)])
     def test_first_failure_in_draw_order_wins(self, singular_at, fails_at, code, monkeypatch, capsys):
-        # the resolvent singular at one seeded wavenumber, the series failing
-        # at another: the earlier one ends the run, with its per-point error
+        # the ring decoupled at one seeded wavenumber, the series failing at
+        # another: the earlier one ends the run, with its per-point error
         ks = check_wavenumbers(GENERAL_CFG, monkeypatch)
         capsys.readouterr()
-        solve_series, singular = cli.solve_series, ring._singular
+        solve_series, node_entries = cli.solve_series, ring._Route.node_entries
 
         def failing_series(s1, s2, **kwargs):
             if s1.k == ks[fails_at]:
                 kwargs["max_terms"] = 1  # the series cannot end within one term
             return solve_series(s1, s2, **kwargs)
 
-        def singular_row(gap, det):
-            if np.ndim(det) == 0:  # the per-point resolvent, reached on flagged rows only
-                return True
-            flags = singular(gap, det)
-            flags[singular_at] = True
-            return flags
+        def decoupled_row(route, wavenumbers):
+            # both nodes reflect every wire into itself there: I - s s~ = 0 and
+            # no launch, a real decoupling
+            accepted, s, t = node_entries(route, wavenumbers)
+            s[..., singular_at] = t[..., singular_at] = np.eye(3)
+            return accepted, s, t
 
         monkeypatch.setattr(cli, "solve_series", failing_series)
-        monkeypatch.setattr(ring, "_singular", singular_row)
+        monkeypatch.setattr(ring._Route, "node_entries", decoupled_row)
         assert main(["check", "--config", GENERAL_CFG]) == code
         out, err = capsys.readouterr()
         assert out == ""

@@ -42,17 +42,18 @@ from yring import (
     solve_algebraic,
     solve_auto,
     solve_grid,
+    solve_symmetric_scale_invariant,
 )
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
 from yring.junction import Orientation, _Node, _residual, _s0_diagonal, _s_array, _s_grid
 from yring.ring import (
-    DEGENERATE_TOL,
     GRID_BLOCK,
     SINGULAR_RTOL,
     _algebraic_forms,
     _algebraic_grid,
+    _resolvent_forms,
     _solve_grid_columns,
 )
 from yring.smallmat import max_norm
@@ -94,6 +95,9 @@ ONE_WIRE_RING = RingConfig(
     xi2=0.2,
 )
 ONE_WIRE_K = 2.287970761502012
+
+#: The one message of DegenerateRingError, on every route.
+DEGENERATE_MESSAGE = "ring is degenerate at k={k!r}: I - s s~ is singular and the amplitudes are not determined"
 
 
 def per_point(cfg, ks):
@@ -184,7 +188,9 @@ class TestSolveGrid:
 
     def test_one_decoupled_wire_relative_singularity_test(self):
         # |det| between DEGENERATE_TOL and the relative bound of ring._singular
-        # on part of this grid, so both of its tests decide some points
+        # on part of this grid, so both of its tests flag some points.  The
+        # closed wire's bound state is not excited, so the rule solves every
+        # row, and each meets the 50-digit resolvent of its node matrices.
         offsets = np.linspace(0.5e-13, 2e-13, 150) / 2.2
         ks = np.concatenate([ONE_WIRE_K + offsets, ONE_WIRE_K - offsets])
         relative_only = 0
@@ -194,8 +200,52 @@ class TestSolveGrid:
             det = abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0])
             relative_only += 1e-13 <= det <= SINGULAR_RTOL * max_norm(gap) ** 2
         assert relative_only > 10
-        degenerate = assert_within_contract(ONE_WIRE_RING, ks)
-        assert degenerate.any() and not degenerate.all()
+        assert not assert_within_contract(ONE_WIRE_RING, ks).any()
+        amps, _ = solve_grid(ONE_WIRE_RING, ks)
+        exact = np.array([mp_resolvent_amplitudes(*ONE_WIRE_RING._route.arrays(k)) for k in ks.tolist()])
+        assert np.abs(amps - exact).max() <= 1e-15
+
+    def test_symmetric_lines_of_a_general_ring(self):
+        # symmetric_buttiker written as General(right=left): each exact line
+        # n pi / dxi in [0.5, 10] and [1e2, 1e3] holds a bound state in the
+        # continuum that the launch does not excite.  No row is flagged, and
+        # the rows _singular flags meet the symmetric closed form on the grid
+        # and point routes alike.
+        symmetric = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        cfg = dataclasses.replace(symmetric, mode=General(symmetric.left))
+        lines = [np.arange(math.ceil(lo * cfg.dxi / PI), math.floor(hi * cfg.dxi / PI) + 1)
+                 for lo, hi in ((0.5, 10.0), (1e2, 1e3))]
+        ks = np.concatenate(lines) * PI / cfg.dxi
+        assert ks.size == 290
+        amps, degenerate = solve_grid(cfg, ks)
+        assert not degenerate.any()
+        _, s, t = cfg._route.node_entries(ks)
+        with np.errstate(all="ignore"):
+            flagged = _resolvent_forms(s, t)[0]
+        assert flagged.sum() > 250
+        for i in np.flatnonzero(flagged).tolist():
+            closed = solve_symmetric_scale_invariant(symmetric, ks[i]).to_array()
+            point = solve_auto(cfg, ks[i]).to_array()
+            assert max(np.abs(amps[i] - closed).max(), np.abs(point - closed).max()) <= 1e-15
+            assert np.abs(amps[i] - point).max() <= 1e-15
+
+    def test_small_wavenumbers_of_the_general_ring(self):
+        # The gap I - s s~ and the launch both shrink like k, so |det| falls
+        # below DEGENERATE_TOL while the gap stays well conditioned: a regular
+        # limit, solved on both routes and meeting the 50-digit reference.
+        cfg = load_config(CONFIG_DIR / "general_ring.json").ring
+        ks = np.geomspace(1e-12, 1e-6, 1000)
+        amps, degenerate = solve_grid(cfg, ks)
+        assert not degenerate.any()
+        exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks.tolist()])
+        point = np.array([solve_auto(cfg, k).to_array() for k in ks.tolist()])
+        assert np.abs(amps[:, [0, 5]] - exact[:, [0, 5]]).max() <= 1e-13
+        assert np.abs(point[:, [0, 5]] - exact[:, [0, 5]]).max() <= 1e-13
+        # below about k = 1e-13 the gap is rounding noise
+        for k in (1e-13, 1e-14):
+            assert solve_grid(cfg, [k])[1][0]
+            with pytest.raises(DegenerateRingError):
+                solve_auto(cfg, k)
 
     def test_empty_grid(self):
         cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
@@ -324,7 +374,7 @@ class TestBatchedProducts:
     def test_algebraic_solve(self):
         # _algebraic_grid against solve_algebraic on the same node matrices, row
         # by row, within CONTRACT eps / min(|Delta|, 1); it leaves to
-        # solve_algebraic exactly the rows where that one leaves its formulas
+        # solve_algebraic exactly the rows where that one raises
         rng = np.random.default_rng(41)
         rings = [random_ring(rng, mode, si) for mode in ("symmetric", "antisymmetric", "general")
                  for si in (True, False) for _ in range(3)]
@@ -337,13 +387,14 @@ class TestBatchedProducts:
                 amps, regular = _algebraic_grid(s, t)
             amps = np.array(amps).T
             for i, k in enumerate(ks.tolist()):
-                delta, delta_b, _, _ = _algebraic_forms(s[..., i], t[..., i])
-                assert regular[i] == (abs(delta - delta_b) <= 1e-12 and abs(delta) >= DEGENERATE_TOL)
-                if not regular[i]:
-                    left_to_point += 1
-                    continue
                 s1 = ScatteringMatrix(m=s[..., i], k=k, xi=cfg.xi1, orientation=Orientation.INWARD)
                 s2 = ScatteringMatrix(m=t[..., i], k=k, xi=cfg.xi2, orientation=Orientation.OUTWARD)
+                if not regular[i]:
+                    with pytest.raises(ArithmeticError):
+                        solve_algebraic(s1, s2)
+                    left_to_point += 1
+                    continue
+                delta = _algebraic_forms(s[..., i], t[..., i])[0]
                 error = np.abs(amps[i] - solve_algebraic(s1, s2).to_array()).max()
                 assert error <= CONTRACT * EPS / min(abs(delta), 1.0)
         assert left_to_point == 2  # the full reflector at pi and 2 pi

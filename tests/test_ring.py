@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_ring_solve, mp_resolvent_amplitudes, random_params
-from test_grid import CONFIG_DIR
+from test_grid import CONFIG_DIR, DEGENERATE_MESSAGE, ONE_WIRE_K, ONE_WIRE_RING
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -16,6 +16,7 @@ from yring import (
     General,
     JunctionParams,
     Orientation,
+    RingAmplitudes,
     RingConfig,
     ScatteringMatrix,
     Symmetric,
@@ -30,11 +31,23 @@ from yring import (
     solve_antisymmetric_scale_invariant,
     solve_auto,
     solve_closed_form,
+    solve_grid,
     solve_series,
     solve_symmetric_scale_invariant,
 )
 from yring.config import load_config
-from yring.ring import DEGENERATE_TOL, SINGULAR_RTOL, _SERIES_DOUBLING_THRESHOLD, _amplitudes, _resolve, _singular
+from yring.ring import (
+    DEGENERATE_TOL,
+    SINGULAR_RTOL,
+    _ROUNDING,
+    _SERIES_DOUBLING_THRESHOLD,
+    _algebraic_grid,
+    _amplitudes,
+    _resolve,
+    _resolvent_forms,
+    _singular,
+    _solved_grid,
+)
 from yring.smallmat import max_norm
 
 PI = math.pi
@@ -299,16 +312,19 @@ class TestSingular:
         assert (mask & (sizes < DEGENERATE_TOL)).sum() > 10
 
     @pytest.mark.parametrize("gap, absolute", [
-        (np.array([[1.0, 0.5], [2.0, 1.0 + 5e-14]], dtype=complex), True),  # |det| = 5e-14
-        (np.array([[2.0, 2.0], [2.0, 2.0 + 1e-13]], dtype=complex), False),  # |det| = 2e-13, max entry 2
+        (np.array([[1.0, 0.5], [2.0, 1.0 + 1e-14]], dtype=complex), True),  # |det| = 1.0e-14
+        (np.array([[8.0, 8.0], [8.0, 8.0 + 1.5e-14]], dtype=complex), False),  # |det| = 1.1e-13, max entry 8
     ], ids=["absolute", "relative"])
     def test_each_threshold_names_itself(self, gap, absolute):
+        # either test of _singular hands the gap to the rule, which raises
+        # with the one message where the gap is singular to working precision
         det = abs(determinant(gap))
         assert (det < DEGENERATE_TOL) == absolute and det <= SINGULAR_RTOL * max_norm(gap) ** 2
-        reason = r"\|det\(I - s s~\)\|=" if absolute else r"2x2 matrix is singular to working precision \(\|det\|="
+        assert np.linalg.svd(gap, compute_uv=False)[1] <= _ROUNDING
         m1, m2 = arrays_with_gap(np.random.default_rng(8), gap)
-        with pytest.raises(DegenerateRingError, match=r"^ring is degenerate at k=1\.5: " + reason + r"\d\.\d{3}e-1[34]\)?$"):
+        with pytest.raises(DegenerateRingError) as err:
             _resolve(m1, m2, 1.5)
+        assert str(err.value) == DEGENERATE_MESSAGE.format(k=1.5)
 
     def test_gap_entries_bounded_by_two(self):
         # unitary nodes bound every entry of I - s s~ by 2, so max_norm(gap)**2 <= 4:
@@ -425,24 +441,56 @@ def wire_rotation(eta: float, wire: int) -> ScatteringMatrix:
     return ScatteringMatrix(m=m, k=1.0, xi=0.0, orientation=Orientation.INWARD)
 
 
+def on_grid(cfg: RingConfig, k: float) -> RingAmplitudes:
+    """solve_grid's row at the one wavenumber k; DegenerateRingError where it flags the row."""
+    amps, degenerate = solve_grid(cfg, [k])
+    if degenerate[0]:
+        raise DegenerateRingError(f"solve_grid flags k={k!r}")
+    return RingAmplitudes(*amps[0])
+
+
+#: Every route that solves a ring at one wavenumber: the resolvent and the
+#: algebraic elimination on its node matrices, solve_auto and solve_grid.
+ROUTES = {
+    "closed_form": lambda cfg, k: solve_closed_form(*ring_matrices(cfg, k)),
+    "algebraic": lambda cfg, k: solve_algebraic(*ring_matrices(cfg, k)),
+    "auto": solve_auto,
+    "grid": on_grid,
+}
+
+#: The routes that take node matrices no RingConfig builds.
+MATRIX_ROUTES = (solve_closed_form, solve_algebraic)
+
+
+def smallest_singular_value(s1: ScatteringMatrix, s2: ScatteringMatrix) -> float:
+    return np.linalg.svd(np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:], compute_uv=False)[1]
+
+
 class TestSolveAlgebraicBoundState:
-    """|Delta| below DEGENERATE_TOL: a bound state in the continuum, or a decoupled ring."""
+    """The one singular-gap rule, ring._gap_rule, on every route.
+
+    Where _singular flags I - s s~, a bound state in the continuum that the
+    launch does not excite is solved on the gap's range; a launch that
+    reaches the null direction, or a fully decoupled ring, raises.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetric_lattice_matches_closed_form(self, n):
         # The arm resonance n pi of the beam-splitter ring carries a bound
-        # state that the launch does not excite: |Delta| ~ 3e-16 there.
-        cfg = RingConfig(left=beam_splitter(PI / 6), mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        # state that the launch does not excite: |Delta| ~ 3e-16 there.  As a
+        # general ring (right node = left node) it takes the resolvent on
+        # every route.
+        node = beam_splitter(PI / 6)
+        cfg = RingConfig(left=node, mode=General(node), xi1=1.0, xi2=0.0)
         k = n * PI
         s1, s2 = ring_matrices(cfg, k)
-        m1, m2 = s1.m, s2.m
-        gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]
-        assert abs(np.linalg.det(gap)) < DEGENERATE_TOL
-        amps = solve_algebraic(s1, s2)
-        closed = solve_symmetric_scale_invariant(cfg, k)
-        assert np.abs(amps.to_array() - closed.to_array()).max() <= 1e-15
-        assert node_relation_residual(m1, m2, amps) <= 1e-15
-        assert abs(amps.A) <= 1e-15 and abs(amps.F) == pytest.approx(1.0, abs=1e-15)
+        assert abs(np.linalg.det(np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:])) < DEGENERATE_TOL
+        closed = solve_symmetric_scale_invariant(dataclasses.replace(cfg, mode=SYMMETRIC), k).to_array()
+        for name, solve in ROUTES.items():
+            amps = solve(cfg, k)
+            assert np.abs(amps.to_array() - closed).max() <= 1e-15, name
+            assert node_relation_residual(s1.m, s2.m, amps) <= 1e-15, name
+            assert abs(amps.A) <= 1e-15 and abs(amps.F) == pytest.approx(1.0, abs=1e-15), name
 
     def test_decoupled_wire_bound_state(self):
         # Interior wire 1 is closed at both nodes and resonates; the exterior
@@ -450,10 +498,19 @@ class TestSolveAlgebraicBoundState:
         s1 = wire_rotation(0.6, wire=2)
         s2 = ScatteringMatrix(m=np.diag([1.0, 1.0, -1.0]).astype(complex), k=1.0, xi=0.0,
                               orientation=Orientation.OUTWARD)
-        amps = solve_algebraic(s1, s2)
-        assert node_relation_residual(s1.m, s2.m, amps) <= 1e-15
-        assert amps.A == pytest.approx(1.0, abs=1e-15) and amps.F == 0.0
-        assert amps.B == 0.0 and amps.C == 0.0
+        for solve in MATRIX_ROUTES:
+            amps = solve(s1, s2)
+            assert node_relation_residual(s1.m, s2.m, amps) <= 1e-15
+            assert amps.A == pytest.approx(1.0, abs=1e-15) and amps.F == 0.0
+            assert amps.B == 0.0 and amps.C == 0.0
+        # The same as a ring: wire 2 of ONE_WIRE_RING is closed at both nodes
+        # and resonates at ONE_WIRE_K.  The 50-digit resolvent of its node
+        # matrices stays finite there, as the launch has no wire-2 component.
+        s1, s2 = ring_matrices(ONE_WIRE_RING, ONE_WIRE_K)
+        assert smallest_singular_value(s1, s2) <= _ROUNDING
+        exact = mp_resolvent_amplitudes(s1.m, s2.m)
+        for name, solve in ROUTES.items():
+            assert np.abs(solve(ONE_WIRE_RING, ONE_WIRE_K).to_array() - exact).max() <= 1e-15, name
 
     def test_launch_reaching_the_null_space_raises(self):
         # The same ring with the exterior wire weakly coupled to the resonant
@@ -462,15 +519,55 @@ class TestSolveAlgebraicBoundState:
         s1 = wire_rotation(1e-7, wire=1)
         s2 = ScatteringMatrix(m=np.diag([1.0, 1.0, -1.0]).astype(complex), k=1.0, xi=0.0,
                               orientation=Orientation.OUTWARD)
-        with pytest.raises(DegenerateRingError, match="Delta"):
-            solve_algebraic(s1, s2)
+        for solve in MATRIX_ROUTES:
+            with pytest.raises(DegenerateRingError) as err:
+                solve(s1, s2)
+            assert str(err.value) == DEGENERATE_MESSAGE.format(k=1.0)
+        # As a ring: ONE_WIRE_RING's closed wire coupled to the exterior wire
+        # by delta = 1e-8 (generator 5 mixes wires 0 and 2), at the float
+        # nearest its resonance.
+        cfg = dataclasses.replace(ONE_WIRE_RING, left=dataclasses.replace(ONE_WIRE_RING.left, delta=1e-8))
+        k = math.nextafter(ONE_WIRE_K, 0.0)
+        assert smallest_singular_value(*ring_matrices(cfg, k)) <= _ROUNDING
+        for solve in ROUTES.values():
+            with pytest.raises(DegenerateRingError):
+                solve(cfg, k)
+
+    @pytest.mark.parametrize("wire", [0, 1])
+    def test_null_direction_reaching_the_exterior_raises(self, wire):
+        # Node arrays (not unitary) with I - s s~ = diag(1, 0) and the launch
+        # (1, 0) on the gap's range: the null direction is not excited, but
+        # it reaches A through the left node (wire 0) or F through the right
+        # one (wire 1), so that amplitude is not determined.
+        m1, m2 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+        m1[2, 2] = m1[1, 0] = m2[1, 1] = m2[2, 2] = 1.0
+        (m1 if wire == 0 else m2)[0, 2] = 0.5
+        with pytest.raises(DegenerateRingError) as err:
+            _resolve(m1, m2, 1.0)
+        assert str(err.value) == DEGENERATE_MESSAGE.format(k=1.0)
+        with np.errstate(all="ignore"):
+            s, t = m1[..., None], m2[..., None]
+            assert _solved_grid(s, t, *_resolvent_forms(s, t))[1].tolist() == [True]
+            assert _algebraic_grid(s, t)[1].tolist() == [False]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fully_decoupled_ring_still_raises(self, n):
-        # All interior directions resonate at once (gap of rank zero).
-        cfg = RingConfig(left=FULL_REFLECTOR, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
-        with pytest.raises(DegenerateRingError, match="Delta"):
-            solve_algebraic(*ring_matrices(cfg, n * PI))
+        # All interior directions resonate at once (gap of rank zero): on the
+        # symmetric ring's closed form and, as a general ring, the resolvent.
+        for mode in (SYMMETRIC, General(FULL_REFLECTOR)):
+            cfg = RingConfig(left=FULL_REFLECTOR, mode=mode, xi1=1.0, xi2=0.0)
+            for solve in ROUTES.values():
+                with pytest.raises(DegenerateRingError):
+                    solve(cfg, n * PI)
+        # Nodes that reflect every wire into itself: I - s s~ = 0 exactly and
+        # no launch, where the range solve would divide 0 by 0.
+        eye = np.eye(3, dtype=complex)
+        pair = (ScatteringMatrix(m=eye, k=n * PI, xi=0.0, orientation=Orientation.INWARD),
+                ScatteringMatrix(m=eye, k=n * PI, xi=0.0, orientation=Orientation.OUTWARD))
+        for solve in MATRIX_ROUTES:
+            with pytest.raises(DegenerateRingError) as err:
+                solve(*pair)
+            assert str(err.value) == DEGENERATE_MESSAGE.format(k=n * PI)
 
 
 class TestFluxConservation:

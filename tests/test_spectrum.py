@@ -129,8 +129,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             spec.amps[0, 0] = 0.0
 
-    @pytest.mark.xfail(strict=True, reason="the absolute DEGENERATE_TOL flags a regular row next "
-                       "to a bound state (ROADMAP item 4)")
     def test_decoupled_ring_next_to_a_bound_state(self):
         # Two identical totally reflecting nodes: row 3231 lies 7.0e-8 below the
         # bound state at 4 pi / dxi.  |det(I - s s~)| = 5.3e-14 there, but the
