@@ -213,7 +213,7 @@ def _amplitudes(s, t, v, columns=_ALL_COLUMNS) -> tuple:
 
 
 def _singular(gap, det):
-    """Whether the gap I - s s~ is left to _gap_rule, elementwise: a cheap prefilter.
+    """Whether the gap I - s s~ is left to the rule of _solved_grid, elementwise: a cheap prefilter.
 
     gap holds the entries (g00, g01, g10, g11), det their determinant (scalars or
     grid arrays); unitary nodes bound |gap| by 2, so each gap it passes is regular.
@@ -223,40 +223,31 @@ def _singular(gap, det):
     return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * largest ** 2)
 
 
-def _gap_rule(s, t, k, singular, regular) -> tuple:
-    """The amplitudes A..F at one wavenumber k: regular(), unless _singular flags the gap.
-
-    Then the SVD of the gap I - s s~ on the node entries s[i][j], t[i][j]
-    decides.  A bound state the launch (s21, s31) does not excite (its part
-    along the left null direction is rounding relative to its norm, and the
-    right null direction reaches neither A nor F) is solved on the gap's
-    range, which a gap of rank zero lacks; a gap regular to working precision
-    keeps regular(); anything else is a decoupling: DegenerateRingError.
-    """
-    if not singular:  # tested first: CPython raises on a complex division by an exact zero
-        return regular()
-    u, sv, vh = np.linalg.svd(np.eye(2) - np.reshape(_bounce(s, t), (2, 2)))
-    s, t = np.array(s), np.array(t)
-    launch, null = s[1:, 0], vh[1].conj()
-    reach = max(abs(t[0, 1:] @ null), abs(s[0, 1:] @ t[1:, 1:] @ null))  # of the null direction to F and A
-    if sv[0] > _ROUNDING >= reach and abs(u[:, 1].conj() @ launch) <= _ROUNDING * np.linalg.norm(launch):
-        return _amplitudes(s, t, vh[0].conj() * ((u[:, 0].conj() @ launch) / sv[0]))
-    if sv[1] > _ROUNDING:
-        return regular()
-    raise DegenerateRingError(_DEGENERATE.format(k))
-
-
 def _solved_grid(s, t, singular, amplitudes) -> tuple[tuple, np.ndarray]:
-    # amplitudes() on node entries (3, 3, n) under _gap_rule, and the degenerate mask.
+    """amplitudes() on node entries (3, 3, n) under the singular-gap rule, and the degenerate mask.
+
+    The flagged rows (a flagged point is a one-row block) are settled together from one
+    stacked SVD of their gaps I - s s~.  An unexcited bound state (the launch (s21, s31) has
+    a rounding-level part along the left null direction, and the right null direction reaches
+    neither A nor F) is solved on the gap's range, which a gap of rank zero lacks; a gap
+    regular to working precision keeps amplitudes(); any other row is degenerate.
+    """
     values, degenerate = amplitudes(), np.zeros_like(singular)
-    for i in np.flatnonzero(singular).tolist():
-        try:
-            amps = _gap_rule(s[..., i], t[..., i], None, True, tuple)  # () keeps a regular row's values
-        except DegenerateRingError:
-            amps, degenerate[i] = (), True
-        for z, a in zip(values, amps):
-            if z is not None:  # a column not computed
-                z[i] = a
+    rows = np.flatnonzero(singular)
+    if not rows.size:  # most blocks: no SVD
+        return values, degenerate
+    m1, m2 = np.moveaxis(s, -1, 0)[rows], np.moveaxis(t, -1, 0)[rows]  # one node matrix per row
+    u, sv, vh = np.linalg.svd(np.eye(2) - np.einsum("nij,njk->nik", m1[:, 1:, 1:], m2[:, 1:, 1:]))  # rounds as _bounce
+    launch, null = m1[:, 1:, :1], vh[:, 1:].conj().swapaxes(1, 2)  # columns
+    part = (u.conj().swapaxes(1, 2)[:, :, None] @ launch[:, None])[..., 0, 0]  # one dot per left singular vector
+    reach = np.maximum(abs(m2[:, :1, 1:] @ null), abs(m1[:, :1, 1:] @ m2[:, 1:, 1:] @ null))  # to F and A
+    norm = np.sqrt(sum(x.swapaxes(1, 2) @ x for x in (launch.real, launch.imag)))[:, 0, 0]  # as linalg.norm, per row
+    solved = (sv[:, 0] > _ROUNDING) & (reach[:, 0, 0] <= _ROUNDING) & (abs(part[:, 1]) <= _ROUNDING * norm)
+    degenerate[rows] = ~solved & (sv[:, 1] <= _ROUNDING)
+    v = vh[:, 0].conj().T * (part[:, 0] / sv[:, 0])  # divides by 0 on a gap of rank zero, never solved
+    for z, a in zip(values, _amplitudes(m1.transpose(1, 2, 0), m2.transpose(1, 2, 0), v)):
+        if z is not None:  # a column not computed
+            z[rows[solved]] = a[solved]
     return values, degenerate
 
 
@@ -275,9 +266,19 @@ def _resolvent_forms(s, t, columns=_ALL_COLUMNS):
     return _singular(gap, det), amplitudes
 
 
+def _ruled_point(singular, amplitudes, m1: Mat3, m2: Mat3, k: float, forms) -> RingAmplitudes:
+    # A point route: amplitudes(), or where singular, forms (as _resolvent_forms) on m1, m2 as a one-row block.
+    if not singular:  # tested first: CPython raises on a complex division by an exact zero
+        return RingAmplitudes(*amplitudes())
+    with np.errstate(all="ignore"):  # a degenerate row divides by ~0
+        values, degenerate = _solved_grid(m1[..., None], m2[..., None], *forms(m1[..., None], m2[..., None]))
+    if degenerate[0]:
+        raise DegenerateRingError(_DEGENERATE.format(k))
+    return RingAmplitudes(*np.concatenate(values).tolist())
+
+
 def _resolve(m1: Mat3, m2: Mat3, k: float) -> RingAmplitudes:
-    s, t = m1.tolist(), m2.tolist()
-    return RingAmplitudes(*_gap_rule(s, t, k, *_resolvent_forms(s, t)))
+    return _ruled_point(*_resolvent_forms(m1.tolist(), m2.tolist()), m1, m2, k, _resolvent_forms)
 
 
 def solve_closed_form(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplitudes:
@@ -428,14 +429,14 @@ def solve_algebraic(S1: ScatteringMatrix, S2eff: ScatteringMatrix) -> RingAmplit
 
     Independent of the resolvent route: everything is spelled out through
     the pair sums over the interior wires and a common 2x2 determinant Delta.
-    Where _singular flags Delta, _gap_rule decides, as for the resolvent.
+    Where _singular flags Delta, the point is a one-row block of _solved_grid.
     """
     _check_pair(S1, S2eff)
     s, t = S1.m.tolist(), S2eff.m.tolist()
     delta, delta_b, singular, amplitudes = _algebraic_forms(s, t)
     if not abs(delta - delta_b) <= _IDENTITY_TOL:
         raise ArithmeticError(f"determinant identity violated by {abs(delta - delta_b):.3e}")
-    return RingAmplitudes(*_gap_rule(s, t, S1.k, singular, amplitudes))
+    return _ruled_point(singular, amplitudes, S1.m, S2eff.m, S1.k, lambda s, t: _algebraic_forms(s, t)[2:])
 
 
 def _algebraic_grid(s, t) -> tuple[tuple, np.ndarray]:
@@ -659,7 +660,7 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the amplitudes, shape (n, 6) with columns A..F, and the
     degenerate mask: the rows where solve_auto raises DegenerateRingError,
-    a real decoupling (ring._gap_rule), whose amplitudes are NaN.  Raises
+    a real decoupling (ring._solved_grid), whose amplitudes are NaN.  Raises
     the ValueError solve_auto raises at the first wavenumber it rejects (not
     positive and finite, k*L0 not finite or zero, or k*xi not finite).  The
     scan of find_resonances runs the same kernel on the one column it
@@ -711,10 +712,9 @@ class _Route:
     one wavenumber or on a block of them.
     """
 
-    __slots__ = ("mode", "left", "right", "forms", "xi1", "xi2", "dxi")
+    __slots__ = ("left", "right", "forms", "xi1", "xi2", "dxi")
 
     def __init__(self, cfg: RingConfig) -> None:
-        self.mode = cfg.mode
         swap = isinstance(cfg.mode, AntiSymmetric)
         self.left = self.right = _Node(cfg.left)
         if isinstance(cfg.mode, General):

@@ -467,7 +467,7 @@ def smallest_singular_value(s1: ScatteringMatrix, s2: ScatteringMatrix) -> float
 
 
 class TestSolveAlgebraicBoundState:
-    """The one singular-gap rule, ring._gap_rule, on every route.
+    """The one singular-gap rule, ring._solved_grid, on every route.
 
     Where _singular flags I - s s~, a bound state in the continuum that the
     launch does not excite is solved on the gap's range; a launch that

@@ -18,6 +18,7 @@ commands=(
     "ring --k 1.3"
     "junction --k 1.3"
     "sweep --n 4096"
+    "sweep --k-min 1e-12 --k-max 1e-6 --n 1000"
 )
 for kind in transmission reflection; do
     commands+=("find --k-min 3 --k-max 4.5 --kind $kind" "find --k-min 1 --k-max 1000 --kind $kind")
