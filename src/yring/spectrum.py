@@ -47,6 +47,13 @@ SCAN_PER_DECADE = 2048
 #: Fewest scan points find_resonances takes: one bracket of three.
 _SCAN_LEAST = 3
 
+#: Fewest open brackets whose next probes find_resonances takes in one call of
+#: the grid kernel; fewer probe on solve_auto one at a time.  On the shipped
+#: configs (2 vCPUs, numpy 2.4.6), one column of `_solve_grid_columns` costs
+#: 74-105 us at 1 wavenumber and 78-108 us at 9, and a prepared solve_auto
+#: 16-25 us: the grid call breaks even at 4 to 5 probes (BENCH_23.json).
+_LOCKSTEP_LEAST = 4
+
 #: Cross-check warnings of each kind written out; one line counts the rest.
 _WARNINGS_KEPT = 10
 
@@ -141,15 +148,17 @@ def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     return Spectrum(k=k, amps=amps, degenerate=degenerate, fingerprint=config_fingerprint(cfg))
 
 
-def _golden_minimize(probe, k, z, f, width: float) -> tuple[float, float]:
+def _golden_minimize(k, z, f, width: float):
     """Refine one scan bracket to the minimum of |z(k)|^2 by safeguarded Newton steps.
 
-    k holds the bracket's three scan wavenumbers in increasing order, the
-    middle one the lowest, z their complex amplitudes and f = |z|^2 (inf
-    where the ring is degenerate); probe(k) returns (z, f) at a new
-    wavenumber.  Each step fits the complex quadratic through the best probe
-    and the two latest and takes Newton's step on |z|^2 from its z' and z'',
-    -Re(z* z') / (|z'|^2 + Re(z* z'')).  As in Brent's minimizer (Algorithms
+    A generator, so that find_resonances can probe all open brackets of a
+    search together: it yields each new wavenumber u, is sent (z, |z|^2) at u
+    (|z|^2 = inf where the ring is degenerate), and returns the best probe
+    and its |z|^2 in its StopIteration.  k holds the bracket's three scan
+    wavenumbers in increasing order, the middle one the lowest, z their
+    complex amplitudes and f = |z|^2.  Each step fits the complex quadratic
+    through the best probe and the two latest and takes Newton's step on
+    |z|^2 from its z' and z'', -Re(z* z') / (|z'|^2 + Re(z* z'')).  As in Brent's minimizer (Algorithms
     for Minimization without Derivatives, 1973), a golden-section step into
     the larger part of the bracket replaces a step that leaves the bracket
     or is not shorter than half the step before last, and the bracket
@@ -157,11 +166,10 @@ def _golden_minimize(probe, k, z, f, width: float) -> tuple[float, float]:
     that did not lower |z|^2, where the fit is no model of z (the tail of a
     line narrower than the scan spacing).  Stops after a step no longer than
     width (a zero of z), when the Newton decrement g^2/h of |z|^2 falls to
-    4 eps |z|^2 (a nonzero minimum), or at |z|^2 = 0, and returns the best
-    probe and its |z|^2.
+    4 eps |z|^2 (a nonzero minimum), or at |z|^2 = 0.
 
-    The name predates the Newton steps: perfbench/tracing.py finds the
-    refine by it.
+    The name predates the Newton steps and the generator: perfbench/tracing.py
+    finds the refine by it, and so times only the generator's creation.
     """
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     decrement_floor = 2.0 * sys.float_info.epsilon  # g^2/h <= 4 eps f, with half-derivatives
@@ -189,7 +197,7 @@ def _golden_minimize(probe, k, z, f, width: float) -> tuple[float, float]:
         u = x + step
         if u == x:
             break
-        zu, fu = probe(u)
+        zu, fu = yield u
         newton_failed = is_newton and not fu < fx
         if fu <= fx:
             if u >= x:
@@ -273,8 +281,13 @@ def find_resonances(
     refined from its three scan samples by Newton steps on the complex
     amplitude, safeguarded by golden-section steps, down to a step of
     1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
-    below tol are kept.  tol must lie strictly between 0 and 1: probabilities
-    are at most 1, so with tol >= 1 no dip could have a neighbour above it.
+    below tol are kept.  While at least _LOCKSTEP_LEAST brackets are open,
+    each round takes the next probe of every one in one call of the scan's
+    kernel, and fewer probe on solve_auto; a grid row's last bits depend on
+    the rows sharing its call, so near a narrow line k* depends (the same on
+    every run) on which brackets share a round.  tol must lie strictly
+    between 0 and 1: probabilities are at most 1, so with tol >= 1 no dip
+    could have a neighbour above it.
     For scale-invariant symmetric and antisymmetric rings the result carries
     the warnings of _cross_check against the analytic positions.
     """
@@ -290,12 +303,13 @@ def find_resonances(
 
     grid = np.linspace(k_min, k_max, scan_n)
     transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
-    column = 0 if transmission else 5  # A or F
-    amps, degenerate = _solve_grid_columns(cfg, grid, tuple(i == column for i in range(6)))
-    target = amps[:, 0]
-    values = np.abs(target) ** 2
-    values[degenerate] = math.inf
-    width = 1e-12 * (k_max - k_min)
+    columns = tuple(i == (0 if transmission else 5) for i in range(6))  # A or F
+
+    def on_grid(ks) -> tuple[np.ndarray, np.ndarray]:
+        amps, degenerate = _solve_grid_columns(cfg, ks, columns)
+        values = np.abs(amps[:, 0]) ** 2
+        values[degenerate] = math.inf
+        return amps[:, 0], values
 
     def probe(k: float) -> tuple[complex, float]:
         try:
@@ -305,20 +319,35 @@ def find_resonances(
         z = amplitudes.A if transmission else amplitudes.F
         return z, abs(z) ** 2
 
+    target, values = on_grid(grid)
     mid, lo, hi = values[1:-1], values[:-2], values[2:]
     rim = np.maximum(lo, hi)
     # strict local minima, minus two kinds of false dip: the probability is
     # already below tol on a whole neighbourhood (an identically vanishing
     # amplitude, not a zero), or the dip is rounding noise on a flat curve
     dips = (mid < lo) & (mid < hi) & (rim > tol) & (rim > (1.0 + 64.0 * sys.float_info.epsilon) * mid)
-    found: list[Resonance] = []
-    for i in (np.flatnonzero(dips) + 1).tolist():
-        bracket = slice(i - 1, i + 2)
-        k_star, residual = _golden_minimize(
-            probe, grid[bracket].tolist(), target[bracket].tolist(), values[bracket].tolist(), width
-        )
-        if residual < tol:
-            found.append(Resonance(k_star=k_star, kind=kind, residual=residual))
+    width = 1e-12 * (k_max - k_min)
+    # each bracket's refine, replaced by its (k*, |z*|^2) when it returns
+    brackets = [_golden_minimize(grid[i - 1:i + 2].tolist(), target[i - 1:i + 2].tolist(),
+                                 values[i - 1:i + 2].tolist(), width) for i in (np.flatnonzero(dips) + 1).tolist()]
+    replies = dict.fromkeys(range(len(brackets)))  # each open bracket and what it is sent next
+    while len(replies) >= _LOCKSTEP_LEAST:
+        asked = {}
+        for j, reply in replies.items():
+            try:
+                asked[j] = brackets[j].send(reply)
+            except StopIteration as stop:
+                brackets[j] = stop.value
+        ks = list(asked.values())
+        lockstep = len(ks) >= _LOCKSTEP_LEAST
+        replies = dict(zip(asked, zip(*(a.tolist() for a in on_grid(ks))) if lockstep else map(probe, ks)))
+    for j, reply in replies.items():  # too few open brackets to share a grid call: each runs to its end
+        try:
+            while True:
+                reply = probe(brackets[j].send(reply))
+        except StopIteration as stop:
+            brackets[j] = stop.value
+    found = [Resonance(k_star=k_star, kind=kind, residual=residual) for k_star, residual in brackets if residual < tol]
 
     expected = _expected_resonances(cfg, kind, k_min, k_max)
     warnings = () if expected is None else _cross_check(found, expected, k_min, k_max, scan_n)

@@ -633,13 +633,17 @@ class TestByteStableOutput:
         scanned = []
 
         def per_point_columns(cfg, ks, columns):
-            scanned.append(columns)
+            scanned.append((np.asarray(ks), columns))
             amps, degenerate = per_point(cfg, ks)
             return amps[:, np.flatnonzero(columns)], degenerate
 
         monkeypatch.setattr(spectrum, "_solve_grid_columns", per_point_columns)
         reference = find_resonances(cfg, 0.3, 12.0, kind)
-        assert scanned == [one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)]
+        # the scan of the whole window, then the rounds of the refine, all on the one column
+        (scan, _), *rounds = scanned
+        assert (scan[0], scan[-1]) == (0.3, 12.0) and all(0.3 < k < 12.0 for ks, _ in rounds for k in ks)
+        column = one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)
+        assert {columns for _, columns in scanned} == {column}
         assert len(grid.resonances) == len(reference.resonances)
         for got, expected in zip(grid.resonances, reference.resonances):
             assert abs(got.k_star - expected.k_star) <= 1e-14 * expected.k_star

@@ -3,8 +3,10 @@
 `reference_find` below keeps the previous search: the same scan, the
 previous bracket rule (every strict local minimum whose neighbours are not
 both below tol), and golden-section search on |A|^2 or |F|^2 down to a
-width of 1e-12 (k_max - k_min), ending with a probe at the midpoint.  Both
-searches probe through `spectrum.solve_auto`, so one wrapper counts both.
+width of 1e-12 (k_max - k_min), ending with a probe at the midpoint.  It
+probes through `spectrum.solve_auto`; find_resonances probes there too and,
+for rounds of at least `_LOCKSTEP_LEAST` open brackets, on the grid kernel,
+so `RefineCount` counts both.
 """
 
 import math
@@ -132,6 +134,44 @@ def refine_batch():
     return rings
 
 
+class RefineCount:
+    """Counts what find_resonances evaluates after its scan, through spectrum's two kernels.
+
+    points holds each solve_auto probe, grid_rows the length of each
+    _solve_grid_columns call, of which the first of a search is the scan.
+    """
+
+    def __init__(self, monkeypatch):
+        self.points, self.grid_rows = [], []
+        solve_auto, solve_grid_columns = spectrum.solve_auto, spectrum._solve_grid_columns
+
+        def point(cfg, k):
+            self.points.append(k)
+            return solve_auto(cfg, k)
+
+        def grid(cfg, ks, columns):
+            self.grid_rows.append(len(ks))
+            return solve_grid_columns(cfg, ks, columns)
+
+        monkeypatch.setattr(spectrum, "solve_auto", point)
+        monkeypatch.setattr(spectrum, "_solve_grid_columns", grid)
+
+    def reset(self) -> None:
+        del self.points[:], self.grid_rows[:]
+
+    def evaluations(self) -> int:
+        """The refine's evaluations since reset, of one search: point probes plus grid rows after the scan."""
+        return len(self.points) + sum(self.grid_rows[1:])
+
+
+def slope(cfg, kind, k: float) -> float:
+    """|z'| at k, of A or F as kind selects, by a central difference on solve_auto."""
+    h = 1e-9 * k
+    column = 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5
+    z = [spectrum.solve_auto(cfg, x).to_array()[column] for x in (k - h, k + h)]
+    return abs(z[1] - z[0]) / (2 * h)
+
+
 def nearest(values, x):
     return min(values, key=lambda v: abs(v - x)) if values else None
 
@@ -182,25 +222,80 @@ class TestAgainstGoldenSection:
         assert checked > 200 and exact > checked // 2
 
     def test_probes_a_quarter_of_golden_section(self, monkeypatch):
-        probes = []
-        solve_auto = spectrum.solve_auto
-
-        def counting(cfg, k):
-            probes.append(k)
-            return solve_auto(cfg, k)
-
-        monkeypatch.setattr(spectrum, "solve_auto", counting)
+        count = RefineCount(monkeypatch)
         ours = theirs = kept = 0
         for cfg in refine_batch():
             for kind in ResonanceKind:
-                del probes[:]
+                count.reset()
                 kept += len(find_resonances(cfg, 4.0, 6.0, kind).resonances)
-                ours += len(probes)
-                del probes[:]
-                reference_find(cfg, 4.0, 6.0, kind)
-                theirs += len(probes)
+                ours += count.evaluations()
+                count.reset()
+                reference_find(cfg, 4.0, 6.0, kind)  # scans on solve_grid, probes on solve_auto
+                theirs += count.evaluations()
         assert kept > 50
         assert 0 < 4 * ours <= theirs
+
+
+class TestLockstep:
+    """Brackets refined together on the grid kernel against each refined alone on solve_auto."""
+
+    def test_equals_the_sequential_refine(self, searches, monkeypatch):
+        # A grid row and a solve_auto point differ at rounding level, which
+        # near a narrow line moves where a refine stops on the flat bottom of
+        # |z|^2.  A stop with residual r sits about sqrt(r)/|z'| from the zero,
+        # so two stops lie within the sum of those reaches; z's rounding makes
+        # a residual under-read its distance, by up to 2.5x on this corpus.
+        cases = [(cfg, k_min, k_max, kind) for cfg, k_min, k_max, kind, _, _ in searches]
+        cases += [(cfg, 4.0, 6.0, kind) for cfg in refine_batch() for kind in ResonanceKind]
+        lockstep = [find_resonances(*case) for case in cases]
+        monkeypatch.setattr(spectrum, "_LOCKSTEP_LEAST", math.inf)  # every probe on solve_auto
+        lines = moved = 0
+        for (cfg, k_min, k_max, kind), got in zip(cases, lockstep):
+            alone = find_resonances(cfg, k_min, k_max, kind)
+            assert len(got.resonances) == len(alone.resonances), (cfg, kind)
+            expected = _expected_resonances(cfg, kind, k_min, k_max) or []
+            grid, _ = scan_values(cfg, k_min, k_max, kind)
+            if any(b - a < grid[1] - grid[0] for a, b in zip(expected, expected[1:])):
+                continue  # two lines within a scan step: which one a bracket reaches follows rounding (ROADMAP item 7)
+            assert len(got.warnings) == len(alone.warnings), (cfg, kind)
+            for r, s in zip(got.resonances, alone.resonances):
+                assert max(r.residual, s.residual) < 1e-8
+                lines += 1
+                if abs(r.k_star - s.k_star) <= 2 * math.ulp(s.k_star):
+                    continue
+                moved += 1
+                reach = (math.sqrt(r.residual) + math.sqrt(s.residual)) / slope(cfg, kind, s.k_star)
+                assert abs(r.k_star - s.k_star) <= 4 * reach, (cfg, kind, r, s)
+        assert lines > 400 and moved < lines // 10
+
+    def test_one_grid_call_per_round(self, monkeypatch):
+        asked = []  # per bracket of a search, the wavenumbers it probed
+        golden = spectrum._golden_minimize
+
+        def recording(*args):
+            probes = []
+            asked.append(probes)
+            refine, reply = golden(*args), None
+            try:
+                while True:
+                    probes.append(refine.send(reply))
+                    reply = yield probes[-1]
+            except StopIteration as stop:
+                return stop.value
+
+        monkeypatch.setattr(spectrum, "_golden_minimize", recording)
+        count = RefineCount(monkeypatch)
+        wide = 0
+        for cfg in refine_batch():
+            for kind in ResonanceKind:
+                del asked[:]
+                count.reset()
+                find_resonances(cfg, 4.0, 6.0, kind)
+                if len(asked) >= 8:
+                    # the scan, then at most one call per round, a round being one probe of each open bracket
+                    assert 1 < len(count.grid_rows) <= 1 + max(map(len, asked))
+                    wide += 1
+        assert wide > 0
 
 
 class TestScanRule:
@@ -232,8 +327,18 @@ def run_refine(amplitude, ks, width=1e-12):
     zs = [amplitude(k) for k in ks]
     fs = [math.inf if z is None else abs(z) ** 2 for z in zs]
     zs = [complex(math.nan, math.nan) if z is None else z for z in zs]
-    k_star, residual = spectrum._golden_minimize(probe, list(ks), zs, fs, width)
+    k_star, residual = drive(spectrum._golden_minimize(list(ks), zs, fs, width), probe)
     return k_star, residual, probes
+
+
+def drive(refine, probe):
+    """Run one bracket's refine to its end, answering each wavenumber it asks for with probe(k)."""
+    reply = None
+    try:
+        while True:
+            reply = probe(refine.send(reply))
+    except StopIteration as stop:
+        return stop.value
 
 
 class TestNewtonRefine:
@@ -316,7 +421,7 @@ class TestNewtonRefine:
 
         amps, _ = spectrum.solve_grid(cfg, grid[i - 1:i + 2])
         zs = amps[:, 0].tolist()
-        k_star, _ = spectrum._golden_minimize(
-            probe, grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min)
-        )
+        k_star, _ = drive(spectrum._golden_minimize(
+            grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min)
+        ), probe)
         assert min(abs(k_star - k) for k in zeros) < 1e-11

@@ -32,6 +32,7 @@ from test_grid import (
     SHIPPED,
     random_ring,
 )
+from test_refine import RefineCount
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -332,22 +333,17 @@ class TestPreparedOnce:
             calls.append(p)
             return is_scale_invariant(p)
 
-        probes = []
-
-        def counting_solve(cfg, k):
-            probes.append(k)
-            return solve_auto(cfg, k)
-
         monkeypatch.setattr(ring, "is_scale_invariant", counting)
-        monkeypatch.setattr(spectrum, "solve_auto", counting_solve)
+        probes = RefineCount(monkeypatch)
         left = JunctionParams(theta=(0.0, PI, PI), beta=0.9, delta=0.4, gamma=1.3)
         counts = []
         for k_max in (4.0, 16.0):
-            del calls[:], probes[:]
+            del calls[:]
+            probes.reset()
             find_resonances(RingConfig(left=left, mode=mode, xi1=1.0, xi2=0.0), 0.5, k_max,
                             ResonanceKind.PERFECT_REFLECTION if mode == ANTISYMMETRIC
                             else ResonanceKind.PERFECT_TRANSMISSION)
-            counts.append((len(calls), len(probes)))
+            counts.append((len(calls), probes.evaluations()))
         (calls_small, probes_small), (calls_large, probes_large) = counts
         assert probes_large > 2 * probes_small > 0
         assert calls_small == calls_large <= 5
