@@ -142,16 +142,31 @@ class _Node:
 
     V, V^dagger, (cos, sin) of each half eigenphase and L0, computed once.
     With swap, rows 1 and 2 of V are interchanged: the node with its interior
-    wires relabelled, as the antisymmetric ring's right node.
+    wires relabelled, as the antisymmetric ring's right node.  The constants
+    of _s_grid alone are built on its first call (`grid`): s_matrix builds a
+    node per call and needs none of them.
     """
 
-    __slots__ = ("v", "vh", "half", "L0")
+    __slots__ = ("v", "vh", "half", "L0", "_grid")
 
     def __init__(self, p: JunctionParams, swap: bool = False) -> None:
         self.v = build_V(p)[[0, 2, 1]] if swap else build_V(p)
         self.vh = self.v.conj().T
         self.half = tuple((math.cos(t / 2.0), math.sin(t / 2.0)) for t in p.theta)
         self.L0 = p.L0
+        self._grid = None
+
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # cos of the half eigenphases, shape (3,), their sin as a column (3, 1),
+        # and V's rank-one projectors v_j v_j^dagger, one row per entry (i, l)
+        # of the node matrix and one column per j, shape (9, 3).
+        if self._grid is None:
+            cos, sin = np.array(self.half).T
+            projectors = (self.v[:, None, :] * self.vh.T[None, :, :]).reshape(9, 3)
+            self._grid = cos, sin[:, None], projectors
+            for a in self._grid:
+                a.setflags(write=False)
+        return self._grid
 
 
 #: 2i times the sign that each orientation gives k: the position phase is exp(_PHASE * k * xi).
@@ -231,10 +246,9 @@ def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> tuple[
     lk = node.L0 * ks
     z = _PHASE[orientation] * ks * xi
     accepted = np.isfinite(ks) & (ks > 0.0) & np.isfinite(xi) & np.isfinite(lk) & (lk != 0.0) & np.isfinite(z)
-    cos, sin = np.array(node.half).T
-    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, lk), sin[:, None]))
+    cos, sin, projectors = node.grid()
+    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, lk), sin))
     d *= np.exp(z)
-    projectors = (node.v[:, None, :] * node.vh.T[None, :, :]).reshape(9, 3)
     return accepted, (projectors @ d).reshape(3, 3, -1)
 
 

@@ -57,6 +57,28 @@ _LOCKSTEP_LEAST = 4
 #: Cross-check warnings of each kind written out; one line counts the rest.
 _WARNINGS_KEPT = 10
 
+# The early stop of _golden_minimize for a minimum that is not a line.  On
+# traces of every bracket of corpus(20240613, 300), corpus(7, 300) and
+# refine_batch() in tests/test_refine.py, of find-refine seeds 1-8 and of the
+# shipped configs over [1, 1000] (2 vCPUs, numpy 2.4.6), it decided none of
+# the 3,486 brackets that end below tol, nor with a decrement bound of 1e-1;
+# on find-refine seeds 1-8 it saves 8,468 of 23,700 refine evaluations
+# (BENCH_24.json).
+#: |z|^2 above this many times tol can be decided: with the decrement bound
+#: below, the model's minimum then lies above 99 tol.
+_DECIDED_MARGIN = 100.0
+#: Greatest Newton decrement g^2/h, as a share of |z|^2, that decides a
+#: bracket: the model's minimum lies at or above 0.99 |z|^2.  Near a simple
+#: zero g^2/h is about |z|^2, 100 times this.
+_DECIDED_DECREMENT = 1e-2
+#: A Newton step validates its model when the decrease it achieved lies
+#: within [1/_TRUST_RATIO, _TRUST_RATIO] of the decrease g^2/h the model
+#: predicted.  With any decrease taken as validating, corpus(20240613, 300)
+#: lost 6 of its lines; at one (antisymmetric, theta = (0, pi, pi),
+#: dxi = 3.937, k* = 3.5910891...) a step lowered |A|^2 from 0.998 to 0.943
+#: where its model predicted 3.1e-5.
+_TRUST_RATIO = 2.0
+
 
 class ResonanceKind(Enum):
     PERFECT_TRANSMISSION = "transmission"
@@ -148,7 +170,7 @@ def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     return Spectrum(k=k, amps=amps, degenerate=degenerate, fingerprint=config_fingerprint(cfg))
 
 
-def _golden_minimize(k, z, f, width: float):
+def _golden_minimize(k, z, f, width: float, tol: float):
     """Refine one scan bracket to the minimum of |z(k)|^2 by safeguarded Newton steps.
 
     A generator, so that find_resonances can probe all open brackets of a
@@ -168,6 +190,18 @@ def _golden_minimize(k, z, f, width: float):
     width (a zero of z), when the Newton decrement g^2/h of |z|^2 falls to
     4 eps |z|^2 (a nonzero minimum), or at |z|^2 = 0.
 
+    It also stops early on a minimum that cannot be a line, |z|^2 < tol: when
+    |z|^2 > _DECIDED_MARGIN tol and g^2/h <= _DECIDED_DECREMENT |z|^2, the
+    quadratic model puts the minimum at or above 0.99 |z|^2 > 99 tol.  The
+    model is trusted only after a Newton step whose achieved decrease of
+    |z|^2 lay within a factor _TRUST_RATIO of the decrease g^2/h it
+    predicted (the ratio test of trust-region methods; Nocedal & Wright,
+    Numerical Optimization, 2006, section 4.1).  On the tail of a line
+    narrower than the scan spacing the fit sees a flat curve, a small
+    decrement and no line; the first Newton step there falls far more than
+    predicted, so such a bracket refines on.  A simple zero never meets the
+    rule, as g^2/h is about |z|^2 near it.
+
     The name predates the Newton steps and the generator: perfbench/tracing.py
     finds the refine by it, and so times only the generator's creation.
     """
@@ -177,7 +211,7 @@ def _golden_minimize(k, z, f, width: float):
     zx, fx = z[1], f[1]
     latest = [(k[0], z[0]), (k[2], z[2])]  # the two latest probes other than the best
     step = before = b - a
-    newton_failed = False
+    newton_failed = trusted = False
     while fx > 0.0:
         (k1, z1), (k2, z2) = latest
         slope = (z1 - zx) / (k1 - x)
@@ -185,12 +219,15 @@ def _golden_minimize(k, z, f, width: float):
         d1 = slope + curve * (x - k1)  # z' of the quadratic at x
         g = (zx.conjugate() * d1).real  # half of (|z|^2)'
         h = abs(d1) * abs(d1) + 2.0 * (zx.conjugate() * curve).real  # half of (|z|^2)''
-        if h > 0.0 and g * g <= decrement_floor * fx * h:
+        # a decrement at rounding level, or one that keeps a validated model's minimum above 99 tol
+        bound = _DECIDED_DECREMENT if trusted and fx > _DECIDED_MARGIN * tol else decrement_floor
+        if h > 0.0 and g * g <= bound * fx * h:
             break
         newton = -g / h if h > 0.0 else math.nan
         is_newton = not newton_failed and a < x + newton < b and abs(newton) < 0.5 * abs(before)
         if is_newton:
             before, step = step, newton
+            predicted = g * g / h
         else:
             before = a - x if x >= 0.5 * (a + b) else b - x
             step = golden * before
@@ -199,6 +236,7 @@ def _golden_minimize(k, z, f, width: float):
             break
         zu, fu = yield u
         newton_failed = is_newton and not fu < fx
+        trusted = is_newton and predicted / _TRUST_RATIO <= fx - fu <= _TRUST_RATIO * predicted
         if fu <= fx:
             if u >= x:
                 a = x
@@ -281,11 +319,15 @@ def find_resonances(
     refined from its three scan samples by Newton steps on the complex
     amplitude, safeguarded by golden-section steps, down to a step of
     1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
-    below tol are kept.  While at least _LOCKSTEP_LEAST brackets are open,
-    each round takes the next probe of every one in one call of the scan's
-    kernel, and fewer probe on solve_auto; a grid row's last bits depend on
-    the rows sharing its call, so near a narrow line k* depends (the same on
-    every run) on which brackets share a round.  tol must lie strictly
+    below tol are kept.  A bracket stops early, and is dropped, once a Newton
+    model that its last step validated keeps the minimum above 99 tol: a
+    minimum that cannot reach tol is not polished to the last bits, and no
+    minimum at or above tol is reported.  While at least _LOCKSTEP_LEAST
+    brackets are open, each round takes the next probe of every one in one
+    call of the scan's kernel, and fewer probe on solve_auto; a grid row's
+    last bits depend on the rows sharing its call, so near a narrow line k*
+    depends (the same on every run) on which brackets share a round, and so
+    on when other brackets stop.  tol must lie strictly
     between 0 and 1: probabilities are at most 1, so with tol >= 1 no dip
     could have a neighbour above it.
     For scale-invariant symmetric and antisymmetric rings the result carries
@@ -329,7 +371,7 @@ def find_resonances(
     width = 1e-12 * (k_max - k_min)
     # each bracket's refine, replaced by its (k*, |z*|^2) when it returns
     brackets = [_golden_minimize(grid[i - 1:i + 2].tolist(), target[i - 1:i + 2].tolist(),
-                                 values[i - 1:i + 2].tolist(), width) for i in (np.flatnonzero(dips) + 1).tolist()]
+                                 values[i - 1:i + 2].tolist(), width, tol) for i in (np.flatnonzero(dips) + 1).tolist()]
     replies = dict.fromkeys(range(len(brackets)))  # each open bracket and what it is sent next
     while len(replies) >= _LOCKSTEP_LEAST:
         asked = {}

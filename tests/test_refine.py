@@ -298,6 +298,44 @@ class TestLockstep:
         assert wide > 0
 
 
+class TestEarlyStop:
+    """find_resonances against itself with the early stop of non-zero minima switched off."""
+
+    def test_keeps_every_line(self, monkeypatch):
+        # Brackets decided early leave the lockstep rounds sooner, and a grid
+        # row's last bits depend on the rows sharing its call: k* may move by
+        # rounding, nothing more.
+        cases = [(cfg, k_min, k_max, kind) for cfg, k_min, k_max in corpus(20240613, 300) for kind in ResonanceKind]
+        cases += [(cfg, 4.0, 6.0, kind) for cfg in refine_batch() for kind in ResonanceKind]
+        early = [find_resonances(*case) for case in cases]
+        monkeypatch.setattr(spectrum, "_DECIDED_MARGIN", math.inf)
+        lines = 0
+        for case, got in zip(cases, early):
+            polished = find_resonances(*case)
+            assert len(got.resonances) == len(polished.resonances), case
+            assert got.warnings == polished.warnings, case
+            for r, s in zip(got.resonances, polished.resonances):
+                assert abs(r.k_star - s.k_star) <= 2 * math.ulp(s.k_star), (case, r, s)
+                lines += 1
+        assert lines > 400
+
+    def test_saves_a_quarter_of_the_refine(self, monkeypatch):
+        count = RefineCount(monkeypatch)
+
+        def evaluations() -> int:
+            total = 0
+            for cfg in refine_batch():
+                for kind in ResonanceKind:
+                    count.reset()
+                    find_resonances(cfg, 4.0, 6.0, kind)
+                    total += count.evaluations()
+            return total
+
+        early = evaluations()
+        monkeypatch.setattr(spectrum, "_DECIDED_MARGIN", math.inf)
+        assert 0 < 4 * early <= 3 * evaluations()
+
+
 class TestScanRule:
     def test_exactly_decoupled_ring_skips_its_noise_brackets(self, monkeypatch):
         # All eigenphases 0: the node reflects totally, |A| = 1 up to rounding.
@@ -316,7 +354,7 @@ class TestScanRule:
 # -- the refine on analytic test functions --------------------------------------------
 
 
-def run_refine(amplitude, ks, width=1e-12):
+def run_refine(amplitude, ks, width=1e-12, tol=1e-8):
     probes = []
 
     def probe(k):
@@ -327,7 +365,7 @@ def run_refine(amplitude, ks, width=1e-12):
     zs = [amplitude(k) for k in ks]
     fs = [math.inf if z is None else abs(z) ** 2 for z in zs]
     zs = [complex(math.nan, math.nan) if z is None else z for z in zs]
-    k_star, residual = drive(spectrum._golden_minimize(list(ks), zs, fs, width), probe)
+    k_star, residual = drive(spectrum._golden_minimize(list(ks), zs, fs, width, tol), probe)
     return k_star, residual, probes
 
 
@@ -353,12 +391,25 @@ class TestNewtonRefine:
         assert len(probes) <= 8
 
     def test_nonzero_minimum_stops_on_the_newton_decrement(self):
+        # tol = 1e-3: a minimum of 0.01 is within the margin of a line, so it
+        # is refined to the bottom
         k0 = 1.23
-        k_star, residual, probes = run_refine(lambda k: (k - k0) ** 2 + (k - k0) + 0.1j, (1.0, 1.2, 1.4))
+        k_star, residual, probes = run_refine(lambda k: (k - k0) ** 2 + (k - k0) + 0.1j, (1.0, 1.2, 1.4), tol=1e-3)
         # |z|^2 = (u^2 + u)^2 + 0.01 with u = k - k0; its minimum is at u = 0
         assert abs(k_star - k0) < 1e-7
         assert residual == pytest.approx(0.01, rel=4 * EPS)
         assert len(probes) <= 8
+
+    def test_nonzero_minimum_far_above_tol_is_decided_early(self):
+        # The same minimum at tol = 1e-8: once a Newton step has lowered
+        # |z|^2 as its model predicted, the model keeps the minimum above 99 tol
+        k0 = 1.23
+        amplitude = lambda k: (k - k0) ** 2 + (k - k0) + 0.1j
+        _, _, polished = run_refine(amplitude, (1.0, 1.2, 1.4), tol=1e-3)
+        k_star, residual, probes = run_refine(amplitude, (1.0, 1.2, 1.4), tol=1e-8)
+        assert len(probes) < len(polished)
+        assert residual > 1e-8
+        assert 1.0 < k_star < 1.4
 
     def test_exact_zero_at_the_scan_sample_needs_no_probe(self):
         k_star, residual, probes = run_refine(lambda k: complex(k - 1.25, 0.0), (1.2, 1.25, 1.3))
@@ -393,6 +444,27 @@ class TestNewtonRefine:
         assert residual <= 1e-24
         assert len(probes) <= 50
 
+    def test_narrow_line_beyond_a_flat_model_is_reached(self, monkeypatch):
+        # A zero of width 1e-5 just past the middle scan sample: the fit
+        # through the three samples predicts a decrease of 3e-8 from 0.99,
+        # and its Newton step lands on the line's flank at 0.59.  Had that
+        # step validated the model, the flat fit after it would decide the
+        # bracket: the trust test must reject a step that falls this far.
+        k0, w = 1.2501, 1e-5
+        amplitude = lambda k: (k - k0) / (k - k0 + 1j * w) * (1 + 0.5 * (k - 1.25) ** 2)
+        ks = (1.2, 1.25, 1.4)
+        zs = [amplitude(k) for k in ks]
+        # z, z' and z'' at the middle sample of the quadratic through the three
+        z, d1, d2 = np.polyfit(np.array(ks) - ks[1], zs, 2)[::-1] * [1, 1, 2]
+        g, h = (z.conjugate() * d1).real, abs(d1) ** 2 + (z.conjugate() * d2).real
+        k_star, residual, probes = run_refine(amplitude, ks)
+        assert probes[0] == pytest.approx(ks[1] - g / h, rel=1e-12)  # the first step is Newton's
+        assert abs(z) ** 2 - abs(amplitude(probes[0])) ** 2 > 1e6 * g * g / h
+        assert abs(k_star - k0) <= 2 * math.ulp(k0)
+        assert residual <= 1e-24
+        monkeypatch.setattr(spectrum, "_TRUST_RATIO", math.inf)  # every decrease validates the model
+        assert run_refine(amplitude, ks)[1] > 0.5
+
     def test_unresolved_line_pair_is_reached_not_its_tail(self):
         # Ring 67 of the corpus searched with a 256-point scan: two
         # antisymmetric lines about 3e-10 wide and 5e-6 apart share a bracket.
@@ -422,6 +494,6 @@ class TestNewtonRefine:
         amps, _ = spectrum.solve_grid(cfg, grid[i - 1:i + 2])
         zs = amps[:, 0].tolist()
         k_star, _ = drive(spectrum._golden_minimize(
-            grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min)
+            grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min), 1e-8
         ), probe)
         assert min(abs(k_star - k) for k in zeros) < 1e-11
