@@ -248,11 +248,10 @@ def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.r
     orientations = (Orientation.INWARD, Orientation.OUTWARD)
     with np.errstate(all="ignore"):  # overflowing products of a rejected sample
         masks, entries = zip(*[_s_grid(node, ks, xis, orientation) for orientation in orientations])
-    accepted = np.logical_and.reduce(masks)
+    accepted = masks[0]  # the orientations' position exponents differ only in sign: one mask
     if not accepted.all():
         k, xi, _ = samples[np.argmin(accepted)]
-        for orientation in orientations:
-            s_matrix(params, k, xi, orientation)  # raises at this sample
+        s_matrix(params, k, xi)  # raises at this sample
     residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("ijn,jn->in", s, phis), orientation)
                  for s, orientation in zip(entries, orientations)]
     stacks = np.moveaxis(np.array(entries), -1, 1)  # (2, n, 3, 3): one matrix per sample

@@ -236,16 +236,17 @@ def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> tuple[
     # one per wavenumber), in one pass: where _phase_exponent accepts them, as
     # a mask, and the node entries s[i][j], shape (3, 3, n) with the
     # wavenumbers last (meaningless where rejected; the caller silences
-    # numpy's overflow warnings).  The entries are the diagonal factors times
-    # the position phase, times V's rank-one projectors v_j v_j^dagger, in one
-    # product.  Each factor is -exp(+-2i atan2(k L0 cos, sin)), the
-    # unit-modulus form of _s0_diagonal's quotient (+ inward, - outward):
-    # numpy's complex division overflows where the divisor is subnormal.
-    # Projector rows in the product's left operand keep a node with relabelled
-    # wires equal to the relabelled node, word for word.
+    # numpy's overflow warnings).  As L0 > 0 is finite, k*L0 > 0 is finite only
+    # where k is, and z is finite only where xi is (its real part is 0 * xi).
+    # The entries are the diagonal factors times the position phase, times
+    # V's rank-one projectors v_j v_j^dagger, in one product.  Each factor is
+    # -exp(+-2i atan2(k L0 cos, sin)), the unit-modulus form of _s0_diagonal's
+    # quotient (+ inward, - outward): numpy's complex division overflows where
+    # the divisor is subnormal.  Projector rows in the product's left operand
+    # keep a node with relabelled wires equal to the relabelled node, word for word.
     lk = node.L0 * ks
     z = _PHASE[orientation] * ks * xi
-    accepted = np.isfinite(ks) & (ks > 0.0) & np.isfinite(xi) & np.isfinite(lk) & (lk != 0.0) & np.isfinite(z)
+    accepted = np.isfinite(lk) & (lk > 0.0) & np.isfinite(z)
     cos, sin, projectors = node.grid()
     d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, lk), sin))
     d *= np.exp(z)

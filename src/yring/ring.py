@@ -39,14 +39,11 @@ from .junction import (
 )
 from .smallmat import Mat3
 
-#: _singular flags a gap I - s s~ with |det| below this; the closed forms raise where |denominator| is.
+#: _singular flags |det(I - s s~)| <= this * max(1, largest entry**2); the closed forms raise where |den| < this.
 DEGENERATE_TOL = 1e-13
 
 #: solve_algebraic's two forms of its determinant Delta agree to this.
 _IDENTITY_TOL = 1e-12
-
-#: _singular also flags a gap whose |det| <= SINGULAR_RTOL * (largest entry)**2.
-SINGULAR_RTOL = 1e-13
 
 #: Rounding level: a singular value, coupling or relative launch component at most this is zero.
 _ROUNDING = 64 * sys.float_info.epsilon
@@ -216,11 +213,11 @@ def _singular(gap, det):
     """Whether the gap I - s s~ is left to the rule of _solved_grid, elementwise: a cheap prefilter.
 
     gap holds the entries (g00, g01, g10, g11), det their determinant (scalars or
-    grid arrays); unitary nodes bound |gap| by 2, so each gap it passes is regular.
+    grid arrays): |det| <= DEGENERATE_TOL * max(1, largest entry**2), absolute below
+    entry 1, relative above, and at most 4 DEGENERATE_TOL on unitary nodes (|gap| <= 2).
     """
     largest = functools.reduce(np.maximum, map(abs, gap))  # NaN if an entry is NaN
-    size = abs(det)
-    return (size < DEGENERATE_TOL) | (size <= SINGULAR_RTOL * largest ** 2)
+    return abs(det) <= DEGENERATE_TOL * np.maximum(1.0, largest ** 2)
 
 
 def _solved_grid(s, t, singular, amplitudes) -> tuple[tuple, np.ndarray]:

@@ -50,8 +50,8 @@ from yring.config import load_config
 from yring.junction import Orientation, _Node, _residual, _s0_diagonal, _s_array, _s_grid
 from yring.ring import (
     _ROUNDING,
+    DEGENERATE_TOL,
     GRID_BLOCK,
-    SINGULAR_RTOL,
     _algebraic_forms,
     _algebraic_grid,
     _amplitudes,
@@ -215,10 +215,11 @@ class TestSolveGrid:
         assert assert_within_contract(cfg, ks)[-1]
 
     def test_one_decoupled_wire_relative_singularity_test(self):
-        # |det| between DEGENERATE_TOL and the relative bound of ring._singular
-        # on part of this grid, so both of its tests flag some points.  The
-        # closed wire's bound state is not excited, so the rule solves every
-        # row, and each meets the 50-digit resolvent of its node matrices.
+        # |det| between DEGENERATE_TOL and DEGENERATE_TOL * (largest entry)**2
+        # on part of this grid, so both parts of ring._singular's threshold,
+        # the absolute and the relative, flag some points.  The closed wire's
+        # bound state is not excited, so the rule solves every row, and each
+        # meets the 50-digit resolvent of its node matrices.
         offsets = np.linspace(0.5e-13, 2e-13, 150) / 2.2
         ks = np.concatenate([ONE_WIRE_K + offsets, ONE_WIRE_K - offsets])
         relative_only = 0
@@ -226,7 +227,7 @@ class TestSolveGrid:
             s1, s2 = ring_matrices(ONE_WIRE_RING, k)
             gap = np.eye(2) - s1.m[1:, 1:] @ s2.m[1:, 1:]
             det = abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0])
-            relative_only += 1e-13 <= det <= SINGULAR_RTOL * max_norm(gap) ** 2
+            relative_only += DEGENERATE_TOL <= det <= DEGENERATE_TOL * max_norm(gap) ** 2
         assert relative_only > 10
         assert not assert_within_contract(ONE_WIRE_RING, ks).any()
         amps, _ = solve_grid(ONE_WIRE_RING, ks)
@@ -376,7 +377,9 @@ class TestSolveGrid:
     def test_node_mask_is_where_the_point_route_raises(self):
         # _s_grid's mask is False exactly where _s_array raises ValueError, for
         # each rejection of _phase_exponent, at one position and at one position
-        # per wavenumber; the entries come out (3, 3, n) and C-contiguous
+        # per wavenumber, on L0 from the least subnormal to 1e300; the two
+        # orientations' masks are equal, and the entries come out (3, 3, n)
+        # and C-contiguous
         rng = np.random.default_rng(47)
         ks = np.array([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan,
                        8e307,  # k*L0 overflows at L0 = 5
@@ -385,11 +388,12 @@ class TestSolveGrid:
         xis = [0.7, -2.5, 1e10, 0.0, math.inf, -math.inf, math.nan]  # 1e10: k*xi overflows at k = 1e300
         grids = [(ks, xi) for xi in xis] + [(np.repeat(ks, len(xis)), np.tile(xis, ks.size))]
         reasons = set()
-        for L0 in (5.0, 0.4, 1.0):
+        for L0 in (5.0, 0.4, 1.0, 5e-324, 1e300):
             p = dataclasses.replace(random_params(rng), L0=L0)
             for node in (_Node(p), _Node(p, swap=True)):
-                for orientation in Orientation:
-                    for grid, xi in grids:
+                for grid, xi in grids:
+                    masks = []
+                    for orientation in Orientation:
                         with np.errstate(all="ignore"):
                             accepted, entries = _s_grid(node, grid, xi, orientation)
                         assert entries.shape == (3, 3, grid.size) and entries.flags.c_contiguous
@@ -404,6 +408,8 @@ class TestSolveGrid:
                                 expected.append(True)
                         np.testing.assert_array_equal(accepted, expected)
                         assert np.isfinite(entries[..., accepted]).all()
+                        masks.append(accepted)
+                    np.testing.assert_array_equal(*masks)
         assert reasons == {"k must", "xi must", "k*L0 overflows", "k*L0 underflows", "k*xi overflows"}
 
 

@@ -38,7 +38,6 @@ from yring import (
 from yring.config import load_config
 from yring.ring import (
     DEGENERATE_TOL,
-    SINGULAR_RTOL,
     _ROUNDING,
     _SERIES_DOUBLING_THRESHOLD,
     _algebraic_grid,
@@ -291,35 +290,63 @@ class TestSingular:
     def test_stacked_mask_equals_each_gap(self):
         # the grid route's one call on (2, 2, n) against one call per gap, on
         # nearly rank-one gaps from 1e-16 to 10 whose determinants straddle
-        # both thresholds
+        # the threshold, and on diagonal gaps whose largest entry sits on
+        # either side of 1 with |det| on either side of the threshold.  The
+        # reference is the two-part test that the one threshold replaced,
+        # |det| < 1e-13 or |det| <= 1e-13 * largest**2: the two differ only
+        # where |det| is exactly 1e-13 and every entry is below 1
+        def two_part(gap, det):
+            return abs(det) < 1e-13 or abs(det) <= 1e-13 * max_norm(gap) ** 2
+
         rng = np.random.default_rng(41)
         n = 4000
         u = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         gaps = u[:, None, :] * v[None, :, :] * 10.0 ** rng.uniform(-8.0, 0.5, n)
         gaps[[0, 1], [0, 1]] += 10.0 ** rng.uniform(-16.0, -11.0, (2, n))
+        edges = [np.diag([big, DEGENERATE_TOL * max(1.0, big * big) / big * (1.0 + j * np.finfo(float).eps)])
+                 for big in (0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0)
+                 for j in range(-3, 4)]
+        gaps = np.concatenate([gaps, np.stack(edges, axis=-1).astype(complex)], axis=-1)
         mask = _singular(entries(gaps), determinant(gaps))
-        expected = []
+        expected, differ = [], 0
         for gap in np.moveaxis(gaps, -1, 0):
             det = determinant(gap)
             one = _singular(entries(gap), det)
-            assert one == (abs(det) < DEGENERATE_TOL or abs(det) <= SINGULAR_RTOL * max_norm(gap) ** 2)
+            on_threshold = abs(det) == DEGENERATE_TOL and max_norm(gap) < 1.0
+            assert one == (two_part(gap, det) or on_threshold)
             expected.append(bool(one))
+            differ += on_threshold
         assert mask.tolist() == expected
+        assert differ >= 1  # diag(0.5, 2e-13)
         sizes = np.abs(determinant(gaps))
         assert 100 < mask.sum() < n - 100
-        assert (mask & (sizes >= DEGENERATE_TOL)).sum() > 10  # the relative test alone decides these
+        assert (mask & (sizes > DEGENERATE_TOL)).sum() > 10  # the relative part decides these
         assert (mask & (sizes < DEGENERATE_TOL)).sum() > 10
+
+    def test_gap_on_the_threshold_keeps_the_route_amplitudes(self):
+        # |det| exactly DEGENERATE_TOL with every entry below 1: the one gap
+        # that the one threshold flags and the two-part test did not.  Its
+        # smallest singular value (2e-13) is above _ROUNDING, so the rule
+        # keeps the resolvent's own amplitudes.
+        gap = np.array([[0.0, -0.5], [2e-13, 0.0]], dtype=complex)  # I - gap is exact
+        assert abs(determinant(gap)) == DEGENERATE_TOL and max_norm(gap) < 1.0
+        assert np.linalg.svd(gap, compute_uv=False)[1] > _ROUNDING
+        m1, m2 = arrays_with_gap(np.random.default_rng(9), gap)
+        singular, amplitudes = _resolvent_forms(m1.tolist(), m2.tolist())
+        assert singular
+        np.testing.assert_allclose(_resolve(m1, m2, 1.5).to_array(), amplitudes(), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("gap, absolute", [
         (np.array([[1.0, 0.5], [2.0, 1.0 + 1e-14]], dtype=complex), True),  # |det| = 1.0e-14
         (np.array([[8.0, 8.0], [8.0, 8.0 + 1.5e-14]], dtype=complex), False),  # |det| = 1.1e-13, max entry 8
     ], ids=["absolute", "relative"])
     def test_each_threshold_names_itself(self, gap, absolute):
-        # either test of _singular hands the gap to the rule, which raises
-        # with the one message where the gap is singular to working precision
+        # a gap below the absolute bound DEGENERATE_TOL and one above it that
+        # the relative part of _singular's threshold flags: the rule raises
+        # with the one message on both, singular to working precision
         det = abs(determinant(gap))
-        assert (det < DEGENERATE_TOL) == absolute and det <= SINGULAR_RTOL * max_norm(gap) ** 2
+        assert (det < DEGENERATE_TOL) == absolute and det <= DEGENERATE_TOL * max(1.0, max_norm(gap) ** 2)
         assert np.linalg.svd(gap, compute_uv=False)[1] <= _ROUNDING
         m1, m2 = arrays_with_gap(np.random.default_rng(8), gap)
         with pytest.raises(DegenerateRingError) as err:
@@ -328,7 +355,7 @@ class TestSingular:
 
     def test_gap_entries_bounded_by_two(self):
         # unitary nodes bound every entry of I - s s~ by 2, so max_norm(gap)**2 <= 4:
-        # the relative test of _singular cannot pass where |det| > 4 * SINGULAR_RTOL
+        # _singular cannot flag a gap whose |det| > 4 * DEGENERATE_TOL
         rng = np.random.default_rng(2026)
         rings = [random_ring(rng, i) for i in range(150)]
         for i in range(150):

@@ -173,7 +173,7 @@ class TestBitIdentity:
         assert outcomes[0] is DegenerateRingError and "ok" in outcomes
 
     def test_relative_singularity_test_decides(self):
-        # rows that either test of _singular flags next to the closed wire's
+        # rows that either part of _singular's threshold flags next to the closed wire's
         # bound state, which the launch does not excite: the rule solves
         # them, and they meet the 50-digit resolvent of their node matrices
         offsets = np.linspace(0.5e-13, 2e-13, 60) / 2.2

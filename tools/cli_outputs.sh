@@ -19,6 +19,7 @@ out=$1
 commands=(
     "check"
     "ring --k 1.3"
+    "ring --k 3.141592653589793"  # the README's example: a flagged gap on symmetric_buttiker
     "junction --k 1.3"
     "sweep --n 4096"
     "sweep --k-min 1e-12 --k-max 1e-6 --n 1000"
