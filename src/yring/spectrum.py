@@ -3,21 +3,19 @@
 A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
 batched kernel `solve_grid`; isolated singular points are kept in the output
 with a degenerate flag so downstream tables stay grid-aligned.  The
-resonance finder scans either the reflection or the transmission
-probability on the same kernel, which evaluates the searched amplitude (A
-or F) alone; it brackets every strict local minimum that is not rounding
-noise, sharpens each bracket by safeguarded Newton steps on the complex
-amplitude (whose perfect transmission or reflection is a simple real zero),
-and keeps the minima whose probability actually drops below the requested
-tolerance.
-For scale-invariant symmetric/antisymmetric rings the found positions are
-cross-checked against the analytic resonance condition and discrepancies
-are reported as warnings; the check is linear in the lines of the window.
+resonance finder evaluates the searched amplitude (A or F) alone, on the
+same kernel.  On scale-invariant symmetric and antisymmetric rings it
+enumerates the analytic positions of the zeros and keeps those that read
+below the requested tolerance, in one kernel call.  On every other ring it
+scans the probability, brackets every strict local minimum that is not
+rounding noise, sharpens each bracket by safeguarded Newton steps on the
+complex amplitude (whose perfect transmission or reflection is a simple
+real zero), and keeps the minima whose probability drops below the
+tolerance.  What the analytic positions do not confirm is a warning.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import math
@@ -132,7 +130,7 @@ class Resonance:
 
 @dataclass(frozen=True)
 class ResonanceSearch:
-    """Resonances found by scan-and-refine, with any cross-check warnings."""
+    """Resonances found by enumeration or by scan-and-refine, with the warnings of _cross_check."""
 
     resonances: tuple[Resonance, ...]
     warnings: tuple[str, ...] = field(default=())
@@ -257,26 +255,30 @@ def _golden_minimize(k, z, f, width: float, tol: float):
 
 def _expected_resonances(
     cfg: RingConfig, kind: ResonanceKind, k_min: float, k_max: float
-) -> list[float] | None:
-    """Analytic resonance positions for scale-invariant rings, None when no prediction.
+) -> np.ndarray | None:
+    """Analytic resonance positions of a scale-invariant ring, None when there is no prediction.
 
-    The positions are sorted.  They lie on or beside the lines n pi/dxi, and
-    only the n from one line below the window up are visited.
+    Perfect transmission of the symmetric ring and perfect reflection of the
+    antisymmetric one lie on the lines n pi/dxi; perfect transmission of the
+    antisymmetric ring lies half/(2 dxi) to either side of them, cos(half)
+    being perfect_transmission_target's cosine.  Returns the sorted
+    positions in the window together with at least one beyond each end
+    (those below 0 clamped to 0), which find_resonances takes as the outer
+    neighbours; an empty array when the ring has no zero of this kind (the
+    symmetric ring's reflection, or a cosine out of range).  Only the n from
+    one line below the window to two above it are visited, so the cost is
+    linear in the lines of the window.
     """
     if cfg._route.forms is None:
         return None
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])
     dxi = cfg.dxi
-    first, last = int(k_min * dxi / math.pi) - 1, int(k_max * dxi / math.pi) + 2
-    lattice = [
-        n * math.pi / dxi
-        for n in range(max(1, first), last)
-        if k_min < n * math.pi / dxi < k_max
-    ]
+    first, last = int(k_min * dxi / math.pi) - 1, int(k_max * dxi / math.pi) + 3
+    lattice = np.arange(max(0, first), last, dtype=float) * math.pi / dxi
     if isinstance(cfg.mode, Symmetric):
         if kind is ResonanceKind.PERFECT_REFLECTION:
-            return []  # transmitted amplitude never vanishes except for decoupled nodes
+            return lattice[:0]  # transmitted amplitude never vanishes except for decoupled nodes
         if abs(h11) < 1e-9 or abs(abs(h11) - 1.0) < 1e-9:
             return None  # trivial cases: reflection identically zero / no transmission
         return lattice
@@ -289,16 +291,11 @@ def _expected_resonances(
         return lattice
     target = perfect_transmission_target(cfg)
     if target.status != "ok":
-        return [] if target.status == "out_of_range" else None
+        return lattice[:0] if target.status == "out_of_range" else None
     half = math.acos(max(-1.0, min(1.0, target.c_star)))
-    # n pi/dxi - half/(2 dxi) < k_max needs n < k_max dxi/pi + 1/2, as half <= pi,
-    # and n pi/dxi + half/(2 dxi) > k_min needs n > k_min dxi/pi - 1/2
-    return sorted({
-        cand
-        for n in range(max(0, first), last)
-        for cand in (n * math.pi / dxi + half / (2.0 * dxi), n * math.pi / dxi - half / (2.0 * dxi))
-        if k_min < cand < k_max
-    })
+    offset = half / (2.0 * dxi)
+    both = np.sort(np.maximum(np.concatenate([lattice + offset, lattice - offset]), 0.0))
+    return both[np.diff(both, prepend=-1.0) > 0.0]  # each once (np.unique would import numpy.ma, 1 MB)
 
 
 def find_resonances(
@@ -311,27 +308,35 @@ def find_resonances(
 ) -> ResonanceSearch:
     """Locate wavenumbers where the targeted probability vanishes.
 
-    Scans |A|^2 (perfect transmission) or |F|^2 (perfect reflection) on
-    scan_n points, computing that amplitude alone (solve_grid's column, word
-    for word), and brackets the strict local minima, except where both
-    neighbours are below tol (an identically vanishing amplitude) or within
-    64 eps of the minimum (rounding noise on a flat curve).  Each bracket is
-    refined from its three scan samples by Newton steps on the complex
-    amplitude, safeguarded by golden-section steps, down to a step of
-    1e-12 * (k_max - k_min) (see _golden_minimize); minima with probability
-    below tol are kept.  A bracket stops early, and is dropped, once a Newton
-    model that its last step validated keeps the minimum above 99 tol: a
-    minimum that cannot reach tol is not polished to the last bits, and no
-    minimum at or above tol is reported.  While at least _LOCKSTEP_LEAST
-    brackets are open, each round takes the next probe of every one in one
-    call of the scan's kernel, and fewer probe on solve_auto; a grid row's
-    last bits depend on the rows sharing its call, so near a narrow line k*
-    depends (the same on every run) on which brackets share a round, and so
-    on when other brackets stop.  tol must lie strictly
-    between 0 and 1: probabilities are at most 1, so with tol >= 1 no dip
-    could have a neighbour above it.
-    For scale-invariant symmetric and antisymmetric rings the result carries
-    the warnings of _cross_check against the analytic positions.
+    Evaluates |A|^2 (perfect transmission) or |F|^2 (perfect reflection),
+    computing that amplitude alone (solve_grid's column, word for word).
+    tol must lie strictly between 0 and 1: probabilities are at most 1, so
+    with tol >= 1 no candidate could have a neighbour above it.
+
+    Where _expected_resonances gives the zeros (scale-invariant symmetric
+    and antisymmetric rings, for a kind that has them) there is no scan:
+    one kernel call evaluates each position in the window and the midpoints
+    to its neighbours.  A position reading below tol is reported at its
+    analytic float with that reading as its residual, unless neither
+    midpoint exceeds tol (an identically vanishing amplitude); one reading
+    at or above tol is a warning.  No line is missed however narrow or
+    close to another, and scan_n is not used.
+
+    Otherwise it scans scan_n points and brackets the strict local minima,
+    except where both neighbours are below tol (the same vanishing rule) or
+    within 64 eps of the minimum (rounding noise on a flat curve).  Each
+    bracket is refined from its three scan samples by Newton steps on the
+    complex amplitude, safeguarded by golden-section steps, down to a step
+    of 1e-12 * (k_max - k_min) (see _golden_minimize); minima with
+    probability below tol are kept.  A bracket stops early, and is dropped,
+    once a Newton model that its last step validated keeps the minimum above
+    99 tol.  While at least _LOCKSTEP_LEAST brackets are open, each round
+    takes the next probe of every one in one kernel call, and fewer probe on
+    solve_auto; a grid row's last bits depend on the rows sharing its call,
+    so near a narrow line k* depends (the same on every run) on which
+    brackets share a round.  On a scale-invariant ring with no zero of the
+    kind (the symmetric ring's reflection, or an antisymmetric transmission
+    target out of range) each minimum kept is also a warning.
     """
     if not isinstance(kind, ResonanceKind):
         raise ValueError(f"kind must be {ResonanceKind.PERFECT_TRANSMISSION} or {ResonanceKind.PERFECT_REFLECTION}, "
@@ -343,7 +348,6 @@ def find_resonances(
         scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
     scan_n = _check_count(scan_n, _SCAN_LEAST, "scan_n")
 
-    grid = np.linspace(k_min, k_max, scan_n)
     transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
     columns = tuple(i == (0 if transmission else 5) for i in range(6))  # A or F
 
@@ -353,6 +357,22 @@ def find_resonances(
         values[degenerate] = math.inf
         return amps[:, 0], values
 
+    expected = _expected_resonances(cfg, kind, k_min, k_max)
+    if expected is not None and expected.size:
+        # the positions in the window, each between the midpoints to its neighbours
+        start, stop = np.searchsorted(expected, k_min, "right"), np.searchsorted(expected, k_max, "left")
+        ks = np.empty(2 * (stop - start) + 1)
+        ks[1::2] = expected[start:stop]
+        ks[0::2] = 0.5 * (expected[start - 1:stop] + expected[start:stop + 1])
+        values = on_grid(ks)[1]
+        lines = np.maximum(values[:-1:2], values[2::2]) > tol
+        results = [Resonance(k_star=k_star, kind=kind, residual=residual)
+                   for k_star, residual in zip(ks[1::2][lines].tolist(), values[1::2][lines].tolist())]
+        warnings = _cross_check([r for r in results if not r.residual < tol],
+                                "analytic resonance at k={0.k_star:.12g} has residual {0.residual:.3e}, not below tol",
+                                "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol")
+        return ResonanceSearch(resonances=tuple(r for r in results if r.residual < tol), warnings=tuple(warnings))
+
     def probe(k: float) -> tuple[complex, float]:
         try:
             amplitudes = solve_auto(cfg, k)
@@ -361,6 +381,7 @@ def find_resonances(
         z = amplitudes.A if transmission else amplitudes.F
         return z, abs(z) ** 2
 
+    grid = np.linspace(k_min, k_max, scan_n)
     target, values = on_grid(grid)
     mid, lo, hi = values[1:-1], values[:-2], values[2:]
     rim = np.maximum(lo, hi)
@@ -390,52 +411,18 @@ def find_resonances(
         except StopIteration as stop:
             brackets[j] = stop.value
     found = [Resonance(k_star=k_star, kind=kind, residual=residual) for k_star, residual in brackets if residual < tol]
-
-    expected = _expected_resonances(cfg, kind, k_min, k_max)
-    warnings = () if expected is None else _cross_check(found, expected, k_min, k_max, scan_n)
+    warnings = () if expected is None else _cross_check(
+        found, "found minimum at k={0.k_star:.12g} (residual {0.residual:.3e}) has no analytic counterpart",
+        "{} more found minima in [{:.12g}, {:.12g}] have no analytic counterpart")
     return ResonanceSearch(resonances=tuple(found), warnings=tuple(warnings))
 
 
-def _near(values: list[float], centre: float, reach: float) -> list[float]:
-    # The members of the sorted list values within reach of centre.
-    return values[bisect.bisect_left(values, centre - reach):bisect.bisect_right(values, centre + reach)]
+def _cross_check(flagged: list[Resonance], each: str, rest: str) -> list[str]:
+    """Warnings for the results the analytic positions do not confirm, in the order given.
 
-
-def _cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
-    """Warnings for the analytic positions no resonance recovers, then for the resonances none explains.
-
-    A resonance at k* and an expected position ke match when
-    |k* - ke| <= 1e-6 max(1, |ke|).  Both lists are sorted, so bisection
-    finds the few candidates that could match (within 2e-6 max(1, |k|), which
-    holds every match) and only those are tested, so the cost is about linear
-    in the lines of the window.  Positions within one scan step of the range
-    edge cannot be bracketed, so they are not reported.  Each kind keeps its
-    first _WARNINGS_KEPT (10) warnings; one line counts the rest and their range.
+    each formats one result, rest the count and range of those beyond the
+    first _WARNINGS_KEPT (10), which it stands for in one line.
     """
-    step = (k_max - k_min) / (scan_n - 1)
-    stars = sorted(r.k_star for r in found)
-    missed = []
-    for ke in expected:
-        if ke <= k_min + step or ke >= k_max - step:
-            continue  # too close to the range edge to bracket
-        tol = 1e-6 * max(1.0, abs(ke))
-        if not any(abs(k - ke) <= tol for k in _near(stars, ke, 2.0 * tol)):
-            missed.append(ke)
-    unexplained = []
-    for r in found:
-        near = _near(expected, r.k_star, 2e-6 * max(1.0, abs(r.k_star)))
-        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in near):
-            unexplained.append(r)
-    warnings = [f"analytic resonance near k={ke:.12g} was not recovered; scan_n={scan_n} may be too coarse"
-                for ke in missed[:_WARNINGS_KEPT]]
-    warnings += _rest(missed, "analytic resonances", f"were not recovered; scan_n={scan_n} may be too coarse")
-    warnings += [f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) has no analytic counterpart"
-                 for r in unexplained[:_WARNINGS_KEPT]]
-    warnings += _rest([r.k_star for r in unexplained], "found minima", "have no analytic counterpart")
-    return warnings
-
-
-def _rest(ks: list[float], what: str, verdict: str) -> list[str]:
-    # The one line that stands for the warnings beyond the first _WARNINGS_KEPT.
-    rest = ks[_WARNINGS_KEPT:]
-    return [f"{len(rest)} more {what} in [{min(rest):.12g}, {max(rest):.12g}] {verdict}"] if rest else []
+    beyond = [r.k_star for r in flagged[_WARNINGS_KEPT:]]
+    counted = [rest.format(len(beyond), min(beyond), max(beyond))] if beyond else []
+    return [each.format(r) for r in flagged[:_WARNINGS_KEPT]] + counted

@@ -259,11 +259,11 @@ class TestFindCommand:
         assert len(lines) == 3
         assert all(",reflection," in l for l in lines[1:])
 
-    WARNING_ARGV = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "20",
-                    "--kind", "transmission", "--n", "5"]  # leaves 3 analytic resonances unrecovered
+    WARNING_ARGV = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "10",
+                    "--kind", "transmission", "--tol", "1e-300"]  # 3 analytic resonances, none below tol
 
     def test_warnings_follow_the_written_output(self, tmp_path, capsys):
-        # A search that leaves analytic resonances unrecovered warns, but only
+        # A search whose analytic resonances miss tol warns, but only
         # once its output is written: a failed write reports the error alone.
         out = tmp_path / "missing" / "x.csv"
         assert main(self.WARNING_ARGV + ["--out", str(out)]) == 2
@@ -276,7 +276,7 @@ class TestFindCommand:
                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
                              env=cli_env(), check=True)
         lines = run.stdout.splitlines()
-        assert lines[0].startswith("resonances (kind=transmission) in [0.5, 20]: ")
+        assert lines[0].startswith("resonances (kind=transmission) in [0.5, 10]: ")
         warned = [line.startswith("warning: ") for line in lines]
         assert warned == sorted(warned) and sum(warned) == 3  # the report, then the warnings
 

@@ -633,7 +633,7 @@ class TestByteStableOutput:
     def test_find_equals_per_point_scan(self, path, kind, monkeypatch):
         # A scan within the contract of solve_auto finds the same lines as a
         # per-point scan; the refine starts from its samples, so k* may move
-        # in the last bits.
+        # in the last bits.  Enumerated lines keep their analytic floats.
         cfg = load_config(path).ring
         grid = find_resonances(cfg, 0.3, 12.0, kind)
         scanned = []
@@ -645,9 +645,16 @@ class TestByteStableOutput:
 
         monkeypatch.setattr(spectrum, "_solve_grid_columns", per_point_columns)
         reference = find_resonances(cfg, 0.3, 12.0, kind)
-        # the scan of the whole window, then the rounds of the refine, all on the one column
-        (scan, _), *rounds = scanned
-        assert (scan[0], scan[-1]) == (0.3, 12.0) and all(0.3 < k < 12.0 for ks, _ in rounds for k in ks)
+        (first, _), *rounds = scanned
+        positions = spectrum._expected_resonances(cfg, kind, 0.3, 12.0)
+        if positions is not None and positions.size:
+            # no scan: one call on the analytic positions, each between the midpoints to its neighbours
+            lines = [k for k in positions.tolist() if 0.3 < k < 12.0]
+            assert rounds == [] and first[1::2].tolist() == lines and first.size == 2 * len(lines) + 1
+        else:
+            # the scan of the whole window, then the rounds of the refine
+            assert (first[0], first[-1]) == (0.3, 12.0) and all(0.3 < k < 12.0 for ks, _ in rounds for k in ks)
+        # all on the one column
         column = one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)
         assert {columns for _, columns in scanned} == {column}
         assert len(grid.resonances) == len(reference.resonances)

@@ -173,7 +173,7 @@ def slope(cfg, kind, k: float) -> float:
 
 
 def nearest(values, x):
-    return min(values, key=lambda v: abs(v - x)) if values else None
+    return min(values, key=lambda v: abs(v - x)) if len(values) else None
 
 
 # -- the corpus ------------------------------------------------------------------------
@@ -204,8 +204,10 @@ class TestAgainstGoldenSection:
         checked = exact = 0
         for cfg, k_min, k_max, kind, reference, found in searches:
             expected = _expected_resonances(cfg, kind, k_min, k_max)
+            if expected is None:
+                continue
             slack = 0.0
-            if expected and isinstance(cfg.mode, AntiSymmetric) and kind is ResonanceKind.PERFECT_TRANSMISSION:
+            if expected.size and isinstance(cfg.mode, AntiSymmetric) and kind is ResonanceKind.PERFECT_TRANSMISSION:
                 # cos(2 k dxi) = c_star: an error of a few ulps in c_star moves
                 # the analytic position by this much
                 c_star = perfect_transmission_target(cfg).c_star
@@ -253,9 +255,9 @@ class TestLockstep:
         for (cfg, k_min, k_max, kind), got in zip(cases, lockstep):
             alone = find_resonances(cfg, k_min, k_max, kind)
             assert len(got.resonances) == len(alone.resonances), (cfg, kind)
-            expected = _expected_resonances(cfg, kind, k_min, k_max) or []
+            expected = _expected_resonances(cfg, kind, k_min, k_max)
             grid, _ = scan_values(cfg, k_min, k_max, kind)
-            if any(b - a < grid[1] - grid[0] for a, b in zip(expected, expected[1:])):
+            if expected is not None and np.any(np.diff(expected) < grid[1] - grid[0]):
                 continue  # two lines within a scan step: which one a bracket reaches follows rounding (ROADMAP item 7)
             assert len(got.warnings) == len(alone.warnings), (cfg, kind)
             for r, s in zip(got.resonances, alone.resonances):

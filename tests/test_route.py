@@ -343,9 +343,9 @@ class TestPreparedOnce:
             find_resonances(RingConfig(left=left, mode=mode, xi1=1.0, xi2=0.0), 0.5, k_max,
                             ResonanceKind.PERFECT_REFLECTION if mode == ANTISYMMETRIC
                             else ResonanceKind.PERFECT_TRANSMISSION)
-            counts.append((len(calls), probes.evaluations()))
-        (calls_small, probes_small), (calls_large, probes_large) = counts
-        assert probes_large > 2 * probes_small > 0
+            counts.append((len(calls), sum(probes.grid_rows) + len(probes.points)))
+        (calls_small, work_small), (calls_large, work_large) = counts
+        assert work_large > 2 * work_small > 0  # kernel rows and point probes
         assert calls_small == calls_large <= 5
 
     def test_solve_auto_prepares_once(self, monkeypatch):

@@ -9,23 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_grid import random_ring
+from test_refine import scan_values, slope
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
     General,
     JunctionParams,
-    Resonance,
     ResonanceKind,
     RingConfig,
     config_fingerprint,
     find_resonances,
+    solve_auto,
     sweep,
 )
 from yring import spectrum
 from yring.cli import main
 from yring.config import load_config
-from yring.junction import EULER_ANGLES
-from yring.spectrum import SCAN_PER_DECADE, _cross_check, _expected_resonances
+from yring.junction import EULER_ANGLES, is_scale_invariant, is_time_reversal
+from yring.spectrum import SCAN_PER_DECADE, _expected_resonances
 
 PI = math.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -265,13 +267,11 @@ class TestFindResonances:
         assert result.resonances == ()
         assert result.warnings == ()
 
-    def test_coarse_scan_warns_about_missed_resonances(self):
-        cfg = beam_cfg()
-        result = find_resonances(
-            cfg, 0.1, 10.0, ResonanceKind.PERFECT_TRANSMISSION, scan_n=4
-        )
-        assert len(result.resonances) < 3
-        assert result.warnings
+    def test_coarse_scan_misses_no_line(self):
+        # scale-invariant lines are enumerated, not scanned: scan_n does not reach them
+        result = find_resonances(beam_cfg(), 0.1, 10.0, ResonanceKind.PERFECT_TRANSMISSION, scan_n=4)
+        assert [r.k_star for r in result.resonances] == [PI, 2 * PI, 3 * PI]
+        assert result.warnings == ()
 
     def test_rejects_bad_arguments(self):
         cfg = beam_cfg()
@@ -341,6 +341,11 @@ def capped(warnings: list[str], scan_n: int) -> list[str]:
     return out
 
 
+def in_window(positions, k_min, k_max) -> list[float]:
+    """The analytic positions inside (k_min, k_max), without their outer neighbours."""
+    return [ke for ke in positions.tolist() if k_min < ke < k_max]
+
+
 def lattice_from_first_line(cfg, kind, k_min, k_max):
     """The analytic positions built from n = 1 (or 0) up, as first written, then cut to the window."""
     every = _expected_resonances(cfg, kind, 1e-300, k_max)  # the window starts below the first line
@@ -349,8 +354,9 @@ def lattice_from_first_line(cfg, kind, k_min, k_max):
 
 ANTI_SI = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
 
-#: (ring, kind, k_min, k_max, scan_n): full scans, coarse scans that miss
-#: lines, and windows that start far from the first line; 37.71 lies just
+#: (ring, kind, k_min, k_max, scan_n): searches at default and coarse scan
+#: sizes, which the enumerated lines ignore, and windows that start far from
+#: the first line; 37.71 lies just
 #: past the line 12 pi of the dxi = 1 rings, whose antisymmetric
 #: transmission zero 12 pi + c lies in the window.
 CROSS_CHECK_SEARCHES = [
@@ -369,7 +375,9 @@ CROSS_CHECK_SEARCHES = [
 class TestCrossCheck:
     @pytest.mark.parametrize("ring, kind, k_min, k_max, scan_n", CROSS_CHECK_SEARCHES)
     def test_equals_the_quadratic_reference(self, ring, kind, k_min, k_max, scan_n):
-        expected = _expected_resonances(ring, kind, k_min, k_max)
+        positions = _expected_resonances(ring, kind, k_min, k_max)
+        assert positions[0] < k_min and positions[-1] > k_max  # the outer neighbours
+        expected = in_window(positions, k_min, k_max)
         assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
         assert expected == sorted(expected) and expected
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
@@ -378,55 +386,28 @@ class TestCrossCheck:
         reference = quadratic_cross_check(result.resonances, expected, k_min, k_max, scan_n)
         assert list(result.warnings) == capped(reference, scan_n)
 
-    def test_the_searches_miss_lines(self):
-        missed = 0
+    def test_the_searches_miss_no_line(self):
         for ring, kind, k_min, k_max, scan_n in CROSS_CHECK_SEARCHES:
-            warnings = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n).warnings
-            missed += sum("was not recovered" in w for w in warnings)
-        assert missed > 20
-
-    def test_extra_and_shifted_minima(self):
-        # positions around the match tolerance, on both sides and below and above 1
-        expected = [0.25, 0.7, 1.0, 3.0, 5.5, 120.0, 4.5e6]
-        k_min, k_max, scan_n = 0.01, 5e6, 10**9
-        stars = []
-        for ke in expected:
-            tol = 1e-6 * max(1.0, ke)
-            for k in (ke + tol, ke - tol, ke + 2.0 * tol, ke - 1.5 * tol):
-                stars += [k, math.nextafter(k, math.inf), math.nextafter(k, -math.inf)]
-        stars += [0.5, 2.0, 4e6]  # between the positions
-        rng = np.random.default_rng(4)
-        for order in (sorted(stars), list(rng.permutation(stars))):
-            found = [Resonance(k_star=float(k), kind=ResonanceKind.PERFECT_TRANSMISSION, residual=1e-12)
-                     for k in order]
-            for drop in (0, 1, 2):  # every position matched, then some left bare
-                kept = [r for r in found if not (drop and abs(r.k_star - expected[drop]) < 1e-3 * expected[drop])]
-                reference = quadratic_cross_check(kept, expected, k_min, k_max, scan_n)
-                assert _cross_check(kept, expected, k_min, k_max, scan_n) == capped(reference, scan_n)
-                assert any("no analytic counterpart" in w for w in reference)
-                assert any("not recovered" in w for w in reference) == bool(drop)
+            result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
+            expected = in_window(_expected_resonances(ring, kind, k_min, k_max), k_min, k_max)
+            assert [r.k_star for r in result.resonances] == expected and result.warnings == ()
 
     def test_wide_lattice(self):
-        # 50000 lines: the pairwise reference would make 2.5e9 comparisons
+        # 50000 lines in one search; at a tol that no residual reaches, each is
+        # a warning, of which ten are written and one line counts the rest
         dxi = 1.3
-        expected = [n * PI / dxi for n in range(1, 50_001)]
+        cfg = beam_cfg(xi1=dxi)
+        kind = ResonanceKind.PERFECT_TRANSMISSION
         k_min, k_max = 0.5 * PI / dxi, 50_000.5 * PI / dxi
-        missed = set(range(17, 50_000, 1000))
-        found = [Resonance(k_star=ke * (1.0 + 3e-7), kind=ResonanceKind.PERFECT_REFLECTION, residual=0.0)
-                 for n, ke in enumerate(expected) if n not in missed]
-        extras = [Resonance(k_star=(n + 0.5) * PI / dxi, kind=ResonanceKind.PERFECT_REFLECTION, residual=1e-9)
-                  for n in range(5, 50_000, 777)]
-        found = sorted(found + extras, key=lambda r: r.k_star)
-        warnings = _cross_check(found, expected, k_min, k_max, 1_000_000)
-        not_recovered = [f"analytic resonance near k={expected[n]:.12g} was not recovered; "
-                         "scan_n=1000000 may be too coarse" for n in sorted(missed)]
-        unexplained = [f"found minimum at k={r.k_star:.12g} (residual 1.000e-09) has no analytic counterpart"
-                       for r in extras]
-        assert len(not_recovered) == 50 and len(unexplained) == 65
-        assert warnings == capped(not_recovered + unexplained, 1_000_000)
-        assert warnings[10] == (f"40 more analytic resonances in [{expected[10_017]:.12g}, {expected[49_017]:.12g}] "
-                                "were not recovered; scan_n=1000000 may be too coarse")
-        assert warnings[21].startswith("55 more found minima in [") and len(warnings) == 22
+        lines = [n * PI / dxi for n in range(1, 50_001)]
+        result = find_resonances(cfg, k_min, k_max, kind)
+        assert [r.k_star for r in result.resonances] == lines and result.warnings == ()
+        failed = find_resonances(cfg, k_min, k_max, kind, tol=1e-300)
+        assert failed.resonances == () and len(failed.warnings) == 11
+        assert failed.warnings[0].startswith(f"analytic resonance at k={lines[0]:.12g} has residual ")
+        assert all(w.endswith(", not below tol") for w in failed.warnings[:10])
+        assert failed.warnings[10] == (f"49990 more analytic resonances in [{lines[10]:.12g}, {lines[-1]:.12g}] "
+                                       "have residuals not below tol")
 
     def test_window_far_from_the_first_line(self):
         # the lattice from n = 1 would hold 3e11 lines here
@@ -435,27 +416,156 @@ class TestCrossCheck:
         result = find_resonances(cfg, k_min, k_max, ResonanceKind.PERFECT_TRANSMISSION)
         near = range(int(k_min * cfg.dxi / PI) - 3, int(k_max * cfg.dxi / PI) + 3)
         lines = [n * PI / cfg.dxi for n in near if k_min < n * PI / cfg.dxi < k_max]
-        assert _expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max) == lines
+        assert in_window(_expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max),
+                         k_min, k_max) == lines
         assert len(lines) == 3 and len(result.resonances) == 3 and result.warnings == ()
 
     def test_many_lines_in_the_window(self):
-        # 3183 lines; the pairwise cross-check took seconds here
+        # 3183 lines, the last of them 4.1e-4 below k_max
         cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
         result = find_resonances(cfg, 1.0, 1e4, ResonanceKind.PERFECT_TRANSMISSION)
-        assert len(result.resonances) == 3182 and result.warnings == ()
+        assert len(result.resonances) == 3183 and result.warnings == ()
 
     def test_warnings_beyond_ten_of_a_kind_are_counted(self, capsys):
-        # [1e4, 1e5] holds about 28,650 lines, and a 512-point scan recovers 31
+        # [1e4, 1e5] holds 28,647 lines; at tol 1e-300 none is kept, and each warns
         argv = ["find", "--config", str(CONFIG_DIR / "symmetric_buttiker.json"), "--k-min", "1e4", "--k-max", "1e5",
-                "--kind", "transmission", "--n", "512"]
+                "--kind", "transmission", "--tol", "1e-300"]
         assert main(argv) == 0
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 11 and all(line.startswith("warning: analytic resonance near k=") for line in lines[:10])
-        assert lines[10] == ("warning: 28494 more analytic resonances in [10210.1761242, 99820.9649752] "
-                             "were not recovered; scan_n=512 may be too coarse")
+        assert len(lines) == 11 and all(line.startswith("warning: analytic resonance at k=") for line in lines[:10])
+        # the lines are n pi (dxi = 1), n = 3184..31830; the eleventh is 3194 pi
+        assert lines[10] == (f"warning: 28637 more analytic resonances in [{3194 * PI:.12g}, {31830 * PI:.12g}] "
+                             "have residuals not below tol")
         cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        result = find_resonances(cfg, 1e4, 1e5, ResonanceKind.PERFECT_TRANSMISSION, tol=1e-300)
+        assert result.resonances == () and ["warning: " + w for w in result.warnings] == lines
+
+    def test_minima_on_a_ring_with_no_zero_are_counted(self):
+        # A symmetric ring never reflects perfectly, but with |h11| = 1 - 2e-8
+        # its |F|^2 falls to 4e-16 halfway between lines: minima below tol
+        # that no analytic position explains, one per period
+        cfg = beam_cfg(b=1e-4)
+        result = find_resonances(cfg, PI, 13 * PI, ResonanceKind.PERFECT_REFLECTION, scan_n=25)
+        assert [round(r.k_star / PI, 6) for r in result.resonances] == [n + 0.5 for n in range(1, 13)]
+        assert len(result.warnings) == 11
+        assert all(w.endswith("has no analytic counterpart") for w in result.warnings[:10])
+        assert result.warnings[10] == (f"2 more found minima in [{result.resonances[10].k_star:.12g}, "
+                                       f"{result.resonances[11].k_star:.12g}] have no analytic counterpart")
+
+
+# -- the enumerated lines -------------------------------------------------------------
+
+#: A time-reversal node (alpha, gamma, a in {0, pi}) that is not scale invariant.
+#: Its antisymmetric ring with dxi = 1 is reciprocal, so |F|^2 vanishes at
+#: every n pi (ROADMAP item 10), but so broadly that the default scan reads
+#: 2.1e-10, 2.2e-11, 2.5e-11 around pi: no sample above tol.
+TIME_REVERSAL_NODE = JunctionParams(
+    theta=(4.943066750097003, 5.937976762063549, 3.2440404314539117), alpha=PI, beta=5.715059878449614,
+    gamma=0.0, delta=3.07331687927355, a=0.0, b=2.4472920620965244, L0=0.3257678141090782,
+)
+
+#: An antisymmetric ring whose transmission lines come in pairs 5.4e-6 apart
+#: and about 3e-10 wide (ROADMAP item 5a); the closed form reads them with a
+#: rounding floor of 2.3e-8 in |A|^2.
+PAIRED_LINES_RING = RingConfig(
+    left=JunctionParams(theta=(PI, PI, 0.0), alpha=1.7078298370735892, beta=5.425404029503094,
+                        gamma=0.19377656939194607, delta=3.141422392956025, a=0.07513512994031933,
+                        b=4.247827229581608, L0=4.210641035623856),
+    mode=ANTISYMMETRIC, xi1=5.007817054978091, xi2=-0.39831444354825596,
+)
+
+
+class TestEnumeration:
+    def test_random_rings_equal_a_dense_scan(self, monkeypatch):
+        # Every line a dense scan finds is enumerated, within the reach of
+        # TestLockstep; the enumerated lines it lacks are zeros whose scan
+        # samples on both sides read below tol, which its vanishing rule drops
+        # (ROADMAP item 14).
+        cases = []
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 26])
+            for mode in ("symmetric", "antisymmetric"):
+                cfg = random_ring(rng, mode, True)
+                cases += [(cfg, kind) for kind in ResonanceKind]
+        k_min, k_max, scan_n = 0.5, 8.0, 8192
+        enumerated = [find_resonances(cfg, k_min, k_max, kind) for cfg, kind in cases]
+        monkeypatch.setattr(spectrum, "_expected_resonances", lambda *args: None)  # every ring is scanned
+        lines = dropped = 0
+        for (cfg, kind), got in zip(cases, enumerated):
+            assert got.warnings == ()
+            scanned = iter(find_resonances(cfg, k_min, k_max, kind, scan_n=scan_n).resonances)
+            grid, values = scan_values(cfg, k_min, k_max, kind, scan_n)
+            s = next(scanned, None)
+            for r in got.resonances:
+                lines += 1
+                if s is not None:
+                    reach = (math.sqrt(r.residual) + math.sqrt(s.residual)) / slope(cfg, kind, s.k_star)
+                    if abs(r.k_star - s.k_star) <= max(4 * reach, 2 * math.ulp(s.k_star)):
+                        s = next(scanned, None)
+                        continue
+                i = int(np.searchsorted(grid, r.k_star))
+                assert max(values[i - 1], values[i]) <= 1e-8, (cfg, kind, r)
+                dropped += 1
+            assert s is None, (cfg, kind, s)  # no scanned line left unmatched
+        assert lines > 200 and 0 < dropped < lines // 4
+
+    def test_every_line_reads_below_tol_on_solve_auto(self):
+        for name in ("symmetric_buttiker", "antisymmetric_generic"):
+            cfg = load_config(CONFIG_DIR / f"{name}.json").ring
+            for kind in ResonanceKind:
+                for r in find_resonances(cfg, 0.5, 200.0, kind).resonances:
+                    amps = solve_auto(cfg, r.k_star)
+                    z = amps.A if kind is ResonanceKind.PERFECT_TRANSMISSION else amps.F
+                    assert abs(z) ** 2 < 1e-8
+
+    def test_line_narrower_than_the_scan_spacing(self):
+        # |h11| = 1 - 2e-8: |A|^2 < tol only within about 1e-8 of each line,
+        # 3.6e-3 being the default scan spacing on [0.5, 10]
+        cfg = beam_cfg(b=1e-4)
+        result = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_TRANSMISSION)
+        assert [r.k_star for r in result.resonances] == [PI, 2 * PI, 3 * PI] and result.warnings == ()
+        assert abs(solve_auto(cfg, PI + 1e-7).A) ** 2 > 1e-8
+
+    def test_lines_closer_than_the_scan_spacing(self):
+        cfg = PAIRED_LINES_RING
+        k_min, k_max = 4.680997138913959, 7.021495708370939
         kind = ResonanceKind.PERFECT_TRANSMISSION
-        result = find_resonances(cfg, 1e4, 1e5, kind, scan_n=512)
-        reference = quadratic_cross_check(result.resonances, _expected_resonances(cfg, kind, 1e4, 1e5), 1e4, 1e5, 512)
-        assert len(result.resonances) == 31 and len(reference) == 28504
-        assert ["warning: " + w for w in capped(reference, 512)] == lines
+        near = [r.k_star for r in find_resonances(cfg, k_min, k_max, kind, tol=1e-6).resonances
+                if abs(r.k_star - 6.10172) < 1e-4]
+        assert len(near) == 2 and 5.3e-6 < near[1] - near[0] < 5.5e-6
+        # at the default tol the rounding floor puts both in the warnings, each named
+        warned = find_resonances(cfg, k_min, k_max, kind).warnings
+        assert [sum(w.startswith(f"analytic resonance at k={k:.12g} has residual ") for w in warned)
+                for k in near] == [1, 1]
+
+    def test_an_identically_vanishing_amplitude_reports_nothing(self):
+        # |h11| = sin(2e-9): |A|^2 stays below 2e-17, but the node is not
+        # trivial enough for _expected_resonances to give up on it
+        cfg = beam_cfg(b=PI / 4 - 1e-9)
+        kind = ResonanceKind.PERFECT_TRANSMISSION
+        assert _expected_resonances(cfg, kind, 0.5, 10.0).size
+        assert find_resonances(cfg, 0.5, 10.0, kind) == spectrum.ResonanceSearch(resonances=())
+
+    def test_broad_zeros_of_a_scale_invariant_node(self):
+        # the scale-invariant counterpart of TIME_REVERSAL_NODE: the same
+        # angles, eigenphases on {0, pi}; the scan reads its lines alike
+        node = dataclasses.replace(TIME_REVERSAL_NODE, theta=(0.0, PI, 0.0))
+        cfg = RingConfig(left=node, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+        result = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_REFLECTION)
+        assert [r.k_star for r in result.resonances] == [PI, 2 * PI, 3 * PI] and result.warnings == ()
+
+    def test_broad_zeros_of_a_time_reversal_node(self):
+        # the premises of the xfail below
+        cfg = RingConfig(left=TIME_REVERSAL_NODE, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+        assert is_time_reversal(cfg.left) and not is_scale_invariant(cfg.left)
+        assert _expected_resonances(cfg, ResonanceKind.PERFECT_REFLECTION, 0.5, 10.0) is None
+        assert all(abs(solve_auto(cfg, n * PI).F) ** 2 < 1e-30 for n in (1, 2, 3))
+        grid = np.linspace(0.5, 10.0, max(256, int(SCAN_PER_DECADE * math.log10(20.0))))
+        i = int(np.searchsorted(grid, PI))
+        assert all(abs(solve_auto(cfg, k).F) ** 2 < 1e-9 for k in grid[i - 2:i + 2])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the scan drops a zero whose samples all read below tol")
+    def test_scan_keeps_broad_zeros(self):
+        cfg = RingConfig(left=TIME_REVERSAL_NODE, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+        result = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_REFLECTION)
+        assert [round(r.k_star / PI, 9) for r in result.resonances] == [1.0, 2.0, 3.0]
