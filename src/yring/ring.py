@@ -11,9 +11,9 @@ of the piecewise plane-wave state come from three routes that must agree:
 Each formula, the bounce operator s s~ (_bounce) included, is written once on
 the node entries s[i][j], t[i][j]: complex scalars at a point, arrays on a grid.
 
-Scale-invariant nodes admit much simpler closed forms for the symmetric
-and swap-antisymmetric ring variants; those fast paths live here too,
-together with the perfect-transmission target for the antisymmetric ring.
+Every symmetric ring (a Fabry-Perot cavity) and the swap-antisymmetric ring
+with a scale-invariant node have much simpler closed forms; those fast paths
+live here too, with the perfect-transmission target of the antisymmetric ring.
 """
 
 from __future__ import annotations
@@ -479,23 +479,23 @@ def _algebraic_forms(m1, m2):
     return delta, delta_b, _singular((1.0 - b22, 0.0 - b32, 0.0 - b23, 1.0 - b33), delta), amplitudes
 
 
-def _closed_form_route(cfg: RingConfig, expected_mode: type) -> "_Route":
-    if not isinstance(cfg.mode, expected_mode):
-        raise ValueError(f"this fast path requires {expected_mode.__name__} mode")
+def _closed_form_route(cfg: RingConfig, forms) -> "_Route":
     route = cfg._route
-    if route.forms is None:
-        raise ValueError("this fast path requires a scale-invariant left node")
+    if route.forms is not forms:
+        ring = "a symmetric ring" if forms is _symmetric_forms else "an antisymmetric ring with a scale-invariant node"
+        raise ValueError(f"this closed form requires {ring}")
     return route
 
 
 def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes:
-    """Closed forms for the symmetric ring with a scale-invariant node.
+    """Fabry-Perot closed form of every symmetric ring: Symmetric, or General with right == left.
 
-    Everything reduces to the left matrix components and the arm phase
-    g = exp(2ik(xi1-xi2)); the common denominator is 1 - g |s11|^2.
-    Perfect transmission (A = 0) happens exactly at g = 1.
+    Any node gives t0 = s0^dagger, so s s~ has the eigenvalues g and g |s11|^2 (g = exp(2ik(xi1-xi2))),
+    the common denominator is 1 - g |s11|^2, and perfect transmission (A = 0) happens exactly at
+    g = 1 unless |s11| = 1 (a decoupled exterior wire).  It needs no scale invariance; it keeps
+    its name because the benchmark's tracer times it by that name.
     """
-    return _closed_form_route(cfg, Symmetric).closed_form(k)
+    return _closed_form_route(cfg, _symmetric_forms).closed_form(k)
 
 
 def _symmetric_forms(s, g, columns=_ALL_COLUMNS):
@@ -551,7 +551,7 @@ def solve_antisymmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplit
     Perfect reflection (F = 0) happens exactly at g = 1 whenever the
     interior couplings s21, s31 are both nonzero (and den is not).
     """
-    return _closed_form_route(cfg, AntiSymmetric).closed_form(k)
+    return _closed_form_route(cfg, _antisymmetric_forms).closed_form(k)
 
 
 def _antisymmetric_forms(s, g, columns=_ALL_COLUMNS):
@@ -617,7 +617,7 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     node (the core matrix is Hermitian); ArithmeticError is raised if
     rounding breaks this.
     """
-    _closed_form_route(cfg, AntiSymmetric)
+    _closed_form_route(cfg, _antisymmetric_forms)
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])
     if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
@@ -636,9 +636,9 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
 def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
     """Solve one ring at one wavenumber by exactly one route.
 
-    Scale-invariant symmetric/antisymmetric rings use their dedicated closed
-    forms (well conditioned at their resonances, where the general resolvent
-    becomes singular); everything else goes through the resolvent.  The
+    Every symmetric ring and the scale-invariant antisymmetric ring use their
+    closed forms (well conditioned at their lines, where the resolvent's gap
+    holds a bound state); everything else goes through the resolvent.  The
     routes are not compared at run time: `yring check` and the tests hold
     them against the series and algebraic solvers.  The route and the node
     constants are prepared once per configuration (`_Route`); each call
@@ -647,7 +647,7 @@ def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
     route = cfg._route
     if route.forms is None:
         return _resolve(*route.arrays(k), k)
-    if isinstance(cfg.mode, Symmetric):
+    if route.forms is _symmetric_forms:
         return solve_symmetric_scale_invariant(cfg, k)
     return solve_antisymmetric_scale_invariant(cfg, k)
 
@@ -656,20 +656,20 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     """solve_auto on a whole grid of wavenumbers, GRID_BLOCK (2048) at a time.
 
     Returns the amplitudes, shape (n, 6) with columns A..F, and the
-    degenerate mask: the rows where solve_auto raises DegenerateRingError,
-    a real decoupling (ring._solved_grid), whose amplitudes are NaN.  Raises
-    the ValueError solve_auto raises at the first wavenumber it rejects (not
-    positive and finite, k*L0 not finite or zero, or k*xi not finite).  The
-    scan of find_resonances runs the same kernel on the one column it
-    searches.
+    degenerate mask: the rows where solve_auto raises DegenerateRingError, a
+    real decoupling (a closed form's den, or ring._solved_grid's rule on the
+    resolvent), whose amplitudes are NaN.  Raises the ValueError solve_auto
+    raises at the first wavenumber it rejects (not positive and finite, k*L0
+    not finite or zero, or k*xi not finite).  The scan of find_resonances
+    runs the same kernel on the one column it searches.
 
     The grid/point contract: the kernel runs solve_auto's formula bodies on
     arrays, not complex scalars, and numpy rounds them unlike CPython: every
     other row agrees with solve_auto within 256 eps / min(|det|, 1), det
     being the resolvent's det(I - s s~) (squared on the antisymmetric closed
-    form, the less well conditioned route).  The tests hold the grid to that bound against solve_auto and
-    against a 50-digit solve of the same node matrices.  The last bits can
-    depend on the numpy and BLAS build, never on the run.
+    form, the less well conditioned route); the tests hold the grid to it
+    against solve_auto and a 50-digit solve of the same node matrices.  The
+    last bits can depend on the numpy and BLAS build, never on the run.
     """
     return _solve_grid_columns(cfg, ks, _ALL_COLUMNS)
 
@@ -701,26 +701,24 @@ def _solve_grid_columns(cfg: RingConfig, ks, columns) -> tuple[np.ndarray, np.nd
 class _Route:
     """The wavenumber-independent half of solve_auto and solve_grid for one ring.
 
-    Built once per RingConfig (its `_route`): the route choice (`forms` is the
-    closed form of a scale-invariant symmetric or antisymmetric ring, None
-    for the resolvent) and the constants of both nodes.  The antisymmetric
-    ring's right node is the left one with the interior wires 1 and 2
-    interchanged, built so once.  The methods do the per-wavenumber half, at
-    one wavenumber or on a block of them.
+    Built once per RingConfig (its `_route`), the one place that picks the route
+    by ring class: `forms` is _symmetric_forms for every symmetric ring (both ends
+    share one node), _antisymmetric_forms for an antisymmetric ring with a
+    scale-invariant node, else None (the resolvent).  The antisymmetric ring's right
+    node is the left one with the interior wires 1 and 2 swapped, built so once.
+    The methods do the per-wavenumber half, at one wavenumber or on a block of them.
     """
 
     __slots__ = ("left", "right", "forms", "xi1", "xi2", "dxi")
 
     def __init__(self, cfg: RingConfig) -> None:
-        swap = isinstance(cfg.mode, AntiSymmetric)
         self.left = self.right = _Node(cfg.left)
-        if isinstance(cfg.mode, General):
-            self.right = _Node(cfg.mode.right)
-        elif swap:
+        self.forms = _symmetric_forms  # Symmetric, or General with right == left
+        if isinstance(cfg.mode, General) and cfg.mode.right != cfg.left:
+            self.right, self.forms = _Node(cfg.mode.right), None
+        elif isinstance(cfg.mode, AntiSymmetric):
             self.right = _Node(cfg.left, swap=True)
-        self.forms = None
-        if not isinstance(cfg.mode, General) and is_scale_invariant(cfg.left):
-            self.forms = _antisymmetric_forms if swap else _symmetric_forms
+            self.forms = _antisymmetric_forms if is_scale_invariant(cfg.left) else None
         self.xi1, self.xi2, self.dxi = cfg.xi1, cfg.xi2, cfg.dxi
 
     def arrays(self, k: float) -> tuple[Mat3, Mat3]:

@@ -26,8 +26,10 @@ from enum import Enum
 
 import numpy as np
 
+from .junction import is_scale_invariant
 from .ring import (
     DegenerateRingError,
+    General,
     RingAmplitudes,
     RingConfig,
     Symmetric,
@@ -269,7 +271,7 @@ def _expected_resonances(
     one line below the window to two above it are visited, so the cost is
     linear in the lines of the window.
     """
-    if cfg._route.forms is None:
+    if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
         return None
     h = reflection_core(cfg.left)
     h11 = complex(h[0, 0])

@@ -101,8 +101,9 @@ ONE_WIRE_RING = RingConfig(
 ONE_WIRE_K = 2.287970761502012
 
 #: Scale-invariant nodes written as General(right=left), and its exact lines
-#: n pi / dxi below k = 200: each holds a bound state that the launch does not
-#: excite, and the rule's test of that sits on its threshold _ROUNDING.
+#: n pi / dxi below k = 200: on the resolvent each holds a bound state that the
+#: launch does not excite, and the rule's test of that sits on its threshold
+#: _ROUNDING.  The ring is symmetric, so solve_auto takes the closed form.
 THRESHOLD_NODE = JunctionParams(theta=(PI, PI, 0.0), alpha=3.8633115730540464, beta=1.956334924468528,
                                 gamma=2.323476302389803, delta=6.246294336638115, a=3.5847807347104754,
                                 b=2.996578291768716, L0=4.006256411519654)
@@ -329,21 +330,18 @@ class TestSolveGrid:
                 assert not degenerate[i], i
                 assert np.abs(values[:, i] - want).max() <= 16 * EPS * max(1.0, np.abs(want).max()), i
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="at the exact lines n pi/dxi of this "
-                       "ring the launch's part along the null direction sits on _ROUNDING, so rounding decides "
-                       "the row (ROADMAP items 4 and 5b)")
     def test_lines_on_the_threshold_of_the_rule(self):
-        # At n = 1 the gap's singular values are (7.7e-4, 3e-16) and the
-        # launch's part along the left null direction, relative to its norm,
-        # is 1.6e-14 on this grid's node entries and 1.0e-14 on the point's,
-        # against _ROUNDING = 1.4e-14: the grid flags the row where solve_auto
-        # answers, with A and F 3.3e-13 from the closed form.  The bound state
-        # leaves B..E undetermined, so only A and F are held to it.
+        # On the resolvent, at n = 1 the gap's singular values are (7.7e-4,
+        # 3e-16) and the launch's part along the left null direction, relative
+        # to its norm, is 1.6e-14 on the grid's node entries and 1.0e-14 on the
+        # point's, against _ROUNDING = 1.4e-14: rounding decided the row.  The
+        # ring is symmetric, written as General(right=left), so both routes take
+        # the Fabry-Perot closed form, which has no bound state to decide.
         cfg, ks = THRESHOLD_RING, THRESHOLD_LINES
         amps, degenerate = solve_grid(cfg, ks)
         point, point_degenerate = per_point(cfg, ks)
         closed = solve_symmetric_scale_invariant(dataclasses.replace(cfg, mode=SYMMETRIC), ks[0]).to_array()
-        assert not degenerate[0] and not point_degenerate[0]
+        assert ks.size == 85 and not degenerate.any() and not point_degenerate.any()
         exterior = [0, 5]  # A and F
         assert np.abs(amps[0, exterior] - closed[exterior]).max() <= 1e-12
         assert np.abs(point[0, exterior] - closed[exterior]).max() <= 1e-12

@@ -7,9 +7,11 @@ divide by nearly nothing; rings have every mode, arm lengths from 0.05 to
 of tests/test_grid.py against solve_auto, and each node's grid matrices to
 a few eps of the per-point ones.  Two rows of each draw, from the grid and
 from solve_auto, are held to the same bound against the 50-digit reference,
-except where solve_auto takes a closed form for a node only within
-PREDICATE_TOL of scale invariance: the closed forms then model the node as
-exactly scale invariant, an error of the route, not of the kernel.
+except where solve_auto takes the antisymmetric closed form for a node only
+within PREDICATE_TOL of scale invariance: that form then models the node as
+exactly scale invariant, an error of the route, not of the kernel.  The
+symmetric closed form is exact for every node, so symmetric rings, near
+scale invariance or not, are held to the reference too.
 """
 
 import math
@@ -25,6 +27,7 @@ from test_grid import PRODUCT_TOL, contract_ratios, per_point, matrix_stack, uni
 from yring import (  # noqa: E402
     ANTISYMMETRIC,
     SYMMETRIC,
+    AntiSymmetric,
     General,
     JunctionParams,
     RingConfig,
@@ -71,9 +74,9 @@ def grids(draw):
 
 
 def near_scale_invariant_closed_form(cfg) -> bool:
-    """solve_auto takes a closed form for a node that is not exactly scale invariant."""
+    """solve_auto takes the antisymmetric closed form for a node that is not exactly scale invariant."""
     exact = all(t in (0.0, math.pi) for t in cfg.left.theta)
-    return cfg._route.forms is not None and is_scale_invariant(cfg.left) and not exact
+    return isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left) and not exact
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)

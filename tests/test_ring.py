@@ -657,15 +657,17 @@ class TestSymmetricFastPath:
             assert np.abs(s @ st @ w - lam * w).max() < 1e-12
 
     def test_requires_symmetric_scale_invariant(self):
-        with pytest.raises(ValueError):
-            solve_symmetric_scale_invariant(
-                RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1, xi2=0), 1.0
-            )
-        with pytest.raises(ValueError):
-            solve_symmetric_scale_invariant(
-                RingConfig(left=JunctionParams(theta=(0.4, PI, PI)), mode=SYMMETRIC, xi1=1, xi2=0),
-                1.0,
-            )
+        # the name is historical: the closed form takes every symmetric ring,
+        # scale invariant or not, in both spellings, and only symmetric rings
+        generic = JunctionParams(theta=(0.4, PI, PI))
+        for mode in (SYMMETRIC, General(generic)):
+            cfg = RingConfig(left=generic, mode=mode, xi1=1, xi2=0)
+            np.testing.assert_array_equal(solve_symmetric_scale_invariant(cfg, 1.0).to_array(),
+                                          solve_auto(cfg, 1.0).to_array())
+        with pytest.raises(ValueError, match="requires a symmetric ring"):
+            solve_symmetric_scale_invariant(RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1, xi2=0), 1.0)
+        with pytest.raises(ValueError, match="requires a symmetric ring"):
+            solve_symmetric_scale_invariant(RingConfig(left=generic, mode=General(GENERIC_SI), xi1=1, xi2=0), 1.0)
 
 
 class TestAntisymmetricFastPath:
@@ -844,8 +846,8 @@ class TestSolveAuto:
         direct = solve_closed_form(*ring_matrices(cfg, k))
         assert np.abs(solve_auto(cfg, k).to_array() - direct.to_array()).max() == 0.0
 
-    @pytest.mark.xfail(strict=True, reason="the closed forms take a node within PREDICATE_TOL of scale "
-                       "invariance as exactly scale invariant (ROADMAP item 5)")
+    @pytest.mark.xfail(strict=True, reason="the antisymmetric closed form takes a node within PREDICATE_TOL "
+                       "of scale invariance as exactly scale invariant (ROADMAP item 5)")
     def test_near_scale_invariant_node_meets_the_reference(self):
         # The closed form is off by 2.5e-8 here, the resolvent by 4.7e-16.
         left = JunctionParams(theta=(PI - 3.5e-10, PI + 8.7e-10, -2.7e-10), alpha=3.01, beta=1.0037,

@@ -4,10 +4,12 @@
 built once per RingConfig and repeats only the per-wavenumber arithmetic.
 `reference_solve_auto` below keeps the previous per-point node build, which
 built everything at every call (the antisymmetric right node through the
-PERM_23 products), and the route choice and closed forms; it hands its node
-arrays to the library's resolvent, `ring._resolve`.  The two must give the
-same node arrays, route and raw bits (signed zeros included) and raise the
-same errors at the same wavenumbers.
+PERM_23 products), and spells out the route choice by ring class (the
+Fabry-Perot closed form for every symmetric ring, Symmetric or General with
+right == left; the antisymmetric closed form for a scale-invariant node; else
+the resolvent); it hands its node arrays to the library's resolvent,
+`ring._resolve`.  The two must give the same node arrays, route and raw bits
+(signed zeros included) and raise the same errors at the same wavenumbers.
 """
 
 import cmath
@@ -102,14 +104,17 @@ def reference_node_arrays(cfg: RingConfig, k: float) -> tuple[np.ndarray, np.nda
 
 
 def reference_solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:
-    for mode, forms in ((Symmetric, _symmetric_forms), (AntiSymmetric, _antisymmetric_forms)):
-        if isinstance(cfg.mode, mode) and is_scale_invariant(cfg.left):
-            m = reference_node_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
-            den, amplitudes = forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
-            if abs(den) < DEGENERATE_TOL:
-                raise DegenerateRingError(DEGENERATE_MESSAGE.format(k=k))
-            return RingAmplitudes(*amplitudes())
-    return _resolve(*reference_node_arrays(cfg, k), k)
+    if isinstance(cfg.mode, Symmetric) or cfg.mode == General(cfg.left):
+        forms = _symmetric_forms  # any node: the right one is the left one's adjoint
+    elif isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left):
+        forms = _antisymmetric_forms
+    else:
+        return _resolve(*reference_node_arrays(cfg, k), k)
+    m = reference_node_array(cfg.left, k, cfg.xi1, Orientation.INWARD)
+    den, amplitudes = forms(m.tolist(), cmath.exp(2j * k * cfg.dxi))
+    if abs(den) < DEGENERATE_TOL:
+        raise DegenerateRingError(DEGENERATE_MESSAGE.format(k=k))
+    return RingAmplitudes(*amplitudes())
 
 
 # -- helpers ----------------------------------------------------------------------
