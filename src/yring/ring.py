@@ -133,8 +133,13 @@ class RingConfig:
         # of pickles and copies.
         return _Route(self)
 
+    @functools.cached_property
+    def _minima(self) -> tuple:
+        # find's constants of this ring (_arm_minima), built and kept like _route.
+        return _arm_minima(self)
+
     def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_route"}
+        return {name: value for name, value in self.__dict__.items() if name not in ("_route", "_minima")}
 
 
 @dataclass(frozen=True)
@@ -618,19 +623,72 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     rounding breaks this.
     """
     _closed_form_route(cfg, _antisymmetric_forms)
-    h = reflection_core(cfg.left)
-    h11 = complex(h[0, 0])
-    if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
+    ratio = _transmission_ratio(reflection_core(cfg.left).tolist())
+    if ratio is None:
         return TransmissionTarget(c_star=None, status="degenerate")
-    s = h.tolist()
-    lam = _anti_lambda(s, _anti_trace(s))
-    ratio = -lam / (2.0 * h11)
     if not abs(ratio.imag) < 1e-10:
         raise ArithmeticError(f"transmission target ratio is not real: {ratio!r}")
+    if abs(ratio.real) <= 1.0:
+        return TransmissionTarget(c_star=ratio.real, status="ok")
+    return TransmissionTarget(c_star=None, status="out_of_range")
+
+
+def _transmission_ratio(s) -> complex | None:
+    # -lambda/(2 s11) from the core's entries s[i][j], None where the target degenerates.
+    h11 = s[0][0]
+    if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
+        return None
+    return -_anti_lambda(s, _anti_trace(s)) / (2.0 * h11)
+
+
+def _arm_minima(cfg: RingConfig) -> tuple:
+    """Where |A|^2 and |F|^2 of a scale-invariant symmetric or antisymmetric ring are least, and how low.
+
+    The node's matrix does not depend on k, so each probability is a function
+    of c = cos(2k(xi1-xi2)) alone.  Returns one entry for A and one for F:
+    None where there is no prediction (a General ring, a node that is not
+    scale invariant, a trivial or degenerate one), else (c, least): every
+    minimum lies on that c, and reads least there (0 for a zero).
+
+    * Symmetric: A vanishes at c = 1; |F| = (1 - rho)/|1 - rho g| (rho =
+      |h11|^2) does not, and is least at c = -1.  A node with |h11| within
+      1e-9 of 0 or 1 is trivial: A or F vanishes identically.
+    * Antisymmetric: F vanishes at c = 1 unless the interior couplings or the
+      denominator there vanish, and A at perfect_transmission_target's
+      cosine c*.  With c* out of range (and the node not trivial), |A|^2 =
+      4 rho (c - c*)^2 / Q(c), Q = 4 rho c^2 - 2 (1 + rho) trm c + trm^2 +
+      (1 - rho)^2 (trm = _anti_trace, real for these nodes), is least at
+      c = -1, at c = 1, or where its derivative vanishes, at
+      c_m = -(2 q0 + q1 c*) / (q1 + 2 q2 c*).
+    """
+    if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
+        return None, None
+    s = reflection_core(cfg.left).tolist()
+    h11 = s[0][0]
+    rho = abs(h11) ** 2
+    trivial = abs(h11) < 1e-9 or abs(abs(h11) - 1.0) < 1e-9
+    if isinstance(cfg.mode, Symmetric):
+        return (None, None) if trivial else ((1.0, 0.0), (-1.0, ((1.0 - rho) / (1.0 + rho)) ** 2))
+    trm = _anti_trace(s)
+    coupling = 2.0 * (s[2][0].conjugate() * s[1][0]).real
+    reflection = None if abs(coupling) < 1e-9 or abs(1.0 - trm + rho) < 1e-9 else (1.0, 0.0)
+    ratio = _transmission_ratio(s)
+    if ratio is None or not abs(ratio.imag) < 1e-10:
+        return None, reflection  # no target, or rounding has broken its reality: scanned
     c_star = ratio.real
     if abs(c_star) <= 1.0:
-        return TransmissionTarget(c_star=c_star, status="ok")
-    return TransmissionTarget(c_star=None, status="out_of_range")
+        return (c_star, 0.0), reflection
+    if trivial:
+        return None, reflection
+    trm = trm.real
+    q2, q1, q0 = 4.0 * rho, -2.0 * (1.0 + rho) * trm, trm * trm + (1.0 - rho) ** 2
+    candidates = [-1.0, 1.0]
+    top, bottom = -(2.0 * q0 + q1 * c_star), q1 + 2.0 * q2 * c_star
+    if abs(top) < abs(bottom):
+        candidates.append(top / bottom)
+    # the least |A|^2 is at the greatest Q / (c - c*)^2, whose divisor cannot vanish
+    inverse, c = max((((q2 * c + q1) * c + q0) / (c - c_star) ** 2, c) for c in candidates)
+    return (c, 4.0 * rho / inverse), reflection
 
 
 def solve_auto(cfg: RingConfig, k: float) -> RingAmplitudes:

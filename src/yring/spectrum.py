@@ -4,14 +4,17 @@ A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
 batched kernel `solve_grid`; isolated singular points are kept in the output
 with a degenerate flag so downstream tables stay grid-aligned.  The
 resonance finder evaluates the searched amplitude (A or F) alone, on the
-same kernel.  On scale-invariant symmetric and antisymmetric rings it
-enumerates the analytic positions of the zeros and keeps those that read
-below the requested tolerance, in one kernel call.  On every other ring it
-scans the probability, brackets every strict local minimum that is not
-rounding noise, sharpens each bracket by safeguarded Newton steps on the
-complex amplitude (whose perfect transmission or reflection is a simple
-real zero), and keeps the minima whose probability drops below the
-tolerance.  What the analytic positions do not confirm is a warning.
+same kernel.  On non-trivial scale-invariant symmetric and antisymmetric
+rings the probability depends on k through cos(2 k dxi) alone, so it
+enumerates the analytic positions of its minima, zeros or not, and keeps
+those that read below the requested tolerance, in one kernel call (in none
+where the minima are not zeros and their analytic value is not below it).
+On every other ring it scans the probability, brackets every strict local
+minimum that is not rounding noise, sharpens each bracket by safeguarded
+Newton steps on the complex amplitude (whose perfect transmission or
+reflection is a simple real zero), and keeps the minima whose probability
+drops below the tolerance.  An analytic zero that does not read below the
+tolerance, and an analytic minimum that does, are warnings.
 """
 
 from __future__ import annotations
@@ -26,17 +29,11 @@ from enum import Enum
 
 import numpy as np
 
-from .junction import is_scale_invariant
 from .ring import (
     DegenerateRingError,
-    General,
     RingAmplitudes,
     RingConfig,
-    Symmetric,
-    _anti_trace,
     _solve_grid_columns,
-    perfect_transmission_target,
-    reflection_core,
     solve_auto,
     solve_grid,
 )
@@ -123,7 +120,7 @@ class Spectrum:
         return tuple(points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resonance:
     k_star: float
     kind: ResonanceKind
@@ -257,47 +254,40 @@ def _golden_minimize(k, z, f, width: float, tol: float):
 
 def _expected_resonances(
     cfg: RingConfig, kind: ResonanceKind, k_min: float, k_max: float
-) -> np.ndarray | None:
-    """Analytic resonance positions of a scale-invariant ring, None when there is no prediction.
+) -> tuple[np.ndarray, float] | None:
+    """Analytic positions of the minima of the searched probability, None when there is no prediction.
 
-    Perfect transmission of the symmetric ring and perfect reflection of the
-    antisymmetric one lie on the lines n pi/dxi; perfect transmission of the
-    antisymmetric ring lies half/(2 dxi) to either side of them, cos(half)
-    being perfect_transmission_target's cosine.  Returns the sorted
-    positions in the window together with at least one beyond each end
-    (those below 0 clamped to 0), which find_resonances takes as the outer
-    neighbours; an empty array when the ring has no zero of this kind (the
-    symmetric ring's reflection, or a cosine out of range).  Only the n from
-    one line below the window to two above it are visited, so the cost is
-    linear in the lines of the window.
+    On a scale-invariant symmetric or antisymmetric ring the node's matrix
+    does not depend on k, so |A|^2 and |F|^2 depend on k through
+    cos(2 k dxi) alone, and every minimum lies where it equals a constant
+    c of the ring (ring._arm_minima, computed once per ring): on the lines
+    n pi/dxi for c = 1, halfway between them for c = -1, else acos(c)/(2 dxi)
+    to either side of each line.  Returns the sorted positions in the window
+    together with at least one beyond each end (those below 0 clamped to 0),
+    which find_resonances takes as the outer neighbours, and the analytic
+    value of the probability there: 0 where the amplitude vanishes (the
+    symmetric ring's transmission, the antisymmetric ring's reflection, and
+    its transmission on a target in range), the least value it takes where
+    it does not (the symmetric ring's reflection, an antisymmetric
+    transmission target out of range).  Only the n from one line below the
+    window to two above it are visited, so the cost is linear in the lines
+    of the window.
     """
-    if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
+    minima = cfg._minima[0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 1]
+    if minima is None:
         return None
-    h = reflection_core(cfg.left)
-    h11 = complex(h[0, 0])
+    c, least = minima
     dxi = cfg.dxi
     first, last = int(k_min * dxi / math.pi) - 1, int(k_max * dxi / math.pi) + 3
-    lattice = np.arange(max(0, first), last, dtype=float) * math.pi / dxi
-    if isinstance(cfg.mode, Symmetric):
-        if kind is ResonanceKind.PERFECT_REFLECTION:
-            return lattice[:0]  # transmitted amplitude never vanishes except for decoupled nodes
-        if abs(h11) < 1e-9 or abs(abs(h11) - 1.0) < 1e-9:
-            return None  # trivial cases: reflection identically zero / no transmission
-        return lattice
-    # AntiSymmetric
-    den_at_one = 1.0 - complex(_anti_trace(h)) + abs(h11) ** 2
-    if kind is ResonanceKind.PERFECT_REFLECTION:
-        coupling = 2.0 * (h[2, 0].conjugate() * h[1, 0]).real
-        if abs(coupling) < 1e-9 or abs(den_at_one) < 1e-9:
-            return None  # transmission identically zero, or swap symmetry degenerates
-        return lattice
-    target = perfect_transmission_target(cfg)
-    if target.status != "ok":
-        return lattice[:0] if target.status == "out_of_range" else None
-    half = math.acos(max(-1.0, min(1.0, target.c_star)))
-    offset = half / (2.0 * dxi)
+    n = np.arange(max(0, first), last, dtype=float)
+    if c == 1.0:
+        return n * math.pi / dxi, least
+    if c == -1.0:
+        return np.maximum((n - 0.5) * math.pi / dxi, 0.0), least
+    lattice = n * math.pi / dxi
+    offset = math.acos(c) / (2.0 * dxi)
     both = np.sort(np.maximum(np.concatenate([lattice + offset, lattice - offset]), 0.0))
-    return both[np.diff(both, prepend=-1.0) > 0.0]  # each once (np.unique would import numpy.ma, 1 MB)
+    return both[np.diff(both, prepend=-1.0) > 0.0], least  # each once (np.unique would import numpy.ma, 1 MB)
 
 
 def find_resonances(
@@ -315,14 +305,19 @@ def find_resonances(
     tol must lie strictly between 0 and 1: probabilities are at most 1, so
     with tol >= 1 no candidate could have a neighbour above it.
 
-    Where _expected_resonances gives the zeros (scale-invariant symmetric
-    and antisymmetric rings, for a kind that has them) there is no scan:
-    one kernel call evaluates each position in the window and the midpoints
-    to its neighbours.  A position reading below tol is reported at its
-    analytic float with that reading as its residual, unless neither
-    midpoint exceeds tol (an identically vanishing amplitude); one reading
-    at or above tol is a warning.  No line is missed however narrow or
-    close to another, and scan_n is not used.
+    Where _expected_resonances gives the positions of the minima
+    (scale-invariant symmetric and antisymmetric rings, bar the trivial and
+    degenerate nodes of ring._arm_minima) there is no scan.  Minima that are
+    not zeros (the symmetric ring's reflection, an antisymmetric
+    transmission target out of range) whose analytic value is at least tol
+    hold no line, and nothing is evaluated.  Otherwise one kernel call
+    evaluates each position in the window and the midpoints to its
+    neighbours.  A position reading below tol is reported at its analytic
+    float with that reading as its residual, unless neither midpoint exceeds
+    tol (an identically vanishing amplitude).  A zero reading at or above
+    tol is a warning; so is each minimum reported that is not a zero, and
+    one that reads at or above tol is dropped.  No line is missed however
+    narrow or close to another, and scan_n is not used.
 
     Otherwise it scans scan_n points and brackets the strict local minima,
     except where both neighbours are below tol (the same vanishing rule) or
@@ -336,9 +331,7 @@ def find_resonances(
     takes the next probe of every one in one kernel call, and fewer probe on
     solve_auto; a grid row's last bits depend on the rows sharing its call,
     so near a narrow line k* depends (the same on every run) on which
-    brackets share a round.  On a scale-invariant ring with no zero of the
-    kind (the symmetric ring's reflection, or an antisymmetric transmission
-    target out of range) each minimum kept is also a warning.
+    brackets share a round.
     """
     if not isinstance(kind, ResonanceKind):
         raise ValueError(f"kind must be {ResonanceKind.PERFECT_TRANSMISSION} or {ResonanceKind.PERFECT_REFLECTION}, "
@@ -359,21 +352,32 @@ def find_resonances(
         values[degenerate] = math.inf
         return amps[:, 0], values
 
+    minima = cfg._minima[0 if transmission else 1]
+    if minima is not None and minima[1] >= tol:
+        return ResonanceSearch(resonances=())  # every minimum reads at least tol: nothing to evaluate
     expected = _expected_resonances(cfg, kind, k_min, k_max)
-    if expected is not None and expected.size:
+    if expected is not None:
+        positions, least = expected
         # the positions in the window, each between the midpoints to its neighbours
-        start, stop = np.searchsorted(expected, k_min, "right"), np.searchsorted(expected, k_max, "left")
+        start, stop = np.searchsorted(positions, k_min, "right"), np.searchsorted(positions, k_max, "left")
         ks = np.empty(2 * (stop - start) + 1)
-        ks[1::2] = expected[start:stop]
-        ks[0::2] = 0.5 * (expected[start - 1:stop] + expected[start:stop + 1])
+        ks[1::2] = positions[start:stop]
+        ks[0::2] = 0.5 * (positions[start - 1:stop] + positions[start:stop + 1])
         values = on_grid(ks)[1]
         lines = np.maximum(values[:-1:2], values[2::2]) > tol
         results = [Resonance(k_star=k_star, kind=kind, residual=residual)
                    for k_star, residual in zip(ks[1::2][lines].tolist(), values[1::2][lines].tolist())]
-        warnings = _cross_check([r for r in results if not r.residual < tol],
-                                "analytic resonance at k={0.k_star:.12g} has residual {0.residual:.3e}, not below tol",
-                                "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol")
-        return ResonanceSearch(resonances=tuple(r for r in results if r.residual < tol), warnings=tuple(warnings))
+        found = tuple(r for r in results if r.residual < tol)
+        if least == 0.0:
+            warnings = _cross_check(
+                [r for r in results if not r.residual < tol],
+                "analytic resonance at k={0.k_star:.12g} has residual {0.residual:.3e}, not below tol",
+                "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol")
+        else:
+            warnings = _cross_check(
+                found, "found minimum at k={0.k_star:.12g} (residual {0.residual:.3e}) has no analytic counterpart",
+                "{} more found minima in [{:.12g}, {:.12g}] have no analytic counterpart")
+        return ResonanceSearch(resonances=found, warnings=tuple(warnings))
 
     def probe(k: float) -> tuple[complex, float]:
         try:
@@ -412,11 +416,8 @@ def find_resonances(
                 reply = probe(brackets[j].send(reply))
         except StopIteration as stop:
             brackets[j] = stop.value
-    found = [Resonance(k_star=k_star, kind=kind, residual=residual) for k_star, residual in brackets if residual < tol]
-    warnings = () if expected is None else _cross_check(
-        found, "found minimum at k={0.k_star:.12g} (residual {0.residual:.3e}) has no analytic counterpart",
-        "{} more found minima in [{:.12g}, {:.12g}] have no analytic counterpart")
-    return ResonanceSearch(resonances=tuple(found), warnings=tuple(warnings))
+    return ResonanceSearch(resonances=tuple(Resonance(k_star=k_star, kind=kind, residual=residual)
+                                            for k_star, residual in brackets if residual < tol))
 
 
 def _cross_check(flagged: list[Resonance], each: str, rest: str) -> list[str]:

@@ -204,10 +204,11 @@ class TestAgainstGoldenSection:
         checked = exact = 0
         for cfg, k_min, k_max, kind, reference, found in searches:
             expected = _expected_resonances(cfg, kind, k_min, k_max)
-            if expected is None:
-                continue
+            if expected is None or expected[1] > 0.0:
+                continue  # no analytic zeros
+            expected = expected[0]
             slack = 0.0
-            if expected.size and isinstance(cfg.mode, AntiSymmetric) and kind is ResonanceKind.PERFECT_TRANSMISSION:
+            if isinstance(cfg.mode, AntiSymmetric) and kind is ResonanceKind.PERFECT_TRANSMISSION:
                 # cos(2 k dxi) = c_star: an error of a few ulps in c_star moves
                 # the analytic position by this much
                 c_star = perfect_transmission_target(cfg).c_star
@@ -257,7 +258,7 @@ class TestLockstep:
             assert len(got.resonances) == len(alone.resonances), (cfg, kind)
             expected = _expected_resonances(cfg, kind, k_min, k_max)
             grid, _ = scan_values(cfg, k_min, k_max, kind)
-            if expected is not None and np.any(np.diff(expected) < grid[1] - grid[0]):
+            if expected is not None and np.any(np.diff(expected[0]) < grid[1] - grid[0]):
                 continue  # two lines within a scan step: which one a bracket reaches follows rounding (ROADMAP item 7)
             assert len(got.warnings) == len(alone.warnings), (cfg, kind)
             for r, s in zip(got.resonances, alone.resonances):
@@ -485,7 +486,7 @@ class TestNewtonRefine:
         k_min, k_max = 4.680997138913959, 7.021495708370939
         grid = np.linspace(k_min, k_max, 256)
         i = int(np.argmin(np.abs(grid - 5.5254)))
-        zeros = [k for k in _expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max)
+        zeros = [k for k in _expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max)[0]
                  if grid[i - 1] < k < grid[i + 1]]
         assert len(zeros) == 2 and zeros[1] - zeros[0] < 1e-5
 

@@ -375,10 +375,11 @@ class TestPreparedOnce:
         untouched = fresh(cfg)
         pickled = pickle.dumps(untouched)
         before = solve_auto(cfg, 1.3).to_array()
-        assert "_route" in vars(cfg)
+        find_resonances(cfg, 3.0, 4.5, ResonanceKind.PERFECT_REFLECTION)
+        assert "_route" in vars(cfg) and "_minima" in vars(cfg)
         assert cfg == untouched and hash(cfg) == hash(untouched) and repr(cfg) == repr(untouched)
         assert pickle.dumps(cfg) == pickled
         for clone in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
             assert clone == cfg and hash(clone) == hash(cfg)
-            assert "_route" not in vars(clone)
+            assert "_route" not in vars(clone) and "_minima" not in vars(clone)
             np.testing.assert_array_equal(solve_auto(clone, 1.3).to_array().view(np.int64), before.view(np.int64))

@@ -9,21 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_grid import random_ring
+from conftest import mp_resolvent_amplitudes
+from test_grid import contract_bound, random_ring
 from test_refine import scan_values, slope
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
     General,
     JunctionParams,
+    Resonance,
     ResonanceKind,
     RingConfig,
     config_fingerprint,
     find_resonances,
+    perfect_transmission_target,
     solve_auto,
+    solve_grid,
     sweep,
 )
-from yring import spectrum
+from yring import ring, spectrum
 from yring.cli import main
 from yring.config import load_config
 from yring.junction import EULER_ANGLES, is_scale_invariant, is_time_reversal
@@ -349,7 +353,7 @@ def in_window(positions, k_min, k_max) -> list[float]:
 def lattice_from_first_line(cfg, kind, k_min, k_max):
     """The analytic positions built from n = 1 (or 0) up, as first written, then cut to the window."""
     every = _expected_resonances(cfg, kind, 1e-300, k_max)  # the window starts below the first line
-    return None if every is None else [ke for ke in every if k_min < ke < k_max]
+    return None if every is None else [ke for ke in every[0] if k_min < ke < k_max]
 
 
 ANTI_SI = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
@@ -375,8 +379,8 @@ CROSS_CHECK_SEARCHES = [
 class TestCrossCheck:
     @pytest.mark.parametrize("ring, kind, k_min, k_max, scan_n", CROSS_CHECK_SEARCHES)
     def test_equals_the_quadratic_reference(self, ring, kind, k_min, k_max, scan_n):
-        positions = _expected_resonances(ring, kind, k_min, k_max)
-        assert positions[0] < k_min and positions[-1] > k_max  # the outer neighbours
+        positions, least = _expected_resonances(ring, kind, k_min, k_max)
+        assert least == 0.0 and positions[0] < k_min and positions[-1] > k_max  # the outer neighbours
         expected = in_window(positions, k_min, k_max)
         assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
         assert expected == sorted(expected) and expected
@@ -389,7 +393,7 @@ class TestCrossCheck:
     def test_the_searches_miss_no_line(self):
         for ring, kind, k_min, k_max, scan_n in CROSS_CHECK_SEARCHES:
             result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
-            expected = in_window(_expected_resonances(ring, kind, k_min, k_max), k_min, k_max)
+            expected = in_window(_expected_resonances(ring, kind, k_min, k_max)[0], k_min, k_max)
             assert [r.k_star for r in result.resonances] == expected and result.warnings == ()
 
     def test_wide_lattice(self):
@@ -416,7 +420,7 @@ class TestCrossCheck:
         result = find_resonances(cfg, k_min, k_max, ResonanceKind.PERFECT_TRANSMISSION)
         near = range(int(k_min * cfg.dxi / PI) - 3, int(k_max * cfg.dxi / PI) + 3)
         lines = [n * PI / cfg.dxi for n in near if k_min < n * PI / cfg.dxi < k_max]
-        assert in_window(_expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max),
+        assert in_window(_expected_resonances(cfg, ResonanceKind.PERFECT_TRANSMISSION, k_min, k_max)[0],
                          k_min, k_max) == lines
         assert len(lines) == 3 and len(result.resonances) == 3 and result.warnings == ()
 
@@ -443,10 +447,10 @@ class TestCrossCheck:
     def test_minima_on_a_ring_with_no_zero_are_counted(self):
         # A symmetric ring never reflects perfectly, but with |h11| = 1 - 2e-8
         # its |F|^2 falls to 4e-16 halfway between lines: minima below tol
-        # that no analytic position explains, one per period
+        # that are not zeros, one per period, enumerated whatever scan_n
         cfg = beam_cfg(b=1e-4)
         result = find_resonances(cfg, PI, 13 * PI, ResonanceKind.PERFECT_REFLECTION, scan_n=25)
-        assert [round(r.k_star / PI, 6) for r in result.resonances] == [n + 0.5 for n in range(1, 13)]
+        assert [r.k_star for r in result.resonances] == [(n + 0.5) * PI for n in range(1, 13)]
         assert len(result.warnings) == 11
         assert all(w.endswith("has no analytic counterpart") for w in result.warnings[:10])
         assert result.warnings[10] == (f"2 more found minima in [{result.resonances[10].k_star:.12g}, "
@@ -489,11 +493,11 @@ class TestEnumeration:
                 cases += [(cfg, kind) for kind in ResonanceKind]
         k_min, k_max, scan_n = 0.5, 8.0, 8192
         enumerated = [find_resonances(cfg, k_min, k_max, kind) for cfg, kind in cases]
-        monkeypatch.setattr(spectrum, "_expected_resonances", lambda *args: None)  # every ring is scanned
+        monkeypatch.setattr(ring, "_arm_minima", lambda cfg: (None, None))  # every fresh ring is scanned
         lines = dropped = 0
         for (cfg, kind), got in zip(cases, enumerated):
             assert got.warnings == ()
-            scanned = iter(find_resonances(cfg, k_min, k_max, kind, scan_n=scan_n).resonances)
+            scanned = iter(find_resonances(copy.copy(cfg), k_min, k_max, kind, scan_n=scan_n).resonances)
             grid, values = scan_values(cfg, k_min, k_max, kind, scan_n)
             s = next(scanned, None)
             for r in got.resonances:
@@ -543,7 +547,7 @@ class TestEnumeration:
         # trivial enough for _expected_resonances to give up on it
         cfg = beam_cfg(b=PI / 4 - 1e-9)
         kind = ResonanceKind.PERFECT_TRANSMISSION
-        assert _expected_resonances(cfg, kind, 0.5, 10.0).size
+        assert _expected_resonances(cfg, kind, 0.5, 10.0)[0].size
         assert find_resonances(cfg, 0.5, 10.0, kind) == spectrum.ResonanceSearch(resonances=())
 
     def test_broad_zeros_of_a_scale_invariant_node(self):
@@ -569,3 +573,175 @@ class TestEnumeration:
         cfg = RingConfig(left=TIME_REVERSAL_NODE, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
         result = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_REFLECTION)
         assert [round(r.k_star / PI, 9) for r in result.resonances] == [1.0, 2.0, 3.0]
+
+
+# -- the minima of the kinds that have no zero ---------------------------------------
+
+#: An antisymmetric ring whose transmission target c* = -1.000002 lies just out
+#: of range: |A|^2 never vanishes, but its minima on (n - 1/2) pi/dxi read
+#: 3.6e-13, below the default tol.
+NEAR_TARGET_RING = RingConfig(
+    left=JunctionParams(theta=(PI, 0.0, 0.0), alpha=1.904008891790084, beta=1.7493997150940617,
+                        gamma=1.6013928483953153, delta=2.796496905695612, a=3.1701702074476534,
+                        b=0.5213447277355331, L0=4.978401360485085),
+    mode=ANTISYMMETRIC, xi1=1.7, xi2=0.2,
+)
+
+
+def rings_with_minima(kind: ResonanceKind, count: int) -> list[RingConfig]:
+    """count random scale-invariant rings on which kind has minima but no zero.
+
+    Reflection on symmetric rings, transmission on antisymmetric rings whose
+    target is out of range.
+    """
+    mode = "symmetric" if kind is ResonanceKind.PERFECT_REFLECTION else "antisymmetric"
+    rng = np.random.default_rng([28, len(mode)])
+    rings = []
+    while len(rings) < count:
+        cfg = random_ring(rng, mode, True)
+        expected = _expected_resonances(cfg, kind, 1.0, 2.0)
+        if expected is not None and expected[1] > 0.0:
+            rings.append(cfg)
+    return rings
+
+
+class TestArmMinima:
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    def test_probabilities_repeat_every_line_spacing(self, mode):
+        # the premise of the enumeration: a scale-invariant node's matrix does
+        # not depend on k, so |A|^2 and |F|^2 have the period pi/dxi; each
+        # probability within twice its amplitude's contract bound at either end
+        rng = np.random.default_rng([28, 1, len(mode)])
+        for _ in range(40):
+            cfg = random_ring(rng, mode, True)
+            ks = rng.uniform(0.5, 10.0, 16)
+            shifted = ks + rng.integers(1, 9, 16) * PI / cfg.dxi
+            here, there = (np.abs(solve_grid(cfg, x)[0][:, [0, 5]]) ** 2 for x in (ks, shifted))
+            bound = [2 * (contract_bound(cfg, a) + contract_bound(cfg, b))
+                     for a, b in zip(ks.tolist(), shifted.tolist())]
+            assert (np.abs(here - there).max(axis=1) <= bound).all(), cfg
+
+    @pytest.mark.parametrize("kind", list(ResonanceKind))
+    def test_minimum_is_the_least_of_a_dense_period(self, kind):
+        column = 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5
+
+        def probability(cfg, ks):
+            return np.abs(solve_grid(cfg, ks)[0][:, column]) ** 2
+
+        for cfg in rings_with_minima(kind, 40):
+            period = PI / cfg.dxi
+            k0 = 1.0 + 0.3 * period
+            positions, analytic = _expected_resonances(cfg, kind, k0, k0 + period)
+            positions = in_window(positions, k0, k0 + period)
+            assert len(positions) in (1, 2), cfg
+            least = probability(cfg, positions)
+            # a dense period, then a dense step either side of its least row
+            dense = np.linspace(k0, k0 + period, 20001)
+            i = int(np.argmin(probability(cfg, dense)))
+            fine = np.linspace(dense[max(i - 1, 0)], dense[min(i + 1, dense.size - 1)], 2001)
+            values = probability(cfg, fine)
+            k_dense, dense_least = fine[np.argmin(values)].item(), values.min()
+            for k, value in zip(positions, least.tolist()):
+                # the analytic least, and nothing in the period reads lower, beyond each row's contract
+                assert abs(value - analytic) <= 2 * contract_bound(cfg, k), (cfg, k)
+                assert value <= dense_least + 2 * (contract_bound(cfg, k) + contract_bound(cfg, k_dense)), (cfg, k)
+                # and the dense evaluation reaches the same value
+                assert dense_least <= value * (1 + 1e-9), (cfg, k)
+                # a minimum at 50 digits, against 1e-4 of a period to either side
+                step = 1e-4 * period
+                left, mid, right = (abs(mp_resolvent_amplitudes(*cfg._route.arrays(x))[column]) ** 2
+                                    for x in (k - step, k, k + step))
+                assert mid < min(left, right), (cfg, k)
+
+    def test_a_minimum_below_tol_is_answered_without_a_refine(self, monkeypatch):
+        cfg, kind = NEAR_TARGET_RING, ResonanceKind.PERFECT_TRANSMISSION
+        assert perfect_transmission_target(cfg).status == "out_of_range"
+        calls = []
+        solve_grid_columns = spectrum._solve_grid_columns
+
+        def recording(cfg, ks, columns):
+            calls.append(np.asarray(ks))
+            return solve_grid_columns(cfg, ks, columns)
+
+        monkeypatch.setattr(spectrum, "_solve_grid_columns", recording)
+        monkeypatch.setattr(spectrum, "solve_auto", None)  # a refine probe would raise
+        result = find_resonances(cfg, 2.0, 6.0, kind)
+        lines = [(n - 0.5) * PI / cfg.dxi for n in (2, 3)]
+        assert [r.k_star for r in result.resonances] == lines
+        assert all(r.residual < 1e-12 for r in result.resonances)
+        # one kernel call: the two positions and the midpoints to their neighbours
+        (ks,) = calls
+        assert ks[1::2].tolist() == lines and ks.size == 5
+        assert list(result.warnings) == [f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
+                                         "has no analytic counterpart" for r in result.resonances]
+        # A scan and refine of 360 points finds the same two minima.  At the
+        # default 977 both scan neighbours of each read below tol, and the
+        # vanishing rule drops both (ROADMAP item 14).
+        monkeypatch.setattr(spectrum, "solve_auto", solve_auto)
+        monkeypatch.setattr(spectrum, "_expected_resonances", lambda *args: None)
+        scanned = find_resonances(cfg, 2.0, 6.0, kind, scan_n=360).resonances
+        assert len(scanned) == 2 and all(abs(r.k_star - k) < 1e-7 for r, k in zip(scanned, lines))
+        assert find_resonances(cfg, 2.0, 6.0, kind).resonances == ()
+
+    def test_minima_at_or_above_tol_are_not_evaluated(self, monkeypatch):
+        # symmetric_buttiker (|h11| = 1/2): |F|^2 is least at ((1 - rho)/(1 + rho))^2 = 0.36
+        cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        kind = ResonanceKind.PERFECT_REFLECTION
+        positions, least = _expected_resonances(cfg, kind, 1e4, 1e5)
+        assert least == pytest.approx(0.36, rel=1e-12)
+        assert abs(solve_auto(cfg, in_window(positions, 1e4, 1e5)[0]).F) ** 2 == pytest.approx(least, rel=1e-12)
+        with monkeypatch.context() as patched:
+            patched.setattr(spectrum, "_solve_grid_columns", None)  # an evaluation would raise
+            assert find_resonances(cfg, 1e4, 1e5, kind) == spectrum.ResonanceSearch(resonances=())
+        # below tol, each of the 28,648 minima is read, reported and a warning
+        result = find_resonances(cfg, 1e4, 1e5, kind, tol=0.5)
+        assert len(result.resonances) == 28_648 and len(result.warnings) == 11
+        assert result.warnings[-1] == (f"28638 more found minima in [{(3194 - 0.5) * PI:.12g}, "
+                                       f"{(31831 - 0.5) * PI:.12g}] have no analytic counterpart")
+
+    def test_constants_are_computed_once_per_ring(self, monkeypatch):
+        calls = []
+        arm_minima = ring._arm_minima
+        monkeypatch.setattr(ring, "_arm_minima", lambda cfg: calls.append(cfg) or arm_minima(cfg))
+        cfg = RingConfig(left=GENERIC_SI, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+        for _ in range(3):
+            for kind in ResonanceKind:
+                find_resonances(cfg, 0.5, 10.0, kind)
+        assert calls == [cfg]
+
+    def test_a_target_that_rounding_breaks_is_scanned(self):
+        # h11 = 1e-7: the target ratio's imaginary rounding, about 2e-15/|h11|,
+        # exceeds the 1e-10 that perfect_transmission_target allows it
+        node = JunctionParams(theta=(PI, 0.0, 0.0), alpha=5.034555946803014, beta=3.6578319513973883,
+                              gamma=0.5914277019096399, delta=2.721416827037463, a=3.0099680778637956,
+                              b=1.1257002335782964, L0=3.7259703267642297)
+        cfg = RingConfig(left=node, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
+        with pytest.raises(ArithmeticError, match="transmission target ratio is not real"):
+            perfect_transmission_target(cfg)
+        kind = ResonanceKind.PERFECT_TRANSMISSION
+        assert _expected_resonances(cfg, kind, 0.5, 10.0) is None
+        assert find_resonances(cfg, 0.5, 10.0, kind).warnings == ()
+
+    def test_decoupled_rings_stay_on_the_scan(self):
+        # |h11| = 1: F vanishes identically, and its noise dips are no minima
+        for theta in ((0.0, 0.0, 0.0), (PI, PI, PI)):
+            cfg = RingConfig(left=JunctionParams(theta=theta, beta=0.7), mode=SYMMETRIC, xi1=4.0, xi2=0.0)
+            for kind in ResonanceKind:
+                assert _expected_resonances(cfg, kind, 4.0, 6.0) is None
+                assert find_resonances(cfg, 4.0, 6.0, kind).resonances == ()
+
+
+class TestResonanceValue:
+    def test_a_frozen_value_with_slots(self):
+        r = Resonance(k_star=PI, kind=ResonanceKind.PERFECT_TRANSMISSION, residual=1e-20)
+        twin = Resonance(k_star=PI, kind=ResonanceKind.PERFECT_TRANSMISSION, residual=1e-20)
+        assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+        assert r != dataclasses.replace(r, residual=2e-20)
+        assert Resonance.__slots__ == ("k_star", "kind", "residual") and not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.k_star = 1.0
+        with pytest.raises((AttributeError, TypeError)):  # no field, no __dict__ to hold it
+            r.width = 1e-3
+        clones = [pickle.loads(pickle.dumps(r, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(r), copy.deepcopy(r)]:
+            assert clone == r and clone.kind is ResonanceKind.PERFECT_TRANSMISSION
