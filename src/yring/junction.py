@@ -157,13 +157,13 @@ class _Node:
         self._grid = None
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # cos of the half eigenphases, shape (3,), their sin as a column (3, 1),
+        # cos and sin of the half eigenphases, each a column (3, 1),
         # and V's rank-one projectors v_j v_j^dagger, one row per entry (i, l)
         # of the node matrix and one column per j, shape (9, 3).
         if self._grid is None:
-            cos, sin = np.array(self.half).T
+            cos, sin = np.array(self.half).T[:, :, None]
             projectors = (self.v[:, None, :] * self.vh.T[None, :, :]).reshape(9, 3)
-            self._grid = cos, sin[:, None], projectors
+            self._grid = cos, sin, projectors
             for a in self._grid:
                 a.setflags(write=False)
         return self._grid
@@ -173,16 +173,16 @@ class _Node:
 _PHASE = {Orientation.INWARD: 1j * 2.0, Orientation.OUTWARD: 1j * -2.0}
 
 
-def _s0_diagonal(node: _Node, k: float, orientation: Orientation) -> list:
-    # (i k L_i + 1) / (i k L_i - 1) with L_i = L0 * cot(theta_i / 2), written
-    # through (cos, sin) of theta_i/2 so theta_i = 0 needs no limit handling.
-    lk = node.L0 * k
-    inward = orientation is Orientation.INWARD
-    out = []
-    for c, s in node.half:
-        ic = 1j * (lk * c)
-        out.append((ic + s) / (ic - s) if inward else (ic - s) / (ic + s))
-    return out
+def _factor(lk, c, s, i, hypot):
+    # The diagonal factor (i k L_j + 1) / (i k L_j - 1) of the node matrix, with
+    # L_j = L0 cot(theta_j / 2) written through c, s = cos, sin of theta_j / 2 and
+    # i = +-1j the sign of k at the node: ((x - i s) / h)^2 with x = k L0 c and
+    # h = |x - i s|.  Only reals are divided, so it is exactly 1 at theta_j = 0
+    # and no subnormal divisor overflows.  Scalars with math.hypot, or arrays with np.hypot.
+    x = lk * c
+    h = hypot(x, s)
+    q = x / h - i * (s / h)
+    return q * q
 
 
 def s_matrix(
@@ -205,8 +205,8 @@ def _phase_exponent(node: _Node, k: float, xi: float, orientation: Orientation) 
     # Exponent of the position phase, after the checks of every node matrix:
     # k positive and finite, xi finite, and finite products k*L0 and k*xi.
     # Both products enter through modulus-1 factors, so the matrix is then
-    # finite too.  k*L0 must also be nonzero: an eigenphase 0 would divide
-    # 0 by 0 in _s0_diagonal.
+    # finite too.  k*L0 must also be nonzero: at an eigenphase 0, _factor
+    # would divide 0 by 0.
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
     if not math.isfinite(xi):
@@ -227,7 +227,8 @@ def _phase_exponent(node: _Node, k: float, xi: float, orientation: Orientation) 
 def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3:
     # The arithmetic of s_matrix on a plain array, unitary by construction.
     z = _phase_exponent(node, k, xi, orientation)
-    d = np.array(_s0_diagonal(node, k, orientation))
+    i, lk = _PHASE[orientation] / 2, node.L0 * k
+    d = np.array([_factor(lk, c, s, i, math.hypot) for c, s in node.half])
     return np.exp(z) * ((node.v * d) @ node.vh)
 
 
@@ -238,17 +239,15 @@ def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> tuple[
     # wavenumbers last (meaningless where rejected; the caller silences
     # numpy's overflow warnings).  As L0 > 0 is finite, k*L0 > 0 is finite only
     # where k is, and z is finite only where xi is (its real part is 0 * xi).
-    # The entries are the diagonal factors times the position phase, times
-    # V's rank-one projectors v_j v_j^dagger, in one product.  Each factor is
-    # -exp(+-2i atan2(k L0 cos, sin)), the unit-modulus form of _s0_diagonal's
-    # quotient (+ inward, - outward): numpy's complex division overflows where
-    # the divisor is subnormal.  Projector rows in the product's left operand
-    # keep a node with relabelled wires equal to the relabelled node, word for word.
+    # The entries are _factor's diagonal, on arrays, times the position phase,
+    # times V's rank-one projectors v_j v_j^dagger, in one product.  Projector
+    # rows in the product's left operand keep a node with relabelled wires
+    # equal to the relabelled node, word for word.
     lk = node.L0 * ks
     z = _PHASE[orientation] * ks * xi
     accepted = np.isfinite(lk) & (lk > 0.0) & np.isfinite(z)
     cos, sin, projectors = node.grid()
-    d = -np.exp(_PHASE[orientation] * np.arctan2(np.multiply.outer(cos, lk), sin))
+    d = _factor(lk, cos, sin, _PHASE[orientation] / 2, np.hypot)
     d *= np.exp(z)
     return accepted, (projectors @ d).reshape(3, 3, -1)
 

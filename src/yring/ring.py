@@ -626,19 +626,21 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     ratio = _transmission_ratio(reflection_core(cfg.left).tolist())
     if ratio is None:
         return TransmissionTarget(c_star=None, status="degenerate")
-    if not abs(ratio.imag) < 1e-10:
-        raise ArithmeticError(f"transmission target ratio is not real: {ratio!r}")
-    if abs(ratio.real) <= 1.0:
-        return TransmissionTarget(c_star=ratio.real, status="ok")
+    if abs(ratio) <= 1.0:
+        return TransmissionTarget(c_star=ratio, status="ok")
     return TransmissionTarget(c_star=None, status="out_of_range")
 
 
-def _transmission_ratio(s) -> complex | None:
-    # -lambda/(2 s11) from the core's entries s[i][j], None where the target degenerates.
+def _transmission_ratio(s) -> float | None:
+    # -lambda/(2 h11) from the core's entries s[i][j], None where the target degenerates.
+    # Both are real on a Hermitian core: their imaginary rounding is checked before dividing.
     h11 = s[0][0]
     if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
         return None
-    return -_anti_lambda(s, _anti_trace(s)) / (2.0 * h11)
+    lam = _anti_lambda(s, _anti_trace(s))
+    if not (abs(h11.imag) <= _ROUNDING and abs(lam.imag) <= _ROUNDING):
+        raise ArithmeticError(f"transmission target ratio is not real: h11={h11!r}, lambda={lam!r}")
+    return -lam.real / (2.0 * h11.real)
 
 
 def _arm_minima(cfg: RingConfig) -> tuple:
@@ -672,10 +674,9 @@ def _arm_minima(cfg: RingConfig) -> tuple:
     trm = _anti_trace(s)
     coupling = 2.0 * (s[2][0].conjugate() * s[1][0]).real
     reflection = None if abs(coupling) < 1e-9 or abs(1.0 - trm + rho) < 1e-9 else (1.0, 0.0)
-    ratio = _transmission_ratio(s)
-    if ratio is None or not abs(ratio.imag) < 1e-10:
-        return None, reflection  # no target, or rounding has broken its reality: scanned
-    c_star = ratio.real
+    c_star = _transmission_ratio(s)
+    if c_star is None:
+        return None, reflection
     if abs(c_star) <= 1.0:
         return (c_star, 0.0), reflection
     if trivial:

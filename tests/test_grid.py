@@ -47,7 +47,7 @@ from yring import (
 from yring import cli, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.junction import Orientation, _Node, _residual, _s0_diagonal, _s_array, _s_grid
+from yring.junction import Orientation, _Node, _residual, _s_array, _s_grid
 from yring.ring import (
     _ROUNDING,
     DEGENERATE_TOL,
@@ -448,20 +448,30 @@ class TestBatchedProducts:
 
     @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.name.lower())
     def test_diagonal_factor_matches_the_quotient(self, orientation):
-        # On a node with V = I at xi = 0 the grid matrix is the diagonal of
-        # factors: its unit-modulus form against _s0_diagonal's quotient, for
-        # k * L0 from subnormal to 1e300 and eigenphases on and next to 0 and pi
+        # On a node with V = I at xi = 0 the node matrix is the diagonal of
+        # junction._factor: on the grid and the point route against the
+        # quotient (i x + s) / (i x - s) of the same floats at 50 digits
+        # (x = (k L0) cos, s = sin of theta / 2), for k * L0 from subnormal to
+        # 1e300 and eigenphases on and next to 0 and pi; exactly 1 at theta = 0
+        mpmath = pytest.importorskip("mpmath")
         theta = (0.0, PI, 1.3, 1e-9, PI - 1e-9, 2 * PI - 1e-9)
         rng = np.random.default_rng(23)
         ks = np.concatenate([[5e-324, 1e-320, 1e-310], 10.0 ** rng.uniform(-300.0, 300.0, 2000)])
+        i = mpmath.mpc(0, 1 if orientation is Orientation.INWARD else -1)  # the sign of k at the node
         for eigenphases in (theta[:3], theta[3:]):
             node = _Node(JunctionParams(theta=eigenphases, L0=0.7))
             assert np.array_equal(node.v, np.eye(3))
-            got = np.diagonal(matrix_stack(_s_grid(node, ks, 0.0, orientation)), axis1=1, axis2=2)
-            expected = np.array([_s0_diagonal(node, k, orientation) for k in ks.tolist()])
-            assert np.isfinite(got).all()
-            assert np.abs(got - expected).max() <= PRODUCT_TOL
-            assert np.abs(np.abs(got) - 1.0).max() <= 2 * EPS
+            grid = np.diagonal(matrix_stack(_s_grid(node, ks, 0.0, orientation)), axis1=1, axis2=2)
+            point = np.array([np.diagonal(_s_array(node, k, 0.0, orientation)) for k in ks.tolist()])
+            with mpmath.workdps(50):
+                expected = np.array([[complex((i * mpmath.mpf(lk) * c + s) / (i * mpmath.mpf(lk) * c - s))
+                                      for c, s in node.half] for lk in (node.L0 * ks).tolist()])
+            for got in (grid, point):
+                assert np.isfinite(got).all()
+                assert np.abs(got - expected).max() <= PRODUCT_TOL
+                assert np.abs(np.abs(got) - 1.0).max() <= 2 * EPS
+                if eigenphases[0] == 0.0:
+                    assert (got[:, 0] == 1.0).all()
 
     def test_node_matrices_unitary_across_decades(self):
         # k * L0 and k * xi over the whole range the checks accept, where a

@@ -75,14 +75,15 @@ def reference_node_array(p: JunctionParams, k: float, xi: float, orientation: Or
     if not math.isfinite(xi):
         raise ValueError("xi must be finite")
     v = build_V(p)
+    # (i x + s) / (i x - s) = ((x - i s) / |x - i s|)^2, i = 1j inward and -1j outward
+    i = 1j if orientation is Orientation.INWARD else -1j
     d = []
     for th in p.theta:
-        c = p.L0 * k * math.cos(th / 2.0)
+        x = p.L0 * k * math.cos(th / 2.0)
         s = math.sin(th / 2.0)
-        if orientation is Orientation.INWARD:
-            d.append((1j * c + s) / (1j * c - s))
-        else:
-            d.append((1j * c - s) / (1j * c + s))
+        h = math.hypot(x, s)
+        q = x / h - i * (s / h)
+        d.append(q * q)
     d = np.array(d)
     sign = 2.0 if orientation is Orientation.INWARD else -2.0
     with np.errstate(invalid="ignore", over="ignore"):

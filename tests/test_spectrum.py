@@ -709,18 +709,23 @@ class TestArmMinima:
                 find_resonances(cfg, 0.5, 10.0, kind)
         assert calls == [cfg]
 
-    def test_a_target_that_rounding_breaks_is_scanned(self):
-        # h11 = 1e-7: the target ratio's imaginary rounding, about 2e-15/|h11|,
-        # exceeds the 1e-10 that perfect_transmission_target allows it
+    def test_a_target_of_a_weak_coupling_is_out_of_range(self, monkeypatch):
+        # h11 = 1e-7, with an imaginary rounding of 6.4e-18 that an absolute check
+        # on the ratio -lambda/(2 h11) once magnified past 1e-10: the ratio is
+        # real, and so far out of range that find answers from the ring's
+        # analytic minimum, 0.576, at least tol: no evaluation, no line, no warning
         node = JunctionParams(theta=(PI, 0.0, 0.0), alpha=5.034555946803014, beta=3.6578319513973883,
                               gamma=0.5914277019096399, delta=2.721416827037463, a=3.0099680778637956,
                               b=1.1257002335782964, L0=3.7259703267642297)
         cfg = RingConfig(left=node, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
-        with pytest.raises(ArithmeticError, match="transmission target ratio is not real"):
-            perfect_transmission_target(cfg)
+        target = perfect_transmission_target(cfg)
+        assert target.status == "out_of_range" and target.c_star is None
         kind = ResonanceKind.PERFECT_TRANSMISSION
-        assert _expected_resonances(cfg, kind, 0.5, 10.0) is None
-        assert find_resonances(cfg, 0.5, 10.0, kind).warnings == ()
+        _, least = _expected_resonances(cfg, kind, 0.5, 10.0)
+        assert least == pytest.approx(0.576, abs=1e-3)
+        monkeypatch.setattr(spectrum, "_solve_grid_columns", None)  # an evaluation would raise
+        monkeypatch.setattr(spectrum, "solve_auto", None)
+        assert find_resonances(cfg, 0.5, 10.0, kind) == spectrum.ResonanceSearch(resonances=())
 
     def test_decoupled_rings_stay_on_the_scan(self):
         # |h11| = 1: F vanishes identically, and its noise dips are no minima

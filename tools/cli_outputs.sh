@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Record what the CLI prints on each shipped config, so that two trees can be
-# compared file by file (`diff -r`).
+# compared file by file (`diff -r`, or `python tools/cli_delta.py BASE CHANGE`
+# for a summary of which files, lines and digits moved).
 #
 # Usage, from the root of a checkout, with the yring to run on PYTHONPATH:
 #   PYTHONPATH=src tools/cli_outputs.sh OUTDIR
