@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import sys
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .ring import (
     solve_series,
 )
 from .smallmat import unitarity_error
-from .spectrum import _SCAN_LEAST, ResonanceKind, Spectrum, find_resonances, sweep
+from .spectrum import _SCAN_LEAST, ResonanceKind, find_resonances, sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,9 +61,9 @@ CSV_HEADER = "k,abs2_A,abs2_B,abs2_C,abs2_D,abs2_E,abs2_F,re_A,im_A,re_F,im_F,de
 _CHECK_SEED = 20240613
 _CHECK_KS = 16
 
-#: Rows rendered per string of the sweep CSV, apart from the grid kernel's
-#: block: the renderer runs slower at 256 rows and from 2048 rows on than at
-#: 512-1024 (BENCH_12.json).
+#: Rows rendered per string of the sweep and find outputs, apart from the grid
+#: kernel's block: the renderer runs slower at 256 rows and from 2048 rows on
+#: than at 512-1024 (BENCH_12.json).
 _CSV_BLOCK = 512
 
 #: Marks a task value that has no default.
@@ -181,29 +181,26 @@ def cmd_ring(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     return _Output(EXIT_OK, lines)
 
 
-def _csv_blocks(spectrum: Spectrum):
-    """The sweep CSV, _CSV_BLOCK rows per string."""
-    from .render import csv_rows  # here, so that the other commands neither load nor compile it
-
-    yield CSV_HEADER + "\n"
-    for start in range(0, len(spectrum.k), _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        amps = spectrum.amps[block]
-        degenerate = spectrum.degenerate[block]
-        # k, |A|^2..|F|^2, re/im of A and F, the degenerate flag; nan amplitudes where degenerate
-        cells = np.empty((len(amps), 12))
-        cells[:, 0] = spectrum.k[block]
-        cells[:, 1:7] = np.abs(amps) ** 2
-        a, f = amps[:, 0], amps[:, 5]
-        cells[:, 7], cells[:, 8], cells[:, 9], cells[:, 10] = a.real, a.imag, f.real, f.imag
-        cells[:, 11] = degenerate
-        yield csv_rows(cells)
+def _blocks(head: str, n: int, text) -> Iterator[str]:
+    """head, then text(block) for each slice of _CSV_BLOCK of the n rows: one string per block."""
+    yield head
+    for start in range(0, n, _CSV_BLOCK):
+        yield text(slice(start, start + _CSV_BLOCK))
 
 
 def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
+    from .render import csv_rows  # here, so that the other commands neither load nor compile it
+
     ring, k_min, k_max = _ring_range(cfg)
     spectrum = _over_range(sweep, ring, k_min, k_max, _task_value(cfg.task, "n", parse=_count))
-    return _Output(EXIT_OK, _csv_blocks(spectrum))
+
+    def text(block: slice) -> str:
+        # k, |A|^2..|F|^2, re/im of A and F, the degenerate flag; nan amplitudes where degenerate
+        amps = spectrum.amps[block]
+        a, f = amps[:, 0], amps[:, 5]
+        return csv_rows(np.column_stack((spectrum.k[block], np.abs(amps) ** 2, a.real, a.imag, f.real, f.imag,
+                                         spectrum.degenerate[block])))
+    return _Output(EXIT_OK, _blocks(CSV_HEADER + "\n", len(spectrum.k), text))
 
 
 def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
@@ -213,19 +210,16 @@ def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     scan_n = _task_value(cfg.task, "n", None, _count)
     if scan_n is not None and scan_n < _SCAN_LEAST:
         raise ConfigError(f"task.n: expected at least {_SCAN_LEAST} scan points, got {scan_n}")
-    result = _over_range(find_resonances, ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
-    lines: list[str] = []
-    w = lines.append
+    found = _over_range(find_resonances, ring, k_min, k_max, kind, scan_n=scan_n, tol=tol)
+    rows = found.lines
     if args.out:
-        w("k_star,kind,residual\n")
-        for r in result.resonances:
-            w(f"{r.k_star:.17g},{r.kind.value},{r.residual:.17g}\n")
+        from .render import csv_rows
+        # %.17g writes no comma, so the one comma of each rendered row is where the kind goes
+        head, text = "k_star,kind,residual\n", lambda b: csv_rows(rows[b]).replace(",", f",{kind.value},")
     else:
-        w(f"resonances (kind={kind.value}) in [{k_min:.12g}, {k_max:.12g}]: "
-          f"{len(result.resonances)} found\n")
-        for r in result.resonances:
-            w(f"k* = {r.k_star:.15g}   residual = {r.residual:.6e}\n")
-    return _Output(EXIT_OK, lines, result.warnings)
+        head = f"resonances (kind={kind.value}) in [{k_min:.12g}, {k_max:.12g}]: {len(rows)} found\n"
+        text = lambda b: "k* = %.15g   residual = %.6e\n" * len(rows[b]) % tuple(rows[b].flat)
+    return _Output(EXIT_OK, _blocks(head, len(rows), text), found.warnings)
 
 
 def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:

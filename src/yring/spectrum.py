@@ -24,7 +24,7 @@ import hashlib
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -127,12 +127,21 @@ class Resonance:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceSearch:
-    """Resonances found by enumeration or by scan-and-refine, with the warnings of _cross_check."""
+    """A search of one kind: its lines (k*, residual) as one read-only array, in increasing k*, and its warnings."""
 
-    resonances: tuple[Resonance, ...]
-    warnings: tuple[str, ...] = field(default=())
+    kind: ResonanceKind
+    lines: np.ndarray
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        self.lines.setflags(write=False)
+
+    @functools.cached_property
+    def resonances(self) -> tuple[Resonance, ...]:
+        """The rows as Resonance values, built on first access."""
+        return tuple(Resonance(k_star=k, kind=self.kind, residual=r) for k, r in self.lines.tolist())
 
 
 def config_fingerprint(cfg: RingConfig) -> str:
@@ -354,7 +363,7 @@ def find_resonances(
 
     minima = cfg._minima[0 if transmission else 1]
     if minima is not None and minima[1] >= tol:
-        return ResonanceSearch(resonances=())  # every minimum reads at least tol: nothing to evaluate
+        return ResonanceSearch(kind, np.empty((0, 2)))  # every minimum reads at least tol: nothing to evaluate
     expected = _expected_resonances(cfg, kind, k_min, k_max)
     if expected is not None:
         positions, least = expected
@@ -364,20 +373,17 @@ def find_resonances(
         ks[1::2] = positions[start:stop]
         ks[0::2] = 0.5 * (positions[start - 1:stop] + positions[start:stop + 1])
         values = on_grid(ks)[1]
-        lines = np.maximum(values[:-1:2], values[2::2]) > tol
-        results = [Resonance(k_star=k_star, kind=kind, residual=residual)
-                   for k_star, residual in zip(ks[1::2][lines].tolist(), values[1::2][lines].tolist())]
-        found = tuple(r for r in results if r.residual < tol)
+        rows = np.column_stack((ks[1::2], values[1::2]))[np.maximum(values[:-1:2], values[2::2]) > tol]
+        below = rows[:, 1] < tol
         if least == 0.0:
             warnings = _cross_check(
-                [r for r in results if not r.residual < tol],
-                "analytic resonance at k={0.k_star:.12g} has residual {0.residual:.3e}, not below tol",
+                rows[~below], "analytic resonance at k={0:.12g} has residual {1:.3e}, not below tol",
                 "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol")
         else:
             warnings = _cross_check(
-                found, "found minimum at k={0.k_star:.12g} (residual {0.residual:.3e}) has no analytic counterpart",
+                rows[below], "found minimum at k={0:.12g} (residual {1:.3e}) has no analytic counterpart",
                 "{} more found minima in [{:.12g}, {:.12g}] have no analytic counterpart")
-        return ResonanceSearch(resonances=found, warnings=tuple(warnings))
+        return ResonanceSearch(kind, rows[below], warnings)
 
     def probe(k: float) -> tuple[complex, float]:
         try:
@@ -416,16 +422,16 @@ def find_resonances(
                 reply = probe(brackets[j].send(reply))
         except StopIteration as stop:
             brackets[j] = stop.value
-    return ResonanceSearch(resonances=tuple(Resonance(k_star=k_star, kind=kind, residual=residual)
-                                            for k_star, residual in brackets if residual < tol))
+    rows = np.array(brackets).reshape(-1, 2)
+    return ResonanceSearch(kind, rows[rows[:, 1] < tol])
 
 
-def _cross_check(flagged: list[Resonance], each: str, rest: str) -> list[str]:
-    """Warnings for the results the analytic positions do not confirm, in the order given.
+def _cross_check(flagged: np.ndarray, each: str, rest: str) -> tuple[str, ...]:
+    """Warnings for the rows (k*, residual) the analytic positions do not confirm, in the order given.
 
-    each formats one result, rest the count and range of those beyond the
+    each formats one row, rest the count and range of those beyond the
     first _WARNINGS_KEPT (10), which it stands for in one line.
     """
-    beyond = [r.k_star for r in flagged[_WARNINGS_KEPT:]]
+    beyond = flagged[_WARNINGS_KEPT:, 0].tolist()
     counted = [rest.format(len(beyond), min(beyond), max(beyond))] if beyond else []
-    return [each.format(r) for r in flagged[:_WARNINGS_KEPT]] + counted
+    return tuple([each.format(*row) for row in flagged[:_WARNINGS_KEPT].tolist()] + counted)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yring import JunctionParams, cli, ring
+from yring import JunctionParams, ResonanceKind, ResonanceSearch, cli, ring
 from yring.cli import main
 from yring.config import _JUNCTION_FIELDS, ConfigError, load_config, parse_angle
 
@@ -258,6 +258,34 @@ class TestFindCommand:
         assert lines[0] == "k_star,kind,residual"
         assert len(lines) == 3
         assert all(",reflection," in l for l in lines[1:])
+
+    @staticmethod
+    def hand_built_lines(n: int) -> np.ndarray:
+        """n rows (k*, residual): the edge values first, then seeded doubles of 17 significant digits."""
+        edges = [(1000.0, 0.0), (1e5, 5e-324), (0.1 + 0.2, 2.0 / 3.0 * 1e-9), (PI, 1e-8 - 1e-24)][:n]
+        rng = np.random.default_rng(n)
+        rows = np.column_stack((rng.uniform(1.0, 2e5, n), rng.uniform(0.0, 1e-8, n) * rng.random(n) ** 40))
+        rows[:len(edges)] = np.reshape(edges, (-1, 2))
+        return rows
+
+    @pytest.mark.parametrize("n", [0, 1, 512, 513, 1100])
+    @pytest.mark.parametrize("kind", list(ResonanceKind))
+    def test_output_bytes_of_a_hand_built_search(self, tmp_path, capsys, monkeypatch, kind, n):
+        # both outputs against a per-line f-string of their format; n runs across _CSV_BLOCK (512 rows)
+        rows = self.hand_built_lines(n)
+        assert n < 3 or float(f"{rows[2, 0]:.16g}") != rows[2, 0]  # 0.30000000000000004 needs 17 digits
+        search = ResonanceSearch(kind, rows, ("a warning",))
+        monkeypatch.setattr(cli, "find_resonances", lambda *args, **kwargs: search)
+        argv = ["find", "--config", SYMMETRIC_CFG, "--kind", kind.value, "--k-min", "0.5", "--k-max", "2e5"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"resonances (kind={kind.value}) in [0.5, 200000]: {n} found\n" + "".join(
+            f"k* = {k:.15g}   residual = {r:.6e}\n" for k, r in rows.tolist())
+        assert captured.err == "warning: a warning\n"
+        out = tmp_path / "found.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == ("k_star,kind,residual\n" + "".join(
+            f"{k:.17g},{kind.value},{r:.17g}\n" for k, r in rows.tolist())).encode()
 
     WARNING_ARGV = ["find", "--config", SYMMETRIC_CFG, "--k-min", "0.5", "--k-max", "10",
                     "--kind", "transmission", "--tol", "1e-300"]  # 3 analytic resonances, none below tol

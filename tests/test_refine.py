@@ -9,7 +9,11 @@ for rounds of at least `_LOCKSTEP_LEAST` open brackets, on the grid kernel,
 so `RefineCount` counts both.
 """
 
+import importlib
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +31,10 @@ from yring import (
     perfect_transmission_target,
     spectrum,
 )
+from yring.config import load_config
 from yring.spectrum import _expected_resonances
 
+REPO = Path(__file__).resolve().parent.parent
 PI = math.pi
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = np.finfo(float).eps
@@ -500,3 +506,33 @@ class TestNewtonRefine:
             grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min), 1e-8
         ), probe)
         assert min(abs(k_star - k) for k in zeros) < 1e-11
+
+
+def test_what_the_benchmark_tracer_reads(monkeypatch):
+    """ROADMAP item 1: delete this test when the benchmark's tracer is rebuilt.
+
+    The traced smoke run divides `spectrum.find.eval_us` by the solve_auto
+    calls made inside find, wraps the refine by its private name, and its
+    `us()` in perfbench/run.py raises on a span with no calls.  A change
+    that stops find from probing on solve_auto, or moves a span's function,
+    fails that run while every untraced run still passes.
+    """
+    # general_ring over the benchmark's find window: one point probe per kind today
+    ring = load_config(REPO / "configs" / "general_ring.json").ring
+    count = RefineCount(monkeypatch)
+    for kind in ResonanceKind:
+        count.reset()
+        find_resonances(ring, 3.0, 4.5, kind)
+        assert len(count.points) >= 1, kind
+    assert inspect.isgeneratorfunction(spectrum._golden_minimize)
+    names = re.findall(r'\bus\("([\w.]+)"\)', (REPO / "perfbench" / "run.py").read_text())
+    assert "ring.solve_auto.general" in names and len(names) >= 10
+    for name in names:
+        layer, attr = name.split(".")[:2]  # ring.solve_auto.<mode> is a span of ring.solve_auto
+        module = importlib.import_module(f"yring.{layer}")
+        if name == "junction.validate":  # the tracer's own span of ScatteringMatrix.__post_init__
+            assert callable(module.ScatteringMatrix.__post_init__)
+            continue
+        function = getattr(module, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(function), name
+        assert function.__module__ == module.__name__, name

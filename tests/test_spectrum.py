@@ -548,7 +548,8 @@ class TestEnumeration:
         cfg = beam_cfg(b=PI / 4 - 1e-9)
         kind = ResonanceKind.PERFECT_TRANSMISSION
         assert _expected_resonances(cfg, kind, 0.5, 10.0)[0].size
-        assert find_resonances(cfg, 0.5, 10.0, kind) == spectrum.ResonanceSearch(resonances=())
+        found = find_resonances(cfg, 0.5, 10.0, kind)
+        assert (found.resonances, found.warnings) == ((), ())
 
     def test_broad_zeros_of_a_scale_invariant_node(self):
         # the scale-invariant counterpart of TIME_REVERSAL_NODE: the same
@@ -692,7 +693,8 @@ class TestArmMinima:
         assert abs(solve_auto(cfg, in_window(positions, 1e4, 1e5)[0]).F) ** 2 == pytest.approx(least, rel=1e-12)
         with monkeypatch.context() as patched:
             patched.setattr(spectrum, "_solve_grid_columns", None)  # an evaluation would raise
-            assert find_resonances(cfg, 1e4, 1e5, kind) == spectrum.ResonanceSearch(resonances=())
+            found = find_resonances(cfg, 1e4, 1e5, kind)
+            assert (found.resonances, found.warnings) == ((), ())
         # below tol, each of the 28,648 minima is read, reported and a warning
         result = find_resonances(cfg, 1e4, 1e5, kind, tol=0.5)
         assert len(result.resonances) == 28_648 and len(result.warnings) == 11
@@ -725,7 +727,8 @@ class TestArmMinima:
         assert least == pytest.approx(0.576, abs=1e-3)
         monkeypatch.setattr(spectrum, "_solve_grid_columns", None)  # an evaluation would raise
         monkeypatch.setattr(spectrum, "solve_auto", None)
-        assert find_resonances(cfg, 0.5, 10.0, kind) == spectrum.ResonanceSearch(resonances=())
+        found = find_resonances(cfg, 0.5, 10.0, kind)
+        assert (found.resonances, found.warnings) == ((), ())
 
     def test_decoupled_rings_stay_on_the_scan(self):
         # |h11| = 1: F vanishes identically, and its noise dips are no minima
@@ -750,3 +753,16 @@ class TestResonanceValue:
         clones = [pickle.loads(pickle.dumps(r, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for clone in clones + [copy.copy(r), copy.deepcopy(r)]:
             assert clone == r and clone.kind is ResonanceKind.PERFECT_TRANSMISSION
+
+    @pytest.mark.parametrize("scanned", [False, True])
+    @pytest.mark.parametrize("kind", list(ResonanceKind))
+    def test_a_search_holds_its_lines_as_one_read_only_array(self, monkeypatch, kind, scanned):
+        if scanned:
+            monkeypatch.setattr(spectrum, "_expected_resonances", lambda *args: None)
+        result = find_resonances(load_config(CONFIG_DIR / "symmetric_buttiker.json").ring, 0.5, 10.0, kind)
+        assert result.kind is kind and result.lines.dtype == float
+        assert result.lines.shape == ((3, 2) if kind is ResonanceKind.PERFECT_TRANSMISSION else (0, 2))
+        assert not result.lines.flags.writeable
+        assert result.resonances is result.resonances  # built once, on first access
+        assert [(r.k_star, r.kind, r.residual) for r in result.resonances] == [
+            (k, kind, residual) for k, residual in result.lines.tolist()]

@@ -27,8 +27,10 @@ commands=(
 )
 csv_commands=()
 for kind in transmission reflection; do
-    commands+=("find --k-min 3 --k-max 4.5 --kind $kind" "find --k-min 1 --k-max 1000 --kind $kind")
-    csv_commands+=("find --k-min 1 --k-max 1000 --kind $kind")
+    # the wide windows hold up to 57,296 enumerated lines on the scale-invariant configs
+    wide=("find --k-min 1 --k-max 1000 --kind $kind" "find --k-min 1e4 --k-max 1e5 --kind $kind")
+    commands+=("find --k-min 3 --k-max 4.5 --kind $kind" "${wide[@]}")
+    csv_commands+=("${wide[@]}")
 done
 
 run() {  # run NAME ARGS...: one CLI call on $config, its streams and exit code under $dir
