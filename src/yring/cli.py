@@ -37,13 +37,11 @@ from .ring import (
     DegenerateRingError,
     RingConfig,
     _algebraic_grid,
-    _resolvent_forms,
-    _solved_grid,
     flux_defect,
     ring_matrices,
     solve_algebraic,
     solve_auto,
-    solve_closed_form,
+    solve_grid,
     solve_series,
 )
 from .smallmat import unitarity_error
@@ -254,30 +252,31 @@ def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.r
 
 
 def _check_ring(out: list[str], ring: RingConfig, rng: np.random.Generator) -> bool:
-    # Agreement of the resolvent, the bounce series and the algebraic solve,
-    # and flux conservation, at _CHECK_KS seeded wavenumbers.  The node arrays,
-    # the resolvent and the algebraic solve run on the grid kernel over all of
-    # them, the series one wavenumber at a time.  The walk below raises at the
-    # first wavenumber where the per-point calls would, with their error.
+    # Agreement of the production route (solve_grid, the route of every
+    # command), the bounce series and the algebraic solve, and flux
+    # conservation, at _CHECK_KS seeded wavenumbers, all but the series on
+    # the grid kernel.  The walk below raises at the first wavenumber where
+    # the per-point calls would, with their error: solve_grid stops short of
+    # the first rejected one.
     ks = rng.uniform(0.1, 12.0, _CHECK_KS)
     with np.errstate(all="ignore"):  # rejected and degenerate rows, raised below
         accepted, s, t = ring._route.node_entries(ks)
-        closed, degenerate = _solved_grid(s, t, *_resolvent_forms(s, t))
         algebraic, regular = _algebraic_grid(s, t)
-        closed, algebraic = np.array(closed).T, np.array(algebraic).T  # (n, 6): A..F per row
-    series = np.empty_like(closed)
+        algebraic = np.array(algebraic).T  # (n, 6): A..F per row
+    routed, degenerate = solve_grid(ring, ks[:ks.size if accepted.all() else np.argmin(accepted)])
+    series = np.empty_like(algebraic)
     for i, k in enumerate(ks.tolist()):
         if not accepted[i]:
             ring_matrices(ring, k)  # raises at this wavenumber
         s1 = ScatteringMatrix(m=s[..., i], k=k, xi=float(ring.xi1), orientation=Orientation.INWARD)
         s2 = ScatteringMatrix(m=t[..., i], k=k, xi=float(ring.xi2), orientation=Orientation.OUTWARD)
         if degenerate[i]:
-            closed[i] = solve_closed_form(s1, s2).to_array()  # raises where the point is degenerate too
+            routed[i] = solve_auto(ring, k).to_array()  # raises where the point is degenerate too
         series[i] = solve_series(s1, s2, tol=1e-12, max_terms=2**24)[0].to_array()
         if not regular[i]:
             algebraic[i] = solve_algebraic(s1, s2).to_array()
-    worst_pair = np.abs([closed - series, closed - algebraic, series - algebraic]).max()
-    worst_flux = np.abs(np.abs(closed[:, 0]) ** 2 + np.abs(closed[:, 5]) ** 2 - 1.0).max()
+    worst_pair = np.abs([routed - series, routed - algebraic, series - algebraic]).max()
+    worst_flux = np.abs(np.abs(routed[:, 0]) ** 2 + np.abs(routed[:, 5]) ** 2 - 1.0).max()
     ok = _check_line(out, "three-way solver agreement", worst_pair, 1e-10)
     return ok & _check_line(out, "flux conservation", worst_flux, 1e-10)
 

@@ -36,9 +36,11 @@ def parse_angle(value: Any, where: str) -> float:
         return _float(value, where)
     if isinstance(value, str) and value.startswith("pi:"):
         try:
-            return float(value[3:]) * math.pi
+            x = float(value[3:])
         except ValueError:
             raise ConfigError(f"{where}: malformed pi-multiple {value!r}") from None
+        # fmod is exact: every integer multiple of pi is stored as exactly 0, pi or -pi
+        return math.fmod(x, 2.0) * math.pi if math.isfinite(x) else x
     raise ConfigError(f"{where}: expected a number or 'pi:<x>', got {value!r}")
 
 

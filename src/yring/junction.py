@@ -37,8 +37,7 @@ from .smallmat import (
 
 TWO_PI = 2.0 * math.pi
 
-#: Tolerance of the angle-based predicates; looser than the arithmetic
-#: tolerance because users typically type truncated decimals for pi.
+#: Tolerance of is_time_reversal on max |U - U^T|.
 PREDICATE_TOL = 1e-9
 
 
@@ -307,19 +306,14 @@ def is_time_reversal(p: JunctionParams) -> bool:
     return max_norm(u - u.T) <= PREDICATE_TOL
 
 
-def _dist_to_0_or_pi(theta: float) -> float:
-    # theta is canonical in [0, 2*pi)
-    return min(theta, TWO_PI - theta, abs(theta - math.pi))
-
-
 def is_scale_invariant(p: JunctionParams) -> bool:
-    """True when every eigenphase is 0 or pi (mod 2*pi) within PREDICATE_TOL.
+    """True when every canonical eigenphase is exactly 0.0 or math.pi, with no tolerance.
 
     For such nodes the boundary condition splits into value and derivative
     parts, the length scale drops out, and scattering probabilities become
-    independent of k.
+    independent of k.  A config's 'pi:<n>' stores every integer n exactly so.
     """
-    return all(_dist_to_0_or_pi(t) <= PREDICATE_TOL for t in p.theta)
+    return all(t in (0.0, math.pi) for t in p.theta)
 
 
 def buttiker_matrix(b: float) -> Mat3:
@@ -347,12 +341,13 @@ def gauge_shift(p: JunctionParams, new_L0: float) -> JunctionParams:
 
     The eigenphases transform so that L0 * cot(theta_i / 2) is preserved,
     which leaves the scattering matrix invariant at every wavenumber.
-    Eigenphases 0 and pi are fixed points.
+    Eigenphases 0 and pi are fixed points, returned unchanged.
     """
     if not (math.isfinite(new_L0) and new_L0 > 0.0):
         raise ValueError(f"new_L0 must be positive and finite, got {new_L0!r}")
     ratio = p.L0 / new_L0
     new_theta = tuple(
-        2.0 * math.atan2(math.sin(t / 2.0), ratio * math.cos(t / 2.0)) for t in p.theta
+        t if t in (0.0, math.pi) else 2.0 * math.atan2(math.sin(t / 2.0), ratio * math.cos(t / 2.0))
+        for t in p.theta
     )
     return replace(p, theta=new_theta, L0=new_L0)

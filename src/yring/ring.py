@@ -34,6 +34,7 @@ from .junction import (
     _Node,
     _s_array,
     _s_grid,
+    build_U,
     build_V,
     is_scale_invariant,
 )
@@ -496,9 +497,9 @@ def solve_symmetric_scale_invariant(cfg: RingConfig, k: float) -> RingAmplitudes
     """Fabry-Perot closed form of every symmetric ring: Symmetric, or General with right == left.
 
     Any node gives t0 = s0^dagger, so s s~ has the eigenvalues g and g |s11|^2 (g = exp(2ik(xi1-xi2))),
-    the common denominator is 1 - g |s11|^2, and perfect transmission (A = 0) happens exactly at
-    g = 1 unless |s11| = 1 (a decoupled exterior wire).  It needs no scale invariance; it keeps
-    its name because the benchmark's tracer times it by that name.
+    the common denominator is 1 - g |s11|^2, and perfect transmission (A = 0) happens at g = 1
+    unless |s11| = 1 (a decoupled exterior wire), and where s11(k) = 0.  It needs no scale
+    invariance; it keeps its name because the benchmark's tracer times it by that name.
     """
     return _closed_form_route(cfg, _symmetric_forms).closed_form(k)
 
@@ -609,8 +610,7 @@ def reflection_core(p: JunctionParams) -> Mat3:
     if not is_scale_invariant(p):
         raise ValueError("reflection_core requires a scale-invariant node")
     v = build_V(p)
-    # +1 for an eigenphase nearer 0 (or 2 pi) than pi, -1 otherwise
-    signs = np.array([1.0 if min(t, 2.0 * math.pi - t) <= abs(t - math.pi) else -1.0 for t in p.theta])
+    signs = np.array([1.0 if t == 0.0 else -1.0 for t in p.theta])  # exp(i theta), exactly
     return (v * signs) @ v.conj().T
 
 
@@ -644,17 +644,19 @@ def _transmission_ratio(s) -> float | None:
 
 
 def _arm_minima(cfg: RingConfig) -> tuple:
-    """Where |A|^2 and |F|^2 of a scale-invariant symmetric or antisymmetric ring are least, and how low.
+    """Where |A|^2 and |F|^2 of a ring on a closed form (its route's forms) are least, and how low.
 
-    The node's matrix does not depend on k, so each probability is a function
-    of c = cos(2k(xi1-xi2)) alone.  Returns one entry for A and one for F:
-    None where there is no prediction (a General ring, a node that is not
-    scale invariant, a trivial or degenerate one), else (c, least): every
-    minimum lies on that c, and reads least there (0 for a zero).
+    Returns one entry for A and one for F: None where there is no prediction
+    (the resolvent, a trivial or degenerate node), else (c, least): every
+    minimum lies on c = cos(2k(xi1-xi2)), and reads least there (0 for a zero).
+    A node is trivial when the exterior wire lies in one eigenspace of U, so
+    |A| = 1 identically (||U00| - 1| < 1e-9), or when it is scale invariant
+    and A = 0 identically (|U00| < 1e-9); U00 is then h11 of reflection_core.
 
-    * Symmetric: A vanishes at c = 1; |F| = (1 - rho)/|1 - rho g| (rho =
-      |h11|^2) does not, and is least at c = -1.  A node with |h11| within
-      1e-9 of 0 or 1 is trivial: A or F vanishes identically.
+    * Symmetric: A = (1 - g) s11 / (1 - g |s11|^2) vanishes at c = 1 and where
+      s11 does.  On a scale-invariant node s11 = h11, and |F| = (1 - rho) /
+      |1 - rho g| (rho = |h11|^2) is least at c = -1.  Another node predicts A
+      alone, if |s11(k)| >= m = 2 max_j |V0j|^2 - 1 > 0.1: |A|^2 >= m^2 sin^2(k dxi).
     * Antisymmetric: F vanishes at c = 1 unless the interior couplings or the
       denominator there vanish, and A at perfect_transmission_target's
       cosine c*.  With c* out of range (and the node not trivial), |A|^2 =
@@ -663,14 +665,17 @@ def _arm_minima(cfg: RingConfig) -> tuple:
       c = -1, at c = 1, or where its derivative vanishes, at
       c_m = -(2 q0 + q1 c*) / (q1 + 2 q2 c*).
     """
-    if isinstance(cfg.mode, General) or not is_scale_invariant(cfg.left):
+    forms, scale_invariant = cfg._route.forms, is_scale_invariant(cfg.left)
+    if forms is None:
         return None, None
-    s = reflection_core(cfg.left).tolist()
+    s = (reflection_core(cfg.left) if scale_invariant else build_U(cfg.left)).tolist()
     h11 = s[0][0]
     rho = abs(h11) ** 2
-    trivial = abs(h11) < 1e-9 or abs(abs(h11) - 1.0) < 1e-9
-    if isinstance(cfg.mode, Symmetric):
-        return (None, None) if trivial else ((1.0, 0.0), (-1.0, ((1.0 - rho) / (1.0 + rho)) ** 2))
+    trivial = abs(abs(h11) - 1.0) < 1e-9 or (scale_invariant and abs(h11) < 1e-9)
+    if forms is _symmetric_forms:
+        lattice = scale_invariant or 2.0 * float(np.abs(build_V(cfg.left)[0]).max()) ** 2 - 1.0 > 0.1
+        reflection = (-1.0, ((1.0 - rho) / (1.0 + rho)) ** 2) if scale_invariant else None
+        return (None, None) if trivial else ((1.0, 0.0) if lattice else None, reflection)
     trm = _anti_trace(s)
     coupling = 2.0 * (s[2][0].conjugate() * s[1][0]).real
     reflection = None if abs(coupling) < 1e-9 or abs(1.0 - trm + rho) < 1e-9 else (1.0, 0.0)

@@ -4,9 +4,9 @@ A sweep evaluates the ring amplitudes on a uniform wavenumber grid with the
 batched kernel `solve_grid`; isolated singular points are kept in the output
 with a degenerate flag so downstream tables stay grid-aligned.  The
 resonance finder evaluates the searched amplitude (A or F) alone, on the
-same kernel.  On non-trivial scale-invariant symmetric and antisymmetric
-rings the probability depends on k through cos(2 k dxi) alone, so it
-enumerates the analytic positions of its minima, zeros or not, and keeps
+same kernel.  Where the ring's minima lie on one value of cos(2 k dxi) (a
+scale-invariant ring; a symmetric ring's transmission, bar nodes whose s11
+can vanish), it enumerates their analytic positions, zeros or not, and keeps
 those that read below the requested tolerance, in one kernel call (in none
 where the minima are not zeros and their analytic value is not below it).
 On every other ring it scans the probability, brackets every strict local
@@ -266,10 +266,10 @@ def _expected_resonances(
 ) -> tuple[np.ndarray, float] | None:
     """Analytic positions of the minima of the searched probability, None when there is no prediction.
 
-    On a scale-invariant symmetric or antisymmetric ring the node's matrix
-    does not depend on k, so |A|^2 and |F|^2 depend on k through
-    cos(2 k dxi) alone, and every minimum lies where it equals a constant
-    c of the ring (ring._arm_minima, computed once per ring): on the lines
+    Where ring._arm_minima (computed once per ring) predicts them, every
+    minimum lies where cos(2 k dxi) equals a constant c of the ring (a
+    scale-invariant node's matrix does not depend on k; the symmetric ring's
+    A vanishes only there when |s11| is bounded away from 0): on the lines
     n pi/dxi for c = 1, halfway between them for c = -1, else acos(c)/(2 dxi)
     to either side of each line.  Returns the sorted positions in the window
     together with at least one beyond each end (those below 0 clamped to 0),
@@ -314,19 +314,18 @@ def find_resonances(
     tol must lie strictly between 0 and 1: probabilities are at most 1, so
     with tol >= 1 no candidate could have a neighbour above it.
 
-    Where _expected_resonances gives the positions of the minima
-    (scale-invariant symmetric and antisymmetric rings, bar the trivial and
-    degenerate nodes of ring._arm_minima) there is no scan.  Minima that are
-    not zeros (the symmetric ring's reflection, an antisymmetric
-    transmission target out of range) whose analytic value is at least tol
-    hold no line, and nothing is evaluated.  Otherwise one kernel call
-    evaluates each position in the window and the midpoints to its
-    neighbours.  A position reading below tol is reported at its analytic
-    float with that reading as its residual, unless neither midpoint exceeds
-    tol (an identically vanishing amplitude).  A zero reading at or above
-    tol is a warning; so is each minimum reported that is not a zero, and
-    one that reads at or above tol is dropped.  No line is missed however
-    narrow or close to another, and scan_n is not used.
+    Where _expected_resonances gives the positions of the minima (see
+    ring._arm_minima) there is no scan.  Minima that are not zeros (the
+    symmetric ring's reflection, an antisymmetric transmission target out of
+    range) whose analytic value is at least tol hold no line, and nothing is
+    evaluated.  Otherwise one kernel call evaluates each position in the
+    window and the midpoints to its neighbours.  A position reading below
+    tol is reported at its analytic float with that reading as its residual,
+    unless neither midpoint exceeds tol (an identically vanishing
+    amplitude).  A zero reading at or above tol is a warning; so is each
+    minimum reported that is not a zero, and one that reads at or above tol
+    is dropped.  No line is missed however narrow or close to another, and
+    scan_n is not used.
 
     Otherwise it scans scan_n points and brackets the strict local minima,
     except where both neighbours are below tol (the same vanishing rule) or

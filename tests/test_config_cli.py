@@ -374,6 +374,14 @@ def with_nan_amplitude(grid):
     return wrapped
 
 
+def with_nan_row(solve_grid):
+    """solve_grid whose amplitudes are NaN at the middle wavenumber of cmd_check's grid."""
+    def wrapped(*args):
+        amps, degenerate = solve_grid(*args)
+        return nan_row(amps), degenerate
+    return wrapped
+
+
 def with_nan_series(solve_series):
     """solve_series whose amplitude A is NaN at the middle one of cmd_check's calls."""
     calls = []
@@ -395,7 +403,7 @@ def with_nan_residual(residual):
 #: The cli name that each NaN injection wraps, and its wrapper.
 NAN_INJECTIONS = {
     "series": ("solve_series", with_nan_series),
-    "resolvent": ("_solved_grid", with_nan_amplitude),
+    "resolvent": ("solve_grid", with_nan_row),  # general_ring's route
     "algebraic": ("_algebraic_grid", with_nan_amplitude),
     "residual": ("_residual", with_nan_residual),
 }
@@ -476,7 +484,7 @@ class TestCheckCommand:
         # another: the earlier one ends the run, with its per-point error
         ks = check_wavenumbers(GENERAL_CFG, monkeypatch)
         capsys.readouterr()
-        solve_series, node_entries = cli.solve_series, ring._Route.node_entries
+        solve_series, node_entries, arrays = cli.solve_series, ring._Route.node_entries, ring._Route.arrays
 
         def failing_series(s1, s2, **kwargs):
             if s1.k == ks[fails_at]:
@@ -490,8 +498,13 @@ class TestCheckCommand:
             s[..., singular_at] = t[..., singular_at] = np.eye(3)
             return accepted, s, t
 
+        def decoupled_point(route, k):
+            # the same nodes on the per-point route, where solve_auto raises
+            return (np.eye(3, dtype=complex),) * 2 if k == ks[singular_at] else arrays(route, k)
+
         monkeypatch.setattr(cli, "solve_series", failing_series)
         monkeypatch.setattr(ring._Route, "node_entries", decoupled_row)
+        monkeypatch.setattr(ring._Route, "arrays", decoupled_point)
         assert main(["check", "--config", GENERAL_CFG]) == code
         out, err = capsys.readouterr()
         assert out == ""

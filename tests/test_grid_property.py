@@ -6,12 +6,9 @@ divide by nearly nothing; rings have every mode, arm lengths from 0.05 to
 10, and a grid of up to 160 wavenumbers.  Every draw is held to the contract
 of tests/test_grid.py against solve_auto, and each node's grid matrices to
 a few eps of the per-point ones.  Two rows of each draw, from the grid and
-from solve_auto, are held to the same bound against the 50-digit reference,
-except where solve_auto takes the antisymmetric closed form for a node only
-within PREDICATE_TOL of scale invariance: that form then models the node as
-exactly scale invariant, an error of the route, not of the kernel.  The
-symmetric closed form is exact for every node, so symmetric rings, near
-scale invariance or not, are held to the reference too.
+from solve_auto, are held to the same bound against the 50-digit reference:
+scale invariance is exact, so a node near it takes the resolvent, and the
+symmetric closed form is exact for every node.
 """
 
 import math
@@ -27,11 +24,9 @@ from test_grid import PRODUCT_TOL, contract_ratios, per_point, matrix_stack, uni
 from yring import (  # noqa: E402
     ANTISYMMETRIC,
     SYMMETRIC,
-    AntiSymmetric,
     General,
     JunctionParams,
     RingConfig,
-    is_scale_invariant,
     solve_grid,
 )
 from yring.junction import Orientation, _Node, _s_array, _s_grid  # noqa: E402
@@ -73,12 +68,6 @@ def grids(draw):
     return np.linspace(k_min, k_min + draw(st.floats(1e-6, 20.0)), draw(st.integers(3, 160)))
 
 
-def near_scale_invariant_closed_form(cfg) -> bool:
-    """solve_auto takes the antisymmetric closed form for a node that is not exactly scale invariant."""
-    exact = all(t in (0.0, math.pi) for t in cfg.left.theta)
-    return isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left) and not exact
-
-
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(cfg=rings(), ks=grids())
 def test_grid_within_contract(cfg, ks):
@@ -88,7 +77,7 @@ def test_grid_within_contract(cfg, ks):
     rows = np.flatnonzero(~degenerate)
     ratios = contract_ratios(cfg, ks[rows], amps[rows], reference[rows])
     assert (ratios <= 1.0).all(), f"{ratios.max():.3g} x the bound of solve_auto"
-    if near_scale_invariant_closed_form(cfg) or not rows.size:
+    if not rows.size:
         return
     sampled = rows[[0, -1]]
     exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks[sampled].tolist()])

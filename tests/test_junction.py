@@ -19,6 +19,7 @@ from yring import (
     s_matrix,
     unitarity_error,
 )
+from yring.config import parse_angle
 from yring.junction import canonical_angle
 from yring.smallmat import as_complex_matrix, as_vec3
 
@@ -337,6 +338,17 @@ class TestScaleInvariance:
         assert not is_scale_invariant(JunctionParams(theta=(0.3, PI, PI)))
         assert is_scale_invariant(JunctionParams(theta=(2 * PI, PI, 3 * PI)))
 
+    def test_exact_on_integer_multiples_of_pi(self):
+        # no tolerance: every 'pi:<n>' is stored as exactly 0 or pi, gauge_shift
+        # keeps them, and one ulp off pi is not scale invariant
+        for n in range(-101, 102):
+            p = JunctionParams(theta=(parse_angle(f"pi:{n}", "theta"), 0.0, PI), beta=0.4)
+            assert is_scale_invariant(p), n
+            for new_L0 in (1e-3, 0.1, 10.0, 1e3):
+                assert is_scale_invariant(gauge_shift(p, new_L0)), (n, new_L0)
+        for off in (math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)):
+            assert not is_scale_invariant(JunctionParams(theta=(0.0, off, PI)))
+
 
 class TestButtikerMatrix:
     def test_b_zero(self):
@@ -361,8 +373,7 @@ class TestGaugeShift:
     def test_fixed_points(self):
         p = JunctionParams(theta=(0.0, PI, 1.0), L0=1.0)
         q = gauge_shift(p, 17.0)
-        assert q.theta[0] == 0.0
-        assert q.theta[1] == pytest.approx(PI, abs=1e-12)
+        assert q.theta[:2] == (0.0, PI)
         assert q.L0 == 17.0
 
     def test_half_pi_eigenphase_doubling(self):

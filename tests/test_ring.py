@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_ring_solve, mp_resolvent_amplitudes, random_params
-from test_grid import CONFIG_DIR, DEGENERATE_MESSAGE, ONE_WIRE_K, ONE_WIRE_RING
+from test_grid import CONFIG_DIR, DEGENERATE_MESSAGE, ONE_WIRE_K, ONE_WIRE_RING, contract_ratios
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -846,13 +846,31 @@ class TestSolveAuto:
         direct = solve_closed_form(*ring_matrices(cfg, k))
         assert np.abs(solve_auto(cfg, k).to_array() - direct.to_array()).max() == 0.0
 
-    @pytest.mark.xfail(strict=True, reason="the antisymmetric closed form takes a node within PREDICATE_TOL "
-                       "of scale invariance as exactly scale invariant (ROADMAP item 5)")
     def test_near_scale_invariant_node_meets_the_reference(self):
-        # The closed form is off by 2.5e-8 here, the resolvent by 4.7e-16.
+        # Scale invariance is exact, so this node takes the resolvent, off by
+        # 4.7e-16; the antisymmetric closed form, which models the node as
+        # scale invariant, was off by 2.5e-8.
         left = JunctionParams(theta=(PI - 3.5e-10, PI + 8.7e-10, -2.7e-10), alpha=3.01, beta=1.0037,
                               gamma=4.6155, delta=0.7142, a=2.4582, b=3.2468, L0=0.96)
         cfg = RingConfig(left=left, mode=ANTISYMMETRIC, xi1=1.3, xi2=0.2)
+        assert cfg._route.forms is None
         k = 4.1
         exact = mp_resolvent_amplitudes(*cfg._route.arrays(k))
         assert np.abs(solve_auto(cfg, k).to_array() - exact).max() <= 1e-12
+
+    def test_near_scale_invariant_corpus_meets_the_reference(self):
+        # 40 antisymmetric rings whose eigenphases lie within 1e-9 of 0 or pi,
+        # none on them, at 3 wavenumbers each: the point and the grid route
+        # meet the 50-digit solve within the grid contract
+        rng = np.random.default_rng([32, 40])
+        for _ in range(40):
+            centres = rng.choice([0.0, PI], size=3)
+            offsets = rng.uniform(1e-11, 1e-9, size=3) * rng.choice([-1.0, 1.0], size=3)
+            left = dataclasses.replace(random_params(rng), theta=tuple(centres + offsets))
+            xi2 = float(rng.uniform(-2.0, 1.0))
+            cfg = RingConfig(left=left, mode=ANTISYMMETRIC, xi1=xi2 + float(rng.uniform(0.1, 3.0)), xi2=xi2)
+            ks = rng.uniform(0.01, 5.0, 3)
+            exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks.tolist()])
+            points = np.array([solve_auto(cfg, k).to_array() for k in ks.tolist()])
+            for got in (points, solve_grid(cfg, ks)[0]):
+                assert (contract_ratios(cfg, ks, got, exact) <= 1.0).all(), cfg

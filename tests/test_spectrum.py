@@ -30,7 +30,8 @@ from yring import (
 from yring import ring, spectrum
 from yring.cli import main
 from yring.config import load_config
-from yring.junction import EULER_ANGLES, is_scale_invariant, is_time_reversal
+from yring.junction import EULER_ANGLES, build_V, is_scale_invariant, is_time_reversal
+from yring.ring import _solve_grid_columns
 from yring.spectrum import SCAN_PER_DECADE, _expected_resonances
 
 PI = math.pi
@@ -569,6 +570,58 @@ class TestEnumeration:
         i = int(np.searchsorted(grid, PI))
         assert all(abs(solve_auto(cfg, k).F) ** 2 < 1e-9 for k in grid[i - 2:i + 2])
 
+    def test_symmetric_rings_of_nodes_that_are_not_scale_invariant(self):
+        # A = (1 - g) s11 / (1 - g |s11|^2) vanishes on the lattice n pi/dxi, and
+        # where s11 does.  Where |s11| >= 2 max_j |V0j|^2 - 1 > 0.1 at every k,
+        # find reports exactly the lattice points that read below tol and warns
+        # on the others, and a 200,000-point scan of |A|^2 has no dip below tol
+        # off the lattice; the nodes below that bound are scanned
+        k_min, k_max, tol = 0.5, 10.0, 1e-8
+        kind, column = ResonanceKind.PERFECT_TRANSMISSION, (True,) + (False,) * 5
+        grid = np.linspace(k_min, k_max, 200_000)
+        rng = np.random.default_rng([32, 20])
+        enumerated = 0
+        while enumerated < 20:
+            cfg = random_ring(rng, "symmetric", False)
+            assert not is_scale_invariant(cfg.left)
+            bounded = 2.0 * np.abs(build_V(cfg.left)[0]).max() ** 2 - 1.0 > 0.1
+            assert (_expected_resonances(cfg, kind, k_min, k_max) is not None) == bounded, cfg
+            if not bounded:
+                continue
+            enumerated += 1
+            n = np.arange(math.ceil(k_min * cfg.dxi / PI), math.floor(k_max * cfg.dxi / PI) + 1, dtype=float)
+            lattice = n * PI / cfg.dxi
+            values = np.abs(solve_grid(cfg, lattice)[0][:, 0]) ** 2
+            found = find_resonances(cfg, k_min, k_max, kind, tol=tol)
+            assert found.lines[:, 0].tolist() == lattice[values < tol].tolist(), cfg
+            unread = int((values >= tol).sum())
+            assert len(found.warnings) == min(unread, 10) + (unread > 10), cfg
+            scan = np.abs(_solve_grid_columns(cfg, grid, column)[0][:, 0]) ** 2
+            mid = scan[1:-1]
+            dips = grid[1:-1][(mid < scan[:-2]) & (mid < scan[2:]) & (mid < tol)]
+            assert (np.abs(dips[:, None] - lattice).min(axis=1, initial=math.inf) <= grid[1] - grid[0]).all(), cfg
+        # equal exterior weights (1/2, 1/2, 0): s11 = (d1 + d2)/2 vanishes where the
+        # phases of d1 and d2 differ by pi, at k = sqrt(tan(1/2) |tan 2|), no
+        # lattice point; the node is scanned, and find reports that broad line too
+        cfg = RingConfig(left=JunctionParams(theta=(1.0, 4.0, 2.0), b=PI / 4), mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+        assert _expected_resonances(cfg, kind, k_min, k_max) is None
+        found = find_resonances(cfg, k_min, k_max, kind, tol=tol)
+        want = [math.sqrt(abs(math.tan(0.5) * math.tan(2.0))), PI, 2.0 * PI, 3.0 * PI]
+        assert found.lines[:, 0] == pytest.approx(want, rel=1e-12) and found.warnings == ()
+
+    def test_equal_nodes_of_a_general_ring_search_as_the_symmetric_ring(self):
+        # General(right=left) takes the symmetric ring's route, so its search too
+        buttiker = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        generic = dataclasses.replace(buttiker.left, theta=(0.9, 2.4, 4.1))
+        for node in (buttiker.left, generic):
+            symmetric = RingConfig(left=node, mode=SYMMETRIC, xi1=1.0, xi2=0.0)
+            general = RingConfig(left=node, mode=General(node), xi1=1.0, xi2=0.0)
+            for kind in ResonanceKind:
+                for k_min, k_max in ((0.5, 10.0), (1e4, 1e5)):
+                    want = find_resonances(symmetric, k_min, k_max, kind)
+                    got = find_resonances(general, k_min, k_max, kind)
+                    assert np.array_equal(got.lines, want.lines) and got.warnings == want.warnings
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the scan drops a zero whose samples all read below tol")
     def test_scan_keeps_broad_zeros(self):
         cfg = RingConfig(left=TIME_REVERSAL_NODE, mode=ANTISYMMETRIC, xi1=1.0, xi2=0.0)
@@ -731,12 +784,16 @@ class TestArmMinima:
         assert (found.resonances, found.warnings) == ((), ())
 
     def test_decoupled_rings_stay_on_the_scan(self):
-        # |h11| = 1: F vanishes identically, and its noise dips are no minima
-        for theta in ((0.0, 0.0, 0.0), (PI, PI, PI)):
-            cfg = RingConfig(left=JunctionParams(theta=theta, beta=0.7), mode=SYMMETRIC, xi1=4.0, xi2=0.0)
+        # |h11| = 1: F vanishes identically, and its noise dips are no minima;
+        # so on a node that is not scale invariant whose U leaves the exterior
+        # wire alone (every Euler angle 0), with no warning
+        nodes = [JunctionParams(theta=theta, beta=0.7) for theta in ((0.0, 0.0, 0.0), (PI, PI, PI))]
+        for node in nodes + [JunctionParams(theta=(0.9, 2.4, 4.1))]:
+            cfg = RingConfig(left=node, mode=SYMMETRIC, xi1=4.0, xi2=0.0)
             for kind in ResonanceKind:
                 assert _expected_resonances(cfg, kind, 4.0, 6.0) is None
-                assert find_resonances(cfg, 4.0, 6.0, kind).resonances == ()
+                found = find_resonances(cfg, 4.0, 6.0, kind)
+                assert (found.resonances, found.warnings) == ((), ())
 
 
 class TestResonanceValue:
