@@ -45,7 +45,7 @@ SCAN_PER_DECADE = 2048
 _SCAN_LEAST = 3
 
 #: Fewest open brackets whose next probes find_resonances takes in one call of
-#: the grid kernel; fewer probe on solve_auto one at a time.  On the shipped
+#: the grid kernel; smaller rounds probe on solve_auto.  On the shipped
 #: configs (2 vCPUs, numpy 2.4.6), one column of `_solve_grid_columns` costs
 #: 74-105 us at 1 wavenumber and 78-108 us at 9, and a prepared solve_auto
 #: 16-25 us: the grid call breaks even at 4 to 5 probes (BENCH_23.json).
@@ -176,7 +176,7 @@ def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     return Spectrum(k=k, amps=amps, degenerate=degenerate, fingerprint=config_fingerprint(cfg))
 
 
-def _golden_minimize(k, z, f, width: float, tol: float):
+def _golden_minimize(k, z, fx: float, width: float, tol: float):
     """Refine one scan bracket to the minimum of |z(k)|^2 by safeguarded Newton steps.
 
     A generator, so that find_resonances can probe all open brackets of a
@@ -184,7 +184,7 @@ def _golden_minimize(k, z, f, width: float, tol: float):
     (|z|^2 = inf where the ring is degenerate), and returns the best probe
     and its |z|^2 in its StopIteration.  k holds the bracket's three scan
     wavenumbers in increasing order, the middle one the lowest, z their
-    complex amplitudes and f = |z|^2.  Each step fits the complex quadratic
+    complex amplitudes and fx = |z[1]|^2.  Each step fits the complex quadratic
     through the best probe and the two latest and takes Newton's step on
     |z|^2 from its z' and z'', -Re(z* z') / (|z'|^2 + Re(z* z'')).  As in Brent's minimizer (Algorithms
     for Minimization without Derivatives, 1973), a golden-section step into
@@ -214,7 +214,7 @@ def _golden_minimize(k, z, f, width: float, tol: float):
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     decrement_floor = 2.0 * sys.float_info.epsilon  # g^2/h <= 4 eps f, with half-derivatives
     a, x, b = k
-    zx, fx = z[1], f[1]
+    zx = z[1]
     latest = [(k[0], z[0]), (k[2], z[2])]  # the two latest probes other than the best
     step = before = b - a
     newton_failed = trusted = False
@@ -287,8 +287,13 @@ def _expected_resonances(
         return None
     c, least = minima
     dxi = cfg.dxi
+    if k_max * dxi / math.pi >= 2.0**52:  # from here the lines, pi/dxi apart, are not distinct floats
+        raise ValueError(f"k_max must be below 2**52 pi/dxi = {2.0**52 * math.pi / dxi:.6g}, got k_max={k_max!r}")
     first, last = int(k_min * dxi / math.pi) - 1, int(k_max * dxi / math.pi) + 3
-    n = np.arange(max(0, first), last, dtype=float)
+    try:
+        n = np.arange(max(0, first), last, dtype=float)
+    except MemoryError as exc:
+        raise ValueError(f"too many lines in [{k_min!r}, {k_max!r}] to hold in memory ({exc})") from None
     if c == 1.0:
         return n * math.pi / dxi, least
     if c == -1.0:
@@ -325,7 +330,8 @@ def find_resonances(
     amplitude).  A zero reading at or above tol is a warning; so is each
     minimum reported that is not a zero, and one that reads at or above tol
     is dropped.  No line is missed however narrow or close to another, and
-    scan_n is not used.
+    scan_n is not used.  A ValueError refuses k_max dxi/pi >= 2**52 (the
+    lines are not distinct floats) and a lattice too large to allocate.
 
     Otherwise it scans scan_n points and brackets the strict local minima,
     except where both neighbours are below tol (the same vanishing rule) or
@@ -335,11 +341,10 @@ def find_resonances(
     of 1e-12 * (k_max - k_min) (see _golden_minimize); minima with
     probability below tol are kept.  A bracket stops early, and is dropped,
     once a Newton model that its last step validated keeps the minimum above
-    99 tol.  While at least _LOCKSTEP_LEAST brackets are open, each round
-    takes the next probe of every one in one kernel call, and fewer probe on
-    solve_auto; a grid row's last bits depend on the rows sharing its call,
-    so near a narrow line k* depends (the same on every run) on which
-    brackets share a round.
+    99 tol.  Each round takes the next probe of every open bracket, in one
+    kernel call while at least _LOCKSTEP_LEAST are open, else on solve_auto;
+    a grid row's last bits depend on its call's other rows, so near a narrow
+    line k* depends (the same on every run) on which brackets share a round.
     """
     if not isinstance(kind, ResonanceKind):
         raise ValueError(f"kind must be {ResonanceKind.PERFECT_TRANSMISSION} or {ResonanceKind.PERFECT_REFLECTION}, "
@@ -352,7 +357,7 @@ def find_resonances(
     scan_n = _check_count(scan_n, _SCAN_LEAST, "scan_n")
 
     transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
-    columns = tuple(i == (0 if transmission else 5) for i in range(6))  # A or F
+    columns = (transmission, False, False, False, False, not transmission)  # A or F
 
     def on_grid(ks) -> tuple[np.ndarray, np.ndarray]:
         amps, degenerate = _solve_grid_columns(cfg, ks, columns)
@@ -402,10 +407,10 @@ def find_resonances(
     dips = (mid < lo) & (mid < hi) & (rim > tol) & (rim > (1.0 + 64.0 * sys.float_info.epsilon) * mid)
     width = 1e-12 * (k_max - k_min)
     # each bracket's refine, replaced by its (k*, |z*|^2) when it returns
-    brackets = [_golden_minimize(grid[i - 1:i + 2].tolist(), target[i - 1:i + 2].tolist(),
-                                 values[i - 1:i + 2].tolist(), width, tol) for i in (np.flatnonzero(dips) + 1).tolist()]
+    brackets = [_golden_minimize(grid[i - 1:i + 2].tolist(), target[i - 1:i + 2].tolist(), values.item(i), width, tol)
+                for i in (np.flatnonzero(dips) + 1).tolist()]
     replies = dict.fromkeys(range(len(brackets)))  # each open bracket and what it is sent next
-    while len(replies) >= _LOCKSTEP_LEAST:
+    while replies:
         asked = {}
         for j, reply in replies.items():
             try:
@@ -415,12 +420,6 @@ def find_resonances(
         ks = list(asked.values())
         lockstep = len(ks) >= _LOCKSTEP_LEAST
         replies = dict(zip(asked, zip(*(a.tolist() for a in on_grid(ks))) if lockstep else map(probe, ks)))
-    for j, reply in replies.items():  # too few open brackets to share a grid call: each runs to its end
-        try:
-            while True:
-                reply = probe(brackets[j].send(reply))
-        except StopIteration as stop:
-            brackets[j] = stop.value
     rows = np.array(brackets).reshape(-1, 2)
     return ResonanceSearch(kind, rows[rows[:, 1] < tol])
 

@@ -563,6 +563,21 @@ class TestArgumentErrors:
         assert captured.err.startswith("config error: task.n: too many points to hold in memory")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("name, k_min, k_max, kind, message", [
+        ("symmetric_buttiker", "1e17", "1.000000000001e17", "transmission", "k_max must be below 2**52 pi/dxi = "),
+        ("antisymmetric_generic", "1e17", "1.000000000001e17", "reflection", "k_max must be below 2**52 pi/dxi = "),
+        ("symmetric_buttiker", "1", "1e15", "transmission", "too many lines in [1.0, 1000000000000000.0] to hold"),
+    ])
+    def test_a_lattice_find_cannot_enumerate_is_a_task_error(self, capsys, name, k_min, k_max, kind, message):
+        # from k_max dxi/pi = 2**52 the enumeration crashed on a broadcast; a lattice
+        # of 2.26 PiB was reported as a bad task.n, a field the search does not read
+        config = str(CONFIG_DIR / f"{name}.json")
+        assert main(["find", "--config", config, "--k-min", k_min, "--k-max", k_max, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: task: " + message)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "broadcast" not in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command, where, field", [
         ("ring", ("ring", "xi1"), "ring.xi1"),
         ("junction", ("junctions", "j", "alpha"), "junctions.j.alpha"),

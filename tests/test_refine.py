@@ -144,26 +144,29 @@ class RefineCount:
     """Counts what find_resonances evaluates after its scan, through spectrum's two kernels.
 
     points holds each solve_auto probe, grid_rows the length of each
-    _solve_grid_columns call, of which the first of a search is the scan.
+    _solve_grid_columns call, of which the first of a search is the scan,
+    and calls "point" or "grid" for each call in the order made.
     """
 
     def __init__(self, monkeypatch):
-        self.points, self.grid_rows = [], []
+        self.points, self.grid_rows, self.calls = [], [], []
         solve_auto, solve_grid_columns = spectrum.solve_auto, spectrum._solve_grid_columns
 
         def point(cfg, k):
             self.points.append(k)
+            self.calls.append("point")
             return solve_auto(cfg, k)
 
         def grid(cfg, ks, columns):
             self.grid_rows.append(len(ks))
+            self.calls.append("grid")
             return solve_grid_columns(cfg, ks, columns)
 
         monkeypatch.setattr(spectrum, "solve_auto", point)
         monkeypatch.setattr(spectrum, "_solve_grid_columns", grid)
 
     def reset(self) -> None:
-        del self.points[:], self.grid_rows[:]
+        del self.points[:], self.grid_rows[:], self.calls[:]
 
     def evaluations(self) -> int:
         """The refine's evaluations since reset, of one search: point probes plus grid rows after the scan."""
@@ -306,6 +309,22 @@ class TestLockstep:
                     wide += 1
         assert wide > 0
 
+    def test_rounds_below_the_least_probe_on_solve_auto(self, monkeypatch):
+        # Brackets return in different rounds: once fewer than _LOCKSTEP_LEAST
+        # are open, the rounds go on with a solve_auto probe per open bracket,
+        # and the grid kernel is not called again.
+        count = RefineCount(monkeypatch)
+        mixed = 0
+        for cfg in refine_batch():
+            for kind in ResonanceKind:
+                count.reset()
+                find_resonances(cfg, 4.0, 6.0, kind)
+                if "point" in count.calls and count.grid_rows[1:]:
+                    assert "grid" not in count.calls[count.calls.index("point"):], (cfg, kind)
+                    assert min(count.grid_rows[1:]) >= spectrum._LOCKSTEP_LEAST, (cfg, kind)
+                    mixed += 1
+        assert mixed > 0
+
 
 class TestEarlyStop:
     """find_resonances against itself with the early stop of non-zero minima switched off."""
@@ -374,7 +393,7 @@ def run_refine(amplitude, ks, width=1e-12, tol=1e-8):
     zs = [amplitude(k) for k in ks]
     fs = [math.inf if z is None else abs(z) ** 2 for z in zs]
     zs = [complex(math.nan, math.nan) if z is None else z for z in zs]
-    k_star, residual = drive(spectrum._golden_minimize(list(ks), zs, fs, width, tol), probe)
+    k_star, residual = drive(spectrum._golden_minimize(list(ks), zs, fs[1], width, tol), probe)
     return k_star, residual, probes
 
 
@@ -503,7 +522,7 @@ class TestNewtonRefine:
         amps, _ = spectrum.solve_grid(cfg, grid[i - 1:i + 2])
         zs = amps[:, 0].tolist()
         k_star, _ = drive(spectrum._golden_minimize(
-            grid[i - 1:i + 2].tolist(), zs, [abs(z) ** 2 for z in zs], 1e-12 * (k_max - k_min), 1e-8
+            grid[i - 1:i + 2].tolist(), zs, abs(zs[1]) ** 2, 1e-12 * (k_max - k_min), 1e-8
         ), probe)
         assert min(abs(k_star - k) for k in zeros) < 1e-11
 

@@ -425,6 +425,26 @@ class TestCrossCheck:
                          k_min, k_max) == lines
         assert len(lines) == 3 and len(result.resonances) == 3 and result.warnings == ()
 
+    @pytest.mark.parametrize("name, kind", [("symmetric_buttiker", ResonanceKind.PERFECT_TRANSMISSION),
+                                            ("antisymmetric_generic", ResonanceKind.PERFECT_REFLECTION)])
+    def test_a_lattice_finer_than_the_floats_is_refused(self, name, kind):
+        # from k_max dxi/pi = 2**52 the lines, pi/dxi apart, lie closer than the float spacing
+        cfg = load_config(CONFIG_DIR / f"{name}.json").ring
+        limit = 2.0**52 * PI / cfg.dxi
+        message = f"k_max must be below 2**52 pi/dxi = {limit:.6g}, got k_max=1.000000000001e+17"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            find_resonances(cfg, 1e17, 1.000000000001e17, kind)
+        below = math.nextafter(limit, 0.0)
+        result = find_resonances(cfg, below * (1.0 - 1e-13), below, kind)
+        assert result.warnings[-1].startswith("441 more analytic resonances")  # 451 lines, none below tol
+
+    def test_a_lattice_too_large_to_hold_is_refused(self):
+        # 3.2e14 lines, 2.26 PiB: more than any address space, so the allocation fails at once
+        cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
+        message = "too many lines in [1.0, 1000000000000000.0] to hold in memory"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            find_resonances(cfg, 1.0, 1e15, ResonanceKind.PERFECT_TRANSMISSION)
+
     def test_many_lines_in_the_window(self):
         # 3183 lines, the last of them 4.1e-4 below k_max
         cfg = load_config(CONFIG_DIR / "symmetric_buttiker.json").ring
