@@ -110,14 +110,10 @@ class Spectrum:
     @functools.cached_property
     def points(self) -> tuple[SpectrumPoint, ...]:
         """The rows as SpectrumPoint values, built on first access."""
-        points = []
-        for k, row, degenerate in zip(self.k.tolist(), self.amps.tolist(), self.degenerate.tolist()):
-            if degenerate:
-                points.append(SpectrumPoint(k=k, p_refl=math.nan, p_trans=math.nan, amps=None, degenerate=True))
-                continue
-            amps = RingAmplitudes(*row)
-            points.append(SpectrumPoint(k=k, p_refl=amps.p_reflection, p_trans=amps.p_transmission, amps=amps))
-        return tuple(points)
+        return tuple(
+            SpectrumPoint(k=k, p_refl=abs(row[0]) ** 2, p_trans=abs(row[5]) ** 2,
+                          amps=None if degenerate else RingAmplitudes(*row), degenerate=degenerate)
+            for k, row, degenerate in zip(self.k.tolist(), self.amps.tolist(), self.degenerate.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +146,7 @@ def config_fingerprint(cfg: RingConfig) -> str:
 
 
 def _check_range(k_min: float, k_max: float) -> None:
-    if not (0.0 < k_min < k_max < math.inf):
+    if not (0.0 < k_min < k_max and math.isfinite(k_max)):
         raise ValueError(f"need 0 < k_min < k_max < inf, got k_min={k_min!r}, k_max={k_max!r}")
     if not math.isfinite(k_max / k_min):
         raise ValueError(f"k_max/k_min must be finite, got k_min={k_min!r}, k_max={k_max!r}")
@@ -181,7 +177,7 @@ def _golden_minimize(k, z, fx: float, width: float, tol: float):
 
     A generator, so that find_resonances can probe all open brackets of a
     search together: it yields each new wavenumber u, is sent (z, |z|^2) at u
-    (|z|^2 = inf where the ring is degenerate), and returns the best probe
+    (both NaN where the ring is degenerate: never lower), and returns the best probe
     and its |z|^2 in its StopIteration.  k holds the bracket's three scan
     wavenumbers in increasing order, the middle one the lowest, z their
     complex amplitudes and fx = |z[1]|^2.  Each step fits the complex quadratic
@@ -335,7 +331,9 @@ def find_resonances(
 
     Otherwise it scans scan_n points and brackets the strict local minima,
     except where both neighbours are below tol (the same vanishing rule) or
-    within 64 eps of the minimum (rounding noise on a flat curve).  Each
+    within 64 eps of the minimum (rounding noise on a flat curve).  A
+    degenerate row reads NaN, as the kernel writes it, which no comparison
+    passes: it is no dip, and no neighbour or midpoint above tol.  Each
     bracket is refined from its three scan samples by Newton steps on the
     complex amplitude, safeguarded by golden-section steps, down to a step
     of 1e-12 * (k_max - k_min) (see _golden_minimize); minima with
@@ -360,10 +358,8 @@ def find_resonances(
     columns = (transmission, False, False, False, False, not transmission)  # A or F
 
     def on_grid(ks) -> tuple[np.ndarray, np.ndarray]:
-        amps, degenerate = _solve_grid_columns(cfg, ks, columns)
-        values = np.abs(amps[:, 0]) ** 2
-        values[degenerate] = math.inf
-        return amps[:, 0], values
+        z = _solve_grid_columns(cfg, ks, columns)[0][:, 0]  # NaN on a degenerate row
+        return z, np.abs(z) ** 2
 
     minima = cfg._minima[0 if transmission else 1]
     if minima is not None and minima[1] >= tol:
@@ -393,7 +389,7 @@ def find_resonances(
         try:
             amplitudes = solve_auto(cfg, k)
         except DegenerateRingError:
-            return complex(math.nan, math.nan), math.inf
+            return complex(math.nan, math.nan), math.nan
         z = amplitudes.A if transmission else amplitudes.F
         return z, abs(z) ** 2
 

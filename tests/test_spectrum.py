@@ -19,6 +19,7 @@ from yring import (
     JunctionParams,
     Resonance,
     ResonanceKind,
+    RingAmplitudes,
     RingConfig,
     config_fingerprint,
     find_resonances,
@@ -90,8 +91,11 @@ class TestSweep:
         assert len(spec.points) == 3
         assert not spec.points[0].degenerate
         assert spec.points[1].degenerate
-        assert math.isnan(spec.points[1].p_refl)
+        assert math.isnan(spec.points[1].p_refl) and math.isnan(spec.points[1].p_trans)
         assert spec.points[1].amps is None
+        for point, row in zip(spec.points[::2], spec.amps[::2]):  # a regular row reads its amplitudes
+            assert point.amps == RingAmplitudes(*row.tolist())
+            assert (point.p_refl, point.p_trans) == (point.amps.p_reflection, point.amps.p_transmission)
         assert not spec.points[2].degenerate
 
     def test_ring_probabilities_periodic_in_arm_phase(self):
@@ -806,14 +810,36 @@ class TestArmMinima:
     def test_decoupled_rings_stay_on_the_scan(self):
         # |h11| = 1: F vanishes identically, and its noise dips are no minima;
         # so on a node that is not scale invariant whose U leaves the exterior
-        # wire alone (every Euler angle 0), with no warning
+        # wire alone (every Euler angle 0), with no warning.  [pi, 6] and
+        # [pi, 2 pi] start on a line n pi/dxi, a bound state: that scan row
+        # is degenerate, and a noise dip beside it is no line either
         nodes = [JunctionParams(theta=theta, beta=0.7) for theta in ((0.0, 0.0, 0.0), (PI, PI, PI))]
         for node in nodes + [JunctionParams(theta=(0.9, 2.4, 4.1))]:
             cfg = RingConfig(left=node, mode=SYMMETRIC, xi1=4.0, xi2=0.0)
-            for kind in ResonanceKind:
-                assert _expected_resonances(cfg, kind, 4.0, 6.0) is None
-                found = find_resonances(cfg, 4.0, 6.0, kind)
-                assert (found.resonances, found.warnings) == ((), ())
+            if node in nodes:
+                assert solve_grid(cfg, np.array([PI, 2 * PI]))[1].all()
+            for k_min, k_max in ((4.0, 6.0), (PI, 6.0), (PI, 2 * PI)):
+                for kind in ResonanceKind:
+                    assert _expected_resonances(cfg, kind, k_min, k_max) is None
+                    found = find_resonances(cfg, k_min, k_max, kind)
+                    assert (found.resonances, found.warnings) == ((), ())
+
+    @pytest.mark.parametrize("scan_n", [None, 400, 1000])
+    @pytest.mark.parametrize("name, theta", [("symmetric_buttiker", (PI, PI, PI)),
+                                             ("antisymmetric_generic", (0.0, 0.0, 0.0))])
+    def test_a_decoupled_shipped_ring_reflects_nowhere(self, name, theta, scan_n):
+        # U = -I or I: every wire decouples, F vanishes identically, and the closed
+        # interior ring has a bound state at each n pi/dxi, a degenerate scan row
+        # at both ends of [pi, 10 pi].  Such a row reads NaN, so it is no rim of a
+        # noise dip (exactly 0, or 1e-32 to 1e-68 beside it): no line, no warning
+        base = load_config(CONFIG_DIR / f"{name}.json").ring
+        cfg = dataclasses.replace(base, left=dataclasses.replace(base.left, theta=theta))
+        kind = ResonanceKind.PERFECT_REFLECTION
+        assert _expected_resonances(cfg, kind, PI, 10 * PI) is None
+        grid = np.linspace(PI, 10 * PI, scan_n or int(SCAN_PER_DECADE * math.log10(10.0)))
+        assert solve_grid(cfg, grid)[1][[0, -1]].all()
+        found = find_resonances(cfg, PI, 10 * PI, kind, scan_n=scan_n)
+        assert (found.resonances, found.warnings) == ((), ())
 
 
 class TestResonanceValue:
