@@ -54,7 +54,8 @@ _DEGENERATE = "ring is degenerate at k={!r}: I - s s~ is singular and the amplit
 
 #: Bounce count after which solve_series switches to binary doubling: the
 #: measured crossover (BENCH_7.json), above the 15-20 terms that a
-#: quarter-reflecting ring needs at tol 1e-10.
+#: quarter-reflecting ring needs at tol 1e-10.  A sum whose end, forecast at
+#: half this count, lies past twice it switches there (BENCH_35.json).
 _SERIES_DOUBLING_THRESHOLD = 64
 
 #: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.
@@ -315,7 +316,14 @@ def solve_series(
     finished by exact binary doubling of the same series: partial sums over
     2n terms follow from n via S_2n = S_n + (s s~)^n S_n, so the term count
     in the result stays the true number of bounce terms summed: phase 1's
-    count times a power of two.
+    count times a power of two.  When max_terms allows the full phase 1, the
+    sum is forecast at half of it: with r the faster of the spectral radius
+    of s s~ and rho, the tail falls below tol after about
+    log(tol (1 - r) / |increment|) / log r more terms.  A sum forecast to end
+    past twice _SERIES_DOUBLING_THRESHOLD would be doubled anyway, so the
+    doubling starts there.  The forecast is optimistic, not a bound: on the
+    test corpora it takes no sum that phase 1 ends, and every sum it takes
+    ends at the term count it had when doubled from the full phase 1.
 
     Returns the amplitudes and the number of terms used.
     """
@@ -335,6 +343,8 @@ def solve_series(
     terms = 0
     nd = prev = 0.0  # increment norms of this term and the one before (0 before term 1)
     phase1 = min(max_terms, _SERIES_DOUBLING_THRESHOLD)
+    # A budget below the hand-off is never gated: terms is at least 1 in the loop.
+    gate = _SERIES_DOUBLING_THRESHOLD // 2 if max_terms >= _SERIES_DOUBLING_THRESHOLD else 0
     # The loop body runs once per bounce term, so it avoids interpreter work:
     # each row of the power is updated on its own (the rows are independent),
     # and `b if b > a else a` is what max(a, b) returns, NaN included.
@@ -372,6 +382,17 @@ def solve_series(
             b = abs(u2)
             if q / (1.0 - q) * (b if b > a else a) <= tol:
                 break
+        if terms == gate:
+            # Forecast the end at the faster of two rates, the spectral radius
+            # of s s~ and rho; a sum forecast past twice the hand-off is doubled
+            # from here, with the same term counts: 32 * 2**(j+1) = 64 * 2**j.
+            tr = m11 + m22
+            root = cmath.sqrt(tr * tr - 4.0 * (m11 * m22 - m12 * m21))
+            a = max(abs(tr + root), abs(tr - root)) / 2.0
+            if rho < a:
+                a = rho
+            if 0.0 < a < 1.0 and gate + math.log(tol * (1.0 - a) / nd) / math.log(a) > 2 * _SERIES_DOUBLING_THRESHOLD:
+                phase1 = terms  # ends the loop without a break: the doubling takes the sum
     else:
         return _series_doubling(s, t, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
     return RingAmplitudes(*_amplitudes(s, t, (u1, u2))), terms

@@ -53,12 +53,15 @@ EPS = np.finfo(float).eps
 
 
 def reference_solve_series(
-    S1, S2eff, tol=1e-12, max_terms=100_000, stops=None, doubling=_series_doubling
+    S1, S2eff, tol=1e-12, max_terms=100_000, stops=None, doubling=_series_doubling, gate=True
 ):
     """The previous phase-1 loop; appends how phase 1 ended to `stops` if given.
 
     A sum that phase 1 does not end is finished by `doubling`, the library's
-    own phase 2 unless another is passed.
+    own phase 2 unless another is passed.  With `gate`, a sum whose end,
+    forecast at half the hand-off with the faster of the spectral radius of
+    s s~ and rho, lies past twice the hand-off goes to `doubling` at half the
+    hand-off ("gated"); `gate=False` is the loop before that rule.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -76,6 +79,8 @@ def reference_solve_series(
     bound = math.inf
     norms: list[float] = []
     phase1 = min(max_terms, _SERIES_DOUBLING_THRESHOLD)
+    half = _SERIES_DOUBLING_THRESHOLD // 2
+    lam = max(abs(x) for x in np.linalg.eigvals(np.array([[m11, m12], [m21, m22]])))
     stops = [] if stops is None else stops
     while terms < phase1:
         u1 += d1
@@ -107,6 +112,11 @@ def reference_solve_series(
             ratio_certifies = rho < 1.0 and nd / (1.0 - rho) <= tol
             stops.append("ratio bound" if ratio_certifies else "block bound")
             break
+        if gate and terms == half and max_terms >= _SERIES_DOUBLING_THRESHOLD:
+            r = min(lam, rho)
+            if 0.0 < r < 1.0 and half + math.log(tol * (1.0 - r) / nd) / math.log(r) > 2 * _SERIES_DOUBLING_THRESHOLD:
+                stops.append("gated")
+                return doubling(s, t, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
     else:
         stops.append("doubling")
         return doubling(s, t, (p11, p12, p21, p22), (u1, u2), terms, tol, max_terms)
@@ -255,6 +265,16 @@ CHECK_HAND_OFFS = {
     "symmetric_buttiker": [],
 }
 
+#: Which of them hand off at half the hand-off: the forecast puts their end past twice it.
+CHECK_GATED = {
+    "antisymmetric_generic": list(range(16)),
+    "general_ring": [i for i in range(16) if i not in (10, 13)],  # 10 and 13 end at 128 terms
+    "symmetric_buttiker": [],
+}
+
+#: The stops of reference_solve_series that hand the sum to the doubling.
+HAND_OFFS = ("doubling", "gated")
+
 FAMILIES = [(mode, si) for mode in ("symmetric", "antisymmetric", "general") for si in (True, False)]
 
 
@@ -305,13 +325,14 @@ class TestSeriesBitIdentity:
         calls = check_calls(path, monkeypatch)
         assert "all checks passed" in capsys.readouterr().out
         stops = [assert_same_as_reference(s1, s2, **kwargs) for s1, s2, kwargs in calls]
-        assert [i for i, stop in enumerate(stops) if stop == "doubling"] == CHECK_HAND_OFFS[path.stem]
+        assert [i for i, stop in enumerate(stops) if stop in HAND_OFFS] == CHECK_HAND_OFFS[path.stem]
+        assert [i for i, stop in enumerate(stops) if stop == "gated"] == CHECK_GATED[path.stem]
         for s1, s2, kwargs in calls:
             assert_doubling_agrees(s1, s2, **kwargs)
 
     def test_hand_off_to_doubling(self):
         s1, s2 = ring_matrices(slow_ring(1e-2), 2.0)
-        assert assert_same_as_reference(s1, s2, tol=1e-12, max_terms=2**24) == "doubling"
+        assert assert_same_as_reference(s1, s2, tol=1e-12, max_terms=2**24) == "gated"
         _, terms = assert_doubling_agrees(s1, s2, tol=1e-12, max_terms=2**24)
         assert terms > _SERIES_DOUBLING_THRESHOLD
 
@@ -322,15 +343,59 @@ class TestSeriesBitIdentity:
         for k in (0.7, 2.3, 5.1):
             assert assert_same_as_reference(*ring_matrices(cfg, k)) == "noise floor"
 
-    @pytest.mark.parametrize("eps, max_terms", [
-        (1e-2, 5),  # budget runs out in phase 1, handed to doubling at once
-        (1e-2, _SERIES_DOUBLING_THRESHOLD),  # exactly at the hand-off
-        (1e-3, 2**20),  # budget runs out while doubling
+    @pytest.mark.parametrize("eps, max_terms, stop", [
+        (1e-2, 5, "doubling"),  # budget runs out in phase 1, handed to doubling at once
+        (1e-2, _SERIES_DOUBLING_THRESHOLD, "gated"),  # exactly at the hand-off
+        (1e-3, 2**20, "gated"),  # budget runs out while doubling
     ])
-    def test_convergence_error(self, eps, max_terms):
+    def test_convergence_error(self, eps, max_terms, stop):
         s1, s2 = ring_matrices(slow_ring(eps), 2.0)
-        assert assert_same_as_reference(s1, s2, tol=1e-12, max_terms=max_terms) == "doubling"
+        assert assert_same_as_reference(s1, s2, tol=1e-12, max_terms=max_terms) == stop
         assert isinstance(assert_doubling_agrees(s1, s2, tol=1e-12, max_terms=max_terms), ConvergenceError)
+
+
+# -- the gated hand-off against the loop without it ----------------------------------
+
+
+def ungated_and_gated(s1, s2, **kwargs):
+    """How the ungated reference ends the sum, its outcome, and solve_series's outcome."""
+    stops = []
+    ungated = outcome(reference_solve_series, s1, s2, stops=stops, gate=False, **kwargs)
+    return stops[0], ungated, outcome(solve_series, s1, s2, **kwargs)
+
+
+class TestHandOffGate:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_corpus_keeps_stops_and_term_counts(self, corpus, tol):
+        gated = 0
+        for s1, s2 in corpus:
+            stop, ungated, got = ungated_and_gated(s1, s2, tol=tol, max_terms=2**24)
+            if stop != "doubling":  # a phase-1 stop: kept, bit for bit
+                assert got == ungated
+                continue
+            # the first two fields: ("ok", terms) or ("no convergence", terms at the error)
+            assert got[:2] == ungated[:2]
+            if assert_same_as_reference(s1, s2, tol=tol, max_terms=2**24) == "gated":
+                gated += 1
+        assert gated > 100  # 718 at 1e-6 and 834 at 1e-12
+
+    def test_budget_below_the_hand_off_is_never_gated(self):
+        s1, s2 = ring_matrices(slow_ring(1e-2), 2.0)
+        stop, ungated, got = ungated_and_gated(s1, s2, tol=1e-12, max_terms=40)
+        assert stop == "doubling" and got == ungated
+        with pytest.raises(ConvergenceError) as err:
+            solve_series(s1, s2, tol=1e-12, max_terms=40)
+        assert err.value.terms == 40
+
+    def test_gated_error_keeps_its_fields(self):
+        # gated at 32 with a budget of 64: the doubling raises at 64 terms, as it did from 64
+        s1, s2 = ring_matrices(slow_ring(1e-2), 2.0)
+        kwargs = dict(tol=1e-12, max_terms=_SERIES_DOUBLING_THRESHOLD)
+        ungated = series_or_error(reference_solve_series, s1, s2, gate=False, **kwargs)
+        got = series_or_error(solve_series, s1, s2, **kwargs)
+        assert got.terms == ungated.terms == _SERIES_DOUBLING_THRESHOLD
+        assert got.bound == pytest.approx(ungated.bound, rel=1e-12)
+        assert str(got) == str(ungated)
 
 
 # -- the doubling phase against its numpy reference and the closed form ------------
