@@ -162,6 +162,11 @@ def _check_count(n, least: int, name: str) -> int:
     return n
 
 
+def _scan_count(k_min: float, k_max: float, scan_n: int | None) -> int:
+    default = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))  # at least 256, however narrow the window
+    return _check_count(default if scan_n is None else scan_n, _SCAN_LEAST, "scan_n")
+
+
 def sweep(cfg: RingConfig, k_min: float, k_max: float, n: int) -> Spectrum:
     """Evaluate the ring on n uniformly spaced wavenumbers in [k_min, k_max]."""
     _check_range(k_min, k_max)
@@ -350,9 +355,7 @@ def find_resonances(
     _check_range(k_min, k_max)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
-    if scan_n is None:
-        scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
-    scan_n = _check_count(scan_n, _SCAN_LEAST, "scan_n")
+    scan_n = _scan_count(k_min, k_max, scan_n)
 
     transmission = kind is ResonanceKind.PERFECT_TRANSMISSION
     columns = (transmission, False, False, False, False, not transmission)  # A or F

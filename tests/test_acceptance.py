@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import linear_ring_solve, random_incoming, random_params
+from conftest import linear_ring_solve, mp_resolvent_amplitudes, random_incoming, random_params
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -35,6 +35,7 @@ from yring import (
     solve_algebraic,
     solve_antisymmetric_scale_invariant,
     solve_closed_form,
+    solve_grid,
     solve_series,
     solve_symmetric_scale_invariant,
     unitarity_error,
@@ -360,3 +361,79 @@ def test_criterion_14_cli_determinism(tmp_path):
     ok = identical and checks_ok
     _report(14, "CLI determinism and shipped-config checks", ok,
             f"byte-identical {identical}, checks {'ok' if checks_ok else 'BAD'}")
+
+
+def _degree_two_node(rng: np.random.Generator) -> JunctionParams:
+    """Scale-invariant node whose V mixes wires 0 and 1 alone (Euler angles alpha and beta).
+
+    Interior wire 2 decouples, so the node is a degree-2 point interaction on
+    wires 0 and 1.  theta_0 != theta_1: with equal eigenphases there the
+    exterior block would be +-I and F would vanish trivially.
+    """
+    theta0 = float(rng.choice([0.0, PI]))
+    return JunctionParams(theta=(theta0, PI - theta0, float(rng.choice([0.0, PI]))),
+                          alpha=float(rng.uniform(0.0, 2 * PI)), beta=float(rng.uniform(0.0, 2 * PI)),
+                          L0=float(rng.uniform(0.2, 5.0)))
+
+
+def test_criterion_15_degree_two_nodes_never_reflect_perfectly():
+    # With interior wire 2 decoupled at both nodes the ring is a line with two
+    # point interactions: F = t_L t_R e^(...) / (1 - r'_L r_R w), |w| = 1.  On
+    # scale-invariant nodes |t_L t_R| and |r'_L r_R| do not depend on k, so
+    # |F| >= |t_L t_R| / (1 + |r'_L r_R|) at every k, or F vanishes identically
+    # (the antisymmetric ring, whose right node couples its lead to wire 2
+    # alone): never an isolated zero.  find reports a minimum only where that
+    # bound squared lies below tol, a weakly coupled node.  The antisymmetric
+    # ring of U(3) nodes reflects perfectly at every n pi/dxi instead (criterion 7).
+    eps, tol = np.finfo(float).eps, 1e-8
+    rng = np.random.default_rng(25)
+    ks = np.linspace(0.5, 10.0, 20_001)
+    least_ratio, least_margin, coupled, vanishing, weak, worst_reference = math.inf, math.inf, 0, 0, 0, 0.0
+    find_ok = True
+    for mode in ("symmetric", "general", "antisymmetric"):
+        for _ in range(40):
+            left = _degree_two_node(rng)
+            if mode == "general":
+                ring_mode = General(_degree_two_node(rng))
+            else:
+                ring_mode = SYMMETRIC if mode == "symmetric" else ANTISYMMETRIC
+            xi2 = float(rng.uniform(-1.0, 1.0))
+            cfg = RingConfig(left=left, mode=ring_mode, xi1=xi2 + float(rng.uniform(0.3, 2.5)), xi2=xi2)
+            s1, s2 = (s.m for s in ring_matrices(cfg, 1.0))
+            bound = abs(s1[1, 0] * s2[0, 1]) / (1.0 + abs(s1[1, 1] * s2[1, 1]))
+            amps, degenerate = solve_grid(cfg, ks)
+            f = np.abs(amps[:, 5])
+            assert not degenerate.any()
+            if bound > 0.0:
+                coupled += 1
+                least_ratio = min(least_ratio, float(f.min()) / bound)
+                least_margin = min(least_margin, float(f.min()) - bound)
+            else:
+                vanishing += f.max() == 0.0
+            # the 50-digit reference at the grid's least |F| and at both ends
+            for j in (0, int(np.argmin(f)), ks.size - 1):
+                exact = mp_resolvent_amplitudes(*cfg._route.arrays(float(ks[j])))
+                worst_reference = max(worst_reference, abs(abs(exact[5]) - f[j]))
+            found = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_REFLECTION).lines
+            if bound**2 < tol and bound > 0.0:
+                weak += 1  # minima below tol, none of them a zero
+                find_ok &= bool(np.all(found[:, 1] >= (bound - 16 * eps) ** 2))
+            else:
+                find_ok &= found.size == 0
+    # beside them, antisymmetric rings of U(3) nodes: a line at every n pi/dxi
+    lattice_ok = True
+    for _ in range(5):
+        xi2 = float(rng.uniform(-1.0, 1.0))
+        cfg = RingConfig(left=_generic_si_junction(rng), mode=ANTISYMMETRIC,
+                         xi1=xi2 + float(rng.uniform(0.3, 2.5)), xi2=xi2)
+        found = find_resonances(cfg, 0.5, 10.0, ResonanceKind.PERFECT_REFLECTION).lines[:, 0]
+        n = np.arange(math.ceil(0.5 * cfg.dxi / PI), math.floor(10.0 * cfg.dxi / PI) + 1)
+        lattice_ok &= found.size == n.size > 0 and bool(np.all(np.abs(found - n * PI / cfg.dxi) <= 1e-9 * found))
+    # the bound holds up to the rounding of F and of the node entries it is read from
+    ok = (coupled == 80 and vanishing == 40 and least_margin >= -16 * eps
+          and worst_reference <= 1e-13 and find_ok and lattice_ok)
+    _report(15, "degree-2 nodes never reflect perfectly", ok,
+            f"{coupled} coupled rings, least min|F| / bound {least_ratio:.16g}; {vanishing} with F = 0; "
+            f"50-digit |F| to {worst_reference:.1e}; find {'ok' if find_ok else 'BAD'} "
+            f"(minima below tol on {weak} weakly coupled ring(s)); "
+            f"U(3) antisymmetric lattice {'ok' if lattice_ok else 'BAD'}")

@@ -805,12 +805,14 @@ class TestOutContract:
     """--out receives the bytes stdout would; find alone writes CSV there."""
 
     @pytest.mark.parametrize("cfg", SHIPPED_CFGS)
-    @pytest.mark.parametrize("command", ["junction", "ring", "sweep", "check"])
+    @pytest.mark.parametrize("command", ["junction", "junction --k 1.3", "ring", "ring --k 1.3", "sweep",
+                                         "sweep --n 4096", "sweep --n 4609", "check"])
     def test_out_file_equals_stdout(self, tmp_path, capsys, command, cfg):
-        code = main([command, "--config", cfg])
+        # 4096 rows are two whole kernel blocks; 4609 = 2 * 2048 + 513 lines up with no block
+        code = main(command.split() + ["--config", cfg])
         stdout = capsys.readouterr().out
         out = tmp_path / "out.txt"
-        assert main([command, "--config", cfg, "--out", str(out)]) == code == 0
+        assert main(command.split() + ["--config", cfg, "--out", str(out)]) == code == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == stdout.encode()
 

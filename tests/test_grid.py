@@ -27,7 +27,6 @@ from conftest import mp_resolvent_amplitudes, random_params
 from yring import (
     ANTISYMMETRIC,
     SYMMETRIC,
-    AntiSymmetric,
     DegenerateRingError,
     General,
     JunctionParams,
@@ -36,7 +35,6 @@ from yring import (
     ScatteringMatrix,
     build_U,
     find_resonances,
-    is_scale_invariant,
     junction_residual,
     ring_matrices,
     solve_algebraic,
@@ -147,8 +145,31 @@ def contract_bound(cfg, k: float) -> float:
     m1, m2 = cfg._route.arrays(k)
     gap = np.eye(2) - m1[1:, 1:] @ m2[1:, 1:]
     scale = min(abs(gap[0, 0] * gap[1, 1] - gap[0, 1] * gap[1, 0]), 1.0)
-    power = 2 if isinstance(cfg.mode, AntiSymmetric) and is_scale_invariant(cfg.left) else 1
+    power = 2 if cfg._route.forms is ring._antisymmetric_forms else 1
     return CONTRACT * EPS / scale**power if scale > 0.0 else math.inf
+
+
+def exact_solves(cfg, k: float) -> list[np.ndarray]:
+    """50-digit solves of the ring at k, one for each float rounding of its node matrices that a route reads.
+
+    The resolvent reads both nodes' arrays.  A closed form reads the left node's
+    array m1 and the arm phase g = exp(2ik dxi), taken in one product: its right
+    node is g m1^dagger, with wires 1 and 2 swapped on the antisymmetric form.
+    Where the route names a closed form both roundings are solved; at large k
+    they differ by the rounding of k*xi (2e-10 in A..F at k = 1e6).
+    """
+    m1, m2 = cfg._route.arrays(k)
+    pairs = [(m1, m2)]
+    if cfg._route.forms is not None:
+        wires = [0, 2, 1] if cfg._route.forms is ring._antisymmetric_forms else [0, 1, 2]
+        adjoint = cmath.exp(2j * k * cfg.dxi) * m1.conj().T
+        pairs.append((m1, adjoint[wires][:, wires]))
+    return [mp_resolvent_amplitudes(*pair) for pair in pairs]
+
+
+def exact_ratio(cfg, k: float, amps, exact=None) -> float:
+    """One row's error against the nearest of exact_solves (or of exact), in units of its contract bound."""
+    return min(float(np.abs(amps - e).max()) for e in exact or exact_solves(cfg, k)) / contract_bound(cfg, k)
 
 
 def contract_ratios(cfg, ks, amps, reference) -> np.ndarray:
@@ -158,7 +179,7 @@ def contract_ratios(cfg, ks, amps, reference) -> np.ndarray:
 
 
 def assert_within_contract(cfg, ks, samples: int = 4):
-    """solve_grid against solve_auto on every row, and against the 50-digit reference on a few."""
+    """solve_grid against solve_auto on every row, and both against the 50-digit reference on a few."""
     ks = np.asarray(ks, dtype=float)
     amps, degenerate = solve_grid(cfg, ks)
     ref_amps, ref_degenerate = per_point(cfg, ks)
@@ -167,10 +188,12 @@ def assert_within_contract(cfg, ks, samples: int = 4):
     rows = np.flatnonzero(~degenerate)
     ratios = contract_ratios(cfg, ks[rows], amps[rows], ref_amps[rows])
     assert (ratios <= 1.0).all(), f"row {rows[np.argmax(ratios)]}: {ratios.max():.3g} x the bound of solve_auto"
-    sampled = rows[np.unique(np.linspace(0, rows.size - 1, min(samples, rows.size)).astype(int))]
-    exact = np.array([mp_resolvent_amplitudes(*cfg._route.arrays(k)) for k in ks[sampled].tolist()])
-    ratios = contract_ratios(cfg, ks[sampled], amps[sampled], exact.reshape(-1, 6))
-    assert (ratios <= 1.0).all(), f"{ratios.max():.3g} x the bound of the 50-digit reference"
+    for i in np.unique(np.linspace(0, rows.size - 1, min(samples, rows.size)).astype(int)).tolist():
+        k = ks[rows[i]].item()
+        exact = exact_solves(cfg, k)
+        for name, values in (("grid", amps), ("point", ref_amps)):
+            ratio = exact_ratio(cfg, k, values[rows[i]], exact)
+            assert ratio <= 1.0, f"{name} at k={k!r}: {ratio:.3g} x the bound of the 50-digit reference"
     return degenerate
 
 
@@ -187,15 +210,15 @@ def random_ring(rng, mode: str, scale_invariant: bool) -> RingConfig:
 class TestSolveGrid:
     @pytest.mark.parametrize("scale_invariant", [True, False])
     @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric", "general"])
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_rings_match_solve_auto(self, mode, scale_invariant, seed):
         rng = np.random.default_rng([seed, len(mode), scale_invariant])
         cfg = random_ring(rng, mode, scale_invariant)
-        # more than two blocks, ending inside the third
+        # more than two blocks, ending inside the third, then three decades apart
         ks = np.linspace(float(rng.uniform(0.05, 1.0)), float(rng.uniform(5.0, 40.0)), 2 * GRID_BLOCK + 37)
-        assert_within_contract(cfg, ks)
+        assert_within_contract(cfg, np.concatenate([ks, [1e-3, 1e3, 1e6]]))
 
-    @pytest.mark.parametrize("mode", [SYMMETRIC, ANTISYMMETRIC])
+    @pytest.mark.parametrize("mode", [SYMMETRIC, ANTISYMMETRIC, General(NEAR_DECOUPLED_SI)])
     def test_nearly_decoupled_node(self, mode):
         cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, **NEAR_DECOUPLED_XI)
         k = NEAR_DECOUPLED_K
@@ -569,6 +592,26 @@ def reference_csv(cfg, k_min, k_max, n) -> bytes:
     return "".join(row + "\n" for row in rows).encode()
 
 
+#: A general ring with a long left arm, whose lines lie close together.
+LONG_GENERAL_RING = RingConfig(
+    left=random_params(np.random.default_rng(7)),
+    mode=General(random_params(np.random.default_rng(8))),
+    xi1=25.0,
+    xi2=0.5,
+)
+
+
+def find_cases():
+    """(cfg, k_min, k_max) of the find comparison: the shipped configs, the nearly
+    decoupled node on both single-node modes, and a general ring with a long arm."""
+    for path in SHIPPED:
+        yield pytest.param(load_config(path).ring, 0.3, 12.0, id=path.stem)
+    for name, mode in (("antisymmetric", ANTISYMMETRIC), ("symmetric", SYMMETRIC)):
+        cfg = RingConfig(left=NEAR_DECOUPLED_SI, mode=mode, **NEAR_DECOUPLED_XI)
+        yield pytest.param(cfg, 0.5, 9.0, id=f"near_decoupled_{name}")
+    yield pytest.param(LONG_GENERAL_RING, 1.0, 3.0, id="long_general")
+
+
 class TestByteStableOutput:
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_sweep_csv_equals_per_point_rendering(self, path, tmp_path):
@@ -637,13 +680,12 @@ class TestByteStableOutput:
         assert b",-0," in expected
 
     @pytest.mark.parametrize("kind", list(ResonanceKind))
-    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-    def test_find_equals_per_point_scan(self, path, kind, monkeypatch):
+    @pytest.mark.parametrize("cfg, k_min, k_max", find_cases())
+    def test_find_equals_per_point_scan(self, cfg, k_min, k_max, kind, monkeypatch):
         # A scan within the contract of solve_auto finds the same lines as a
         # per-point scan; the refine starts from its samples, so k* may move
         # in the last bits.  Enumerated lines keep their analytic floats.
-        cfg = load_config(path).ring
-        grid = find_resonances(cfg, 0.3, 12.0, kind)
+        grid = find_resonances(cfg, k_min, k_max, kind)
         scanned = []
 
         def per_point_columns(cfg, ks, columns):
@@ -652,8 +694,8 @@ class TestByteStableOutput:
             return amps[:, np.flatnonzero(columns)], degenerate
 
         monkeypatch.setattr(spectrum, "_solve_grid_columns", per_point_columns)
-        reference = find_resonances(cfg, 0.3, 12.0, kind)
-        positions = spectrum._expected_resonances(cfg, kind, 0.3, 12.0)
+        reference = find_resonances(cfg, k_min, k_max, kind)
+        positions = spectrum._expected_resonances(cfg, kind, k_min, k_max)
         if positions is not None and positions[1] >= 1e-8:
             # minima that are not zeros, all above tol: nothing is evaluated
             assert scanned == []
@@ -662,11 +704,11 @@ class TestByteStableOutput:
         (first, _), *rounds = scanned
         if positions is not None:
             # no scan: one call on the analytic positions, each between the midpoints to its neighbours
-            lines = [k for k in positions[0].tolist() if 0.3 < k < 12.0]
+            lines = [k for k in positions[0].tolist() if k_min < k < k_max]
             assert rounds == [] and first[1::2].tolist() == lines and first.size == 2 * len(lines) + 1
         else:
             # the scan of the whole window, then the rounds of the refine
-            assert (first[0], first[-1]) == (0.3, 12.0) and all(0.3 < k < 12.0 for ks, _ in rounds for k in ks)
+            assert (first[0], first[-1]) == (k_min, k_max) and all(k_min < k < k_max for ks, _ in rounds for k in ks)
         # all on the one column
         column = one_column(0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5)
         assert {columns for _, columns in scanned} == {column}

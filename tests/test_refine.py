@@ -61,9 +61,7 @@ def reference_golden(f, a: float, b: float, width: float) -> tuple[float, float]
 
 
 def scan_values(cfg, k_min, k_max, kind, scan_n=None):
-    if scan_n is None:
-        scan_n = max(256, int(spectrum.SCAN_PER_DECADE * math.log10(k_max / k_min)))
-    grid = np.linspace(k_min, k_max, scan_n)
+    grid = np.linspace(k_min, k_max, spectrum._scan_count(k_min, k_max, scan_n))
     amps, degenerate = spectrum.solve_grid(cfg, grid)
     target = amps[:, 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5]
     values = np.abs(target) ** 2

@@ -403,6 +403,9 @@ class TestHandOffGate:
 
 class TestDoublingOracle:
     def test_corpus_matches_numpy_doubling(self, corpus):
+        # 64 ulps is the figure of this corpus's seed 26 (its worst gap is 39.0 ulps), not a
+        # proven rounding bound of the doubling: over corpus seeds 0-29 the worst gap is
+        # 146.1 ulps, at seed 22
         for s1, s2 in corpus:
             assert_doubling_agrees(s1, s2, tol=1e-12, max_terms=2**24)
 
@@ -413,6 +416,8 @@ class TestDoublingOracle:
             if not isinstance(got, ConvergenceError):
                 closed = solve_closed_form(s1, s2).to_array()
                 worst = max(worst, float(np.abs(got[0].to_array() - closed).max()))
+        # 2e-12 is the figure of this corpus's seed 26, not a bound derived from the sums'
+        # length and condition: over corpus seeds 0-29 the worst is 3.40e-12, at seed 14
         assert worst <= 2e-12
 
     def test_corpus_fails_where_the_4096_hand_off_fails(self, corpus, monkeypatch):

@@ -33,7 +33,7 @@ from yring.cli import main
 from yring.config import load_config
 from yring.junction import EULER_ANGLES, build_V, is_scale_invariant, is_time_reversal
 from yring.ring import _solve_grid_columns
-from yring.spectrum import SCAN_PER_DECADE, _expected_resonances
+from yring.spectrum import _expected_resonances, _scan_count
 
 PI = math.pi
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -390,8 +390,7 @@ class TestCrossCheck:
         assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
         assert expected == sorted(expected) and expected
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
-        if scan_n is None:
-            scan_n = max(256, int(SCAN_PER_DECADE * math.log10(k_max / k_min)))
+        scan_n = _scan_count(k_min, k_max, scan_n)
         reference = quadratic_cross_check(result.resonances, expected, k_min, k_max, scan_n)
         assert list(result.warnings) == capped(reference, scan_n)
 
@@ -590,7 +589,7 @@ class TestEnumeration:
         assert is_time_reversal(cfg.left) and not is_scale_invariant(cfg.left)
         assert _expected_resonances(cfg, ResonanceKind.PERFECT_REFLECTION, 0.5, 10.0) is None
         assert all(abs(solve_auto(cfg, n * PI).F) ** 2 < 1e-30 for n in (1, 2, 3))
-        grid = np.linspace(0.5, 10.0, max(256, int(SCAN_PER_DECADE * math.log10(20.0))))
+        grid = np.linspace(0.5, 10.0, _scan_count(0.5, 10.0, None))
         i = int(np.searchsorted(grid, PI))
         assert all(abs(solve_auto(cfg, k).F) ** 2 < 1e-9 for k in grid[i - 2:i + 2])
 
@@ -836,7 +835,7 @@ class TestArmMinima:
         cfg = dataclasses.replace(base, left=dataclasses.replace(base.left, theta=theta))
         kind = ResonanceKind.PERFECT_REFLECTION
         assert _expected_resonances(cfg, kind, PI, 10 * PI) is None
-        grid = np.linspace(PI, 10 * PI, scan_n or int(SCAN_PER_DECADE * math.log10(10.0)))
+        grid = np.linspace(PI, 10 * PI, _scan_count(PI, 10 * PI, scan_n))
         assert solve_grid(cfg, grid)[1][[0, -1]].all()
         found = find_resonances(cfg, PI, 10 * PI, kind, scan_n=scan_n)
         assert (found.resonances, found.warnings) == ((), ())
