@@ -612,10 +612,10 @@ class TransmissionTarget:
 
     status is "ok" when c_star holds the value cos(2 k (xi1-xi2)) must take
     for the reflected amplitude to vanish; "out_of_range" when the required
-    cosine has modulus above one (no wavenumber works); "degenerate" when
-    the condition collapses because the node's exterior reflection vanishes
-    (s11 = 0) or the exterior wire decouples entirely (|s11| = 1, where the
-    nominal cosine root is a denominator zero, not a transmission zero).
+    cosine has modulus above one (no wavenumber works); "degenerate" where
+    the exterior reflection h11 is zero to rounding (|h11| <= 64 eps), or the
+    closed forms' own test finds the exterior wire decoupled (1 - |h11|^2 <
+    DEGENERATE_TOL: the nominal root is a denominator zero, not a line).
     """
 
     c_star: float | None
@@ -653,10 +653,10 @@ def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
 
 
 def _transmission_ratio(s) -> float | None:
-    # -lambda/(2 h11) from the core's entries s[i][j], None where the target degenerates.
+    # -lambda/(2 h11) from the core's entries s[i][j]; None where TransmissionTarget is "degenerate".
     # Both are real on a Hermitian core: their imaginary rounding is checked before dividing.
     h11 = s[0][0]
-    if abs(h11) < 1e-12 or abs(h11) > 1.0 - 1e-12:
+    if abs(h11) <= _ROUNDING or 1.0 - abs(h11) ** 2 < DEGENERATE_TOL:
         return None
     lam = _anti_lambda(s, _anti_trace(s))
     if not (abs(h11.imag) <= _ROUNDING and abs(lam.imag) <= _ROUNDING):
@@ -668,19 +668,18 @@ def _arm_minima(cfg: RingConfig) -> tuple:
     """Where |A|^2 and |F|^2 of a ring on a closed form (its route's forms) are least, and how low.
 
     Returns one entry for A and one for F: None where there is no prediction
-    (the resolvent, a trivial or degenerate node), else (c, least): every
-    minimum lies on c = cos(2k(xi1-xi2)), and reads least there (0 for a zero).
-    A node is trivial when the exterior wire lies in one eigenspace of U, so
-    |A| = 1 identically (||U00| - 1| < 1e-9), or when it is scale invariant
-    and A = 0 identically (|U00| < 1e-9); U00 is then h11 of reflection_core.
+    (the resolvent, a decoupled node), else (c, least): every minimum lies on
+    c = cos(2k(xi1-xi2)), and reads least there (0 for a zero).  A node is
+    decoupled by the closed form's own test, den at g = 1 below DEGENERATE_TOL
+    (every line a bound state that solve_grid flags); an identically vanishing
+    amplitude keeps its entry, and find drops it.
 
-    * Symmetric: A = (1 - g) s11 / (1 - g |s11|^2) vanishes at c = 1 and where
-      s11 does.  On a scale-invariant node s11 = h11, and |F| = (1 - rho) /
-      |1 - rho g| (rho = |h11|^2) is least at c = -1.  Another node predicts A
-      alone, if |s11(k)| >= m = 2 max_j |V0j|^2 - 1 > 0.1: |A|^2 >= m^2 sin^2(k dxi).
-    * Antisymmetric: F vanishes at c = 1 unless the interior couplings or the
-      denominator there vanish, and A at perfect_transmission_target's
-      cosine c*.  With c* out of range (and the node not trivial), |A|^2 =
+    * Symmetric: A = (1 - g) s11 / (1 - g |s11|^2) vanishes at c = 1 and where s11
+      does.  On a scale-invariant node s11 = h11, den at g = 1 is 1 - rho (rho = |h11|^2), and
+      |F| = (1 - rho) / |1 - rho g| is least at c = -1.  Another node tests h11 = U00 (|s11(k)| = 1
+      where |U00| = 1), and predicts A alone if |s11(k)| >= m = 2 max_j |V0j|^2 - 1 > 0.1: |A|^2 >= m^2 sin^2(k dxi).
+    * Antisymmetric: F vanishes at c = 1 unless den = 1 - trm + rho does, and A at
+      perfect_transmission_target's cosine c*, where it is "ok".  Out of range, |A|^2 =
       4 rho (c - c*)^2 / Q(c), Q = 4 rho c^2 - 2 (1 + rho) trm c + trm^2 +
       (1 - rho)^2 (trm = _anti_trace, real for these nodes), is least at
       c = -1, at c = 1, or where its derivative vanishes, at
@@ -692,21 +691,17 @@ def _arm_minima(cfg: RingConfig) -> tuple:
     s = (reflection_core(cfg.left) if scale_invariant else build_U(cfg.left)).tolist()
     h11 = s[0][0]
     rho = abs(h11) ** 2
-    trivial = abs(abs(h11) - 1.0) < 1e-9 or (scale_invariant and abs(h11) < 1e-9)
     if forms is _symmetric_forms:
         lattice = scale_invariant or 2.0 * float(np.abs(build_V(cfg.left)[0]).max()) ** 2 - 1.0 > 0.1
         reflection = (-1.0, ((1.0 - rho) / (1.0 + rho)) ** 2) if scale_invariant else None
-        return (None, None) if trivial else ((1.0, 0.0) if lattice else None, reflection)
+        return (None, None) if 1.0 - rho < DEGENERATE_TOL else ((1.0, 0.0) if lattice else None, reflection)
     trm = _anti_trace(s)
-    coupling = 2.0 * (s[2][0].conjugate() * s[1][0]).real
-    reflection = None if abs(coupling) < 1e-9 or abs(1.0 - trm + rho) < 1e-9 else (1.0, 0.0)
+    reflection = None if abs(1.0 - trm + rho) < DEGENERATE_TOL else (1.0, 0.0)
     c_star = _transmission_ratio(s)
     if c_star is None:
         return None, reflection
     if abs(c_star) <= 1.0:
         return (c_star, 0.0), reflection
-    if trivial:
-        return None, reflection
     trm = trm.real
     q2, q1, q0 = 4.0 * rho, -2.0 * (1.0 + rho) * trm, trm * trm + (1.0 - rho) ** 2
     candidates = [-1.0, 1.0]
@@ -753,8 +748,10 @@ def solve_grid(cfg: RingConfig, ks) -> tuple[np.ndarray, np.ndarray]:
     other row agrees with solve_auto within 256 eps / min(|det|, 1), det
     being the resolvent's det(I - s s~) (squared on the antisymmetric closed
     form, the less well conditioned route); the tests hold the grid to it
-    against solve_auto and a 50-digit solve of the same node matrices.  The
-    last bits can depend on the numpy and BLAS build, never on the run.
+    against solve_auto and a 50-digit solve of the inputs the route reads: a
+    closed form's are the left node's array and the arm phase, taken in one
+    product (tests/test_grid.py::exact_solves).  The last bits can depend on
+    the numpy and BLAS build, never on the run.
     """
     return _solve_grid_columns(cfg, ks, _ALL_COLUMNS)
 

@@ -33,10 +33,15 @@ def derived_configs() -> dict[str, dict]:
     general_symmetric is symmetric_buttiker written as General(right=left);
     generic_symmetric is a symmetric ring whose node is not scale invariant;
     the decoupled rings have U = -I (symmetric_buttiker) and U = I
-    (antisymmetric_generic), so that every wire decouples.
+    (antisymmetric_generic), so that every wire decouples;
+    weakly_coupled_symmetric couples its exterior wire through Euler angles
+    beta = delta = 3e-6, so 1 - |h11| is 3.6e-11: narrow lines, yet no
+    decoupling.
     """
     buttiker, generic = shipped("symmetric_buttiker"), shipped("antisymmetric_generic")
     configs = {"general_symmetric": {**buttiker, "ring": {**buttiker["ring"], "mode": "general", "right": "splitter"}}}
+    weak = {"theta": ["pi:0", "pi:1", "pi:1"], "alpha": 0.4, "beta": 3e-6, "gamma": 1.1, "delta": 3e-6, "L0": 1.0}
+    configs["weakly_coupled_symmetric"] = {**buttiker, "junctions": {"splitter": weak}}
     for name, doc, node, theta in (("generic_symmetric", buttiker, "splitter", [0.9, 2.4, 4.1]),
                                    ("decoupled_symmetric_buttiker", buttiker, "splitter", ["pi:1"] * 3),
                                    ("decoupled_antisymmetric_generic", generic, "node", ["pi:0"] * 3)):
@@ -145,3 +150,14 @@ def test_decoupled_rings_reflect_nowhere(capsys, tmp_path, name):
     assert (code, err) == (0, "") and out.splitlines()[0].endswith(": 0 found")
     code, _, err = run(capsys, ["ring", "--config", config, "--k", repr(PI)])
     assert code == 3 and err.startswith("degenerate ring: ")
+
+
+def test_a_weakly_coupled_ring_keeps_its_lines(capsys, tmp_path):
+    # 1 - |h11|^2 is far above DEGENERATE_TOL: the node couples, and each line n pi is
+    # a perfect transmission, reported at its analytic float
+    argv = ["find", "--config", config_path("weakly_coupled_symmetric", tmp_path), "--k-min", "0.5", "--k-max", "10",
+            "--kind", "transmission"]
+    code, out, err = run(capsys, argv)
+    header, *rows = out.splitlines()
+    assert (code, err) == (0, "") and header.endswith(": 3 found")
+    assert [float(row.split()[2]) for row in rows] == [float(f"{n * PI:.15g}") for n in (1, 2, 3)]

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import json
@@ -314,42 +315,6 @@ class TestFindResonances:
 # -- the analytic cross-check -------------------------------------------------------
 
 
-def quadratic_cross_check(found, expected, k_min, k_max, scan_n) -> list[str]:
-    """The cross-check as first written, every resonance against every position: the reference."""
-    warnings = []
-    step = (k_max - k_min) / (scan_n - 1)
-    for ke in expected:
-        if ke <= k_min + step or ke >= k_max - step:
-            continue  # too close to the range edge to bracket
-        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for r in found):
-            warnings.append(
-                f"analytic resonance near k={ke:.12g} was not recovered; "
-                f"scan_n={scan_n} may be too coarse"
-            )
-    for r in found:
-        if not any(abs(r.k_star - ke) <= 1e-6 * max(1.0, abs(ke)) for ke in expected):
-            warnings.append(
-                f"found minimum at k={r.k_star:.12g} (residual {r.residual:.3e}) "
-                "has no analytic counterpart"
-            )
-    return warnings
-
-
-def capped(warnings: list[str], scan_n: int) -> list[str]:
-    """Warnings as the cross-check reports them: the first ten of each kind, then one line for the rest."""
-    out = []
-    for marker, what, verdict in [
-        ("was not recovered", "analytic resonances", f"were not recovered; scan_n={scan_n} may be too coarse"),
-        ("no analytic counterpart", "found minima", "have no analytic counterpart"),
-    ]:
-        kind = [w for w in warnings if marker in w]
-        rest = [float(re.search(r"k=([^ ;]+)", w).group(1)) for w in kind[10:]]
-        out += kind[:10]
-        if rest:
-            out.append(f"{len(rest)} more {what} in [{min(rest):.12g}, {max(rest):.12g}] {verdict}")
-    return out
-
-
 def in_window(positions, k_min, k_max) -> list[float]:
     """The analytic positions inside (k_min, k_max), without their outer neighbours."""
     return [ke for ke in positions.tolist() if k_min < ke < k_max]
@@ -383,22 +348,14 @@ CROSS_CHECK_SEARCHES = [
 
 class TestCrossCheck:
     @pytest.mark.parametrize("ring, kind, k_min, k_max, scan_n", CROSS_CHECK_SEARCHES)
-    def test_equals_the_quadratic_reference(self, ring, kind, k_min, k_max, scan_n):
+    def test_the_searches_miss_no_line(self, ring, kind, k_min, k_max, scan_n):
         positions, least = _expected_resonances(ring, kind, k_min, k_max)
         assert least == 0.0 and positions[0] < k_min and positions[-1] > k_max  # the outer neighbours
         expected = in_window(positions, k_min, k_max)
-        assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
         assert expected == sorted(expected) and expected
+        assert expected == lattice_from_first_line(ring, kind, k_min, k_max)
         result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
-        scan_n = _scan_count(k_min, k_max, scan_n)
-        reference = quadratic_cross_check(result.resonances, expected, k_min, k_max, scan_n)
-        assert list(result.warnings) == capped(reference, scan_n)
-
-    def test_the_searches_miss_no_line(self):
-        for ring, kind, k_min, k_max, scan_n in CROSS_CHECK_SEARCHES:
-            result = find_resonances(ring, k_min, k_max, kind, scan_n=scan_n)
-            expected = in_window(_expected_resonances(ring, kind, k_min, k_max)[0], k_min, k_max)
-            assert [r.k_star for r in result.resonances] == expected and result.warnings == ()
+        assert [r.k_star for r in result.resonances] == expected and result.warnings == ()
 
     def test_wide_lattice(self):
         # 50000 lines in one search; at a tol that no residual reaches, each is
@@ -682,6 +639,26 @@ def rings_with_minima(kind: ResonanceKind, count: int) -> list[RingConfig]:
     return rings
 
 
+def weakly_coupled_rings(seed: int, count: int) -> list[RingConfig]:
+    """count scale-invariant nodes that couple their exterior wire weakly, each in a symmetric and an antisymmetric ring.
+
+    theta alternates between (0, 0, pi) and (pi, pi, 0); alpha, gamma, a, b are
+    uniform on [0, 2 pi); beta and delta are each eps U(0.5, 1), eps =
+    10^U(-7.5, -3), so 1 - |h11| ranges from rounding level to about 1e-6;
+    xi2 = 0 and dxi = xi1 is U(0.5, 3).
+    """
+    rng = np.random.default_rng(seed)
+    rings = []
+    for i in range(count):
+        alpha, gamma, a, b = rng.uniform(0.0, 2 * PI, 4).tolist()
+        beta, delta = (10.0 ** rng.uniform(-7.5, -3.0) * rng.uniform(0.5, 1.0, 2)).tolist()
+        node = JunctionParams(theta=(0.0, 0.0, PI) if i % 2 == 0 else (PI, PI, 0.0), alpha=alpha, beta=beta,
+                              gamma=gamma, delta=delta, a=a, b=b)
+        dxi = float(rng.uniform(0.5, 3.0))
+        rings += [RingConfig(left=node, mode=mode, xi1=dxi, xi2=0.0) for mode in (SYMMETRIC, ANTISYMMETRIC)]
+    return rings
+
+
 class TestArmMinima:
     @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
     def test_probabilities_repeat_every_line_spacing(self, mode):
@@ -822,6 +799,49 @@ class TestArmMinima:
                     assert _expected_resonances(cfg, kind, k_min, k_max) is None
                     found = find_resonances(cfg, k_min, k_max, kind)
                     assert (found.resonances, found.warnings) == ((), ())
+
+    def test_weakly_coupled_rings_lose_no_line(self):
+        # A weakly coupled exterior wire makes lines about 1 - |h11|^2 wide, some reading
+        # far above tol at their analytic float; only den = 0 at g = 1 (DEGENERATE_TOL) is a
+        # decoupling.  Each lattice point n pi/dxi in [0.5, 10] (the symmetric ring's
+        # transmission zeros, the antisymmetric ring's reflection zeros) is a line, a
+        # warning or a degenerate row.  On the antisymmetric ring it may also have no
+        # midpoint to a neighbour reading above tol, which find's vanishing rule drops:
+        # there den = 1 - g trm + rho g^2 nearly vanishes at g = -1, the midpoints, so
+        # F rises above tol only beside them, and most of them read degenerate.  Every
+        # search's reported k* reads below 2 tol at 50 digits.
+        tol, tally = 1e-8, collections.Counter()
+        for cfg in weakly_coupled_rings(37, 60):
+            symmetric = cfg.mode is SYMMETRIC
+            for kind in ResonanceKind:
+                result = find_resonances(cfg, 0.5, 10.0, kind, tol=tol)
+                column = 0 if kind is ResonanceKind.PERFECT_TRANSMISSION else 5
+                for k in result.lines[:, 0].tolist():
+                    assert abs(mp_resolvent_amplitudes(*cfg._route.arrays(k))[column]) ** 2 < 2 * tol, (cfg, k)
+                if symmetric is not (kind is ResonanceKind.PERFECT_TRANSMISSION):
+                    continue
+                # every position find visits, as it computes them, and the midpoints between them
+                positions = np.arange(0.0, 10.0 * cfg.dxi / PI + 2.0) * PI / cfg.dxi
+                midpoints = 0.5 * (positions[:-1] + positions[1:])
+                inside = np.flatnonzero((positions > 0.5) & (positions < 10.0))
+                degenerate = solve_grid(cfg, positions[inside])[1]
+                rims = np.abs(solve_grid(cfg, midpoints)[0][:, column]) ** 2
+                warned = [float(re.search(r"k=(\S+) ", w).group(1)) for w in result.warnings]
+                assert len(warned) <= 10  # no warning stands for a count
+                for i, flagged in zip(inside.tolist(), degenerate.tolist()):
+                    k = positions[i].item()
+                    if k in result.lines[:, 0]:
+                        tally[cfg.mode, "line"] += 1
+                    elif any(abs(w - k) <= 1e-11 * k for w in warned):
+                        tally[cfg.mode, "warning"] += 1
+                    elif flagged:
+                        tally[cfg.mode, "degenerate"] += 1
+                    else:
+                        assert not symmetric and not np.maximum(rims[i - 1], rims[i]) > tol, (cfg, k)
+                        tally[cfg.mode, "vanishing"] += 1
+        # each outcome occurs: the family reaches every branch
+        assert all(tally[SYMMETRIC, what] for what in ("line", "warning", "degenerate")), tally
+        assert tally[ANTISYMMETRIC, "line"] and tally[ANTISYMMETRIC, "vanishing"], tally
 
     @pytest.mark.parametrize("scan_n", [None, 400, 1000])
     @pytest.mark.parametrize("name, theta", [("symmetric_buttiker", (PI, PI, PI)),

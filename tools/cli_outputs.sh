@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Record what the CLI prints on each shipped config, so that two trees can be
+# Record what the CLI prints on each shipped config, and on the rings that
+# tests/test_cli_contract.py derives from them, so that two trees can be
 # compared file by file (`diff -r`, or `python tools/cli_delta.py BASE CHANGE`
 # for a summary of which files, lines and digits moved).
 #
 # Usage, from the root of a checkout, with the yring to run on PYTHONPATH:
 #   PYTHONPATH=src tools/cli_outputs.sh OUTDIR
 #
-# For each configs/*.json and each command below it runs `python -m yring.cli`
-# and writes OUTDIR/<config>/<command>.stdout, .stderr and .exit (the exit code).
+# The derived rings are read from the tests beside this script, not from the
+# checkout it runs in, so two trees run the same rings; they are written to
+# OUTDIR/derived_configs/<ring>.json.  For each configs/*.json and derived ring,
+# and each command below, it runs `python -m yring.cli` and writes
+# OUTDIR/<config>/<command>.stdout, .stderr and .exit (the exit code).
 # The wide `find` searches run a second time with `--out OUTDIR/<config>/<command>.csv`,
 # which holds k* and the residual at %.17g (stdout rounds them to 15 and 7
 # digits); that run's streams go to <command>_out.stdout, .stderr and .exit.
@@ -40,7 +44,18 @@ run() {  # run NAME ARGS...: one CLI call on $config, its streams and exit code 
     echo $? > "$dir/$name.exit"
 }
 
-for config in configs/*.json; do
+derived="$out/derived_configs"
+mkdir -p "$derived"
+python - "$(dirname "$0")/../tests" "$derived" <<'PY' || exit 1
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_cli_contract import derived_configs
+for name, doc in derived_configs().items():
+    with open(f"{sys.argv[2]}/{name}.json", "w") as f:
+        json.dump(doc, f, indent=2)
+PY
+
+for config in configs/*.json "$derived"/*.json; do
     dir="$out/$(basename "$config" .json)"
     mkdir -p "$dir"
     for command in "${commands[@]}"; do
