@@ -638,30 +638,18 @@ def reflection_core(p: JunctionParams) -> Mat3:
 def perfect_transmission_target(cfg: RingConfig) -> TransmissionTarget:
     """Target value of cos(2k(xi1-xi2)) for zero reflection on the antisymmetric ring.
 
-    Computed from the position-independent node matrix, so it needs no
-    wavenumber.  The underlying ratio is real for every scale-invariant
-    node (the core matrix is Hermitian); ArithmeticError is raised if
-    rounding breaks this.
+    Read from the ring's analytic minima (_arm_minima, computed once from the
+    position-independent node matrix), so it needs no wavenumber.  The
+    underlying ratio is real for every scale-invariant node (the core matrix
+    is Hermitian); ArithmeticError is raised if rounding breaks this.
     """
     _closed_form_route(cfg, _antisymmetric_forms)
-    ratio = _transmission_ratio(reflection_core(cfg.left).tolist())
-    if ratio is None:
+    minima = cfg._minima[0]  # (c*, 0.0) where the target is in range
+    if minima is None:
         return TransmissionTarget(c_star=None, status="degenerate")
-    if abs(ratio) <= 1.0:
-        return TransmissionTarget(c_star=ratio, status="ok")
+    if minima[1] == 0.0:
+        return TransmissionTarget(c_star=minima[0], status="ok")
     return TransmissionTarget(c_star=None, status="out_of_range")
-
-
-def _transmission_ratio(s) -> float | None:
-    # -lambda/(2 h11) from the core's entries s[i][j]; None where TransmissionTarget is "degenerate".
-    # Both are real on a Hermitian core: their imaginary rounding is checked before dividing.
-    h11 = s[0][0]
-    if abs(h11) <= _ROUNDING or 1.0 - abs(h11) ** 2 < DEGENERATE_TOL:
-        return None
-    lam = _anti_lambda(s, _anti_trace(s))
-    if not (abs(h11.imag) <= _ROUNDING and abs(lam.imag) <= _ROUNDING):
-        raise ArithmeticError(f"transmission target ratio is not real: h11={h11!r}, lambda={lam!r}")
-    return -lam.real / (2.0 * h11.real)
 
 
 def _arm_minima(cfg: RingConfig) -> tuple:
@@ -671,8 +659,9 @@ def _arm_minima(cfg: RingConfig) -> tuple:
     (the resolvent, a decoupled node), else (c, least): every minimum lies on
     c = cos(2k(xi1-xi2)), and reads least there (0 for a zero).  A node is
     decoupled by the closed form's own test, den at g = 1 below DEGENERATE_TOL
-    (every line a bound state that solve_grid flags); an identically vanishing
-    amplitude keeps its entry, and find drops it.
+    (every line a bound state that solve_grid flags); 1 - rho below it decouples
+    the exterior wire of either ring (A = h11, F = 0), and both entries are None.
+    An amplitude vanishing identically on a coupled node keeps its entry, and find drops it.
 
     * Symmetric: A = (1 - g) s11 / (1 - g |s11|^2) vanishes at c = 1 and where s11
       does.  On a scale-invariant node s11 = h11, den at g = 1 is 1 - rho (rho = |h11|^2), and
@@ -691,15 +680,21 @@ def _arm_minima(cfg: RingConfig) -> tuple:
     s = (reflection_core(cfg.left) if scale_invariant else build_U(cfg.left)).tolist()
     h11 = s[0][0]
     rho = abs(h11) ** 2
+    if 1.0 - rho < DEGENERATE_TOL:
+        return None, None  # the exterior wire decouples
     if forms is _symmetric_forms:
         lattice = scale_invariant or 2.0 * float(np.abs(build_V(cfg.left)[0]).max()) ** 2 - 1.0 > 0.1
         reflection = (-1.0, ((1.0 - rho) / (1.0 + rho)) ** 2) if scale_invariant else None
-        return (None, None) if 1.0 - rho < DEGENERATE_TOL else ((1.0, 0.0) if lattice else None, reflection)
+        return (1.0, 0.0) if lattice else None, reflection
     trm = _anti_trace(s)
     reflection = None if abs(1.0 - trm + rho) < DEGENERATE_TOL else (1.0, 0.0)
-    c_star = _transmission_ratio(s)
-    if c_star is None:
-        return None, reflection
+    if abs(h11) <= _ROUNDING:
+        return None, reflection  # perfect_transmission_target's "degenerate"
+    # c* = -lambda/(2 h11), both real on a Hermitian core: their imaginary rounding is checked before dividing
+    lam = _anti_lambda(s, trm)
+    if not (abs(h11.imag) <= _ROUNDING and abs(lam.imag) <= _ROUNDING):
+        raise ArithmeticError(f"transmission target ratio is not real: h11={h11!r}, lambda={lam!r}")
+    c_star = -lam.real / (2.0 * h11.real)
     if abs(c_star) <= 1.0:
         return (c_star, 0.0), reflection
     trm = trm.real

@@ -328,17 +328,19 @@ def find_resonances(
     window and the midpoints to its neighbours.  A position reading below
     tol is reported at its analytic float with that reading as its residual,
     unless neither midpoint exceeds tol (an identically vanishing
-    amplitude).  A zero reading at or above tol is a warning; so is each
-    minimum reported that is not a zero, and one that reads at or above tol
-    is dropped.  No line is missed however narrow or close to another, and
-    scan_n is not used.  A ValueError refuses k_max dxi/pi >= 2**52 (the
+    amplitude); a degenerate midpoint reads NaN, no evidence of that, and
+    its position stays.  A zero reading at or above tol is a warning, and so
+    is one that reads degenerate (a bound state on the analytic line); so is
+    each minimum reported that is not a zero, and one that reads at or above
+    tol is dropped.  No line is missed however narrow or close to another,
+    and scan_n is not used.  A ValueError refuses k_max dxi/pi >= 2**52 (the
     lines are not distinct floats) and a lattice too large to allocate.
 
     Otherwise it scans scan_n points and brackets the strict local minima,
-    except where both neighbours are below tol (the same vanishing rule) or
+    except where both neighbours are below tol (the vanishing rule) or
     within 64 eps of the minimum (rounding noise on a flat curve).  A
     degenerate row reads NaN, as the kernel writes it, which no comparison
-    passes: it is no dip, and no neighbour or midpoint above tol.  Each
+    passes: it is no dip, and no neighbour above tol.  Each
     bracket is refined from its three scan samples by Newton steps on the
     complex amplitude, safeguarded by golden-section steps, down to a step
     of 1e-12 * (k_max - k_min) (see _golden_minimize); minima with
@@ -376,12 +378,14 @@ def find_resonances(
         ks[1::2] = positions[start:stop]
         ks[0::2] = 0.5 * (positions[start - 1:stop] + positions[start:stop + 1])
         values = on_grid(ks)[1]
-        rows = np.column_stack((ks[1::2], values[1::2]))[np.maximum(values[:-1:2], values[2::2]) > tol]
+        rows = np.column_stack((ks[1::2], values[1::2]))[~(np.maximum(values[:-1:2], values[2::2]) <= tol)]  # NaN stays
         below = rows[:, 1] < tol
         if least == 0.0:
             warnings = _cross_check(
-                rows[~below], "analytic resonance at k={0:.12g} has residual {1:.3e}, not below tol",
-                "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol")
+                rows[rows[:, 1] >= tol], "analytic resonance at k={0:.12g} has residual {1:.3e}, not below tol",
+                "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol") + _cross_check(
+                rows[np.isnan(rows[:, 1])], "analytic resonance at k={0:.12g} reads degenerate (a bound state), not confirmed",
+                "{} more analytic resonances in [{:.12g}, {:.12g}] read degenerate")
         else:
             warnings = _cross_check(
                 rows[below], "found minimum at k={0:.12g} (residual {1:.3e}) has no analytic counterpart",

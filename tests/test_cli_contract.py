@@ -34,19 +34,29 @@ def derived_configs() -> dict[str, dict]:
     generic_symmetric is a symmetric ring whose node is not scale invariant;
     the decoupled rings have U = -I (symmetric_buttiker) and U = I
     (antisymmetric_generic), so that every wire decouples;
+    decoupled_exterior_antisymmetric has U = diag(1, 1, -1), so that the
+    exterior wire alone decouples;
     weakly_coupled_symmetric couples its exterior wire through Euler angles
     beta = delta = 3e-6, so 1 - |h11| is 3.6e-11: narrow lines, yet no
-    decoupling.
+    decoupling; weakly_coupled_antisymmetric couples it through beta and
+    delta near 3e-7, and the midpoints between its lines n pi/dxi read
+    degenerate.
     """
     buttiker, generic = shipped("symmetric_buttiker"), shipped("antisymmetric_generic")
     configs = {"general_symmetric": {**buttiker, "ring": {**buttiker["ring"], "mode": "general", "right": "splitter"}}}
     weak = {"theta": ["pi:0", "pi:1", "pi:1"], "alpha": 0.4, "beta": 3e-6, "gamma": 1.1, "delta": 3e-6, "L0": 1.0}
     configs["weakly_coupled_symmetric"] = {**buttiker, "junctions": {"splitter": weak}}
+    weak = {"theta": ["pi:1", "pi:1", "pi:0"], "alpha": 1.154102727573376, "beta": 2.2532320602031274e-07,
+            "gamma": 0.6806021899938822, "delta": 3.4079928021741453e-07, "a": 5.331975107684806,
+            "b": 4.394072358587615, "L0": 1.0}
+    configs["weakly_coupled_antisymmetric"] = {**generic, "junctions": {"node": weak},
+                                               "ring": {**generic["ring"], "xi1": 0.981634649231924}}
     for name, doc, node, theta in (("generic_symmetric", buttiker, "splitter", [0.9, 2.4, 4.1]),
                                    ("decoupled_symmetric_buttiker", buttiker, "splitter", ["pi:1"] * 3),
                                    ("decoupled_antisymmetric_generic", generic, "node", ["pi:0"] * 3)):
         junctions = {**doc["junctions"], node: {**doc["junctions"][node], "theta": theta}}
         configs[name] = {**doc, "junctions": junctions}
+    configs["decoupled_exterior_antisymmetric"] = {**generic, "junctions": {"node": {"theta": ["pi:0", "pi:0", "pi:1"]}}}
     return configs
 
 
@@ -137,27 +147,57 @@ def test_symmetric_rings_answer_on_their_lines(capsys, tmp_path, name):
     assert not [row for row in rows if row.endswith(",1")]
 
 
-@pytest.mark.parametrize("name", ["decoupled_symmetric_buttiker", "decoupled_antisymmetric_generic"])
+@pytest.mark.parametrize("name", ["decoupled_symmetric_buttiker", "decoupled_antisymmetric_generic",
+                                  "decoupled_exterior_antisymmetric"])
 def test_decoupled_rings_reflect_nowhere(capsys, tmp_path, name):
     # F vanishes identically and the closed interior ring has a bound state at each
-    # n pi/dxi.  Those scan rows stay degenerate and read NaN, so the noise dips of
-    # |F|^2 beside them are no perfect reflection (3 and 9 lines when such a row
-    # read +inf); `ring` at a bound state exits 3
+    # n pi/dxi (U = +-I) or (n + 1/2) pi/dxi (U = diag(1, 1, -1), whose exterior wire
+    # alone decouples).  Those scan rows stay degenerate and read NaN, so the noise
+    # dips of |F|^2 beside them are no perfect reflection (3 and 9 lines when such a
+    # row read +inf), and the last ring is scanned, not enumerated, as its bound states
+    # would keep every line n pi/dxi; `ring` at a bound state exits 3
     config = config_path(name, tmp_path)
     argv = ["find", "--config", config, "--k-min", repr(PI), "--k-max", repr(10 * PI), "--n", "1000",
             "--kind", "reflection"]
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "") and out.splitlines()[0].endswith(": 0 found")
-    code, _, err = run(capsys, ["ring", "--config", config, "--k", repr(PI)])
+    bound = PI / 2 if name == "decoupled_exterior_antisymmetric" else PI
+    code, _, err = run(capsys, ["ring", "--config", config, "--k", repr(bound)])
     assert code == 3 and err.startswith("degenerate ring: ")
 
 
-def test_a_weakly_coupled_ring_keeps_its_lines(capsys, tmp_path):
-    # 1 - |h11|^2 is far above DEGENERATE_TOL: the node couples, and each line n pi is
-    # a perfect transmission, reported at its analytic float
-    argv = ["find", "--config", config_path("weakly_coupled_symmetric", tmp_path), "--k-min", "0.5", "--k-max", "10",
-            "--kind", "transmission"]
+@pytest.mark.parametrize("name, kind", [("weakly_coupled_symmetric", "transmission"),
+                                        ("weakly_coupled_antisymmetric", "reflection")])
+def test_a_weakly_coupled_ring_keeps_its_lines(capsys, tmp_path, name, kind):
+    # 1 - |h11|^2 is far above DEGENERATE_TOL: the node couples, and each line n pi/dxi
+    # is a perfect transmission (symmetric) or reflection (antisymmetric), reported at
+    # its analytic float.  The antisymmetric ring's midpoints read degenerate, which
+    # is no evidence that F vanishes identically: its lines stay
+    dxi = derived_configs()[name]["ring"]["xi1"]
+    argv = ["find", "--config", config_path(name, tmp_path), "--k-min", "0.5", "--k-max", "10", "--kind", kind]
     code, out, err = run(capsys, argv)
     header, *rows = out.splitlines()
     assert (code, err) == (0, "") and header.endswith(": 3 found")
-    assert [float(row.split()[2]) for row in rows] == [float(f"{n * PI:.15g}") for n in (1, 2, 3)]
+    assert [float(row.split()[2]) for row in rows] == [float(f"{n * PI / dxi:.15g}") for n in (1, 2, 3)]
+
+
+def test_a_degenerate_analytic_position_is_a_warning(capsys, tmp_path):
+    # weakly_coupled_antisymmetric's transmission minima lie on the degenerate midpoints
+    # (n - 1/2) pi/dxi: each reads NaN, a bound state on the predicted line, which
+    # confirms nothing and is no line
+    argv = ["find", "--config", config_path("weakly_coupled_antisymmetric", tmp_path), "--k-min", "0.5",
+            "--k-max", "10", "--kind", "transmission"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out.splitlines() == ["resonances (kind=transmission) in [0.5, 10]: 0 found"]
+    assert err.splitlines() == [f"warning: analytic resonance at k={k} reads degenerate (a bound state), not confirmed"
+                                for k in ("1.60018427225", "4.80055281674", "8.00092136124")]
+
+
+def test_ring_skips_the_cross_check_where_the_resolvent_is_degenerate(capsys, tmp_path):
+    # 10 pi is a line of generic_symmetric: the Fabry-Perot form answers |F|^2 = 1, while
+    # the resolvent holds a bound state there and solve_algebraic raises
+    argv = ["ring", "--config", config_path("generic_symmetric", tmp_path), "--k", repr(10 * PI)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "p_transmission = 1.000000000000e+00" in out.splitlines()
+    assert out.splitlines()[-1] == "algebraic cross-check skipped (resolvent degenerate at this k)"

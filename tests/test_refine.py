@@ -323,6 +323,28 @@ class TestLockstep:
                     mixed += 1
         assert mixed > 0
 
+    def test_a_degenerate_probe_is_no_line(self, monkeypatch):
+        # A solve_auto probe that raises DegenerateRingError reads NaN, never lower: its
+        # bracket refines on from its other probes, and its k is not reported.  A General
+        # ring's reflection in a window with two lines: fewer than _LOCKSTEP_LEAST brackets.
+        cfg, k_min, k_max = corpus(20240613, 6)[5]
+        kind = ResonanceKind.PERFECT_REFLECTION
+        reference = find_resonances(cfg, k_min, k_max, kind)
+        assert len(reference.lines) == 2
+        solve_auto, raised = spectrum.solve_auto, []
+
+        def point(cfg, k):
+            if not raised:
+                raised.append(k)
+                raise DegenerateRingError("a bound state at this probe")
+            return solve_auto(cfg, k)
+
+        monkeypatch.setattr(spectrum, "solve_auto", point)
+        result = find_resonances(cfg, k_min, k_max, kind)
+        assert raised and raised[0] not in result.lines[:, 0]
+        assert len(result.lines) == len(reference.lines)
+        assert all(abs(solve_auto(cfg, k).F) ** 2 < 1e-8 for k in result.lines[:, 0].tolist())
+
 
 class TestEarlyStop:
     """find_resonances against itself with the early stop of non-zero minima switched off."""
