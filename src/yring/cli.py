@@ -24,6 +24,7 @@ from .junction import (
     Orientation,
     ScatteringMatrix,
     _Node,
+    _ends,
     _residual,
     _s_grid,
     build_U,
@@ -228,25 +229,23 @@ def _check_line(out: list[str], label: str, value: float, limit: float) -> bool:
 
 def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.random.Generator) -> bool:
     # The unitarity of U, then the unitarity and the node-condition residual of
-    # both orientations' matrices at four seeded samples (k, xi, phi), each
-    # orientation's four matrices as one block of the grid kernel.
+    # both orientations' matrices at four seeded samples (k, xi, phi), all
+    # eight in one pass of the grid kernel.
     u = build_U(params)
     ok = _check_line(out, f"unitarity U ({name})", unitarity_error(u), 1e-12)
     samples = [(float(rng.uniform(0.1, 20.0)), float(rng.uniform(-2.0, 2.0)),
                 rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(4)]
     ks, xis, phis = (np.array(column) for column in zip(*samples))
     phis = phis.T  # one column per sample, as _residual takes them
-    node = _Node(params)
-    orientations = (Orientation.INWARD, Orientation.OUTWARD)
+    node, orientations = _Node(params), (Orientation.INWARD, Orientation.OUTWARD)
     with np.errstate(all="ignore"):  # overflowing products of a rejected sample
-        masks, entries = zip(*[_s_grid(node, ks, xis, orientation) for orientation in orientations])
-    accepted = masks[0]  # the orientations' position exponents differ only in sign: one mask
-    if not accepted.all():
+        accepted, entries = _s_grid(_ends(*[(node, xis, orientation) for orientation in orientations]), ks)
+    if not accepted.all():  # the orientations' position exponents differ only in sign: both reject a sample
         k, xi, _ = samples[np.argmin(accepted)]
         s_matrix(params, k, xi)  # raises at this sample
     residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("ijn,jn->in", s, phis), orientation)
                  for s, orientation in zip(entries, orientations)]
-    stacks = np.moveaxis(np.array(entries), -1, 1)  # (2, n, 3, 3): one matrix per sample
+    stacks = np.moveaxis(entries, -1, 1)  # (2, n, 3, 3): one matrix per sample
     ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(stacks), 1e-12)
     return ok & _check_line(out, f"node-condition residual ({name})", np.max(residuals), 1e-10)
 

@@ -108,9 +108,10 @@ class ScatteringMatrix:
 
     def __post_init__(self) -> None:
         # A private copy: frozen below, it must not freeze the caller's array.
-        m = as_complex_matrix(np.array(self.m, dtype=complex), (3, 3))
-        err = unitarity_error(m)
-        if err > UNITARITY_TOL:
+        m = np.array(self.m, dtype=complex)
+        err = unitarity_error(m) if m.shape == (3, 3) else math.nan  # NaN, too, where an entry is not finite
+        if not err <= UNITARITY_TOL:
+            as_complex_matrix(m, (3, 3))  # raises on the shape, then on an entry that is not finite
             raise ValueError(f"scattering matrix is not unitary (error {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
@@ -141,31 +142,17 @@ class _Node:
 
     V, V^dagger, (cos, sin) of each half eigenphase and L0, computed once.
     With swap, rows 1 and 2 of V are interchanged: the node with its interior
-    wires relabelled, as the antisymmetric ring's right node.  The constants
-    of _s_grid alone are built on its first call (`grid`): s_matrix builds a
-    node per call and needs none of them.
+    wires relabelled, as the antisymmetric ring's right node.  _s_grid reads
+    nodes through the constants of a stack of node ends (_ends), built apart.
     """
 
-    __slots__ = ("v", "vh", "half", "L0", "_grid")
+    __slots__ = ("v", "vh", "half", "L0")
 
     def __init__(self, p: JunctionParams, swap: bool = False) -> None:
         self.v = build_V(p)[[0, 2, 1]] if swap else build_V(p)
         self.vh = self.v.conj().T
         self.half = tuple((math.cos(t / 2.0), math.sin(t / 2.0)) for t in p.theta)
         self.L0 = p.L0
-        self._grid = None
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # cos and sin of the half eigenphases, each a column (3, 1),
-        # and V's rank-one projectors v_j v_j^dagger, one row per entry (i, l)
-        # of the node matrix and one column per j, shape (9, 3).
-        if self._grid is None:
-            cos, sin = np.array(self.half).T[:, :, None]
-            projectors = (self.v[:, None, :] * self.vh.T[None, :, :]).reshape(9, 3)
-            self._grid = cos, sin, projectors
-            for a in self._grid:
-                a.setflags(write=False)
-        return self._grid
 
 
 #: 2i times the sign that each orientation gives k: the position phase is exp(_PHASE * k * xi).
@@ -231,24 +218,38 @@ def _s_array(node: _Node, k: float, xi: float, orientation: Orientation) -> Mat3
     return np.exp(z) * ((node.v * d) @ node.vh)
 
 
-def _s_grid(node: _Node, ks: np.ndarray, xi, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
-    # _s_array on a grid of wavenumbers at the position xi (one position, or
-    # one per wavenumber), in one pass: where _phase_exponent accepts them, as
-    # a mask, and the node entries s[i][j], shape (3, 3, n) with the
-    # wavenumbers last (meaningless where rejected; the caller silences
-    # numpy's overflow warnings).  As L0 > 0 is finite, k*L0 > 0 is finite only
-    # where k is, and z is finite only where xi is (its real part is 0 * xi).
-    # The entries are _factor's diagonal, on arrays, times the position phase,
-    # times V's rank-one projectors v_j v_j^dagger, in one product.  Projector
-    # rows in the product's left operand keep a node with relabelled wires
-    # equal to the relabelled node, word for word.
-    lk = node.L0 * ks
-    z = _PHASE[orientation] * ks * xi
-    accepted = np.isfinite(lk) & (lk > 0.0) & np.isfinite(z)
-    cos, sin, projectors = node.grid()
-    d = _factor(lk, cos, sin, _PHASE[orientation] / 2, np.hypot)
+def _ends(*ends) -> tuple:
+    # The constants of _s_grid for a stack of e node ends, each a (node, xi, orientation)
+    # triple, one row per end, read-only: L0, the phase 2i and the sign i of k, each (e, 1, 1);
+    # xi, (e, 1, 1) or (e, 1, n) with one position per wavenumber; cos and sin of the half
+    # eigenphases, (e, 3, 1); and V's rank-one projectors v_j v_j^dagger, a row per entry
+    # (i, l) of the node matrix and a column per j, (e, 9, 3).
+    nodes, xis, orientations = zip(*ends)
+    rows = lambda values: np.array(values).reshape(len(ends), 1, -1)  # one row per end
+    v = np.array([node.v for node in nodes])
+    stack = (rows([node.L0 for node in nodes]), rows([_PHASE[o] for o in orientations]),
+             rows([_PHASE[o] / 2 for o in orientations]), rows(xis),  # i as _s_array divides it
+             *np.array([node.half for node in nodes]).transpose(2, 0, 1)[..., None],
+             (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(len(ends), 9, 3))
+    for a in stack:
+        a.setflags(write=False)
+    return stack
+
+
+def _s_grid(ends: tuple, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _s_array at each node end of the stack ends (_ends) on a grid of wavenumbers, in one pass: where
+    # _phase_exponent accepts them at every end, as a mask, and each end's entries s[i][j], shape (e, 3, 3, n)
+    # with the wavenumbers last (meaningless where rejected; the caller silences numpy's overflow warnings).
+    # As L0 > 0 is finite, k*L0 > 0 is finite only where k is, and z is finite only where xi is (its real part
+    # is 0 * xi).  The entries are _factor's diagonal times the position phase times V's rank-one projectors,
+    # in one batched product; an end's words do not depend on the other ends.
+    L0, phase, i, xi, cos, sin, projectors = ends
+    lk = L0 * ks
+    z = phase * ks * xi
+    accepted = (np.isfinite(lk) & (lk > 0.0) & np.isfinite(z)).all(axis=(0, 1))
+    d = _factor(lk, cos, sin, i, np.hypot)
     d *= np.exp(z)
-    return accepted, (projectors @ d).reshape(3, 3, -1)
+    return accepted, (projectors @ d).reshape(len(projectors), 3, 3, -1)
 
 
 def junction_residual(

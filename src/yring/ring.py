@@ -32,6 +32,7 @@ from .junction import (
     Orientation,
     ScatteringMatrix,
     _Node,
+    _ends,
     _s_array,
     _s_grid,
     build_U,
@@ -58,11 +59,9 @@ _DEGENERATE = "ring is degenerate at k={!r}: I - s s~ is singular and the amplit
 #: half this count, lies past twice it switches there (BENCH_35.json).
 _SERIES_DOUBLING_THRESHOLD = 64
 
-#: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.
-#: On the shipped configs (2-vCPU VM, numpy 2.4 on OpenBLAS 0.3.31) the
-#: kernel takes 0.72-0.94 us a point at 2048, against 0.86-1.02 at 512,
-#: 0.76-0.97 at 1024 and 0.82-1.07 at 4096, where a 100000-point sweep also
-#: peaks up to 1.8 MB higher.
+#: Wavenumbers solve_grid evaluates together; bounds its temporary arrays.  The kernel takes 0.18-0.28 us a
+#: point at 2048 on the shipped configs, 0.20-0.33 at 1024, 0.23-0.41 at 512 and 0.22-0.34 at 4096, where
+#: 100000 points also peak 0.9-1.4 MB higher (2 vCPUs, numpy 2.4.6, BENCH_39.json).
 GRID_BLOCK = 2048
 
 #: Flags for the amplitudes A..F: which ones a formula or grid route computes.
@@ -236,10 +235,10 @@ def _solved_grid(s, t, singular, amplitudes) -> tuple[tuple, np.ndarray]:
     neither A nor F) is solved on the gap's range, which a gap of rank zero lacks; a gap
     regular to working precision keeps amplitudes(); any other row is degenerate.
     """
-    values, degenerate = amplitudes(), np.zeros_like(singular)
-    rows = np.flatnonzero(singular)
-    if not rows.size:  # most blocks: no SVD
-        return values, degenerate
+    values = amplitudes()
+    if not np.count_nonzero(singular):  # most blocks: no SVD, and no row degenerate
+        return values, singular
+    rows, degenerate = np.flatnonzero(singular), np.zeros_like(singular)
     m1, m2 = np.moveaxis(s, -1, 0)[rows], np.moveaxis(t, -1, 0)[rows]  # one node matrix per row
     u, sv, vh = np.linalg.svd(np.eye(2) - np.einsum("nij,njk->nik", m1[:, 1:, 1:], m2[:, 1:, 1:]))  # rounds as _bounce
     launch, null = m1[:, 1:, :1], vh[:, 1:].conj().swapaxes(1, 2)  # columns
@@ -771,7 +770,8 @@ def _solve_grid_columns(cfg: RingConfig, ks, columns) -> tuple[np.ndarray, np.nd
             values, degenerate[block] = solve_block(ks[block], columns)
             for j, z in enumerate(itertools.compress(values, columns)):
                 amps[block, j] = z
-    amps[degenerate] = complex(math.nan, math.nan)
+    if np.count_nonzero(degenerate):  # most calls: no row to blank
+        amps[degenerate] = complex(math.nan, math.nan)
     return amps, degenerate
 
 
@@ -786,7 +786,7 @@ class _Route:
     The methods do the per-wavenumber half, at one wavenumber or on a block of them.
     """
 
-    __slots__ = ("left", "right", "forms", "xi1", "xi2", "dxi")
+    __slots__ = ("left", "right", "forms", "xi1", "xi2", "dxi", "_ends")
 
     def __init__(self, cfg: RingConfig) -> None:
         self.left = self.right = _Node(cfg.left)
@@ -797,6 +797,14 @@ class _Route:
             self.right = _Node(cfg.left, swap=True)
             self.forms = _antisymmetric_forms if is_scale_invariant(cfg.left) else None
         self.xi1, self.xi2, self.dxi = cfg.xi1, cfg.xi2, cfg.dxi
+        self._ends = {}
+
+    def ends(self, count: int) -> tuple:
+        # _s_grid's stack of the first count of (left end inward at xi1, right end outward at xi2), built once
+        if count not in self._ends:
+            both = (self.left, self.xi1, Orientation.INWARD), (self.right, self.xi2, Orientation.OUTWARD)
+            self._ends[count] = _ends(*both[:count])
+        return self._ends[count]
 
     def arrays(self, k: float) -> tuple[Mat3, Mat3]:
         # Left inward array at xi1 and effective right outward array at xi2.
@@ -819,19 +827,15 @@ class _Route:
     def _check_grid(self, ks: np.ndarray, accepted: np.ndarray) -> None:
         # Raises what the per-point route raises at the first wavenumber it
         # rejects; accepted repeats its checks on the whole grid.
-        if not accepted.all():
-            k = ks[np.argmin(accepted)].item()
-            if self.forms is None:
-                self.arrays(k)
-            else:
-                self.closed_form(k)
+        if np.count_nonzero(accepted) < accepted.size:
+            (self.arrays if self.forms is None else self.closed_form)(ks[np.argmin(accepted)].item())
 
     def closed_form_grid(self, ks: np.ndarray, columns):
         # The amplitudes that columns flags (as _amplitudes) and the degenerate
         # mask.  The arm-phase exponent, as closed_form computes it, serves both
         # the check and np.exp.
         z = 2j * ks * self.dxi
-        accepted, m = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
+        accepted, (m,) = _s_grid(self.ends(1), ks)
         self._check_grid(ks, accepted & np.isfinite(z))
         den, amplitudes = self.forms(m, np.exp(z), columns)
         return amplitudes(), abs(den) < DEGENERATE_TOL
@@ -839,9 +843,8 @@ class _Route:
     def node_entries(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Where the per-point route accepts the wavenumbers ks, as a mask, and
         # both nodes' entries over them, each of shape (3, 3, n).
-        accepted, s = _s_grid(self.left, ks, self.xi1, Orientation.INWARD)
-        right, t = _s_grid(self.right, ks, self.xi2, Orientation.OUTWARD)
-        return accepted & right, s, t
+        accepted, (s, t) = _s_grid(self.ends(2), ks)
+        return accepted, s, t
 
     def resolve_grid(self, ks: np.ndarray, columns):
         accepted, s, t = self.node_entries(ks)

@@ -44,12 +44,13 @@ SCAN_PER_DECADE = 2048
 #: Fewest scan points find_resonances takes: one bracket of three.
 _SCAN_LEAST = 3
 
-#: Fewest open brackets whose next probes find_resonances takes in one call of
-#: the grid kernel; smaller rounds probe on solve_auto.  On the shipped
-#: configs (2 vCPUs, numpy 2.4.6), one column of `_solve_grid_columns` costs
-#: 74-105 us at 1 wavenumber and 78-108 us at 9, and a prepared solve_auto
-#: 16-25 us: the grid call breaks even at 4 to 5 probes (BENCH_23.json).
+#: Fewest open brackets whose next probes find_resonances takes in one kernel call; smaller rounds probe on
+#: solve_auto.  One column of `_solve_grid_columns` costs 31-59 us at 1 to 9 wavenumbers on the shipped configs,
+#: and a prepared solve_auto 9-21 us: the grid call breaks even at 3 to 5 probes (BENCH_39.json).
 _LOCKSTEP_LEAST = 4
+
+#: Fewest scan samples per line spacing pi/dxi below which find_resonances warns that its scan may miss lines.
+_SCAN_PER_SPACING = 4
 
 #: Cross-check warnings of each kind written out; one line counts the rest.
 _WARNINGS_KEPT = 10
@@ -302,7 +303,7 @@ def _expected_resonances(
     lattice = n * math.pi / dxi
     offset = math.acos(c) / (2.0 * dxi)
     both = np.sort(np.maximum(np.concatenate([lattice + offset, lattice - offset]), 0.0))
-    return both[np.diff(both, prepend=-1.0) > 0.0], least  # each once (np.unique would import numpy.ma, 1 MB)
+    return both[np.concatenate(([True], both[1:] > both[:-1]))], least  # each once (np.unique imports numpy.ma, 1 MB)
 
 
 def find_resonances(
@@ -337,19 +338,21 @@ def find_resonances(
     lines are not distinct floats) and a lattice too large to allocate.
 
     Otherwise it scans scan_n points and brackets the strict local minima,
-    except where both neighbours are below tol (the vanishing rule) or
-    within 64 eps of the minimum (rounding noise on a flat curve).  A
-    degenerate row reads NaN, as the kernel writes it, which no comparison
-    passes: it is no dip, and no neighbour above tol.  Each
-    bracket is refined from its three scan samples by Newton steps on the
-    complex amplitude, safeguarded by golden-section steps, down to a step
-    of 1e-12 * (k_max - k_min) (see _golden_minimize); minima with
-    probability below tol are kept.  A bracket stops early, and is dropped,
-    once a Newton model that its last step validated keeps the minimum above
-    99 tol.  Each round takes the next probe of every open bracket, in one
-    kernel call while at least _LOCKSTEP_LEAST are open, else on solve_auto;
-    a grid row's last bits depend on its call's other rows, so near a narrow
-    line k* depends (the same on every run) on which brackets share a round.
+    except where both neighbours are below tol (the vanishing rule) or within
+    64 eps of the minimum (rounding noise on a flat curve).  A degenerate row
+    reads NaN, as the kernel writes it, which no comparison passes: it is no
+    dip, and no neighbour above tol.  A scan of fewer than _SCAN_PER_SPACING
+    samples per line spacing pi/dxi can step over lines, and warns, naming the
+    scan_n that reaches it.  Each bracket is refined from its three scan
+    samples by Newton steps on the complex amplitude, safeguarded by
+    golden-section steps, down to a step of 1e-12 * (k_max - k_min) (see
+    _golden_minimize); minima with probability below tol are kept.  A bracket
+    stops early, and is dropped, once a Newton model that its last step
+    validated keeps the minimum above 99 tol.  Each round takes the next probe
+    of every open bracket, in one kernel call while at least _LOCKSTEP_LEAST
+    are open, else on solve_auto; a grid row's last bits depend on its call's
+    other rows, so near a narrow line k* depends (the same on every run) on
+    which brackets share a round.
     """
     if not isinstance(kind, ResonanceKind):
         raise ValueError(f"kind must be {ResonanceKind.PERFECT_TRANSMISSION} or {ResonanceKind.PERFECT_REFLECTION}, "
@@ -373,7 +376,7 @@ def find_resonances(
     if expected is not None:
         positions, least = expected
         # the positions in the window, each between the midpoints to its neighbours
-        start, stop = np.searchsorted(positions, k_min, "right"), np.searchsorted(positions, k_max, "left")
+        start, stop = positions.searchsorted(k_min, "right"), positions.searchsorted(k_max, "left")
         ks = np.empty(2 * (stop - start) + 1)
         ks[1::2] = positions[start:stop]
         ks[0::2] = 0.5 * (positions[start - 1:stop] + positions[start:stop + 1])
@@ -382,13 +385,13 @@ def find_resonances(
         below = rows[:, 1] < tol
         if least == 0.0:
             warnings = _cross_check(
-                rows[rows[:, 1] >= tol], "analytic resonance at k={0:.12g} has residual {1:.3e}, not below tol",
+                rows, rows[:, 1] >= tol, "analytic resonance at k={0:.12g} has residual {1:.3e}, not below tol",
                 "{} more analytic resonances in [{:.12g}, {:.12g}] have residuals not below tol") + _cross_check(
-                rows[np.isnan(rows[:, 1])], "analytic resonance at k={0:.12g} reads degenerate (a bound state), not confirmed",
+                rows, np.isnan(rows[:, 1]), "analytic resonance at k={0:.12g} reads degenerate (a bound state), not confirmed",
                 "{} more analytic resonances in [{:.12g}, {:.12g}] read degenerate")
         else:
             warnings = _cross_check(
-                rows[below], "found minimum at k={0:.12g} (residual {1:.3e}) has no analytic counterpart",
+                rows, below, "found minimum at k={0:.12g} (residual {1:.3e}) has no analytic counterpart",
                 "{} more found minima in [{:.12g}, {:.12g}] have no analytic counterpart")
         return ResonanceSearch(kind, rows[below], warnings)
 
@@ -424,15 +427,24 @@ def find_resonances(
         lockstep = len(ks) >= _LOCKSTEP_LEAST
         replies = dict(zip(asked, zip(*(a.tolist() for a in on_grid(ks))) if lockstep else map(probe, ks)))
     rows = np.array(brackets).reshape(-1, 2)
-    return ResonanceSearch(kind, rows[rows[:, 1] < tol])
+    # about the count of lines in the window; it may underflow to 0 or, times 4, overflow
+    spacings = (k_max - k_min) * cfg.dxi / math.pi
+    warnings = () if scan_n - 1 >= _SCAN_PER_SPACING * spacings else (
+        f"scan of [{k_min:.12g}, {k_max:.12g}] takes {(scan_n - 1) / spacings:.3g} samples per line spacing pi/dxi, "
+        f"fewer than {_SCAN_PER_SPACING}, and can miss lines: scan_n (--n) "
+        f"{np.ceil(_SCAN_PER_SPACING * spacings) + 1:.0f} takes {_SCAN_PER_SPACING}",)
+    return ResonanceSearch(kind, rows[rows[:, 1] < tol], warnings)
 
 
-def _cross_check(flagged: np.ndarray, each: str, rest: str) -> tuple[str, ...]:
-    """Warnings for the rows (k*, residual) the analytic positions do not confirm, in the order given.
+def _cross_check(rows: np.ndarray, flagged: np.ndarray, each: str, rest: str) -> tuple[str, ...]:
+    """Warnings for the rows (k*, residual) that flagged marks, which the analytic positions do not confirm, in order.
 
     each formats one row, rest the count and range of those beyond the
     first _WARNINGS_KEPT (10), which it stands for in one line.
     """
+    if not np.count_nonzero(flagged):  # most searches: nothing to gather
+        return ()
+    flagged = rows[flagged]
     beyond = flagged[_WARNINGS_KEPT:, 0].tolist()
     counted = [rest.format(len(beyond), min(beyond), max(beyond))] if beyond else []
     return tuple([each.format(*row) for row in flagged[:_WARNINGS_KEPT].tolist()] + counted)

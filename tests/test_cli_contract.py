@@ -40,7 +40,8 @@ def derived_configs() -> dict[str, dict]:
     beta = delta = 3e-6, so 1 - |h11| is 3.6e-11: narrow lines, yet no
     decoupling; weakly_coupled_antisymmetric couples it through beta and
     delta near 3e-7, and the midpoints between its lines n pi/dxi read
-    degenerate.
+    degenerate; near_scale_invariant_antisymmetric moves each eigenphase of
+    antisymmetric_generic by 9e-10, so its lines are scanned, not enumerated.
     """
     buttiker, generic = shipped("symmetric_buttiker"), shipped("antisymmetric_generic")
     configs = {"general_symmetric": {**buttiker, "ring": {**buttiker["ring"], "mode": "general", "right": "splitter"}}}
@@ -56,6 +57,8 @@ def derived_configs() -> dict[str, dict]:
                                    ("decoupled_antisymmetric_generic", generic, "node", ["pi:0"] * 3)):
         junctions = {**doc["junctions"], node: {**doc["junctions"][node], "theta": theta}}
         configs[name] = {**doc, "junctions": junctions}
+    near = {**generic["junctions"]["node"], "theta": [PI + 9e-10, 9e-10, PI + 9e-10]}
+    configs["near_scale_invariant_antisymmetric"] = {**generic, "junctions": {"node": near}}
     configs["decoupled_exterior_antisymmetric"] = {**generic, "junctions": {"node": {"theta": ["pi:0", "pi:0", "pi:1"]}}}
     return configs
 
@@ -120,6 +123,20 @@ def test_find_line_counts(capsys, tmp_path, name, kind, k_min, k_max, lines):
     assert run(capsys, argv + ["--out", str(out)]) == (0, "", "")
     header, *rows = out.read_text().splitlines()
     assert header == "k_star,kind,residual" and len(rows) == lines
+
+
+@pytest.mark.parametrize("name, k_min, k_max, warning", [
+    # 512 samples over about 28,648 line spacings pi/dxi, and 400 over about 350
+    ("near_scale_invariant_antisymmetric", "1e4", "1e5", "[10000, 100000] takes 0.0178 samples per line spacing "
+     "pi/dxi, fewer than 4, and can miss lines: scan_n (--n) 114593 takes 4"),
+    ("general_ring", "1", "1000", "[1, 1000] takes 1.14 samples per line spacing "
+     "pi/dxi, fewer than 4, and can miss lines: scan_n (--n) 1401 takes 4"),
+])
+def test_a_scan_sparser_than_the_lines_warns(capsys, tmp_path, name, k_min, k_max, warning):
+    argv = ["find", "--config", config_path(name, tmp_path), "--k-min", k_min, "--k-max", k_max,
+            "--kind", "transmission"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, f"warning: scan of {warning}\n") and out
 
 
 def test_general_ring_small_wavenumbers_are_regular(capsys):

@@ -16,6 +16,7 @@ solve_grid's word for word.
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -42,10 +43,10 @@ from yring import (
     solve_grid,
     solve_symmetric_scale_invariant,
 )
-from yring import cli, ring, spectrum
+from yring import cli, junction, ring, spectrum
 from yring.cli import CSV_HEADER, main
 from yring.config import load_config
-from yring.junction import Orientation, _Node, _residual, _s_array, _s_grid
+from yring.junction import _PHASE, Orientation, _Node, _ends, _factor, _residual, _s_array, _s_grid
 from yring.ring import (
     _ROUNDING,
     DEGENERATE_TOL,
@@ -300,6 +301,12 @@ class TestSolveGrid:
             with pytest.raises(DegenerateRingError):
                 solve_auto(cfg, k)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: general_ring's small-k limit is regular (A -> -1), "
+                       "yet below about 1.6e-13 the rule flags its rounded gap degenerate")
+    def test_general_ring_is_regular_down_to_1e_20(self):
+        cfg = load_config(CONFIG_DIR / "general_ring.json").ring
+        assert not solve_grid(cfg, np.geomspace(1e-20, 1e-14, 25))[1].any()
+
     def test_one_svd_per_block_with_flagged_rows(self, monkeypatch):
         # The singular-gap rule settles a block's flagged rows with one stacked
         # SVD, of exactly those rows, and a block with no flagged row takes
@@ -416,7 +423,7 @@ class TestSolveGrid:
                     masks = []
                     for orientation in Orientation:
                         with np.errstate(all="ignore"):
-                            accepted, entries = _s_grid(node, grid, xi, orientation)
+                            accepted, entries = one_end(node, grid, xi, orientation)
                         assert entries.shape == (3, 3, grid.size) and entries.flags.c_contiguous
                         expected = []
                         for k, x in np.broadcast(grid, xi):
@@ -434,6 +441,72 @@ class TestSolveGrid:
         assert reasons == {"k must", "xi must", "k*L0 overflows", "k*L0 underflows", "k*xi overflows"}
 
 
+class TestStackedNodeEnds:
+    """One pass of _s_grid over a stack of node ends against each end's own pass, word for word."""
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["one_xi", "xi_per_sample"])
+    def test_each_end_reads_as_its_own_pass(self, per_sample):
+        # random nodes and their relabelled copies in both orientations, stacked in
+        # pairs and alone, at one position per end or one per wavenumber: the
+        # entries of each end equal its one-end pass and the per-node pass of
+        # reference_node_pass wherever the end accepts the wavenumber, and the
+        # stack's mask is where every end accepts.  L0 = 5 and 0.4 reject
+        # 4e307 (k*L0 overflows) and 5e-324 (it underflows) at one end each
+        rng = np.random.default_rng(53)
+        ks = np.concatenate([[4e307, 5e-324, 0.0, math.inf], 10.0 ** rng.uniform(-8.0, 12.0, 200),
+                             rng.uniform(0.05, 40.0, 200)])
+        for L0s in ((5.0, 0.4), (0.4, 5.0), (1.0, 1.0)):
+            for swap in (False, True):
+                nodes = [_Node(dataclasses.replace(random_params(rng), L0=L0), swap=swap) for L0 in L0s]
+                xis = [rng.uniform(-1.0, 1.0, ks.size) if per_sample else float(rng.uniform(-1.0, 1.0))
+                       for _ in nodes]
+                for orientations in itertools.product(Orientation, repeat=2):
+                    ends = list(zip(nodes, xis, orientations))
+                    with np.errstate(all="ignore"):
+                        accepted, entries = _s_grid(_ends(*ends), ks)
+                        alone = [_s_grid(_ends(end), ks) for end in ends]
+                        reference = [reference_node_pass(*end, ks) for end in ends]
+                    assert entries.shape == (2, 3, 3, ks.size) and entries.flags.c_contiguous
+                    np.testing.assert_array_equal(accepted, alone[0][0] & alone[1][0])
+                    for got, (mask, (one,)), (want_mask, want) in zip(entries, alone, reference):
+                        np.testing.assert_array_equal(mask, want_mask)
+                        for a in (got, one):
+                            assert_same_words(a[..., mask], want[..., mask], "an end's entries")
+                    if L0s[0] != L0s[1]:
+                        assert accepted[:2].tolist() == [False, False]
+                        assert [m[0][:2].tolist() for m in alone] == [[L0 < 1, L0 > 1] for L0 in L0s]
+
+    def test_route_and_check_factor_once(self, monkeypatch):
+        # a kernel block on a resolvent ring, and the eight matrices of one check
+        # junction, each take one pass: one call of junction._factor
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return _factor(*args)
+
+        monkeypatch.setattr(junction, "_factor", counted)
+        cfg = load_config(CONFIG_DIR / "general_ring.json")
+        assert cfg.ring._route.forms is None
+        _solve_grid_columns(cfg.ring, np.linspace(0.5, 10.0, 20), (True,) + (False,) * 5)
+        assert calls == [(2, 1, 20)]
+        calls.clear()
+        assert cli._check_junction([], "left_node", cfg.junctions["left_node"], np.random.default_rng(1))
+        assert calls == [(2, 1, 4)]
+
+
+def reference_node_pass(node, xi, orientation, ks):
+    """The grid pass of one node before node ends were stacked: scalar constants, a 2-D projector product."""
+    lk = node.L0 * ks
+    z = _PHASE[orientation] * ks * xi
+    accepted = np.isfinite(lk) & (lk > 0.0) & np.isfinite(z)
+    cos, sin = np.array(node.half).T[:, :, None]
+    projectors = (node.v[:, None, :] * node.vh.T[None, :, :]).reshape(9, 3)
+    d = _factor(lk, cos, sin, _PHASE[orientation] / 2, np.hypot)
+    d *= np.exp(z)
+    return accepted, (projectors @ d).reshape(3, 3, -1)
+
+
 class TestBatchedProducts:
     """Each product the grid kernel batches against its per-point counterpart, within PRODUCT_TOL."""
 
@@ -447,7 +520,7 @@ class TestBatchedProducts:
             xi = float(rng.uniform(-3.0, 3.0))
             for node in (_Node(p), _Node(p, swap=True)):
                 for orientation in Orientation:
-                    got = matrix_stack(_s_grid(node, ks, xi, orientation))
+                    got = matrix_stack(one_end(node, ks, xi, orientation))
                     expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
                     assert np.abs(got - expected).max() <= PRODUCT_TOL
                     assert unitarity_errors(got).max() <= PRODUCT_TOL
@@ -484,7 +557,7 @@ class TestBatchedProducts:
         for eigenphases in (theta[:3], theta[3:]):
             node = _Node(JunctionParams(theta=eigenphases, L0=0.7))
             assert np.array_equal(node.v, np.eye(3))
-            grid = np.diagonal(matrix_stack(_s_grid(node, ks, 0.0, orientation)), axis1=1, axis2=2)
+            grid = np.diagonal(matrix_stack(one_end(node, ks, 0.0, orientation)), axis1=1, axis2=2)
             point = np.array([np.diagonal(_s_array(node, k, 0.0, orientation)) for k in ks.tolist()])
             with mpmath.workdps(50):
                 expected = np.array([[complex((i * mpmath.mpf(lk) * c + s) / (i * mpmath.mpf(lk) * c - s))
@@ -504,7 +577,7 @@ class TestBatchedProducts:
         for _ in range(6):
             node = _Node(random_params(rng))
             for orientation in Orientation:
-                got = matrix_stack(_s_grid(node, ks, float(rng.uniform(-1.0, 1.0)), orientation))
+                got = matrix_stack(one_end(node, ks, float(rng.uniform(-1.0, 1.0)), orientation))
                 assert np.isfinite(got).all()
                 assert unitarity_errors(got).max() <= PRODUCT_TOL
 
@@ -553,8 +626,14 @@ class TestBatchedProducts:
                 assert np.abs(got - expected).max() <= PRODUCT_TOL * expected.max()
 
 
+def one_end(node, ks, xi, orientation) -> tuple[np.ndarray, np.ndarray]:
+    """_s_grid on the stack of the one node end (node, xi, orientation): the mask and the entries (3, 3, n)."""
+    accepted, (entries,) = _s_grid(_ends((node, xi, orientation)), ks)
+    return accepted, entries
+
+
 def matrix_stack(grid) -> np.ndarray:
-    """The entries (3, 3, n) of an _s_grid result as a stack of matrices (n, 3, 3)."""
+    """The entries (3, 3, n) of a one_end result as a stack of matrices (n, 3, 3)."""
     return np.moveaxis(grid[1], -1, 0)
 
 

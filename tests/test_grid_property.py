@@ -20,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import mp_resolvent_amplitudes  # noqa: E402
-from test_grid import PRODUCT_TOL, contract_ratios, per_point, matrix_stack, unitarity_errors  # noqa: E402
+from test_grid import PRODUCT_TOL, contract_ratios, per_point, matrix_stack, one_end, unitarity_errors  # noqa: E402
 from yring import (  # noqa: E402
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -29,7 +29,7 @@ from yring import (  # noqa: E402
     RingConfig,
     solve_grid,
 )
-from yring.junction import Orientation, _Node, _s_array, _s_grid  # noqa: E402
+from yring.junction import Orientation, _Node, _s_array  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,7 +91,7 @@ def test_grid_within_contract(cfg, ks):
        xi=st.floats(-3.0, 3.0), ks=grids())
 def test_node_matrices_match_the_point_route(p, swap, orientation, xi, ks):
     node = _Node(p, swap=swap)
-    got = matrix_stack(_s_grid(node, ks, xi, orientation))
+    got = matrix_stack(one_end(node, ks, xi, orientation))
     expected = np.stack([_s_array(node, k, xi, orientation) for k in ks.tolist()])
     assert np.abs(got - expected).max() <= PRODUCT_TOL
     assert unitarity_errors(got).max() <= PRODUCT_TOL

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,24 @@ class TestSMatrix:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ScatteringMatrix(m=bad, k=1.0, xi=0.0, orientation=Orientation.INWARD)
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.full((2, 2), np.nan), r"^expected shape \(3, 3\), got \(2, 2\)$"),
+        (np.ones(9), r"^expected shape \(3, 3\), got \(9,\)$"),
+        (np.diag([2.0, np.inf, 1.0]), r"^matrix entries must be finite \(no NaN/Inf\)$"),
+        (np.diag([2.0, 1.0, np.nan]), r"^matrix entries must be finite \(no NaN/Inf\)$"),
+        (np.diag([2.0, 1.0, 1.0]), r"^scattering matrix is not unitary \(error 3\.000e\+00\)$"),
+        (np.eye(3) * (1.0 + 1e-12), r"^scattering matrix is not unitary \(error 2\.000e-12\)$"),
+    ], ids=["shape", "flat", "inf", "nan", "non_unitary", "just_outside"])
+    def test_checks_shape_then_finiteness_then_unitarity(self, entries, message):
+        # the unitarity product runs before the finiteness check, which only a failed
+        # product calls: inf * 0 in it may warn (numpy 2 does; NaN does not), and the
+        # error is the same
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match=message):
+            warnings.simplefilter("always")
+            ScatteringMatrix(m=entries, k=1.0, xi=0.0, orientation=Orientation.INWARD)
+        allowed = {"invalid value encountered in matmul"} if np.isinf(entries).any() else set()
+        assert {str(w.message) for w in caught} <= allowed
 
 
 def reference_junction_residual(U, L0, k, xi, phi, psi, orientation=Orientation.INWARD):

@@ -49,7 +49,7 @@ from yring import (
 )
 from yring import ring
 from yring.config import load_config
-from yring.junction import _s_grid, is_scale_invariant
+from yring.junction import is_scale_invariant
 
 PI = math.pi
 
@@ -133,7 +133,7 @@ class TestPointRoute:
             m2 = ring_matrices(sym, k)[1].m
             np.testing.assert_array_equal(ring_matrices(anti, k)[1].m.view(np.int64),
                                           np.ascontiguousarray(m2[relabel][:, relabel]).view(np.int64))
-        grid = [_s_grid(cfg._route.right, ks, cfg.xi2, Orientation.OUTWARD)[1] for cfg in (anti, sym)]
+        grid = [cfg._route.node_entries(ks)[2] for cfg in (anti, sym)]
         np.testing.assert_array_equal(grid[0].view(np.int64),
                                       np.ascontiguousarray(grid[1][relabel][:, relabel]).view(np.int64))
 

@@ -283,6 +283,42 @@ class TestFindResonances:
         assert [r.k_star for r in result.resonances] == [PI, 2 * PI, 3 * PI]
         assert result.warnings == ()
 
+    def test_a_scan_sparser_than_the_lines_warns(self):
+        # below 4 samples per line spacing pi/dxi the scan warns once, naming the
+        # window, its density and the scan_n that reaches 4; that scan_n is silent.
+        # general_ring's dxi = 1.1 puts 10 spacings in the window
+        cfg = load_config(CONFIG_DIR / "general_ring.json").ring
+        k_max = 1.0 + 10 * PI / cfg.dxi
+        kind = ResonanceKind.PERFECT_TRANSMISSION
+        for scan_n, density in ((21, "2"), (40, "3.9")):
+            assert find_resonances(cfg, 1.0, k_max, kind, scan_n=scan_n).warnings == (
+                f"scan of [1, {k_max:.12g}] takes {density} samples per line spacing pi/dxi, fewer than 4, "
+                "and can miss lines: scan_n (--n) 41 takes 4",)
+        assert find_resonances(cfg, 1.0, k_max, kind, scan_n=41).warnings == ()
+
+    def test_the_scan_rule_survives_extreme_windows(self):
+        # (k_max - k_min) dxi / pi underflows to 0 on a 1e-310 arm (no line, no
+        # warning), and 4 times it overflows on [1, 8e307] over dxi = 2 (the
+        # scan_n that takes 4 reads inf); neither raises
+        cfg = load_config(CONFIG_DIR / "general_ring.json").ring
+        kind = ResonanceKind.PERFECT_TRANSMISSION
+        tiny = dataclasses.replace(cfg, xi1=1e-310, xi2=0.0)
+        assert find_resonances(tiny, 1.0, 1.0 + 2.2e-16, kind, scan_n=5).warnings == ()
+        wide = dataclasses.replace(cfg, xi1=1.0, xi2=-1.0)
+        (warning,) = find_resonances(wide, 1.0, 8e307, kind, scan_n=5).warnings
+        assert warning.endswith("can miss lines: scan_n (--n) inf takes 4")
+
+    def test_a_ring_near_scale_invariance_warns_where_its_scan_misses_lines(self):
+        # each eigenphase 9e-10 off antisymmetric_generic's: the resolvent route, so the
+        # lines are scanned, and the default 2048 samples over about 28,648 spacings keep
+        # 20 of the 57,296 lines the enumeration of the scale-invariant ring reports
+        cfg = load_config(CONFIG_DIR / "antisymmetric_generic.json").ring
+        near = dataclasses.replace(cfg, left=dataclasses.replace(cfg.left, theta=(PI + 9e-10, 9e-10, PI + 9e-10)))
+        found = find_resonances(near, 1e4, 1e5, ResonanceKind.PERFECT_TRANSMISSION)
+        assert len(found.lines) == 20 and found.warnings == (
+            "scan of [10000, 100000] takes 0.0715 samples per line spacing pi/dxi, fewer than 4, "
+            "and can miss lines: scan_n (--n) 114593 takes 4",)
+
     def test_rejects_bad_arguments(self):
         cfg = beam_cfg()
         with pytest.raises(ValueError):
