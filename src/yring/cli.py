@@ -17,8 +17,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .config import _TASK_FIELDS, ConfigError, ParsedConfig, load_config, task_orientation
-from .config import _junction_named, _member, _number
+from .config import _TASK_FIELDS, ConfigError, ParsedConfig, _junction_named, _member, _number, load_config
 from .junction import (
     JunctionParams,
     Orientation,
@@ -45,8 +44,8 @@ from .ring import (
     solve_grid,
     solve_series,
 )
-from .smallmat import unitarity_error
-from .spectrum import _SCAN_LEAST, ResonanceKind, find_resonances, sweep
+from .smallmat import UNITARITY_TOL, unitarity_error
+from .spectrum import _FIND_TOL, _SCAN_LEAST, ResonanceKind, find_resonances, sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,7 +134,7 @@ def cmd_junction(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     params = _junction_named(cfg.junctions, name, "task.junction")
     k = _task_value(cfg.task, "k")
     xi = _task_value(cfg.task, "xi", 0.0)
-    orientation = task_orientation(cfg.task)
+    orientation = _task_value(cfg.task, "orientation", Orientation.INWARD, functools.partial(_member, Orientation))
     S = s_matrix(params, k, xi, orientation)
     probs = probabilities(S)
     lines: list[str] = []
@@ -205,7 +204,7 @@ def cmd_sweep(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
 def cmd_find(cfg: ParsedConfig, args: argparse.Namespace) -> _Output:
     ring, k_min, k_max = _ring_range(cfg)
     kind = _task_value(cfg.task, "kind", parse=functools.partial(_member, ResonanceKind))
-    tol = _task_value(cfg.task, "tol", 1e-8)
+    tol = _task_value(cfg.task, "tol", _FIND_TOL)
     scan_n = _task_value(cfg.task, "n", None, _count)
     if scan_n is not None and scan_n < _SCAN_LEAST:
         raise ConfigError(f"task.n: expected at least {_SCAN_LEAST} scan points, got {scan_n}")
@@ -232,7 +231,7 @@ def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.r
     # both orientations' matrices at four seeded samples (k, xi, phi), all
     # eight in one pass of the grid kernel.
     u = build_U(params)
-    ok = _check_line(out, f"unitarity U ({name})", unitarity_error(u), 1e-12)
+    ok = _check_line(out, f"unitarity U ({name})", unitarity_error(u), UNITARITY_TOL)
     samples = [(float(rng.uniform(0.1, 20.0)), float(rng.uniform(-2.0, 2.0)),
                 rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(4)]
     ks, xis, phis = (np.array(column) for column in zip(*samples))
@@ -246,7 +245,7 @@ def _check_junction(out: list[str], name: str, params: JunctionParams, rng: np.r
     residuals = [_residual(u, params.L0, ks, xis, phis, np.einsum("ijn,jn->in", s, phis), orientation)
                  for s, orientation in zip(entries, orientations)]
     stacks = np.moveaxis(entries, -1, 1)  # (2, n, 3, 3): one matrix per sample
-    ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(stacks), 1e-12)
+    ok &= _check_line(out, f"unitarity S ({name})", unitarity_error(stacks), UNITARITY_TOL)
     return ok & _check_line(out, f"node-condition residual ({name})", np.max(residuals), 1e-10)
 
 

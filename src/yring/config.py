@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from .junction import EULER_ANGLES, JunctionParams, Orientation
+from .junction import EULER_ANGLES, JunctionParams
 from .ring import ANTISYMMETRIC, SYMMETRIC, General, RingConfig
 
 
@@ -166,7 +166,3 @@ def _ring(block: Any, junctions: dict[str, JunctionParams]) -> RingConfig:
         return RingConfig(left=left, mode=mode, xi1=xi1, xi2=xi2)
     except ValueError as exc:
         raise ConfigError(f"ring: {exc}") from exc
-
-
-def task_orientation(task: dict[str, Any]) -> Orientation:
-    return _member(Orientation, task.get("orientation", "inward"), "task.orientation")

@@ -107,11 +107,10 @@ class ScatteringMatrix:
     orientation: Orientation
 
     def __post_init__(self) -> None:
-        # A private copy: frozen below, it must not freeze the caller's array.
-        m = np.array(self.m, dtype=complex)
-        err = unitarity_error(m) if m.shape == (3, 3) else math.nan  # NaN, too, where an entry is not finite
+        # A private copy (frozen below), checked for its shape, then finite entries, then unitarity.
+        m = as_complex_matrix(np.array(self.m, dtype=complex), (3, 3))
+        err = unitarity_error(m)
         if not err <= UNITARITY_TOL:
-            as_complex_matrix(m, (3, 3))  # raises on the shape, then on an entry that is not finite
             raise ValueError(f"scattering matrix is not unitary (error {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)

@@ -47,7 +47,7 @@ DEGENERATE_TOL = 1e-13
 #: solve_algebraic's two forms of its determinant Delta agree to this.
 _IDENTITY_TOL = 1e-12
 
-#: Rounding level: a singular value, coupling or relative launch component at most this is zero.
+#: Rounding level: a singular value, coupling, relative launch component or relative scan dip at most this is zero.
 _ROUNDING = 64 * sys.float_info.epsilon
 
 #: The one message of DegenerateRingError.
@@ -203,14 +203,14 @@ def _amplitudes(s, t, v, columns=_ALL_COLUMNS) -> tuple:
     # entries s[i][j], t[i][j] and v, the resolvent (or a partial bounce sum)
     # applied to (s21, s31): complex scalars, or arrays over a grid.
     a, b, c, d, e, f = columns
-    # only A, B and D read sv = t[1:, 1:] v
-    sv = (t[1][1] * v[0] + t[1][2] * v[1], t[2][1] * v[0] + t[2][2] * v[1]) if a or b or d else None
+    # sv = t[1:, 1:] v is (C, E), and A, B and D read it
+    sv = (t[1][1] * v[0] + t[1][2] * v[1], t[2][1] * v[0] + t[2][2] * v[1]) if a or b or c or d or e else None
     return (
         s[0][0] + s[0][1] * sv[0] + s[0][2] * sv[1] if a else None,
         s[1][0] + s[1][1] * sv[0] + s[1][2] * sv[1] if b else None,
-        t[1][1] * v[0] + t[1][2] * v[1] if c else None,
+        sv[0] if c else None,
         s[2][0] + s[2][1] * sv[0] + s[2][2] * sv[1] if d else None,
-        t[2][1] * v[0] + t[2][2] * v[1] if e else None,
+        sv[1] if e else None,
         t[0][1] * v[0] + t[0][2] * v[1] if f else None,
     )
 

@@ -33,6 +33,7 @@ from .ring import (
     DegenerateRingError,
     RingAmplitudes,
     RingConfig,
+    _ROUNDING,
     _solve_grid_columns,
     solve_auto,
     solve_grid,
@@ -43,6 +44,9 @@ SCAN_PER_DECADE = 2048
 
 #: Fewest scan points find_resonances takes: one bracket of three.
 _SCAN_LEAST = 3
+
+#: find_resonances' default tol, and yring find's where the task sets none.
+_FIND_TOL = 1e-8
 
 #: Fewest open brackets whose next probes find_resonances takes in one kernel call; smaller rounds probe on
 #: solve_auto.  One column of `_solve_grid_columns` costs 31-59 us at 1 to 9 wavenumbers on the shipped configs,
@@ -312,7 +316,7 @@ def find_resonances(
     k_max: float,
     kind: ResonanceKind,
     scan_n: int | None = None,
-    tol: float = 1e-8,
+    tol: float = _FIND_TOL,
 ) -> ResonanceSearch:
     """Locate wavenumbers where the targeted probability vanishes.
 
@@ -410,7 +414,7 @@ def find_resonances(
     # strict local minima, minus two kinds of false dip: the probability is
     # already below tol on a whole neighbourhood (an identically vanishing
     # amplitude, not a zero), or the dip is rounding noise on a flat curve
-    dips = (mid < lo) & (mid < hi) & (rim > tol) & (rim > (1.0 + 64.0 * sys.float_info.epsilon) * mid)
+    dips = (mid < lo) & (mid < hi) & (rim > tol) & (rim > (1.0 + _ROUNDING) * mid)
     width = 1e-12 * (k_max - k_min)
     # each bracket's refine, replaced by its (k*, |z*|^2) when it returns
     brackets = [_golden_minimize(grid[i - 1:i + 2].tolist(), target[i - 1:i + 2].tolist(), values.item(i), width, tol)

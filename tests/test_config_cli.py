@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yring import JunctionParams, ResonanceKind, ResonanceSearch, cli, ring
+from yring import JunctionParams, ResonanceKind, ResonanceSearch, cli, find_resonances, ring, spectrum
 from yring.cli import main
 from yring.config import _JUNCTION_FIELDS, ConfigError, load_config, parse_angle
 
@@ -187,6 +188,18 @@ class TestJunctionCommand:
         assert "time-reversal symmetric: no" in out
         assert "scale-invariant: no" in out
 
+    def test_null_orientation_reads_inward(self, tmp_path, capsys):
+        # a null task value is an absent one, orientation included; xi != 0 tells the orientations apart
+        def output(**orientation):
+            doc = {"junctions": {"j": {"theta": [0.53815, 1.487924, 5.034556], "beta": 0.8}},
+                   "task": {"k": 1.7, "xi": 0.4, **orientation}}
+            assert main(["junction", "--config", write_config(tmp_path, doc)]) == 0
+            return capsys.readouterr()
+        absent = output()
+        assert "orientation = inward" in absent.out and absent.err == ""
+        assert output(orientation=None) == absent == output(orientation="inward")
+        assert output(orientation="outward").out != absent.out
+
 
 class TestRingCommand:
     def test_perfect_transmission_report(self, capsys):
@@ -247,6 +260,24 @@ class TestFindCommand:
         assert len(ks) == 2
         assert ks[0] == pytest.approx(PI, rel=1e-9)
         assert ks[1] == pytest.approx(2 * PI, rel=1e-9)
+
+    def test_default_tol_is_the_library_default(self, tmp_path, capsys, monkeypatch):
+        # find_resonances and cmd_find read one constant for a task without tol
+        assert inspect.signature(find_resonances).parameters["tol"].default is spectrum._FIND_TOL is cli._FIND_TOL
+        doc = json.loads(Path(SYMMETRIC_CFG).read_text())
+        del doc["task"]["tol"]
+        tols = []
+
+        def recording(*args, tol, **kwargs):
+            tols.append(tol)
+            return find_resonances(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(cli, "find_resonances", recording)
+        monkeypatch.setattr(cli, "_FIND_TOL", 0.25)
+        assert main(["find", "--config", write_config(tmp_path, doc)]) == 0
+        assert main(["find", "--config", SYMMETRIC_CFG]) == 0  # the shipped config sets tol
+        assert tols == [0.25, 1e-8]
+        capsys.readouterr()
 
     def test_csv_output(self, tmp_path):
         out = str(tmp_path / "resonances.csv")
